@@ -9,9 +9,9 @@
 
 use crate::error::{PtError, Result};
 use crate::schema::{col, Schema};
-use parking_lot::{Mutex, RwLock};
 use perftrack_model::{ContextRole, ModelError, PerformanceResult, ResourceName, TypeRegistry};
 use perftrack_ptdf::{AttrType, PtdfStatement};
+use perftrack_store::sync::{Mutex, RwLock};
 use perftrack_store::{Database, DbOptions, Row, Value};
 use std::collections::HashMap;
 use std::path::Path;
@@ -606,11 +606,11 @@ impl PTDataStore {
     pub fn load_ptdf_texts_parallel(&self, texts: &[String], threads: usize) -> Result<LoadStats> {
         let threads = threads.max(1).min(texts.len().max(1));
         let chunk = texts.len().div_ceil(threads);
-        let parsed: Vec<Result<Vec<Vec<PtdfStatement>>>> = crossbeam::thread::scope(|s| {
+        let parsed: Vec<Result<Vec<Vec<PtdfStatement>>>> = std::thread::scope(|s| {
             texts
                 .chunks(chunk.max(1))
                 .map(|part| {
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         part.iter()
                             .map(|t| perftrack_ptdf::parse_str(t).map_err(PtError::Ptdf))
                             .collect::<Result<Vec<_>>>()
@@ -618,10 +618,9 @@ impl PTDataStore {
                 })
                 .collect::<Vec<_>>()
                 .into_iter()
-                .map(|h| h.join().unwrap())
+                .map(|h| h.join().expect("parser thread panicked"))
                 .collect()
-        })
-        .expect("parser thread panicked");
+        });
         let mut stats = LoadStats::default();
         for group in parsed {
             for stmts in group? {

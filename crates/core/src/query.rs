@@ -7,10 +7,10 @@ use crate::datastore::{decode_resource, PTDataStore, ResourceRecord};
 use crate::error::{PtError, Result};
 use crate::planner::{explain_filters, plan_filters};
 use crate::schema::col;
-use parking_lot::Mutex;
 use perftrack_model::{AttrPredicate, Relatives, ResourceFilter, Selector};
 use perftrack_store::metrics::{OperatorProfile, QueryProfile};
 use perftrack_store::planner::{ExplainPlan, COST_FETCH_ROW, COST_PROBE, COST_SCAN_ROW};
+use perftrack_store::sync::Mutex;
 use perftrack_store::{StatsState, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;

@@ -1,52 +1,30 @@
-//! Property tests for the execution-comparison engine, using a seeded
-//! deterministic generator (no proptest dependency, matching the
-//! model-checker precedent elsewhere in the workspace): deltas are
+//! Property tests for the execution-comparison engine, over stores drawn
+//! from the workspace's seeded generator: deltas are
 //! antisymmetric under argument swap, self-comparison is exactly zero,
 //! and alignment tolerates deliberately mismatched resource trees.
 
 use perftrack::compare::{Aggregate, CompareOptions, Normalization};
 use perftrack::{Compare, PTDataStore};
+use perftrack_workloads::Rng;
 
-/// Small deterministic LCG (same constants as the bench harness).
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Self {
-        Lcg(seed.wrapping_add(0x9E37_79B9_7F4A_7C15))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 11
-    }
-
-    /// Uniform in `[0, n)`.
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    /// A positive value in roughly `(0, 100)`.
-    fn value(&mut self) -> f64 {
-        (self.below(10_000) + 1) as f64 / 100.0
-    }
+/// A positive value in `[0.01, 100.00]`, in hundredths.
+fn value(rng: &mut Rng) -> f64 {
+    rng.gen_range(1..10_001) as f64 / 100.0
 }
 
 /// Build a store with two executions over a random module/function tree.
 /// Each execution measures a random subset of the functions, so trees
 /// mismatch in both directions. Returns the store and the function count.
 fn random_store(seed: u64) -> PTDataStore {
-    let mut rng = Lcg::new(seed);
+    let mut rng = Rng::seed_from_u64(0xc03b_0000 + seed);
     let store = PTDataStore::in_memory().unwrap();
-    let modules = 1 + rng.below(3);
+    let modules = rng.gen_range(1..4);
     let mut ptdf =
         String::from("Application App\nResource /app application\nResource /build build\n");
     let mut functions = Vec::new();
     for m in 0..modules {
         ptdf.push_str(&format!("Resource /build/m{m}.c build/module\n"));
-        for f in 0..(1 + rng.below(4)) {
+        for f in 0..rng.gen_range(1..5) {
             let name = format!("/build/m{m}.c/fn{f}");
             ptdf.push_str(&format!("Resource {name} build/module/function\n"));
             functions.push(name);
@@ -57,12 +35,12 @@ fn random_store(seed: u64) -> PTDataStore {
         for f in &functions {
             // ~75% of functions are measured per execution; the rest are
             // the mismatched subtrees alignment must tolerate.
-            if rng.below(4) < 3 {
-                let reps = 1 + rng.below(3);
+            if rng.gen_bool(0.75) {
+                let reps = rng.gen_range(1..4);
                 for _ in 0..reps {
                     ptdf.push_str(&format!(
                         "PerfResult {exec} \"/app,{f}(primary)\" T \"CPU time\" {} seconds\n",
-                        rng.value()
+                        value(&mut rng)
                     ));
                 }
             }

@@ -14,12 +14,11 @@
 use crate::resource::{AttrValue, Resource, ResourceName, ResourceRepo};
 use crate::result::PerformanceResult;
 use crate::types::{ModelError, TypePath};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// The ancestor/descendant expansion flag — the GUI's D/A/B/N "Relatives"
 /// column (§3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Relatives {
     /// Neither (N).
     Neither,
@@ -58,7 +57,7 @@ impl Relatives {
 /// Comparator for attribute filters. Attribute values are strings;
 /// ordered comparators compare numerically when both sides parse as
 /// numbers, lexicographically otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttrCmp {
     Eq,
     Ne,
@@ -111,7 +110,7 @@ impl AttrCmp {
 }
 
 /// One attribute predicate: `(attribute, comparator, value)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttrPredicate {
     pub attr: String,
     pub cmp: AttrCmp,
@@ -132,7 +131,7 @@ impl AttrPredicate {
 }
 
 /// The selection part of a resource filter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Selector {
     /// All resources of the given type (exact type, not subtree — the GUI
     /// uses this for "machine-level measurements only").
@@ -146,7 +145,7 @@ pub enum Selector {
 }
 
 /// A resource filter: a selector plus the relatives-expansion flag.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResourceFilter {
     pub selector: Selector,
     pub relatives: Relatives,
@@ -220,7 +219,7 @@ impl ResourceFilter {
 /// All members belong to the same type hierarchy in intended use, though
 /// the model does not enforce it (attribute filters may legitimately span
 /// hierarchies).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ResourceFamily {
     pub members: BTreeSet<ResourceName>,
 }
@@ -250,7 +249,7 @@ impl ResourceFamily {
 }
 
 /// A pr-filter: a set of resource families.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PrFilter {
     pub families: Vec<ResourceFamily>,
 }

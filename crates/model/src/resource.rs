@@ -11,12 +11,11 @@
 //! "resource constraints").
 
 use crate::types::{ModelError, TypePath, TypeRegistry};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A full resource name: `/Frost/batch/frost121/p0`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ResourceName(String);
 
 impl ResourceName {
@@ -97,7 +96,7 @@ impl fmt::Display for ResourceName {
 
 /// An attribute value: a plain string or a reference to another resource
 /// (a *resource constraint*).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AttrValue {
     Str(String),
     Resource(ResourceName),
@@ -114,7 +113,7 @@ impl AttrValue {
 }
 
 /// A resource: name, type, attributes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Resource {
     pub name: ResourceName,
     pub rtype: TypePath,
@@ -131,7 +130,7 @@ impl Resource {
 /// In-memory repository of resources with hierarchy-aware lookups. This is
 /// the reference semantics that the DB-backed store in the `perftrack`
 /// crate must agree with.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ResourceRepo {
     /// Keyed by full name; BTreeMap gives ordered prefix scans for
     /// descendant queries.

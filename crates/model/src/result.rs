@@ -10,13 +10,12 @@
 //! the same run).
 
 use crate::resource::ResourceName;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Role of a resource set within a performance result's focus, matching
 /// the `focus_type` column of the paper's schema (Fig. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContextRole {
     Primary,
     Parent,
@@ -57,7 +56,7 @@ impl fmt::Display for ContextRole {
 }
 
 /// One resource set of a result's focus: a role plus resource names.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResourceSet {
     pub role: ContextRole,
     pub resources: Vec<ResourceName>,
@@ -74,7 +73,7 @@ impl ResourceSet {
 }
 
 /// A measured or calculated performance value plus its metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerformanceResult {
     /// The execution this result belongs to.
     pub execution: String,

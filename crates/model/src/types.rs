@@ -9,12 +9,11 @@
 //! (e.g. `time/interval/phase`) or add whole new top-level hierarchies —
 //! exactly what the Paradyn integration (§4.3) does for `syncObject`.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A resource type path such as `grid/machine/partition`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TypePath(String);
 
 impl TypePath {
@@ -106,7 +105,7 @@ impl fmt::Display for ModelError {
 impl std::error::Error for ModelError {}
 
 /// The extensible resource type system.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TypeRegistry {
     /// All registered type paths mapped to nothing (BTreeMap for
     /// deterministic iteration and cheap prefix queries).

@@ -1,37 +1,41 @@
 //! Property tests for the model crate: resource-name structure,
 //! relatives expansion invariants, and the pr-filter matching rule
-//! checked against its literal ∀∃ definition.
+//! checked against its literal ∀∃ definition. Cases are drawn from a
+//! seeded generator; a failure prints the case seed that replays it.
 
 use perftrack_model::prelude::*;
-use proptest::prelude::*;
+use perftrack_workloads::rng::{check_cases, Rng};
 
-/// Strategy: a small random machine tree as (name, type) pairs in
+/// A small random machine tree as (name, type) pairs in
 /// parent-before-child order.
-fn arb_tree() -> impl Strategy<Value = Vec<(String, String)>> {
-    (1usize..4, 1usize..4, 1usize..4).prop_map(|(machines, nodes, procs)| {
-        let mut v = Vec::new();
-        for m in 0..machines {
-            v.push((format!("/g{m}"), "grid".to_string()));
-            v.push((format!("/g{m}/mach{m}"), "grid/machine".to_string()));
+fn arb_tree(rng: &mut Rng) -> Vec<(String, String)> {
+    let (machines, nodes, procs) = (
+        rng.gen_range(1usize..4),
+        rng.gen_range(1usize..4),
+        rng.gen_range(1usize..4),
+    );
+    let mut v = Vec::new();
+    for m in 0..machines {
+        v.push((format!("/g{m}"), "grid".to_string()));
+        v.push((format!("/g{m}/mach{m}"), "grid/machine".to_string()));
+        v.push((
+            format!("/g{m}/mach{m}/part"),
+            "grid/machine/partition".to_string(),
+        ));
+        for n in 0..nodes {
             v.push((
-                format!("/g{m}/mach{m}/part"),
-                "grid/machine/partition".to_string(),
+                format!("/g{m}/mach{m}/part/n{n}"),
+                "grid/machine/partition/node".to_string(),
             ));
-            for n in 0..nodes {
+            for p in 0..procs {
                 v.push((
-                    format!("/g{m}/mach{m}/part/n{n}"),
-                    "grid/machine/partition/node".to_string(),
+                    format!("/g{m}/mach{m}/part/n{n}/p{p}"),
+                    "grid/machine/partition/node/processor".to_string(),
                 ));
-                for p in 0..procs {
-                    v.push((
-                        format!("/g{m}/mach{m}/part/n{n}/p{p}"),
-                        "grid/machine/partition/node/processor".to_string(),
-                    ));
-                }
             }
         }
-        v
-    })
+    }
+    v
 }
 
 fn repo_from(tree: &[(String, String)]) -> (TypeRegistry, ResourceRepo) {
@@ -43,74 +47,86 @@ fn repo_from(tree: &[(String, String)]) -> (TypeRegistry, ResourceRepo) {
     (reg, repo)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// A random tree's repository and the name of one resource picked from it.
+fn repo_and_seed(rng: &mut Rng) -> (ResourceRepo, ResourceName) {
+    let (_, repo) = repo_from(&arb_tree(rng));
+    let all: Vec<&Resource> = repo.all().collect();
+    let seed = all[rng.gen_range(0..all.len())].name.clone();
+    (repo, seed)
+}
 
-    /// Descendant expansion equals the name-prefix definition.
-    #[test]
-    fn descendants_equal_prefix_closure(tree in arb_tree(), pick in 0usize..100) {
-        let (_, repo) = repo_from(&tree);
-        let all: Vec<&Resource> = repo.all().collect();
-        let seed = all[pick % all.len()].name.clone();
+/// `count` path segments of 1 to `max_len` characters from `[a-z0-9]`.
+fn arb_segments(rng: &mut Rng, count: std::ops::Range<usize>, max_len: usize) -> Vec<String> {
+    (0..rng.gen_range(count))
+        .map(|_| rng.gen_string(b"abcdefghijklmnopqrstuvwxyz0123456789", 1..max_len + 1))
+        .collect()
+}
+
+/// Descendant expansion equals the name-prefix definition.
+#[test]
+fn descendants_equal_prefix_closure() {
+    check_cases(0x6d0d_0100, 64, |rng| {
+        let (repo, seed) = repo_and_seed(rng);
         let family = ResourceFilter::by_name(seed.as_str())
             .relatives(Relatives::Descendants)
             .apply(&repo);
         for r in repo.all() {
             let is_member = family.contains(&r.name);
             let should = r.name == seed || r.name.is_descendant_of(&seed);
-            prop_assert_eq!(is_member, should, "{:?} vs seed {:?}", r.name, seed);
+            assert_eq!(is_member, should, "{:?} vs seed {:?}", r.name, seed);
         }
-    }
+    });
+}
 
-    /// Ancestor expansion contains exactly the name's prefixes.
-    #[test]
-    fn ancestors_equal_prefixes(tree in arb_tree(), pick in 0usize..100) {
-        let (_, repo) = repo_from(&tree);
-        let all: Vec<&Resource> = repo.all().collect();
-        let seed = all[pick % all.len()].name.clone();
+/// Ancestor expansion contains exactly the name's prefixes.
+#[test]
+fn ancestors_equal_prefixes() {
+    check_cases(0x6d0d_0200, 64, |rng| {
+        let (repo, seed) = repo_and_seed(rng);
         let family = ResourceFilter::by_name(seed.as_str())
             .relatives(Relatives::Ancestors)
             .apply(&repo);
-        let expected: std::collections::BTreeSet<ResourceName> =
-            std::iter::once(seed.clone()).chain(seed.ancestors()).collect();
-        prop_assert_eq!(&family.members, &expected);
-    }
+        let expected: std::collections::BTreeSet<ResourceName> = std::iter::once(seed.clone())
+            .chain(seed.ancestors())
+            .collect();
+        assert_eq!(family.members, expected);
+    });
+}
 
-    /// `Both` is exactly the union of Ancestors and Descendants.
-    #[test]
-    fn both_is_union(tree in arb_tree(), pick in 0usize..100) {
-        let (_, repo) = repo_from(&tree);
-        let all: Vec<&Resource> = repo.all().collect();
-        let seed = all[pick % all.len()].name.base_name().to_string();
+/// `Both` is exactly the union of Ancestors and Descendants.
+#[test]
+fn both_is_union() {
+    check_cases(0x6d0d_0300, 64, |rng| {
+        let (repo, seed) = repo_and_seed(rng);
+        let seed = seed.base_name().to_string();
         let f = |r: Relatives| {
-            ResourceFilter::by_name(&seed).relatives(r).apply(&repo).members
+            ResourceFilter::by_name(&seed)
+                .relatives(r)
+                .apply(&repo)
+                .members
         };
         let both = f(Relatives::Both);
         let union: std::collections::BTreeSet<_> = f(Relatives::Ancestors)
             .union(&f(Relatives::Descendants))
             .cloned()
             .collect();
-        prop_assert_eq!(both, union);
-    }
+        assert_eq!(both, union);
+    });
+}
 
-    /// The pr-filter matching rule equals its ∀∃ definition, applied
-    /// literally.
-    #[test]
-    fn matching_rule_definition(
-        tree in arb_tree(),
-        picks in prop::collection::vec(0usize..100, 1..4),
-        ctx_picks in prop::collection::vec(0usize..100, 1..4),
-    ) {
-        let (_, repo) = repo_from(&tree);
+/// The pr-filter matching rule equals its ∀∃ definition, applied
+/// literally.
+#[test]
+fn matching_rule_definition() {
+    check_cases(0x6d0d_0400, 64, |rng| {
+        let (_, repo) = repo_from(&arb_tree(rng));
         let all: Vec<&Resource> = repo.all().collect();
-        let filters: Vec<ResourceFilter> = picks
-            .iter()
-            .map(|&p| ResourceFilter::by_name(all[p % all.len()].name.as_str()))
+        let filters: Vec<ResourceFilter> = (0..rng.gen_range(1..4))
+            .map(|_| ResourceFilter::by_name(all[rng.gen_range(0..all.len())].name.as_str()))
             .collect();
         let prf = PrFilter::from_filters(&repo, &filters);
-        let context: Vec<ResourceName> = ctx_picks
-            .iter()
-            .map(|&p| all[p % all.len()].name.clone())
+        let context: Vec<ResourceName> = (0..rng.gen_range(1..4))
+            .map(|_| all[rng.gen_range(0..all.len())].name.clone())
             .collect();
         let got = prf.matches_context(context.iter());
         // Literal definition: ∀ R ∈ PRF: ∃ r ∈ C: r ∈ R.
@@ -118,51 +134,51 @@ proptest! {
             .families
             .iter()
             .all(|fam| context.iter().any(|r| fam.contains(r)));
-        prop_assert_eq!(got, expected);
-    }
+        assert_eq!(got, expected);
+    });
+}
 
-    /// Resource names survive a parse/display roundtrip and ancestors
-    /// count matches depth.
-    #[test]
-    fn resource_name_structure(segments in prop::collection::vec("[a-z0-9]{1,8}", 1..6)) {
+/// Resource names survive a parse/display roundtrip and ancestors
+/// count matches depth.
+#[test]
+fn resource_name_structure() {
+    check_cases(0x6d0d_0500, 64, |rng| {
+        let segments = arb_segments(rng, 1..6, 8);
         let raw = format!("/{}", segments.join("/"));
         let name = ResourceName::new(&raw).unwrap();
-        prop_assert_eq!(name.as_str(), raw.as_str());
-        prop_assert_eq!(name.depth(), segments.len());
-        prop_assert_eq!(name.ancestors().len(), segments.len() - 1);
-        prop_assert_eq!(name.base_name(), segments.last().unwrap().as_str());
+        assert_eq!(name.as_str(), raw.as_str());
+        assert_eq!(name.depth(), segments.len());
+        assert_eq!(name.ancestors().len(), segments.len() - 1);
+        assert_eq!(name.base_name(), segments.last().unwrap().as_str());
         // Every ancestor is a strict prefix.
         for a in name.ancestors() {
-            prop_assert!(name.is_descendant_of(&a));
-            prop_assert!(!a.is_descendant_of(&name));
+            assert!(name.is_descendant_of(&a));
+            assert!(!a.is_descendant_of(&name));
         }
-    }
+    });
+}
 
-    /// Shorthand matching: a name always matches its own base name, its
-    /// full name, and every suffix of whole segments.
-    #[test]
-    fn shorthand_matches_whole_segment_suffixes(
-        segments in prop::collection::vec("[a-z0-9]{1,6}", 1..5)
-    ) {
+/// Shorthand matching: a name always matches its own base name, its
+/// full name, and every suffix of whole segments.
+#[test]
+fn shorthand_matches_whole_segment_suffixes() {
+    check_cases(0x6d0d_0600, 64, |rng| {
+        let segments = arb_segments(rng, 1..5, 6);
         let raw = format!("/{}", segments.join("/"));
         let name = ResourceName::new(&raw).unwrap();
-        prop_assert!(name.matches_shorthand(&raw));
+        assert!(name.matches_shorthand(&raw));
         for start in 0..segments.len() {
             let suffix = segments[start..].join("/");
-            prop_assert!(name.matches_shorthand(&suffix), "suffix {suffix:?}");
+            assert!(name.matches_shorthand(&suffix), "suffix {suffix:?}");
         }
-        // A partial-segment suffix must not match.
+        // A partial-segment suffix must not match, unless it happens to
+        // equal some real whole segment.
         let base = segments.last().unwrap();
         if base.len() > 1 {
             let partial = &base[1..];
-            if partial != base {
-                // Only assert when the partial differs from some real
-                // whole-segment suffix.
-                let is_whole_suffix = segments.iter().any(|s| s == partial);
-                if !is_whole_suffix {
-                    prop_assert!(!name.matches_shorthand(partial));
-                }
+            if !segments.iter().any(|s| s == partial) {
+                assert!(!name.matches_shorthand(partial));
             }
         }
-    }
+    });
 }

@@ -1,137 +1,137 @@
 //! Property tests for PTdf: print→parse identity over arbitrary
-//! statements, and tokenizer quoting round-trips.
+//! statements, and tokenizer quoting round-trips. Cases are drawn from a
+//! seeded generator; a failure prints the case seed that replays it.
 
 use perftrack_ptdf::lexer::{quote, tokenize};
 use perftrack_ptdf::{parse_str, to_string, AttrType, PtdfResourceSet, PtdfStatement};
-use proptest::prelude::*;
+use perftrack_workloads::rng::{check_cases, Rng};
+use std::ops::Range;
 
-/// Free-form names (may need quoting).
-fn arb_name() -> impl Strategy<Value = String> {
-    "[ -~]{1,24}".prop_filter("non-empty after trim", |s| !s.trim().is_empty())
+const LETTERS: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
+
+/// Printable ASCII, space through tilde.
+fn arb_printable(rng: &mut Rng, len: Range<usize>) -> String {
+    let printable: Vec<u8> = (b' '..=b'~').collect();
+    rng.gen_string(&printable, len)
+}
+
+/// Free-form names (may need quoting), not blank.
+fn arb_name(rng: &mut Rng) -> String {
+    loop {
+        let s = arb_printable(rng, 1..25);
+        if !s.trim().is_empty() {
+            return s;
+        }
+    }
 }
 
 /// Resource names: no commas/colons/parens (the resource-set field's
 /// structural characters), as the format requires.
-fn arb_resource_name() -> impl Strategy<Value = String> {
-    prop::collection::vec("[a-zA-Z0-9_.{}-]{1,8}", 1..4)
-        .prop_map(|segs| format!("/{}", segs.join("/")))
+fn arb_resource_name(rng: &mut Rng) -> String {
+    let alphabet = [LETTERS, b"0123456789_.{}-"].concat();
+    let segs: Vec<String> = (0..rng.gen_range(1..4))
+        .map(|_| rng.gen_string(&alphabet, 1..9))
+        .collect();
+    format!("/{}", segs.join("/"))
 }
 
-fn arb_resource_set() -> impl Strategy<Value = PtdfResourceSet> {
-    (
-        prop::collection::vec(arb_resource_name(), 1..4),
-        prop::sample::select(vec!["primary", "parent", "child", "sender", "receiver"]),
-    )
-        .prop_map(|(resources, set_type)| PtdfResourceSet {
-            resources,
-            set_type: set_type.to_string(),
-        })
+fn arb_resource_set(rng: &mut Rng) -> PtdfResourceSet {
+    const SET_TYPES: [&str; 5] = ["primary", "parent", "child", "sender", "receiver"];
+    PtdfResourceSet {
+        resources: (0..rng.gen_range(1..4))
+            .map(|_| arb_resource_name(rng))
+            .collect(),
+        set_type: SET_TYPES[rng.gen_range(0..SET_TYPES.len())].to_string(),
+    }
 }
 
-fn arb_statement() -> impl Strategy<Value = PtdfStatement> {
-    prop_oneof![
-        arb_name().prop_map(|name| PtdfStatement::Application { name }),
-        prop::collection::vec("[a-zA-Z]{1,8}", 1..4).prop_map(|segs| {
-            PtdfStatement::ResourceType {
-                type_path: segs.join("/"),
-            }
-        }),
-        (arb_name(), arb_name())
-            .prop_map(|(name, application)| PtdfStatement::Execution { name, application }),
-        (
-            arb_resource_name(),
-            "[a-z/]{1,16}",
-            prop::option::of(arb_name())
-        )
-            .prop_map(|(name, type_path, execution)| PtdfStatement::Resource {
-                name,
-                type_path,
-                execution
-            }),
-        (arb_resource_name(), arb_name(), arb_name()).prop_map(|(resource, attribute, value)| {
-            PtdfStatement::ResourceAttribute {
-                resource,
-                attribute,
-                value,
-                attr_type: AttrType::String,
-            }
-        }),
-        (
-            arb_name(),
-            prop::collection::vec(arb_resource_set(), 1..4),
-            arb_name(),
-            arb_name(),
-            -1.0e12f64..1.0e12,
-            arb_name(),
-        )
-            .prop_map(|(execution, resource_sets, tool, metric, value, units)| {
-                PtdfStatement::PerfResult {
-                    execution,
-                    resource_sets,
-                    tool,
-                    metric,
-                    value,
-                    units,
-                }
-            }),
-        (arb_resource_name(), arb_resource_name())
-            .prop_map(|(first, second)| PtdfStatement::ResourceConstraint { first, second }),
-    ]
+fn arb_statement(rng: &mut Rng) -> PtdfStatement {
+    match rng.gen_range(0..7) {
+        0 => PtdfStatement::Application {
+            name: arb_name(rng),
+        },
+        1 => PtdfStatement::ResourceType {
+            type_path: (0..rng.gen_range(1..4))
+                .map(|_| rng.gen_string(LETTERS, 1..9))
+                .collect::<Vec<_>>()
+                .join("/"),
+        },
+        2 => PtdfStatement::Execution {
+            name: arb_name(rng),
+            application: arb_name(rng),
+        },
+        3 => PtdfStatement::Resource {
+            name: arb_resource_name(rng),
+            type_path: rng.gen_string(b"abcdefghijklmnopqrstuvwxyz/", 1..17),
+            execution: rng.gen_bool(0.5).then(|| arb_name(rng)),
+        },
+        4 => PtdfStatement::ResourceAttribute {
+            resource: arb_resource_name(rng),
+            attribute: arb_name(rng),
+            value: arb_name(rng),
+            attr_type: AttrType::String,
+        },
+        5 => PtdfStatement::PerfResult {
+            execution: arb_name(rng),
+            resource_sets: (0..rng.gen_range(1..4))
+                .map(|_| arb_resource_set(rng))
+                .collect(),
+            tool: arb_name(rng),
+            metric: arb_name(rng),
+            value: rng.gen_range(-1.0e12..1.0e12),
+            units: arb_name(rng),
+        },
+        _ => PtdfStatement::ResourceConstraint {
+            first: arb_resource_name(rng),
+            second: arb_resource_name(rng),
+        },
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Any statement prints to a line that parses back to itself.
-    #[test]
-    fn print_parse_identity(stmt in arb_statement()) {
+/// Any statement prints to a line that parses back to itself; for a
+/// `PerfResult` that includes the float, exactly, via `Display`.
+#[test]
+fn print_parse_identity() {
+    check_cases(0x97df_0100, 256, |rng| {
+        let stmt = arb_statement(rng);
         let text = to_string(std::slice::from_ref(&stmt));
-        let parsed = parse_str(&text)
-            .unwrap_or_else(|e| panic!("reparse failed for {text:?}: {e}"));
-        prop_assert_eq!(parsed.len(), 1);
-        match (&stmt, &parsed[0]) {
-            // Float formatting must round-trip exactly via Display.
-            (
-                PtdfStatement::PerfResult { value: a, .. },
-                PtdfStatement::PerfResult { value: b, .. },
-            ) => {
-                prop_assert_eq!(a, b);
-                prop_assert_eq!(&stmt, &parsed[0]);
-            }
-            _ => prop_assert_eq!(&stmt, &parsed[0]),
-        }
-    }
+        let parsed =
+            parse_str(&text).unwrap_or_else(|e| panic!("reparse failed for {text:?}: {e}"));
+        assert_eq!(parsed, [stmt]);
+    });
+}
 
-    /// Documents of many statements round-trip as a whole.
-    #[test]
-    fn document_roundtrip(stmts in prop::collection::vec(arb_statement(), 0..20)) {
+/// Documents of many statements round-trip as a whole.
+#[test]
+fn document_roundtrip() {
+    check_cases(0x97df_0200, 256, |rng| {
+        let stmts: Vec<PtdfStatement> = (0..rng.gen_range(0..20))
+            .map(|_| arb_statement(rng))
+            .collect();
         let text = to_string(&stmts);
-        let parsed = parse_str(&text).unwrap();
-        prop_assert_eq!(stmts, parsed);
-    }
+        assert_eq!(parse_str(&text).unwrap(), stmts);
+    });
+}
 
-    /// quote() always produces a single token that tokenizes back.
-    #[test]
-    fn quote_tokenize_roundtrip(token in "[ -~]{0,40}") {
+/// quote() always produces a single token that tokenizes back.
+#[test]
+fn quote_tokenize_roundtrip() {
+    check_cases(0x97df_0300, 256, |rng| {
+        let token = arb_printable(rng, 0..41);
         let quoted = quote(&token);
         let toks = tokenize(&quoted, 1).unwrap();
-        if token.trim().is_empty() && token.is_empty() {
-            prop_assert_eq!(toks, vec![String::new()]);
-        } else {
-            prop_assert_eq!(toks.len(), 1, "quoted {:?}", quoted);
-            prop_assert_eq!(&toks[0], &token);
-        }
-    }
+        assert_eq!(toks, [token], "quoted {quoted:?}");
+    });
+}
 
-    /// Tokenizing any line never panics and errors carry the line number.
-    #[test]
-    fn tokenizer_total(line in "[ -~]{0,80}", line_no in 1usize..1000) {
-        match tokenize(&line, line_no) {
-            Ok(_) => {}
-            Err(e) => {
-                let needle = format!("line {line_no}");
-                prop_assert!(e.to_string().contains(&needle));
-            }
+/// Tokenizing any line never panics and errors carry the line number.
+#[test]
+fn tokenizer_total() {
+    check_cases(0x97df_0400, 256, |rng| {
+        let line = arb_printable(rng, 0..81);
+        let line_no = rng.gen_range(1usize..1000);
+        if let Err(e) = tokenize(&line, line_no) {
+            assert!(e.to_string().contains(&format!("line {line_no}")));
         }
-    }
+    });
 }

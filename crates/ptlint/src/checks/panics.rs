@@ -1,7 +1,8 @@
 //! Check 2: panic-freedom on hot/untrusted paths.
 //!
 //! A panic in the wire decoder is a remote denial of service; a panic
-//! under the buffer-pool or WAL mutex poisons nothing (parking_lot)
+//! under the buffer-pool or WAL mutex poisons nothing
+//! (`perftrack_store::sync` recovers, and leans on this check to do so)
 //! but still kills the worker mid-update. The files listed in
 //! [`HOT_FILES`] — the request path and the storage-engine core — must
 //! not contain `unwrap`/`expect`, panicking macros, or bare slice

@@ -1,5 +1,5 @@
 //! Seeded violations: a hot-path unwrap and a lock-order cycle.
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 
 pub struct Pool {
     a: Mutex<u32>,

@@ -21,8 +21,9 @@
 //! computed from queue occupancy, not wall-clock sampling, so tests can
 //! assert exact shedding behaviour.
 
+use perftrack_store::sync::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Upper bound on the retry-after hint handed to shedding clients.
@@ -136,7 +137,7 @@ impl AdmissionController {
         expensive: bool,
         max_wait: Duration,
     ) -> AdmissionDecision {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         if self.fits(&st, cost, expensive) {
             st.in_flight += cost;
             self.admitted.fetch_add(1, Ordering::Relaxed);
@@ -157,8 +158,7 @@ impl AdmissionController {
                 self.shed.fetch_add(1, Ordering::Relaxed);
                 return AdmissionDecision::Shed { retry_after_ms };
             }
-            let (guard, _timeout) = self.freed.wait_timeout(st, remaining).unwrap();
-            st = guard;
+            st = self.freed.wait_timeout(st, remaining);
             if self.fits(&st, cost, false) {
                 st.waiting -= 1;
                 st.in_flight += cost;
@@ -190,7 +190,7 @@ impl AdmissionController {
     }
 
     fn release(&self, cost: u32) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         st.in_flight = st.in_flight.saturating_sub(cost);
         drop(st);
         self.freed.notify_all();
@@ -209,12 +209,12 @@ impl AdmissionController {
 
     /// Cheap requests currently parked in the admission queue.
     pub fn queued(&self) -> u64 {
-        self.state.lock().unwrap().waiting as u64
+        self.state.lock().waiting as u64
     }
 
     /// Summed cost of requests currently executing.
     pub fn in_flight_cost(&self) -> u64 {
-        self.state.lock().unwrap().in_flight as u64
+        self.state.lock().in_flight as u64
     }
 }
 
@@ -346,5 +346,29 @@ mod tests {
         }
         assert_eq!(ctl.queued(), 0);
         assert_eq!(ctl.shed(), 1);
+    }
+
+    #[test]
+    fn a_worker_panicking_under_the_state_lock_does_not_stop_admission() {
+        let ctl = AdmissionController::new(cfg(8, 4, 10));
+        let ctl2 = Arc::clone(&ctl);
+        let panicked = std::thread::spawn(move || {
+            let _st = ctl2.state.lock();
+            panic!("worker dies holding the admission state");
+        })
+        .join();
+        assert!(panicked.is_err());
+        // With a propagated poison every call below would panic in turn.
+        let hold = match ctl.admit(8, false, Duration::ZERO) {
+            AdmissionDecision::Admitted(p) => p,
+            other => panic!("expected admit, got {other:?}"),
+        };
+        // The queued path goes through the condvar wait as well.
+        match ctl.admit(4, false, Duration::from_millis(5)) {
+            AdmissionDecision::Shed { .. } => {}
+            other => panic!("expected shed, got {other:?}"),
+        }
+        drop(hold);
+        assert_eq!((ctl.in_flight_cost(), ctl.queued()), (0, 0));
     }
 }

@@ -3,9 +3,9 @@
 //! Architecture:
 //!
 //! ```text
-//! acceptor thread ──► bounded crossbeam channel ──► N worker threads
-//!    (nonblocking          (queue_depth)             (one connection
-//!     accept loop)                                    each, to completion)
+//! acceptor thread ──► bounded `mpsc::sync_channel` ──► N worker threads
+//!    (nonblocking           (queue_depth)              (one connection
+//!     accept loop)                                      each, to completion)
 //! ```
 //!
 //! The acceptor never blocks indefinitely: it polls a nonblocking
@@ -51,9 +51,11 @@ use crate::wire::{FrameDecoder, WireError};
 use perftrack::{Compare, CompareOptions, PTDataStore, PtError, ResultTable, SelectionDialog};
 use perftrack_model::{Relatives, TypePath};
 use perftrack_store::metrics::Json;
+use perftrack_store::sync::{Mutex, RwLock};
 use perftrack_store::StoreError;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -118,7 +120,7 @@ struct Shared {
     metrics: Arc<ServerMetrics>,
     shutdown: AtomicBool,
     /// Single-writer/multi-reader request gate (see module docs).
-    write_gate: parking_lot::RwLock<()>,
+    write_gate: RwLock<()>,
     admission: Arc<AdmissionController>,
     cfg: ServerConfig,
 }
@@ -143,15 +145,18 @@ impl Server {
             store,
             metrics: Arc::new(ServerMetrics::new()),
             shutdown: AtomicBool::new(false),
-            write_gate: parking_lot::RwLock::new(()),
+            write_gate: RwLock::new(()),
             admission: AdmissionController::new(cfg.admission.clone()),
             cfg: cfg.clone(),
         });
-        let (tx, rx) = crossbeam::channel::bounded::<TcpStream>(cfg.queue_depth.max(1));
+        let (tx, rx) = sync_channel::<TcpStream>(cfg.queue_depth.max(1));
+        // One connection per message, so the lock around the shared
+        // receiver is taken per connection, not per request.
+        let rx = Arc::new(Mutex::new(rx));
 
         let mut threads = Vec::with_capacity(cfg.workers + 1);
         for _ in 0..cfg.workers.max(1) {
-            let rx = rx.clone();
+            let rx = Arc::clone(&rx);
             let shared = Arc::clone(&shared);
             threads.push(std::thread::spawn(move || worker_loop(&shared, &rx)));
         }
@@ -202,7 +207,7 @@ impl ServerHandle {
     }
 }
 
-fn accept_loop(shared: &Shared, listener: &TcpListener, tx: crossbeam::channel::Sender<TcpStream>) {
+fn accept_loop(shared: &Shared, listener: &TcpListener, tx: SyncSender<TcpStream>) {
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             // Dropping the only Sender lets workers drain the queue and
@@ -216,11 +221,11 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, tx: crossbeam::channel::
                     shared.metrics.connections_accepted.inc();
                     shared.metrics.queue_depth.inc();
                 }
-                Err(crossbeam::channel::TrySendError::Full(stream)) => {
+                Err(TrySendError::Full(stream)) => {
                     shared.metrics.connections_rejected.inc();
                     reject_busy(shared, stream);
                 }
-                Err(crossbeam::channel::TrySendError::Disconnected(_)) => return,
+                Err(TrySendError::Disconnected(_)) => return,
             },
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(POLL_INTERVAL);
@@ -241,17 +246,20 @@ fn reject_busy(shared: &Shared, stream: TcpStream) {
     let _ = transport.write_all(&resp.encode());
 }
 
-fn worker_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<TcpStream>) {
+fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<TcpStream>>) {
     loop {
-        match rx.recv_timeout(POLL_INTERVAL) {
+        // The guard is a temporary of this statement: the receiver is
+        // free again before the connection is served.
+        let next = rx.lock().recv_timeout(POLL_INTERVAL);
+        match next {
             Ok(stream) => {
                 shared.metrics.queue_depth.dec();
                 serve_connection(shared, stream);
             }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Timeout) => {}
             // The acceptor dropped the sender and the queue is empty:
             // the drain is complete.
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+            Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }
@@ -837,7 +845,7 @@ mod tests {
             store: Arc::new(PTDataStore::in_memory().unwrap()),
             metrics: Arc::new(ServerMetrics::new()),
             shutdown: AtomicBool::new(false),
-            write_gate: parking_lot::RwLock::new(()),
+            write_gate: RwLock::new(()),
             admission: AdmissionController::new(admission.clone()),
             cfg: ServerConfig {
                 admission,
@@ -982,6 +990,64 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(handle.metrics().requests.get(), 20);
+        shutdown_and_join(handle);
+    }
+
+    /// A connection the server holds open: connected, one `Ping` answered.
+    fn held_connection(addr: SocketAddr) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(&Request::Ping.encode()).unwrap();
+        assert!(matches!(read_response(&mut stream), Response::Pong { .. }));
+        stream
+    }
+
+    #[test]
+    fn full_accept_queue_answers_busy_and_shutdown_drains_it() {
+        let cfg = ServerConfig {
+            workers: 1,
+            queue_depth: 1,
+            ..ServerConfig::default()
+        };
+        let (handle, _store) = start_test_server(cfg);
+        let addr = handle.local_addr();
+        // The answered ping proves the only worker has taken `serving`
+        // off the queue; `queued` then fills the queue's one place.
+        let _serving = held_connection(addr);
+        let mut queued = TcpStream::connect(addr).unwrap();
+        let mut refused = TcpStream::connect(addr).unwrap();
+        match read_response(&mut refused) {
+            Response::Err { category, .. } => assert_eq!(category, ErrorCategory::Busy),
+            other => panic!("expected a busy reject, got {other:?}"),
+        }
+        assert_eq!(handle.metrics().connections_accepted.get(), 2);
+        assert_eq!(handle.metrics().connections_rejected.get(), 1);
+        // Drain with one connection in service and one still queued: the
+        // worker leaves the first, takes and drops the second, then sees
+        // the closed queue — `join` returning is the assertion.
+        shutdown_and_join(handle);
+        let mut buf = [0u8; 16];
+        assert_eq!(
+            queued.read(&mut buf).unwrap(),
+            0,
+            "queued connection closed"
+        );
+    }
+
+    #[test]
+    fn every_worker_takes_connections_from_the_shared_receiver() {
+        let cfg = ServerConfig {
+            workers: 4,
+            queue_depth: 4,
+            ..ServerConfig::default()
+        };
+        let (handle, _store) = start_test_server(cfg);
+        let addr = handle.local_addr();
+        // A worker serves its connection to completion, so four held
+        // connections are all answered only if four different workers
+        // each got one while the rest waited on the receiver's lock.
+        let held: Vec<TcpStream> = (0..4).map(|_| held_connection(addr)).collect();
+        drop(held);
+        // All four are back on the receiver; each must observe the drain.
         shutdown_and_join(handle);
     }
 }

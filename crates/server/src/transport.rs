@@ -22,6 +22,7 @@
 //! or OS randomness is involved anywhere, so a failing seed replays
 //! exactly.
 
+use perftrack_store::sync::Mutex;
 use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,7 +122,7 @@ struct Rule {
 /// read/write counters decide when they fire. All decisions derive from
 /// the seed and the counters — never from time or OS randomness.
 pub struct ChaosInjector {
-    rules: parking_lot::Mutex<Vec<Rule>>,
+    rules: Mutex<Vec<Rule>>,
     reads: AtomicU64,
     writes: AtomicU64,
     faults_fired: AtomicU64,
@@ -133,7 +134,7 @@ impl ChaosInjector {
     /// offset stream (and nothing else).
     pub fn new(seed: u64) -> Arc<ChaosInjector> {
         Arc::new(ChaosInjector {
-            rules: parking_lot::Mutex::new(Vec::new()),
+            rules: Mutex::new(Vec::new()),
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             faults_fired: AtomicU64::new(0),

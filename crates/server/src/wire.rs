@@ -23,7 +23,6 @@
 //! malformed byte sequence returns a typed [`WireError`] rather than
 //! panicking, no matter what the peer sends.
 
-use bytes::BytesMut;
 use std::fmt;
 
 /// Hard ceiling on a frame body (version + opcode + payload), 32 MiB.
@@ -112,32 +111,40 @@ pub fn encode_frame(version: u8, opcode: u8, payload: &[u8]) -> Vec<u8> {
 /// any input byte sequence.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
-    buf: BytesMut,
+    buf: Vec<u8>,
+    /// Bytes at the front of `buf` already returned as frames.
+    consumed: usize,
 }
 
 impl FrameDecoder {
     /// An empty decoder.
     pub fn new() -> Self {
         FrameDecoder {
-            buf: BytesMut::with_capacity(4096),
+            buf: Vec::with_capacity(4096),
+            consumed: 0,
         }
     }
 
     /// Append raw bytes received from the transport.
     pub fn extend(&mut self, bytes: &[u8]) {
+        // Reclaim the consumed prefix here, once per read, rather than
+        // once per frame; what moves is at most one partial frame.
+        self.buf.drain(..self.consumed);
+        self.consumed = 0;
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered but not yet consumed as frames.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.consumed
     }
 
     /// Try to decode the next complete frame. `Ok(None)` means "need
     /// more bytes"; an error means the stream is corrupt and the
     /// connection must be torn down.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        let Some(len) = be_u32(&self.buf) else {
+        let pending = self.buf.get(self.consumed..).unwrap_or_default();
+        let Some(len) = be_u32(pending) else {
             return Ok(None);
         };
         if len > MAX_FRAME {
@@ -149,16 +156,15 @@ impl FrameDecoder {
         if len < 2 {
             return Err(WireError::FrameTooShort { len });
         }
-        if (self.buf.len() - 4) < len as usize {
+        let Some(body) = pending.get(4..4 + len as usize) else {
             return Ok(None);
-        }
-        let _prefix = self.buf.split_to(4);
-        let body = self.buf.split_to(len as usize);
+        };
         // `len >= 2` was checked above, so both header bytes exist; the
         // `get`-based destructuring keeps this provably panic-free.
         let (Some(&version), Some(&opcode)) = (body.first(), body.get(1)) else {
             return Err(WireError::FrameTooShort { len });
         };
+        self.consumed += 4 + len as usize;
         Ok(Some(Frame {
             version,
             opcode,

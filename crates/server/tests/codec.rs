@@ -1,39 +1,185 @@
-//! Fuzz-shaped codec robustness tests with a deterministic PRNG: random
-//! bytes, truncated streams, and bit-flipped valid frames must produce
-//! typed protocol errors (or clean "need more bytes"), never a panic.
-//! These run everywhere; the property-based round-trip suite lives in
-//! `codec_proptest.rs` and runs in the CI `server` job.
+//! Wire-codec tests over a seeded generator: arbitrary messages
+//! round-trip at any chunking, and random bytes, truncated streams and
+//! bit-flipped valid frames produce typed protocol errors (or a clean
+//! "need more bytes"), never a panic. A failing property prints the case
+//! seed that replays it.
 
 use perftrack_server::proto::{
     ErrorCategory, NameFilter, QuerySpec, Request, Response, WireFreeColumn, WireLoadStats,
     WIRE_VERSION,
 };
 use perftrack_server::wire::{FrameDecoder, PayloadReader, WireError};
+use perftrack_workloads::rng::{check_cases, Rng};
 
-/// xorshift64* — deterministic, dependency-free random bytes.
-struct Rng(u64);
+fn arb_bytes(rng: &mut Rng, n: usize) -> Vec<u8> {
+    (0..n).map(|_| rng.gen::<u64>() as u8).collect()
+}
 
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+/// Up to `max_len` characters: mostly printable ASCII, otherwise any
+/// Unicode scalar value (control characters and astral planes included).
+fn arb_text(rng: &mut Rng, max_len: usize) -> String {
+    (0..rng.gen_range(0..max_len + 1))
+        .map(|_| {
+            if rng.gen_bool(0.75) {
+                char::from(rng.gen_range(b' '..b'~' + 1))
+            } else {
+                char::from_u32(rng.gen_range(0..0x11_0000)).unwrap_or(char::REPLACEMENT_CHARACTER)
+            }
+        })
+        .collect()
+}
+
+fn arb_texts(rng: &mut Rng, max_count: usize, max_len: usize) -> Vec<String> {
+    (0..rng.gen_range(0..max_count))
+        .map(|_| arb_text(rng, max_len))
+        .collect()
+}
+
+fn arb_query_spec(rng: &mut Rng) -> QuerySpec {
+    QuerySpec {
+        names: (0..rng.gen_range(0..4))
+            .map(|_| NameFilter {
+                pattern: arb_text(rng, 40),
+                relatives: ['D', 'A', 'B', 'N'][rng.gen_range(0..4)],
+            })
+            .collect(),
+        types: arb_texts(rng, 4, 30),
+        add_columns: arb_texts(rng, 4, 30),
     }
+}
 
-    fn byte(&mut self) -> u8 {
-        (self.next() >> 32) as u8
+fn arb_request(rng: &mut Rng) -> Request {
+    match rng.gen_range(0..8) {
+        0 => Request::Ping,
+        1 => Request::LoadPtdf {
+            text: arb_text(rng, 200),
+            token: arb_text(rng, 40),
+        },
+        2 => Request::Query(arb_query_spec(rng)),
+        3 => Request::FreeResources(arb_query_spec(rng)),
+        4 => Request::Export,
+        5 => Request::Stats,
+        6 => Request::Fsck { deep: rng.gen() },
+        _ => Request::Shutdown,
     }
+}
 
-    fn bytes(&mut self, n: usize) -> Vec<u8> {
-        (0..n).map(|_| self.byte()).collect()
+fn arb_response(rng: &mut Rng) -> Response {
+    match rng.gen_range(0..9) {
+        0 => Response::Pong {
+            version: rng.gen::<u64>() as u8,
+            degraded: rng.gen(),
+        },
+        1 => Response::Loaded {
+            stats: WireLoadStats {
+                statements: rng.gen(),
+                applications: rng.gen(),
+                resource_types: rng.gen(),
+                executions: rng.gen(),
+                resources: rng.gen(),
+                attributes: rng.gen(),
+                constraints: rng.gen(),
+                results: rng.gen(),
+            },
+            replayed: rng.gen(),
+        },
+        2 => Response::Table {
+            columns: arb_texts(rng, 4, 20),
+            rows: (0..rng.gen_range(0..4))
+                .map(|_| arb_texts(rng, 4, 20))
+                .collect(),
+        },
+        3 => Response::FreeResources(
+            (0..rng.gen_range(0..4))
+                .map(|_| WireFreeColumn {
+                    type_path: arb_text(rng, 30),
+                    distinct_values: rng.gen(),
+                    attributes: arb_texts(rng, 3, 20),
+                })
+                .collect(),
+        ),
+        4 => Response::Ptdf {
+            text: arb_text(rng, 200),
+        },
+        5 => Response::Stats {
+            json: arb_text(rng, 100),
+            table: arb_text(rng, 100),
+        },
+        6 => Response::FsckDone {
+            errors: rng.gen(),
+            warnings: rng.gen(),
+            json: arb_text(rng, 50),
+            table: arb_text(rng, 50),
+        },
+        7 => Response::ShuttingDown,
+        _ => Response::Err {
+            category: ErrorCategory::from_u8(rng.gen_range(0u8..9)).unwrap(),
+            message: arb_text(rng, 100),
+        },
     }
+}
 
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
+/// The one complete frame in `bytes`.
+fn one_frame(bytes: &[u8]) -> perftrack_server::wire::Frame {
+    let mut dec = FrameDecoder::new();
+    dec.extend(bytes);
+    dec.next_frame().unwrap().unwrap()
+}
+
+#[test]
+fn requests_roundtrip() {
+    check_cases(0xc0de_0100, 256, |rng| {
+        let req = arb_request(rng);
+        assert_eq!(Request::decode(&one_frame(&req.encode())).unwrap().0, req);
+    });
+}
+
+#[test]
+fn responses_roundtrip() {
+    check_cases(0xc0de_0200, 256, |rng| {
+        let resp = arb_response(rng);
+        assert_eq!(Response::decode(&one_frame(&resp.encode())).unwrap(), resp);
+    });
+}
+
+#[test]
+fn request_streams_split_at_any_chunking() {
+    check_cases(0xc0de_0300, 256, |rng| {
+        let reqs: Vec<Request> = (0..rng.gen_range(1..5)).map(|_| arb_request(rng)).collect();
+        let chunk = rng.gen_range(1usize..32);
+        let stream: Vec<u8> = reqs.iter().flat_map(Request::encode).collect();
+        let mut dec = FrameDecoder::new();
+        let mut out = Vec::new();
+        for piece in stream.chunks(chunk) {
+            dec.extend(piece);
+            while let Some(frame) = dec.next_frame().unwrap() {
+                out.push(Request::decode(&frame).unwrap().0);
+            }
+        }
+        assert_eq!(out, reqs);
+        assert_eq!(dec.buffered(), 0);
+    });
+}
+
+#[test]
+fn arbitrary_bytes_never_panic_the_decoder() {
+    check_cases(0xc0de_0400, 256, |rng| {
+        let len = rng.gen_range(0..512);
+        let mut dec = FrameDecoder::new();
+        dec.extend(&arb_bytes(rng, len));
+        drain(&mut dec);
+    });
+}
+
+#[test]
+fn truncating_a_valid_frame_parks() {
+    check_cases(0xc0de_0500, 256, |rng| {
+        let bytes = arb_request(rng).encode();
+        let cut = rng.gen_range(0..bytes.len());
+        let mut dec = FrameDecoder::new();
+        dec.extend(&bytes[..cut]);
+        assert!(matches!(dec.next_frame(), Ok(None)));
+    });
 }
 
 fn sample_requests() -> Vec<Request> {
@@ -125,27 +271,24 @@ fn drain(dec: &mut FrameDecoder) {
 
 #[test]
 fn random_byte_streams_never_panic() {
-    let mut rng = Rng(0x5EED_2005);
-    for round in 0..500 {
+    check_cases(0x5EED_2005, 500, |rng| {
         let mut dec = FrameDecoder::new();
-        let len = rng.below(512);
-        dec.extend(&rng.bytes(len));
+        let len = rng.gen_range(0..512);
+        dec.extend(&arb_bytes(rng, len));
         drain(&mut dec);
         // Keep feeding after an error/park; the decoder must stay inert
         // or keep erroring, still without panicking.
-        let more = rng.below(64);
-        dec.extend(&rng.bytes(more));
+        let more = rng.gen_range(0..64);
+        dec.extend(&arb_bytes(rng, more));
         drain(&mut dec);
-        let _ = round;
-    }
+    });
 }
 
 #[test]
 fn random_payloads_through_the_reader_never_panic() {
-    let mut rng = Rng(0xDEAD_BEEF);
-    for _ in 0..500 {
-        let len = rng.below(128);
-        let payload = rng.bytes(len);
+    check_cases(0xDEAD_BEEF, 500, |rng| {
+        let len = rng.gen_range(0..128);
+        let payload = arb_bytes(rng, len);
         let mut r = PayloadReader::new(&payload);
         // Exercise every accessor in a data-dependent order.
         let _ = r.u8("a");
@@ -154,7 +297,7 @@ fn random_payloads_through_the_reader_never_panic() {
         let _ = r.str_list("d");
         let _ = r.u64("e");
         let _ = r.finish();
-    }
+    });
 }
 
 #[test]
@@ -177,13 +320,13 @@ fn truncated_valid_frames_park_then_complete() {
 
 #[test]
 fn bit_flipped_frames_error_or_decode_but_never_panic() {
-    let mut rng = Rng(0xF11B_F11B);
+    let mut rng = Rng::seed_from_u64(0xF11B_F11B);
     for resp in sample_responses() {
         let clean = resp.encode();
         for _ in 0..100 {
             let mut bytes = clean.clone();
-            let i = rng.below(bytes.len());
-            bytes[i] ^= 1 << rng.below(8);
+            let i = rng.gen_range(0..bytes.len());
+            bytes[i] ^= 1 << rng.gen_range(0..8);
             let mut dec = FrameDecoder::new();
             dec.extend(&bytes);
             drain(&mut dec);
@@ -194,16 +337,10 @@ fn bit_flipped_frames_error_or_decode_but_never_panic() {
 #[test]
 fn every_sample_message_roundtrips() {
     for req in sample_requests() {
-        let mut dec = FrameDecoder::new();
-        dec.extend(&req.encode());
-        let frame = dec.next_frame().unwrap().unwrap();
-        assert_eq!(Request::decode(&frame).unwrap().0, req);
+        assert_eq!(Request::decode(&one_frame(&req.encode())).unwrap().0, req);
     }
     for resp in sample_responses() {
-        let mut dec = FrameDecoder::new();
-        dec.extend(&resp.encode());
-        let frame = dec.next_frame().unwrap().unwrap();
-        assert_eq!(Response::decode(&frame).unwrap(), resp);
+        assert_eq!(Response::decode(&one_frame(&resp.encode())).unwrap(), resp);
     }
 }
 

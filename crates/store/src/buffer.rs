@@ -4,7 +4,7 @@
 //! Access is closure-scoped: [`BufferPool::with_page`] /
 //! [`BufferPool::with_page_mut`] pin the frame for the duration of the
 //! closure only, so pins are short-lived and the pool cannot be exhausted
-//! by leaked guards. Frame data is guarded by a `parking_lot::RwLock`, so
+//! by leaked guards. Frame data is guarded by a [`crate::sync::RwLock`], so
 //! concurrent readers of the same hot page proceed in parallel — the
 //! property the parallel scan operators in [`crate::query`] rely on.
 //!
@@ -40,7 +40,7 @@
 use crate::disk::DiskManager;
 use crate::error::{Result, StoreError};
 use crate::page::{PageId, PAGE_SIZE};
-use parking_lot::{Mutex, RwLock};
+use crate::sync::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -139,7 +139,7 @@ struct Shard {
 pub type WritebackHook = Box<dyn Fn() -> Result<()> + Send + Sync>;
 
 /// Write guard over a frame's page bytes.
-type FrameGuard<'a> = parking_lot::RwLockWriteGuard<'a, Box<[u8; PAGE_SIZE]>>;
+type FrameGuard<'a> = RwLockWriteGuard<'a, Box<[u8; PAGE_SIZE]>>;
 
 /// The buffer pool. Cheap to share via `Arc`.
 pub struct BufferPool {
@@ -283,7 +283,7 @@ impl BufferPool {
 
     /// Lock a shard's state, counting contention when the lock was not
     /// immediately available.
-    fn lock_shard<'a>(&self, shard: &'a Shard) -> parking_lot::MutexGuard<'a, ShardState> {
+    fn lock_shard<'a>(&self, shard: &'a Shard) -> MutexGuard<'a, ShardState> {
         match shard.state.try_lock() {
             Some(g) => g,
             None => {

@@ -25,10 +25,10 @@ use crate::metrics::{
 use crate::page::{PageId, PageMut, PageRef, PageType, RowId, MAX_RECORD, PAGE_SIZE};
 use crate::planner::StatsState;
 use crate::stats::{build_histogram, drifted, IndexStats, StatsCatalog, TableStats};
+use crate::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use crate::value::{decode_row, encode_key_vec, encode_row_vec, Row, Value};
 use crate::vfs::{StdVfs, Vfs};
 use crate::wal::{Wal, WalOp, WalPayload};
-use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
@@ -487,7 +487,7 @@ impl Database {
     }
 
     /// Parallel filtered scan: partitions the table's pages across
-    /// `threads` worker threads (crossbeam scoped), applying `pred` to each
+    /// `threads` scoped worker threads, applying `pred` to each
     /// row. Results are concatenated in page order.
     pub fn scan_parallel<F>(
         &self,
@@ -507,11 +507,11 @@ impl Database {
         let chunks: Vec<&[PageId]> = pages.chunks(chunk).collect();
         let pool = &self.pool;
         let pred = &pred;
-        let results: Vec<Result<Vec<(RowId, Row)>>> = crossbeam::thread::scope(|s| {
+        let results: Vec<Result<Vec<(RowId, Row)>>> = std::thread::scope(|s| {
             let handles: Vec<_> = chunks
                 .into_iter()
                 .map(|part| {
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let mut local = Vec::new();
                         for &page in part {
                             for (rid, row) in decode_page_rows(pool, page)? {
@@ -524,9 +524,11 @@ impl Database {
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .expect("scan worker panicked");
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("scan worker panicked"))
+                .collect()
+        });
         let mut out = Vec::new();
         for r in results {
             out.extend(r?);
@@ -853,7 +855,7 @@ impl Database {
     }
 
     /// Read access to the catalog (crate-internal; used by the planner).
-    pub(crate) fn catalog_read(&self) -> parking_lot::RwLockReadGuard<'_, Catalog> {
+    pub(crate) fn catalog_read(&self) -> RwLockReadGuard<'_, Catalog> {
         self.catalog.read()
     }
 

@@ -8,8 +8,8 @@
 
 use crate::error::Result;
 use crate::page::{PageId, PAGE_SIZE};
+use crate::sync::Mutex;
 use crate::vfs::{MemVfs, StdVfs, Vfs, VfsFile};
-use parking_lot::Mutex;
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;

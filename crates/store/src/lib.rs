@@ -29,6 +29,8 @@
 //!   equi-depth histograms, and the drift-invalidation rule.
 //! * [`planner`] — cost-based access planning over those statistics,
 //!   plus the versioned EXPLAIN tree (documented in `docs/PLANNER.md`).
+//! * [`sync`] — the workspace's `Mutex`/`RwLock`/`Condvar` over `std::sync`
+//!   and the one statement of the poison policy.
 //! * [`metrics`] — observability: counters, latency histograms,
 //!   per-operator query profiles, and the JSON codec that serializes them
 //!   (schema documented in `docs/METRICS.md`).
@@ -82,6 +84,7 @@ pub mod page;
 pub mod planner;
 pub mod query;
 pub mod stats;
+pub mod sync;
 pub mod value;
 pub mod vfs;
 pub mod wal;

@@ -20,7 +20,7 @@
 //! buffered-I/O system has between `write(2)` and `fsync(2)`.
 
 use crate::error::{Result, StoreError};
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::collections::HashMap;
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};

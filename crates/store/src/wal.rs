@@ -20,8 +20,8 @@
 use crate::error::{Result, StoreError};
 use crate::metrics::{Counter, LatencyHistogram, WalStatsSnapshot};
 use crate::page::RowId;
+use crate::sync::Mutex;
 use crate::vfs::{MemVfs, StdVfs, Vfs, VfsFile};
-use parking_lot::Mutex;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

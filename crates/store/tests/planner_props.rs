@@ -17,12 +17,11 @@ use perftrack_store::planner::{
 };
 use perftrack_store::prelude::*;
 use perftrack_store::value::encode_key_vec;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use perftrack_workloads::Rng;
 
 /// A two-column table with a unique `id` index and a skewed `grp`
 /// index; row count and skew vary with the seed.
-fn random_db(rng: &mut StdRng) -> (Database, TableId, usize, i64) {
+fn random_db(rng: &mut Rng) -> (Database, TableId, usize, i64) {
     let db = Database::in_memory();
     let t = db
         .create_table(
@@ -64,7 +63,7 @@ fn choice_cost(db: &Database, choice: &PlanChoice) -> f64 {
 #[test]
 fn chosen_plan_cost_is_minimal_and_commutes() {
     for seed in 0..32u64 {
-        let mut rng = StdRng::seed_from_u64(0x9a77_0000 + seed);
+        let mut rng = Rng::seed_from_u64(0x9a77_0000 + seed);
         let (db, t, rows, groups) = random_db(&mut rng);
         db.analyze().unwrap();
         let id = rng.gen_range(0..rows as i64 + 5);
@@ -102,7 +101,7 @@ fn chosen_plan_cost_is_minimal_and_commutes() {
 
 #[test]
 fn join_build_side_commutes_to_the_smaller_input() {
-    let mut rng = StdRng::seed_from_u64(0x9a77_1000);
+    let mut rng = Rng::seed_from_u64(0x9a77_1000);
     for _ in 0..256 {
         let l = rng.gen_range(0u64..10_000);
         let r = rng.gen_range(0u64..10_000);
@@ -122,7 +121,7 @@ fn join_build_side_commutes_to_the_smaller_input() {
 #[test]
 fn stale_statistics_degrade_to_heuristic_never_error() {
     for seed in 0..16u64 {
-        let mut rng = StdRng::seed_from_u64(0x9a77_2000 + seed);
+        let mut rng = Rng::seed_from_u64(0x9a77_2000 + seed);
         let (db, t, rows, groups) = random_db(&mut rng);
         db.analyze().unwrap();
         // Mutate well past the drift threshold (25% of analyzed rows).

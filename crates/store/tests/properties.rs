@@ -1,54 +1,78 @@
-//! Property-based tests for the storage engine's core invariants:
-//! row codec round-trips, order-preserving key encoding, B+tree-vs-model
+//! Property tests for the storage engine's core invariants: row codec
+//! round-trips, order-preserving key encoding, B+tree-vs-model
 //! equivalence, slotted-page behaviour under random operation sequences,
-//! and WAL recovery equivalence under simulated crashes.
+//! and WAL recovery equivalence under simulated crashes. Cases are drawn
+//! from a seeded generator; a failure prints the case seed that replays it.
 
 use perftrack_store::btree::BTreeIndex;
 use perftrack_store::page::{PageMut, PageRef, PageType, PAGE_SIZE};
 use perftrack_store::value::{decode_row, encode_key_vec, encode_row_vec, Value};
-use proptest::prelude::*;
+use perftrack_workloads::rng::{check_cases, Rng};
 
-fn arb_value() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        Just(Value::Null),
-        any::<i64>().prop_map(Value::Int),
+fn arb_value(rng: &mut Rng) -> Value {
+    match rng.gen_range(0..5) {
+        0 => Value::Null,
+        // The extremes are where an order-preserving encoding breaks.
+        1 if rng.gen_bool(0.25) => Value::Int([i64::MIN, -1, 0, 1, i64::MAX][rng.gen_range(0..5)]),
+        1 => Value::Int(rng.gen::<u64>() as i64),
         // Finite reals only: NaN breaks PartialEq-based comparison in the
         // roundtrip assertion (bit-exactness is covered by a unit test).
-        (-1e12f64..1e12).prop_map(Value::Real),
-        "[ -~]{0,40}".prop_map(Value::Text),
-        any::<bool>().prop_map(Value::Bool),
-    ]
-}
-
-fn arb_row() -> impl Strategy<Value = Vec<Value>> {
-    prop::collection::vec(arb_value(), 0..12)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn row_codec_roundtrips(row in arb_row()) {
-        let enc = encode_row_vec(&row);
-        let dec = decode_row(&enc).unwrap();
-        prop_assert_eq!(row, dec);
+        2 => Value::Real(rng.gen_range(-1e12..1e12)),
+        3 => {
+            let printable: Vec<u8> = (b' '..=b'~').collect();
+            Value::Text(rng.gen_string(&printable, 0..41))
+        }
+        _ => Value::Bool(rng.gen()),
     }
+}
 
-    #[test]
-    fn row_codec_rejects_truncation(row in arb_row()) {
+fn arb_row(rng: &mut Rng) -> Vec<Value> {
+    (0..rng.gen_range(0..12)).map(|_| arb_value(rng)).collect()
+}
+
+fn arb_bytes(rng: &mut Rng, max_len: usize) -> Vec<u8> {
+    (0..rng.gen_range(0..max_len))
+        .map(|_| rng.gen::<u64>() as u8)
+        .collect()
+}
+
+/// One B+tree operation: insert or remove, a rowid below `rids`, and a
+/// key of 1 to `max_len` letters from the first `letters` of the alphabet
+/// (few distinct keys, so duplicates and removals of present entries are
+/// common).
+fn arb_tree_op(rng: &mut Rng, rids: u64, letters: usize, max_len: usize) -> (bool, u64, Vec<u8>) {
+    let key = rng.gen_string(&b"abcdef"[..letters], 1..max_len + 1);
+    (rng.gen(), rng.gen_range(0..rids), key.into_bytes())
+}
+
+#[test]
+fn row_codec_roundtrips() {
+    check_cases(0x5707_0100, 128, |rng| {
+        let row = arb_row(rng);
         let enc = encode_row_vec(&row);
+        assert_eq!(decode_row(&enc).unwrap(), row);
+    });
+}
+
+#[test]
+fn row_codec_rejects_truncation() {
+    check_cases(0x5707_0200, 128, |rng| {
+        let enc = encode_row_vec(&arb_row(rng));
         if enc.len() > 2 {
             // Any strict prefix longer than the header must fail to decode
             // or decode to something different — never panic.
             let cut = enc.len() - 1;
             let _ = decode_row(&enc[..cut]);
         }
-    }
+    });
+}
 
-    #[test]
-    fn key_encoding_preserves_order(a in arb_row(), b in arb_row()) {
+#[test]
+fn key_encoding_preserves_order() {
+    check_cases(0x5707_0300, 128, |rng| {
         // For rows of equal arity, byte order of encoded keys must equal
         // the lexicographic total_cmp order.
+        let (a, b) = (arb_row(rng), arb_row(rng));
         let n = a.len().min(b.len());
         let (a, b) = (&a[..n], &b[..n]);
         let ka = encode_key_vec(a);
@@ -60,19 +84,17 @@ proptest! {
                 break;
             }
         }
-        prop_assert_eq!(ka.cmp(&kb), logical);
-    }
+        assert_eq!(ka.cmp(&kb), logical);
+    });
+}
 
-    #[test]
-    fn btree_matches_btreeset_model(
-        ops in prop::collection::vec(
-            (prop::bool::ANY, 0u64..40, "[a-d]{1,3}"), 1..400
-        )
-    ) {
+#[test]
+fn btree_matches_btreeset_model() {
+    check_cases(0x5707_0400, 128, |rng| {
         let mut tree = BTreeIndex::new();
         let mut model = std::collections::BTreeSet::<(Vec<u8>, u64)>::new();
-        for (is_insert, rid, key) in ops {
-            let kb = key.into_bytes();
+        for _ in 0..rng.gen_range(1..400) {
+            let (is_insert, rid, kb) = arb_tree_op(rng, 40, 4, 3);
             if is_insert {
                 if !model.contains(&(kb.clone(), rid)) {
                     tree.insert(&kb, rid);
@@ -81,29 +103,32 @@ proptest! {
             } else {
                 let a = tree.remove(&kb, rid);
                 let b = model.remove(&(kb, rid));
-                prop_assert_eq!(a, b);
+                assert_eq!(a, b);
             }
         }
-        prop_assert_eq!(tree.len(), model.len());
+        assert_eq!(tree.len(), model.len());
         let mut flat = Vec::new();
-        tree.for_range(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded, |k, r| {
-            flat.push((k.to_vec(), r));
-            true
-        });
+        tree.for_range(
+            std::ops::Bound::Unbounded,
+            std::ops::Bound::Unbounded,
+            |k, r| {
+                flat.push((k.to_vec(), r));
+                true
+            },
+        );
         let expect: Vec<_> = model.into_iter().collect();
-        prop_assert_eq!(flat, expect);
-    }
+        assert_eq!(flat, expect);
+    });
+}
 
-    #[test]
-    fn page_random_ops_match_model(
-        ops in prop::collection::vec(
-            (0u8..3, prop::collection::vec(any::<u8>(), 0..300)), 1..120
-        )
-    ) {
+#[test]
+fn page_random_ops_match_model() {
+    check_cases(0x5707_0500, 128, |rng| {
         let mut buf = vec![0u8; PAGE_SIZE];
         PageMut::new(&mut buf).format(PageType::Heap);
         let mut model: Vec<Option<Vec<u8>>> = Vec::new(); // slot -> record
-        for (kind, payload) in ops {
+        for _ in 0..rng.gen_range(1..120) {
+            let (kind, payload) = (rng.gen_range(0u8..3), arb_bytes(rng, 300));
             match kind {
                 0 => {
                     // insert
@@ -113,7 +138,7 @@ proptest! {
                         if slot == model.len() {
                             model.push(Some(payload));
                         } else {
-                            prop_assert!(model[slot].is_none(), "insert reused a live slot");
+                            assert!(model[slot].is_none(), "insert reused a live slot");
                             model[slot] = Some(payload);
                         }
                     }
@@ -137,14 +162,10 @@ proptest! {
             // Every live record matches the model after every step.
             let page = PageRef::new(&buf);
             for (slot, expect) in model.iter().enumerate() {
-                let got = page.get(slot as u16);
-                match expect {
-                    Some(bytes) => prop_assert_eq!(got, Some(bytes.as_slice())),
-                    None => prop_assert!(got.is_none()),
-                }
+                assert_eq!(page.get(slot as u16), expect.as_deref());
             }
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -160,22 +181,20 @@ fn schema() -> Vec<Column> {
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Commit N batches, then start one more batch that never commits and
-    /// "crash" (forget the db without checkpoint). After reopen, exactly
-    /// the committed rows exist.
-    #[test]
-    fn recovery_preserves_committed_prefix(
-        batches in prop::collection::vec(1usize..30, 1..5),
-        uncommitted in 0usize..20,
-        seed in any::<u32>(),
-    ) {
+/// Commit N batches, then start one more batch that never commits and
+/// "crash" (forget the db without checkpoint). After reopen, exactly
+/// the committed rows exist.
+#[test]
+fn recovery_preserves_committed_prefix() {
+    check_cases(0x5707_0600, 16, |rng| {
+        let batches: Vec<usize> = (0..rng.gen_range(1..5))
+            .map(|_| rng.gen_range(1..30))
+            .collect();
+        let uncommitted = rng.gen_range(0usize..20);
         let dir = std::env::temp_dir().join(format!(
-            "ptstore-prop-{}-{seed}-{}",
+            "ptstore-prop-{}-{:08x}",
             std::process::id(),
-            uncommitted
+            rng.gen::<u32>()
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let mut expected: Vec<i64> = Vec::new();
@@ -187,7 +206,11 @@ proptest! {
             for batch in &batches {
                 let mut txn = db.begin();
                 for _ in 0..*batch {
-                    txn.insert(t, vec![Value::Int(next_key), Value::Text(format!("v{next_key}"))]).unwrap();
+                    txn.insert(
+                        t,
+                        vec![Value::Int(next_key), Value::Text(format!("v{next_key}"))],
+                    )
+                    .unwrap();
                     expected.push(next_key);
                     next_key += 1;
                 }
@@ -195,7 +218,8 @@ proptest! {
             }
             let mut txn = db.begin();
             for _ in 0..uncommitted {
-                txn.insert(t, vec![Value::Int(next_key), Value::Text("phantom".into())]).unwrap();
+                txn.insert(t, vec![Value::Int(next_key), Value::Text("phantom".into())])
+                    .unwrap();
                 next_key += 1;
             }
             std::mem::forget(txn);
@@ -210,10 +234,10 @@ proptest! {
             .map(|(_, row)| row[0].as_int().unwrap())
             .collect();
         found.sort_unstable();
-        prop_assert_eq!(found, expected);
+        assert_eq!(found, expected);
         drop(db);
         std::fs::remove_dir_all(&dir).ok();
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -228,52 +252,44 @@ fn no_errors(findings: &[perftrack_store::check::Finding]) -> bool {
     findings.iter().all(|f| f.severity != Severity::Error)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Every batch of random inserts/removes leaves the B+tree in a state
-    /// the structural verifier accepts: sorted entries, uniform leaf
-    /// depth, bounded fanout, separator bounds respected.
-    #[test]
-    fn btree_verifies_after_every_batch(
-        batches in prop::collection::vec(
-            prop::collection::vec((prop::bool::ANY, 0u64..60, "[a-f]{1,4}"), 1..80),
-            1..6
-        )
-    ) {
+/// Every batch of random inserts/removes leaves the B+tree in a state
+/// the structural verifier accepts: sorted entries, uniform leaf
+/// depth, bounded fanout, separator bounds respected.
+#[test]
+fn btree_verifies_after_every_batch() {
+    check_cases(0x5707_0700, 64, |rng| {
         let mut tree = BTreeIndex::new();
         let mut model = std::collections::BTreeSet::<(Vec<u8>, u64)>::new();
-        for batch in batches {
-            for (is_insert, rid, key) in batch {
-                let kb = key.into_bytes();
+        for _ in 0..rng.gen_range(1..6) {
+            for _ in 0..rng.gen_range(1..80) {
+                let (is_insert, rid, kb) = arb_tree_op(rng, 60, 6, 4);
                 if is_insert {
                     if model.insert((kb.clone(), rid)) {
                         tree.insert(&kb, rid);
                     }
                 } else {
                     let a = tree.remove(&kb, rid);
-                    prop_assert_eq!(a, model.remove(&(kb, rid)));
+                    assert_eq!(a, model.remove(&(kb, rid)));
                 }
             }
             let findings = verify_tree(&tree, "prop");
-            prop_assert!(no_errors(&findings), "verifier errors: {findings:?}");
-            prop_assert_eq!(tree.len(), model.len());
+            assert!(no_errors(&findings), "verifier errors: {findings:?}");
+            assert_eq!(tree.len(), model.len());
         }
-    }
+    });
+}
 
-    /// Every random insert/delete/update sequence leaves the slotted page
-    /// in a state `check_page` accepts: consistent slot directory,
-    /// in-bounds free-space pointers, no overlapping live records.
-    #[test]
-    fn page_verifies_after_every_op(
-        ops in prop::collection::vec(
-            (0u8..3, prop::collection::vec(any::<u8>(), 0..600)), 1..100
-        )
-    ) {
+/// Every random insert/delete/update sequence leaves the slotted page
+/// in a state `check_page` accepts: consistent slot directory,
+/// in-bounds free-space pointers, no overlapping live records.
+#[test]
+fn page_verifies_after_every_op() {
+    check_cases(0x5707_0800, 64, |rng| {
         let mut buf = vec![0u8; PAGE_SIZE];
         PageMut::new(&mut buf).format(PageType::Heap);
         let mut live: Vec<u16> = Vec::new();
-        for (kind, payload) in ops {
+        for _ in 0..rng.gen_range(1..100) {
+            let (kind, payload) = (rng.gen_range(0u8..3), arb_bytes(rng, 600));
             match kind {
                 0 => {
                     if let Ok(slot) = PageMut::new(&mut buf).insert(&payload) {
@@ -295,7 +311,7 @@ proptest! {
                 }
             }
             let findings = check_page(&buf, 0);
-            prop_assert!(no_errors(&findings), "verifier errors: {findings:?}");
+            assert!(no_errors(&findings), "verifier errors: {findings:?}");
         }
-    }
+    });
 }

@@ -1,8 +1,7 @@
 //! Shared helpers for the workload generators: deterministic RNG plumbing
 //! and the in-memory generated-file representation.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::Rng;
 
 /// A generated file: name plus full text content. Generators return these
 /// in memory; [`write_files`] puts them on disk for CLI use.
@@ -35,17 +34,17 @@ pub fn write_files(dir: &std::path::Path, files: &[GenFile]) -> std::io::Result<
 
 /// Deterministic RNG derived from a seed and a stream label, so different
 /// generators sharing one seed do not correlate.
-pub fn rng_for(seed: u64, stream: &str) -> StdRng {
+pub fn rng_for(seed: u64, stream: &str) -> Rng {
     let mut h = 1469598103934665603u64; // FNV-1a
     for b in stream.bytes() {
         h ^= u64::from(b);
         h = h.wrapping_mul(1099511628211);
     }
-    StdRng::seed_from_u64(seed ^ h)
+    Rng::seed_from_u64(seed ^ h)
 }
 
 /// A positive value with multiplicative jitter: `base * (1 ± spread)`.
-pub fn jitter(rng: &mut StdRng, base: f64, spread: f64) -> f64 {
+pub fn jitter(rng: &mut Rng, base: f64, spread: f64) -> f64 {
     let f = 1.0 + rng.gen_range(-spread..spread);
     (base * f).max(1e-9)
 }

@@ -10,7 +10,6 @@
 //! process count) has its characteristic spread.
 
 use crate::common::{jitter, rng_for, GenFile};
-use rand::Rng;
 
 /// Configuration of one synthetic IRS execution.
 #[derive(Debug, Clone)]
@@ -116,7 +115,7 @@ pub fn generate(cfg: &IrsConfig) -> Vec<GenFile> {
             // Dominant kernels always report, so scaling studies (Fig. 5)
             // have complete series.
             let drop_p = if fi < 5 { 0.0 } else { 0.055 };
-            let fmt = |v: f64, rng: &mut rand::rngs::StdRng| {
+            let fmt = |v: f64, rng: &mut crate::rng::Rng| {
                 if rng.gen_bool(drop_p) {
                     "-".to_string()
                 } else {

@@ -16,9 +16,11 @@ pub mod irs;
 pub mod mpip;
 pub mod paradyn;
 pub mod presets;
+pub mod rng;
 pub mod smg;
 
 pub use common::{total_bytes, write_files, GenFile};
 pub use presets::{
     irs_purple, irs_scaling_sweep, paradyn_irs, smg_bgl, smg_uv, ExecutionBundle, ParadynBundle,
 };
+pub use rng::Rng;

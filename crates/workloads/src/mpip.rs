@@ -7,7 +7,6 @@
 //! result.
 
 use crate::common::{jitter, rng_for, GenFile};
-use rand::Rng;
 
 /// Configuration of a synthetic mpiP report.
 #[derive(Debug, Clone)]

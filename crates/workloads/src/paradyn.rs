@@ -8,7 +8,6 @@
 //! reports for its three IRS executions.
 
 use crate::common::{jitter, rng_for, GenFile};
-use rand::Rng;
 
 /// Configuration of one Paradyn export.
 #[derive(Debug, Clone)]

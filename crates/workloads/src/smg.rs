@@ -7,7 +7,6 @@
 //! execution); the PMAPI section adds per-process counters (SMG-UV).
 
 use crate::common::{jitter, rng_for, GenFile};
-use rand::Rng;
 
 /// Configuration of one synthetic SMG2000 run.
 #[derive(Debug, Clone)]

@@ -1,11 +1,12 @@
 //! The in-memory model (`perftrack-model`) is the reference semantics;
 //! the DB-backed query engine must agree with it. These tests build the
 //! same randomized world in both, then cross-check families, pr-filter
-//! matching, and match counts — including a proptest sweep.
+//! matching, and match counts — including a seeded sweep over random
+//! worlds (a failure prints the case seed that replays it).
 
 use perftrack::{PTDataStore, QueryEngine};
 use perftrack_model::prelude::*;
-use proptest::prelude::*;
+use perftrack_workloads::rng::check_cases;
 
 /// A world description both sides can construct.
 #[derive(Debug, Clone)]
@@ -185,16 +186,14 @@ fn equivalence_on_degenerate_worlds() {
     });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn equivalence_on_random_worlds(
-        machines in 1usize..4,
-        nodes in 1usize..4,
-        procs in 1usize..3,
-        results_per_proc in 1usize..3,
-    ) {
-        check_equivalence(&World { machines, nodes, procs, results_per_proc });
-    }
+#[test]
+fn equivalence_on_random_worlds() {
+    check_cases(0xe901_0100, 8, |rng| {
+        check_equivalence(&World {
+            machines: rng.gen_range(1..4),
+            nodes: rng.gen_range(1..4),
+            procs: rng.gen_range(1..3),
+            results_per_proc: rng.gen_range(1..3),
+        });
+    });
 }
