@@ -16,7 +16,7 @@ use perftrack::{
 use perftrack_adapters::{self as adapters, ExecContext};
 use perftrack_model::ResourceFilter;
 use perftrack_ptdf::PtdfStatement;
-use perftrack_store::{DbOptions, Json, TableQuery, Value};
+use perftrack_store::{DbOptions, Json, Value};
 use perftrack_workloads as wl;
 use std::path::Path;
 use std::time::Instant;
@@ -43,7 +43,6 @@ fn baseline_checks() -> Vec<BaselineCheck> {
             "query.concurrent_read.speedup_8v1",
             Direction::HigherIsBetter,
         ),
-        BaselineCheck::new("query.planner.speedup", Direction::HigherIsBetter),
     ]
 }
 
@@ -151,34 +150,6 @@ pub fn bench(argv: &[String]) -> Result<u8> {
     }
     let idx = db.index_id("performance_result_id")?;
 
-    // -- planner ablation ---------------------------------------------------
-    // The cost-based planner against its own `force_scan()` ablation: a
-    // selective point query that fresh ANALYZE statistics route to an
-    // index probe, timed planner-on and scan-forced over the same rows.
-    db.analyze()?;
-    let probe_id = ids[ids.len() / 2];
-    let point = || TableQuery::new(db, result_table).eq(0, Value::Int(probe_id));
-    let chosen_path = point().plan_choice().describe(db);
-    let plan_iters = if quick { 200u64 } else { 2_000 };
-    let t0 = Instant::now();
-    for _ in 0..plan_iters {
-        point().run()?;
-    }
-    let planner_micros = t0.elapsed().as_secs_f64() * 1e6 / plan_iters as f64;
-    let t0 = Instant::now();
-    for _ in 0..plan_iters {
-        point().force_scan().run()?;
-    }
-    let forced_micros = t0.elapsed().as_secs_f64() * 1e6 / plan_iters as f64;
-    let planner_speedup = forced_micros / planner_micros.max(1e-9);
-    let planner = Json::Obj(vec![
-        ("iters".into(), Json::UInt(plan_iters)),
-        ("path".into(), Json::Str(chosen_path.clone())),
-        ("planner_micros".into(), Json::Num(planner_micros)),
-        ("forced_scan_micros".into(), Json::Num(forced_micros)),
-        ("speedup".into(), Json::Num(planner_speedup)),
-    ]);
-
     let ops = if quick { 2_000u64 } else { 20_000 };
     let mut sweep = Vec::new();
     let mut per_thread_tput = Vec::new();
@@ -226,7 +197,6 @@ pub fn bench(argv: &[String]) -> Result<u8> {
         ("mode".into(), Json::Str(mode.into())),
         ("scan".into(), scan),
         ("pr_filter".into(), pr_filter),
-        ("planner".into(), planner),
         (
             "concurrent_read".into(),
             Json::Obj(vec![
@@ -272,10 +242,6 @@ pub fn bench(argv: &[String]) -> Result<u8> {
         println!(
             "pr-filter: {iters} iters, {fetched} rows, {:.1} µs/query",
             pr_secs * 1e6 / iters as f64
-        );
-        println!(
-            "planner: {chosen_path} {planner_micros:.1} µs vs forced scan \
-             {forced_micros:.1} µs ({planner_speedup:.1}x)"
         );
         for (t, tput) in THREAD_COUNTS.iter().zip(&per_thread_tput) {
             println!("concurrent-read[{t}]: {tput:.0} ops/s");
@@ -434,11 +400,6 @@ fn check(dir: &Path) -> Result<()> {
             ("pr_filter.rows", Kind::Number),
             ("pr_filter.seconds", Kind::Number),
             ("pr_filter.avg_micros", Kind::Number),
-            ("planner.iters", Kind::Number),
-            ("planner.path", Kind::Str),
-            ("planner.planner_micros", Kind::Number),
-            ("planner.forced_scan_micros", Kind::Number),
-            ("planner.speedup", Kind::Number),
             ("concurrent_read.ops_per_thread", Kind::Number),
             ("concurrent_read.threads", Kind::Arr),
             ("concurrent_read.speedup_8v1", Kind::Number),

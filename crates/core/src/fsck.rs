@@ -4,7 +4,7 @@
 //! slotted pages, B+trees, the WAL, and the catalog. This module layers
 //! the PerfTrack-specific invariants of the paper's Figure 1 schema on
 //! top and appends its findings to the same
-//! [`FsckReport`](perftrack_store::check::FsckReport), so `pt fsck`
+//! [`FsckReport`], so `pt fsck`
 //! emits one unified report:
 //!
 //! * **Closure tables** — `resource_has_ancestor` must equal the

@@ -9,16 +9,18 @@
 //! [`crate::query::QueryEngine::explain`] (the `pt-explain/v1` tree) and
 //! the estimate annotations on profiled runs.
 //!
-//! Like the store-level planner, this pass never fails: missing or stale
-//! statistics simply leave estimates empty and keep the pre-planner
-//! behaviour.
+//! This is the planner every query runs, so it owns the store's
+//! `planner.*` counters: each filter's seed decision counts once, as a
+//! statistics hit, a stale fallback, or a miss. The pass never fails:
+//! missing statistics leave estimates empty, drifted ones are used but
+//! labelled `[stale]`, and execution is the same either way.
 
 use crate::datastore::PTDataStore;
 use crate::schema::Schema;
 use perftrack_model::{Relatives, ResourceFilter, Selector};
 use perftrack_store::planner::{ExplainNode, ExplainPlan};
 use perftrack_store::value::encode_key_vec;
-use perftrack_store::Value;
+use perftrack_store::{StatsState, TableId, Value};
 
 /// The planned evaluation of one resource filter.
 #[derive(Debug, Clone)]
@@ -57,20 +59,44 @@ fn relatives_label(r: Relatives) -> &'static str {
     }
 }
 
-/// Estimate output rows of one equality probe against a named index,
-/// tagging the access description with how the number was (or wasn't)
-/// obtained.
-fn probe_estimate(store: &PTDataStore, index: &str, key: &[Value]) -> (String, Option<u64>) {
+/// Cost one seed probe of `index` (on `table`) and record the decision
+/// in the store's `planner.*` counters. Every call bumps `plans` and
+/// exactly one of `stats_hits` (fresh statistics → `[statistics]`),
+/// `stale_fallbacks` (statistics drifted past the rule in
+/// `perftrack_store::stats::drifted`; the stale estimate is still used →
+/// `[stale]`) or `stats_misses` (no histogram → `[heuristic]`, no
+/// estimate). `key` is `None` when the catalog already proves the seed
+/// empty (an unknown type), which estimates to exactly zero rows.
+fn probe_estimate(
+    store: &PTDataStore,
+    index: &str,
+    table: TableId,
+    key: Option<&[Value]>,
+) -> (String, Option<u64>) {
     let db = store.db();
-    let est = db
-        .index_id(index)
-        .ok()
-        .and_then(|idx| db.index_eq_estimate(idx, &encode_key_vec(key)))
-        .map(|e| e.round() as u64);
-    let source = if est.is_some() {
-        "statistics"
-    } else {
-        "heuristic"
+    let m = db.planner_stats();
+    m.plans.inc();
+    let idx = db.index_id(index).ok();
+    let analyzed = idx.and_then(|i| db.index_avg_fanout(i)).is_some();
+    let source = match db.table_stats_state(table) {
+        StatsState::Fresh(_) if analyzed => {
+            m.stats_hits.inc();
+            "statistics"
+        }
+        StatsState::Stale(_) if analyzed => {
+            m.stale_fallbacks.inc();
+            "stale"
+        }
+        _ => {
+            m.stats_misses.inc();
+            "heuristic"
+        }
+    };
+    let est = match key {
+        None => Some(0),
+        Some(key) => idx
+            .and_then(|i| db.index_eq_estimate(i, &encode_key_vec(key)))
+            .map(|e| e.round() as u64),
     };
     (format!("index-eq({index}) [{source}]"), est)
 }
@@ -82,20 +108,32 @@ fn closure_fanout(store: &PTDataStore, index: &str) -> Option<f64> {
 }
 
 fn plan_one(store: &PTDataStore, filter: &ResourceFilter) -> FilterPlan {
+    let schema = store.schema();
     let (access, seed) = match &filter.selector {
-        Selector::ByType(tp) => match store.type_id(tp.as_str()) {
-            Some(type_id) => probe_estimate(store, "resource_item_type", &[Value::Int(type_id)]),
-            None => ("index-eq(resource_item_type) [statistics]".into(), Some(0)),
-        },
+        Selector::ByType(tp) => {
+            let key = store.type_id(tp.as_str()).map(|id| [Value::Int(id)]);
+            probe_estimate(
+                store,
+                "resource_item_type",
+                schema.resource_item,
+                key.as_ref().map(|k| &k[..]),
+            )
+        }
         Selector::ByName(pattern) => {
             if pattern.starts_with('/') {
-                probe_estimate(store, "resource_item_name", &[Value::Text(pattern.clone())])
+                probe_estimate(
+                    store,
+                    "resource_item_name",
+                    schema.resource_item,
+                    Some(&[Value::Text(pattern.clone())]),
+                )
             } else {
                 let base = pattern.rsplit('/').next().unwrap_or(pattern);
                 probe_estimate(
                     store,
                     "resource_item_base",
-                    &[Value::Text(base.to_string())],
+                    schema.resource_item,
+                    Some(&[Value::Text(base.to_string())]),
                 )
             }
         }
@@ -103,7 +141,8 @@ fn plan_one(store: &PTDataStore, filter: &ResourceFilter) -> FilterPlan {
             Some(p) => probe_estimate(
                 store,
                 "resource_attribute_name",
-                &[Value::Text(p.attr.clone())],
+                schema.resource_attribute,
+                Some(&[Value::Text(p.attr.clone())]),
             ),
             None => ("none".into(), Some(0)),
         },
@@ -252,5 +291,64 @@ mod tests {
         );
         assert_eq!(plan.filters[0].estimated_family, Some(0));
         assert_eq!(plan.estimated_matches, Some(0));
+    }
+
+    fn counters(store: &PTDataStore) -> (u64, u64, u64, u64) {
+        let p = store.db().metrics().planner;
+        (p.plans, p.stats_hits, p.stale_fallbacks, p.stats_misses)
+    }
+
+    #[test]
+    fn unanalyzed_store_counts_only_misses() {
+        let store = store_with_data();
+        let before = counters(&store);
+        plan_filters(
+            &store,
+            &[
+                ResourceFilter::by_name("/M/m0"),
+                ResourceFilter::by_name("m1"),
+            ],
+        );
+        let after = counters(&store);
+        assert_eq!(after.0 - before.0, 2, "one plan per filter");
+        assert_eq!(after.3 - before.3, 2, "both filters miss");
+        assert_eq!((after.1, after.2), (before.1, before.2));
+    }
+
+    #[test]
+    fn analyzed_store_counts_hits() {
+        let store = store_with_data();
+        store.db().analyze().unwrap();
+        let before = counters(&store);
+        let plan = plan_filters(&store, &[ResourceFilter::by_name("m1")]);
+        assert!(plan.filters[0].access.ends_with("[statistics]"));
+        let after = counters(&store);
+        assert_eq!(after.0 - before.0, 1);
+        assert_eq!(after.1 - before.1, 1, "fresh statistics are a hit");
+        assert_eq!((after.2, after.3), (before.2, before.3));
+    }
+
+    #[test]
+    fn drifted_statistics_are_labelled_stale_and_still_estimate() {
+        let store = store_with_data();
+        store.db().analyze().unwrap();
+        // Well past the drift rule (mutations * 4 > max(rows, 64)).
+        let mut ptdf = String::new();
+        for n in 8..48 {
+            ptdf.push_str(&format!("Resource /M/m{n} grid/machine\n"));
+        }
+        store.load_ptdf_str(&ptdf).unwrap();
+        let before = counters(&store);
+        let plan = plan_filters(&store, &[ResourceFilter::by_name("/M/m0")]);
+        assert!(
+            plan.filters[0].access.ends_with("[stale]"),
+            "{:?}",
+            plan.filters[0]
+        );
+        assert_eq!(plan.filters[0].estimated_seed, Some(1), "estimate kept");
+        let after = counters(&store);
+        assert_eq!(after.0 - before.0, 1);
+        assert_eq!(after.2 - before.2, 1, "drift counts a stale fallback");
+        assert_eq!((after.1, after.3), (before.1, before.3));
     }
 }

@@ -6,7 +6,7 @@
 //! closure only, so pins are short-lived and the pool cannot be exhausted
 //! by leaked guards. Frame data is guarded by a [`crate::sync::RwLock`], so
 //! concurrent readers of the same hot page proceed in parallel — the
-//! property the parallel scan operators in [`crate::query`] rely on.
+//! property concurrent queries (e.g. `pt serve` clients) rely on.
 //!
 //! # Sharding
 //!

@@ -441,8 +441,7 @@ impl Database {
     /// once, page by page (the page is pinned only while it is decoded),
     /// and yielded **by value** — no second materialize-then-clone pass.
     /// This is the primitive behind [`Database::for_each_row`],
-    /// [`Database::scan`], the query executor's full scans, fsck's
-    /// logical pass, and the PTdf exporter.
+    /// [`Database::scan`], fsck's logical pass, and the PTdf exporter.
     pub fn scan_iter(&self, table: TableId) -> Result<ScanIter<'_>> {
         let pages = self.catalog.read().table(table)?.pages.clone();
         Ok(ScanIter {
@@ -484,56 +483,6 @@ impl Database {
                 .with_page(page, |buf| PageRef::new(&buf[..]).live_count())?;
         }
         Ok(n)
-    }
-
-    /// Parallel filtered scan: partitions the table's pages across
-    /// `threads` scoped worker threads, applying `pred` to each
-    /// row. Results are concatenated in page order.
-    pub fn scan_parallel<F>(
-        &self,
-        table: TableId,
-        threads: usize,
-        pred: F,
-    ) -> Result<Vec<(RowId, Row)>>
-    where
-        F: Fn(&Row) -> bool + Sync,
-    {
-        let pages = self.catalog.read().table(table)?.pages.clone();
-        if pages.is_empty() {
-            return Ok(Vec::new());
-        }
-        let threads = threads.max(1).min(pages.len());
-        let chunk = pages.len().div_ceil(threads);
-        let chunks: Vec<&[PageId]> = pages.chunks(chunk).collect();
-        let pool = &self.pool;
-        let pred = &pred;
-        let results: Vec<Result<Vec<(RowId, Row)>>> = std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|part| {
-                    s.spawn(move || {
-                        let mut local = Vec::new();
-                        for &page in part {
-                            for (rid, row) in decode_page_rows(pool, page)? {
-                                if pred(&row) {
-                                    local.push((rid, row));
-                                }
-                            }
-                        }
-                        Ok(local)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scan worker panicked"))
-                .collect()
-        });
-        let mut out = Vec::new();
-        for r in results {
-            out.extend(r?);
-        }
-        Ok(out)
     }
 
     // -- index reads ------------------------------------------------------
@@ -702,8 +651,9 @@ impl Database {
 
     // -- optimizer statistics ---------------------------------------------
 
-    /// Live planner counters; [`crate::planner::plan_access`] and the
-    /// profiled executors bump these (see `docs/PLANNER.md`).
+    /// Live planner counters; the core pr-filter planning pass
+    /// (`perftrack::planner::plan_filters`) and its profiled runs bump
+    /// these (see `docs/PLANNER.md`).
     pub fn planner_stats(&self) -> &PlannerStats {
         &self.planner
     }
@@ -763,24 +713,6 @@ impl Database {
             .indexes
             .get(&index)
             .map(|s| s.avg_eq_estimate())
-    }
-
-    /// `index`'s name, or `#id` for an unknown id (EXPLAIN labels).
-    pub fn index_name_or_id(&self, index: IndexId) -> String {
-        self.catalog
-            .read()
-            .index(index)
-            .map(|m| m.name.clone())
-            .unwrap_or_else(|_| format!("#{}", index.0))
-    }
-
-    /// `table`'s name, or `#id` for an unknown id (EXPLAIN labels).
-    pub fn table_name_or_id(&self, table: TableId) -> String {
-        self.catalog
-            .read()
-            .table(table)
-            .map(|m| m.name.clone())
-            .unwrap_or_else(|_| format!("#{}", table.0))
     }
 
     /// ANALYZE: collect optimizer statistics for every table and index —
@@ -1642,30 +1574,6 @@ mod tests {
             .index_prefix(by_name, &[Value::Text("n003".into())])
             .unwrap();
         assert_eq!(rids.len(), 10);
-    }
-
-    #[test]
-    fn scan_parallel_matches_serial() {
-        let db = Database::in_memory();
-        let t = setup(&db);
-        let mut txn = db.begin();
-        for i in 0..3000 {
-            txn.insert(t, row(i, &format!("p{i}"), Some((i % 7) as f64)))
-                .unwrap();
-        }
-        txn.commit().unwrap();
-        let pred = |r: &Row| matches!(&r[2], Value::Real(f) if *f == 3.0);
-        let mut serial: Vec<_> = db
-            .scan(t)
-            .unwrap()
-            .into_iter()
-            .filter(|(_, r)| pred(r))
-            .collect();
-        let mut par = db.scan_parallel(t, 4, pred).unwrap();
-        serial.sort_by_key(|(rid, _)| *rid);
-        par.sort_by_key(|(rid, _)| *rid);
-        assert_eq!(serial.len(), par.len());
-        assert_eq!(serial, par);
     }
 
     #[test]

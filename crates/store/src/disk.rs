@@ -1,7 +1,7 @@
 //! Page file manager.
 //!
 //! Presents a flat array of [`PAGE_SIZE`] pages addressed by [`PageId`].
-//! All file access goes through the [`Vfs`](crate::vfs::Vfs) seam — this
+//! All file access goes through the [`Vfs`] seam — this
 //! module performs no `std::fs` I/O of its own — so the same manager runs
 //! on a real disk, in memory, or under the fault injector (the paper's
 //! prototype similarly supported more than one backing store).

@@ -6,8 +6,12 @@
 //! PostgreSQL; this crate provides the equivalent architectural substance
 //! — durable pages, a buffer pool, write-ahead logging with crash
 //! recovery, B+tree secondary indexes, typed tables with schema and
-//! unique-constraint enforcement, transactions, and relational query
-//! operators — as an embeddable library.
+//! unique-constraint enforcement, transactions, and the read primitives
+//! (streaming scans, point and batched index probes, ANALYZE statistics)
+//! that PerfTrack's pr-filter query engine is built from — as an
+//! embeddable library. Queries are composed in code by the `perftrack`
+//! core crate; this crate has no query language or operator pipeline of
+//! its own.
 //!
 //! Layers, bottom-up:
 //!
@@ -23,12 +27,11 @@
 //! * [`lock`] — the exclusive store-directory lock (one process per
 //!   store; a second opener gets a typed [`StoreError::Locked`]).
 //! * [`db`] — [`db::Database`]: transactions, recovery, scans, lookups.
-//! * [`query`] — expressions, filter/project/join/group-by/order-by
-//!   operators, and the single-table query builder.
 //! * [`stats`] — ANALYZE statistics: row counts, distinct-key counts,
 //!   equi-depth histograms, and the drift-invalidation rule.
-//! * [`planner`] — cost-based access planning over those statistics,
-//!   plus the versioned EXPLAIN tree (documented in `docs/PLANNER.md`).
+//! * [`planner`] — the shared cost constants and statistics view the core
+//!   pr-filter planner reads, plus the versioned EXPLAIN tree (documented
+//!   in `docs/PLANNER.md`).
 //! * [`sync`] — the workspace's `Mutex`/`RwLock`/`Condvar` over `std::sync`
 //!   and the one statement of the poison policy.
 //! * [`metrics`] — observability: counters, latency histograms,
@@ -82,7 +85,6 @@ pub mod lock;
 pub mod metrics;
 pub mod page;
 pub mod planner;
-pub mod query;
 pub mod stats;
 pub mod sync;
 pub mod value;
@@ -97,14 +99,8 @@ pub mod prelude {
     pub use crate::error::{Result as StoreResult, StoreError};
     pub use crate::metrics::{Json, MetricsSnapshot, OperatorProfile, QueryProfile};
     pub use crate::page::{PageId, RowId};
-    pub use crate::planner::{
-        plan_access, join_build_left, ExplainNode, ExplainPlan, PlanChoice, PlanSource,
-        StatsState, EXPLAIN_SCHEMA,
-    };
+    pub use crate::planner::{ExplainNode, ExplainPlan, StatsState, EXPLAIN_SCHEMA};
     pub use crate::stats::{IndexStats, StatsCatalog, TableStats};
-    pub use crate::query::{
-        group_by, hash_join, order_by, top_k_by, AccessPath, AggFn, CmpOp, Expr, TableQuery,
-    };
     pub use crate::value::{ColumnType, Row, Value};
     pub use crate::vfs::{
         FaultKind, FaultRule, FaultTrigger, FaultVfs, MemVfs, StdVfs, Vfs, VfsFile,

@@ -747,18 +747,21 @@ pub struct IoStatsSnapshot {
 }
 
 /// Live planner counters, owned by the [`crate::db::Database`] and bumped
-/// by [`crate::planner::plan_access`] and the profiled execution paths.
+/// by the core pr-filter planning pass (`perftrack::planner::plan_filters`)
+/// and its profiled runs: every seed decision lands in exactly one of
+/// `stats_hits`, `stale_fallbacks` or `stats_misses`, so `plans` is
+/// their sum.
 #[derive(Debug, Default)]
 pub struct PlannerStats {
-    /// Access-path plans enumerated (every planning call counts once).
+    /// Seed-probe decisions planned (one per pr-filter family).
     pub plans: Counter,
-    /// Plans decided from fresh statistics.
+    /// Decisions costed from fresh statistics.
     pub stats_hits: Counter,
-    /// Plans that wanted statistics but found none (never analyzed, or
-    /// the touched index had no entry).
+    /// Decisions that found no histogram for the probed index (never
+    /// analyzed, or the index postdates ANALYZE).
     pub stats_misses: Counter,
-    /// Plans that found statistics but judged them drifted and fell back
-    /// to the pre-statistics heuristic.
+    /// Decisions made on statistics drifted past the invalidation rule;
+    /// the stale estimate is still used and labelled `[stale]`.
     pub stale_fallbacks: Counter,
     /// Sum of planner row estimates over profiled operators.
     pub estimated_rows: Counter,
@@ -785,13 +788,13 @@ impl PlannerStats {
 /// A point-in-time copy of [`PlannerStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlannerStatsSnapshot {
-    /// Access-path plans enumerated.
+    /// Seed-probe decisions planned.
     pub plans: u64,
-    /// Plans decided from fresh statistics.
+    /// Decisions costed from fresh statistics.
     pub stats_hits: u64,
-    /// Plans that wanted statistics but found none.
+    /// Decisions that found no histogram.
     pub stats_misses: u64,
-    /// Plans that fell back to the heuristic on drifted statistics.
+    /// Decisions made on drifted statistics.
     pub stale_fallbacks: u64,
     /// Sum of planner row estimates over profiled operators.
     pub estimated_rows: u64,

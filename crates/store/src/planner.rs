@@ -1,26 +1,18 @@
-//! Cost-based access planning over ANALYZE statistics, plus the
-//! versioned EXPLAIN plan tree.
+//! The shared cost constants, the statistics view the planners read,
+//! and the versioned EXPLAIN plan tree.
 //!
-//! Before this module, every access-path decision in the engine was a
-//! hardcoded rule ("use the longest fully-covered index") and the same
-//! rule was re-derived in two places ([`crate::query::TableQuery`]'s
-//! `plan()` and its executor), which could disagree. The planner is the
-//! single decision point: it enumerates candidate paths, costs them
-//! from the statistics collected by
-//! [`crate::db::Database::analyze`], and returns one [`PlanChoice`]
-//! that both the inspection API and the executor consume.
-//!
-//! When statistics are missing — or stale per [`crate::stats::drifted`]
-//! — planning degrades to the pre-statistics heuristic instead of
-//! failing, so un-ANALYZEd stores behave exactly as before. The cost
-//! model, constants, and EXPLAIN schema are documented in
-//! `docs/PLANNER.md`.
+//! Access planning itself lives with the query layer that runs it:
+//! `perftrack::planner::plan_filters` costs each pr-filter family's
+//! seed probe and orders the match stage, and the core query engine's
+//! closure expansion picks batched probe vs. scan with the `COST_*`
+//! constants below. Both read statistics collected by
+//! [`crate::db::Database::analyze`] through
+//! [`crate::db::Database::table_stats_state`] and never fail: missing or
+//! drifted statistics only change the estimate annotations and the
+//! `planner.*` counters. The cost model, drift policy and EXPLAIN schema
+//! are documented in `docs/PLANNER.md`.
 
-use crate::catalog::{IndexId, TableId};
-use crate::db::Database;
 use crate::metrics::Json;
-use crate::query::AccessPath;
-use crate::value::{encode_key_vec, Value};
 
 /// Schema tag on EXPLAIN documents ([`ExplainPlan::to_json`]).
 pub const EXPLAIN_SCHEMA: &str = "pt-explain/v1";
@@ -32,65 +24,6 @@ pub const COST_PROBE: f64 = 8.0;
 /// Cost of fetching one heap row found through an index (random access
 /// is costed above sequential).
 pub const COST_FETCH_ROW: f64 = 4.0;
-
-/// How the planner reached its decision — surfaced in EXPLAIN and in
-/// the `planner.*` metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanSource {
-    /// Fresh statistics costed the candidates.
-    Statistics,
-    /// Statistics existed but drifted past the invalidation threshold;
-    /// the pre-statistics heuristic decided instead.
-    StaleFallback,
-    /// No statistics; the pre-statistics heuristic decided.
-    Heuristic,
-    /// The caller forced the path ([`crate::query::TableQuery::force_scan`]).
-    Forced,
-}
-
-impl PlanSource {
-    /// Short label used in EXPLAIN detail strings.
-    pub fn label(self) -> &'static str {
-        match self {
-            PlanSource::Statistics => "statistics",
-            PlanSource::StaleFallback => "stale-fallback",
-            PlanSource::Heuristic => "heuristic",
-            PlanSource::Forced => "forced",
-        }
-    }
-}
-
-/// One complete access-path decision for a single-table query.
-#[derive(Debug, Clone)]
-pub struct PlanChoice {
-    /// The chosen access path.
-    pub path: AccessPath,
-    /// For an index probe: the key values in index-column order.
-    pub key: Option<Vec<Value>>,
-    /// Estimated output rows of the access path, when statistics (even
-    /// stale ones) could produce a number.
-    pub estimated_rows: Option<u64>,
-    /// Estimated live rows of the table, when known.
-    pub table_rows: Option<u64>,
-    /// How the decision was made.
-    pub source: PlanSource,
-    /// Candidate paths enumerated (the full scan plus every fully
-    /// covered index).
-    pub candidates: u64,
-}
-
-impl PlanChoice {
-    /// Short access-path label for profiles and EXPLAIN, e.g.
-    /// `index-eq(people_id)` or `full-scan`.
-    pub fn describe(&self, db: &Database) -> String {
-        match self.path {
-            AccessPath::FullScan => "full-scan".to_string(),
-            AccessPath::IndexEq { index } => {
-                format!("index-eq({})", db.index_name_or_id(index))
-            }
-        }
-    }
-}
 
 /// How the planner sees a table's statistics at decision time.
 #[derive(Debug, Clone, Copy)]
@@ -112,138 +45,6 @@ impl StatsState {
             StatsState::Missing => None,
         }
     }
-}
-
-/// Choose the access path for a single-table query with the given
-/// equality predicates. This is the only place in the engine that makes
-/// this decision; both `TableQuery::plan()` and the executor consume
-/// its result.
-pub fn plan_access(
-    db: &Database,
-    table: TableId,
-    eq: &[(usize, Value)],
-    force_scan: bool,
-) -> PlanChoice {
-    let m = db.planner_stats();
-    m.plans.inc();
-    let state = db.table_stats_state(table);
-
-    // Candidate indexes: every column of the index has an equality
-    // predicate, so one probe answers the whole predicate set.
-    let eq_cols: Vec<usize> = eq.iter().map(|(c, _)| *c).collect();
-    let mut covered: Vec<(IndexId, Vec<usize>)> = if force_scan || eq.is_empty() {
-        Vec::new()
-    } else {
-        db.indexes_for_plan(table)
-            .into_iter()
-            .filter(|(_, cols)| !cols.is_empty() && cols.iter().all(|c| eq_cols.contains(c)))
-            .collect()
-    };
-    // Longest key first, then lowest id: deterministic and equal to the
-    // pre-planner "first longest wins" rule under the heuristic.
-    covered.sort_by(|(a_id, a_cols), (b_id, b_cols)| {
-        b_cols.len().cmp(&a_cols.len()).then(a_id.0.cmp(&b_id.0))
-    });
-    let candidates = 1 + covered.len() as u64;
-
-    let scan = |source: PlanSource| PlanChoice {
-        path: AccessPath::FullScan,
-        key: None,
-        estimated_rows: state.rows(),
-        table_rows: state.rows(),
-        source,
-        candidates,
-    };
-    if force_scan {
-        return scan(PlanSource::Forced);
-    }
-    if covered.is_empty() {
-        return scan(if matches!(state, StatsState::Fresh(_)) {
-            PlanSource::Statistics
-        } else {
-            PlanSource::Heuristic
-        });
-    }
-
-    let probe_key = |cols: &[usize]| -> Vec<Value> {
-        cols.iter()
-            .map(|c| {
-                eq.iter()
-                    .find(|(ec, _)| ec == c)
-                    .expect("candidate index fully covered")
-                    .1
-                    .clone()
-            })
-            .collect()
-    };
-    let index_choice = |index: IndexId, key: Vec<Value>, est: Option<u64>, source| PlanChoice {
-        path: AccessPath::IndexEq { index },
-        estimated_rows: est,
-        key: Some(key),
-        table_rows: state.rows(),
-        source,
-        candidates,
-    };
-    // The heuristic fallback: the pre-statistics rule, annotated with
-    // whatever (possibly stale) estimates exist.
-    let heuristic = |source: PlanSource| {
-        let (id, cols) = covered[0].clone();
-        let key = probe_key(&cols);
-        let est = db
-            .index_eq_estimate(id, &encode_key_vec(&key))
-            .map(|e| e.round() as u64);
-        index_choice(id, key, est, source)
-    };
-
-    let table_rows = match state {
-        StatsState::Fresh(n) => n,
-        StatsState::Stale(_) => {
-            m.stale_fallbacks.inc();
-            return heuristic(PlanSource::StaleFallback);
-        }
-        StatsState::Missing => {
-            m.stats_misses.inc();
-            return heuristic(PlanSource::Heuristic);
-        }
-    };
-    // Cost every candidate. An index whose statistics are missing (it
-    // did not exist at ANALYZE time) makes the statistics incomplete:
-    // fall back rather than compare a costed path to an uncosted one.
-    let mut costed: Vec<(f64, f64, IndexId, Vec<Value>)> = Vec::with_capacity(covered.len());
-    for (id, cols) in &covered {
-        let key = probe_key(cols);
-        let Some(est) = db.index_eq_estimate(*id, &encode_key_vec(&key)) else {
-            m.stats_misses.inc();
-            return heuristic(PlanSource::Heuristic);
-        };
-        costed.push((COST_PROBE + est * COST_FETCH_ROW, est, *id, key));
-    }
-    m.stats_hits.inc();
-    let scan_cost = table_rows as f64 * COST_SCAN_ROW;
-    // `covered` order breaks ties deterministically (stable min search).
-    let best = costed
-        .iter()
-        .enumerate()
-        .min_by(|(ai, a), (bi, b)| a.0.partial_cmp(&b.0).unwrap().then(ai.cmp(bi)))
-        .map(|(_, c)| c)
-        .expect("at least one candidate");
-    if best.0 < scan_cost {
-        index_choice(
-            best.2,
-            best.3.clone(),
-            Some(best.1.round() as u64),
-            PlanSource::Statistics,
-        )
-    } else {
-        scan(PlanSource::Statistics)
-    }
-}
-
-/// Which input of a hash join to build the table on. The planner always
-/// builds on the smaller estimated side; runtime callers pass exact
-/// cardinalities, making this the same decision with perfect estimates.
-pub fn join_build_left(left_rows: u64, right_rows: u64) -> bool {
-    left_rows <= right_rows
 }
 
 // ---------------------------------------------------------------------------
@@ -348,94 +149,6 @@ impl ExplainPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::Database;
-    use crate::value::{ColumnType, Value};
-
-    fn db_with_skew() -> (Database, TableId) {
-        let db = Database::in_memory();
-        let t = db
-            .create_table(
-                "m",
-                vec![
-                    crate::catalog::Column::new("id", ColumnType::Int),
-                    crate::catalog::Column::new("kind", ColumnType::Text),
-                ],
-            )
-            .unwrap();
-        db.create_index("m_id", t, &["id"], true).unwrap();
-        db.create_index("m_kind", t, &["kind"], false).unwrap();
-        let mut txn = db.begin();
-        for i in 0..200 {
-            // `kind` has only 2 distinct values → unselective index.
-            let kind = if i % 2 == 0 { "hot" } else { "cold" };
-            txn.insert(t, vec![Value::Int(i), Value::Text(kind.into())])
-                .unwrap();
-        }
-        txn.commit().unwrap();
-        (db, t)
-    }
-
-    #[test]
-    fn heuristic_without_stats_prefers_covered_index() {
-        let (db, t) = db_with_skew();
-        let c = plan_access(&db, t, &[(1, Value::Text("hot".into()))], false);
-        assert!(matches!(c.path, AccessPath::IndexEq { .. }));
-        assert_eq!(c.source, PlanSource::Heuristic);
-        assert_eq!(c.estimated_rows, None);
-        assert!(db.planner_stats().stats_misses.get() > 0);
-    }
-
-    #[test]
-    fn statistics_flip_unselective_probe_to_scan() {
-        let (db, t) = db_with_skew();
-        db.analyze().unwrap();
-        // Selective: unique id probe stays an index probe.
-        let c = plan_access(&db, t, &[(0, Value::Int(7))], false);
-        assert!(matches!(c.path, AccessPath::IndexEq { .. }));
-        assert_eq!(c.source, PlanSource::Statistics);
-        assert_eq!(c.estimated_rows, Some(1));
-        // Unselective: probing `kind` would fetch ~100 of 200 rows at
-        // random-access cost — the planner chooses the scan.
-        let c = plan_access(&db, t, &[(1, Value::Text("hot".into()))], false);
-        assert!(matches!(c.path, AccessPath::FullScan), "{c:?}");
-        assert_eq!(c.source, PlanSource::Statistics);
-        assert_eq!(c.table_rows, Some(200));
-        assert!(db.planner_stats().stats_hits.get() >= 2);
-    }
-
-    #[test]
-    fn drift_falls_back_to_heuristic() {
-        let (db, t) = db_with_skew();
-        db.analyze().unwrap();
-        // Mutate well past the 25% threshold.
-        let mut txn = db.begin();
-        for i in 200..400 {
-            txn.insert(t, vec![Value::Int(i), Value::Text("hot".into())])
-                .unwrap();
-        }
-        txn.commit().unwrap();
-        let c = plan_access(&db, t, &[(1, Value::Text("hot".into()))], false);
-        // The heuristic picks the covered index again — never an error.
-        assert!(matches!(c.path, AccessPath::IndexEq { .. }));
-        assert_eq!(c.source, PlanSource::StaleFallback);
-        assert!(db.planner_stats().stale_fallbacks.get() > 0);
-    }
-
-    #[test]
-    fn forced_scan_wins_over_everything() {
-        let (db, t) = db_with_skew();
-        db.analyze().unwrap();
-        let c = plan_access(&db, t, &[(0, Value::Int(7))], true);
-        assert!(matches!(c.path, AccessPath::FullScan));
-        assert_eq!(c.source, PlanSource::Forced);
-    }
-
-    #[test]
-    fn join_build_side_is_smaller_estimate() {
-        assert!(join_build_left(3, 5));
-        assert!(join_build_left(5, 5));
-        assert!(!join_build_left(9, 5));
-    }
 
     #[test]
     fn explain_tree_renders_and_serializes() {

@@ -4,10 +4,10 @@
 
 use perftrack_store::buffer::BufferPool;
 use perftrack_store::disk::DiskManager;
-use perftrack_store::metrics::Json;
-use perftrack_store::query::TableQuery;
+use perftrack_store::metrics::{Json, OperatorProfile, QueryProfile};
 use perftrack_store::{Column, ColumnType, Database, Value};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A 4-frame pool under a deterministic single-threaded access pattern.
 /// The clock policy makes every count exact: 8 cold reads miss, the four
@@ -88,13 +88,23 @@ fn populated_db(rows: i64) -> (Database, perftrack_store::TableId) {
 fn database_metrics_and_profile_json_roundtrip() {
     let (db, t) = populated_db(3000);
 
-    let (rows, profile) = TableQuery::new(&db, t)
-        .eq(0, Value::Int(1500))
-        .run_profiled()
-        .unwrap();
+    let start = Instant::now();
+    let idx = db.index_id("t_id").unwrap();
+    let rids = db.index_lookup(idx, &[Value::Int(1500)]).unwrap();
+    let rows: Vec<_> = rids.iter().map(|&rid| db.get(t, rid).unwrap()).collect();
     assert_eq!(rows.len(), 1);
-    assert_eq!(profile.operators[0].operator, "index-eq");
-    assert!(profile.total_nanos > 0);
+    assert_eq!(rows[0][0], Value::Int(1500));
+    let mut profile = QueryProfile::default();
+    profile.push(
+        OperatorProfile::new(
+            "fetch",
+            rids.len() as u64,
+            rows.len() as u64,
+            start.elapsed(),
+        )
+        .with_estimated_rows(Some(1)),
+    );
+    profile.total_nanos = start.elapsed().as_nanos() as u64;
     let profile_json = profile.to_json();
     assert_eq!(Json::parse(&profile_json.emit()).unwrap(), profile_json);
 
@@ -137,14 +147,12 @@ fn database_metrics_and_profile_json_roundtrip() {
 #[test]
 fn metrics_are_monotone_across_queries() {
     let (db, t) = populated_db(500);
+    let idx = db.index_id("t_id").unwrap();
     let before = db.metrics();
     for i in 0..50 {
-        let n = TableQuery::new(&db, t)
-            .eq(0, Value::Int(i * 10))
-            .run()
-            .unwrap()
-            .len();
-        assert_eq!(n, 1);
+        let rids = db.index_lookup(idx, &[Value::Int(i * 10)]).unwrap();
+        assert_eq!(rids.len(), 1);
+        assert_eq!(db.get(t, rids[0]).unwrap()[0], Value::Int(i * 10));
     }
     let after = db.metrics();
     assert!(after.btree.node_reads >= before.btree.node_reads + 50);

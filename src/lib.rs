@@ -4,11 +4,11 @@
 //! users can depend on this single crate and reach every subsystem:
 //!
 //! * [`store`] — the embedded relational engine (pages, buffer pool, WAL,
-//!   B+tree indexes, transactions, query operators);
+//!   B+tree indexes, transactions, scans, index probes, statistics);
 //! * [`model`] — resources, type hierarchies, contexts, pr-filters;
 //! * [`ptdf`] — the PerfTrack data format;
-//! * [`core`] — the `PTDataStore`, query engine, GUI session model,
-//!   comparison operators;
+//! * [`core`] — the `PTDataStore`, the pr-filter query engine and its
+//!   planner, GUI session model, comparison operators;
 //! * [`collect`] — machine models and build/run capture;
 //! * [`adapters`] — tool-output converters (IRS, SMG, mpiP, PMAPI,
 //!   Paradyn, PTdfGen);
