@@ -5,10 +5,21 @@
 //! logical entry as the composite `(key, rowid)`, which keeps every entry
 //! unique and makes deletes exact.
 //!
-//! The tree lives in memory and is rebuilt from a heap scan when a database
-//! is opened; durability of indexed data is the WAL + page file's job. This
-//! mirrors the paper's deployment where indexes are a DBMS-internal
-//! acceleration structure, and it keeps the write-ahead log purely logical.
+//! The tree lives in memory and is rebuilt when a database is opened: one
+//! heap scan per table feeds every index on that table. Durability of
+//! indexed data is the WAL + page file's job. This mirrors the paper's
+//! deployment where indexes are a DBMS-internal acceleration structure,
+//! and it keeps the write-ahead log purely logical.
+//!
+//! Many keys arrive in ascending order: `*_id` columns and the foreign
+//! keys of rows loaded in id order grow with the row, and a rebuild
+//! visits rows in row-id order. An insert therefore compares with a
+//! node's last separator or entry before binary-searching it: an entry
+//! past the right edge costs one comparison per level and a push onto
+//! the leaf, and any other entry one extra comparison per level. In the
+//! bulk loads and rebuilds docs/PERF.md measures, about two thirds of
+//! index inserts take the right edge. The split rule does not depend on
+//! the path taken, so the tree's shape is the same either way.
 //!
 //! Deletion does not rebalance (underfull nodes are allowed); the tree
 //! never becomes incorrect, only — under adversarial delete patterns —
@@ -42,7 +53,11 @@ impl Node {
     fn insert(&mut self, key: Key, rid: u64, splits: &mut u64) -> Option<(Entry, Node)> {
         match self {
             Node::Leaf(entries) => {
-                let pos = entries.partition_point(|e| cmp_entry(e, &key, rid).is_lt());
+                // Right edge first: an entry past the last one is a push.
+                let pos = match entries.last() {
+                    Some(last) if cmp_entry(last, &key, rid).is_lt() => entries.len(),
+                    _ => entries.partition_point(|e| cmp_entry(e, &key, rid).is_lt()),
+                };
                 entries.insert(pos, (key, rid));
                 if entries.len() <= MAX_KEYS {
                     return None;
@@ -55,7 +70,12 @@ impl Node {
                 Some((sep, Node::Leaf(right)))
             }
             Node::Internal { seps, children } => {
-                let idx = seps.partition_point(|s| cmp_entry(s, &key, rid).is_le());
+                // Right edge first: at or past the last separator is the
+                // last child, the same answer as the binary search.
+                let idx = match seps.last() {
+                    Some(last) if cmp_entry(last, &key, rid).is_le() => seps.len(),
+                    _ => seps.partition_point(|s| cmp_entry(s, &key, rid).is_le()),
+                };
                 // idx <= seps.len() < children.len() by the B+tree shape
                 // invariant; `get_mut` keeps the walk panic-free anyway.
                 if let Some((sep, new_child)) = children

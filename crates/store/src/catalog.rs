@@ -9,7 +9,7 @@
 use crate::error::{Result, StoreError};
 use crate::page::PageId;
 use crate::stats::StatsCatalog;
-use crate::value::{ColumnType, Value};
+use crate::value::{encode_key, ColumnType, Value};
 use crate::wal::crc32;
 use std::collections::HashMap;
 use std::path::Path;
@@ -126,12 +126,23 @@ pub struct IndexMeta {
 }
 
 impl IndexMeta {
-    /// Extract this index's key values from a full row.
-    pub fn key_values<'r>(&self, row: &'r [Value]) -> Vec<Value>
-    where
-        'r: 'r,
-    {
-        self.columns.iter().map(|&c| row[c].clone()).collect()
+    /// Append this index's key for `row` to `out`, encoding each key
+    /// column straight from the row: the bytes are exactly
+    /// [`crate::value::encode_key`] of the key columns' values. A row with
+    /// no value at a key column is [`StoreError::Corrupt`]; inserts check
+    /// the schema first, so only a damaged heap or log can hand one in.
+    pub fn encode_key(&self, row: &[Value], out: &mut Vec<u8>) -> Result<()> {
+        for &c in &self.columns {
+            let v = row.get(c).ok_or_else(|| {
+                StoreError::Corrupt(format!(
+                    "index {}: row of {} columns has no key column {c}",
+                    self.name,
+                    row.len()
+                ))
+            })?;
+            encode_key(std::slice::from_ref(v), out);
+        }
+        Ok(())
     }
 }
 
@@ -699,6 +710,29 @@ mod tests {
         // A pre-statistics catalog (no trailing section) loads clean.
         let plain = sample().to_bytes();
         assert!(Catalog::from_bytes(&plain).unwrap().stats.is_empty());
+    }
+
+    #[test]
+    fn encode_key_matches_encoding_the_key_columns() {
+        use crate::value::encode_key_vec;
+        let mut c = sample();
+        let t = c.table_id("resource_item").unwrap();
+        let two = c
+            .create_index("by_parent_name", t, vec![2, 1], false)
+            .unwrap();
+        let row = vec![Value::Int(4), Value::Text("a\0b".into()), Value::Int(-9)];
+        let mut out = b"prefix".to_vec();
+        c.index(two).unwrap().encode_key(&row, &mut out).unwrap();
+        let expect = encode_key_vec(&[row[2].clone(), row[1].clone()]);
+        assert_eq!(&out[6..], expect.as_slice(), "appends after what is there");
+        // A row with no value at a key column is corruption, not a panic.
+        let one = c.index_id("resource_item_name").unwrap();
+        let err = c
+            .index(one)
+            .unwrap()
+            .encode_key(&[Value::Int(1)], &mut Vec::new())
+            .unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
     }
 
     #[test]

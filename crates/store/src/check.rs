@@ -38,7 +38,7 @@ use crate::db::Database;
 use crate::error::Result;
 use crate::metrics::Json;
 use crate::page::{PageId, PageRef, PageType, RowId, HEADER_SIZE, PAGE_SIZE, SLOT_SIZE};
-use crate::value::{decode_row, encode_key_vec, Row};
+use crate::value::{decode_row, Row};
 use crate::wal::Wal;
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
@@ -1055,46 +1055,41 @@ pub fn verify_database(db: &Database, deep: bool) -> Result<FsckReport> {
         if deep {
             let by_rid: HashMap<u64, &Row> =
                 rows.iter().map(|(rid, row)| (rid.to_u64(), row)).collect();
+            let mut row_key = Vec::new();
             tree.for_range(Bound::Unbounded, Bound::Unbounded, |key, rid| {
-                match by_rid.get(&rid) {
-                    None => report.push(
+                let Some(row) = by_rid.get(&rid) else {
+                    report.push(
                         Finding::new(
                             "index.dangling",
                             Severity::Error,
                             format!("entry points at missing row {}", RowId::from_u64(rid)),
                         )
                         .on_object(&im.name),
-                    ),
-                    Some(row) => {
-                        if encode_key_vec(&im.key_values(row)) != key {
-                            report.push(
-                                Finding::new(
-                                    "index.stale-key",
-                                    Severity::Error,
-                                    format!(
-                                        "entry key no longer matches row {}",
-                                        RowId::from_u64(rid)
-                                    ),
-                                )
-                                .on_object(&im.name),
-                            );
-                        }
-                    }
-                }
+                    );
+                    return true;
+                };
+                row_key.clear();
+                let rid = RowId::from_u64(rid);
+                let detail = match im.encode_key(row, &mut row_key) {
+                    Ok(()) if row_key == key => return true,
+                    Ok(()) => format!("entry key no longer matches row {rid}"),
+                    Err(e) => format!("entry key cannot be rebuilt from row {rid}: {e}"),
+                };
+                report.push(
+                    Finding::new("index.stale-key", Severity::Error, detail).on_object(&im.name),
+                );
                 true
             });
             for (rid, row) in rows {
-                let key = encode_key_vec(&im.key_values(row));
-                if !tree.get_eq(&key).contains(&rid.to_u64()) {
-                    report.push(
-                        Finding::new(
-                            "index.missing",
-                            Severity::Error,
-                            format!("live row {rid} absent from the index"),
-                        )
-                        .on_object(&im.name),
-                    );
-                }
+                row_key.clear();
+                let detail = match im.encode_key(row, &mut row_key) {
+                    Ok(()) if tree.get_eq(&row_key).contains(&rid.to_u64()) => continue,
+                    Ok(()) => format!("live row {rid} absent from the index"),
+                    Err(e) => format!("live row {rid} has no index key: {e}"),
+                };
+                report.push(
+                    Finding::new("index.missing", Severity::Error, detail).on_object(&im.name),
+                );
             }
         }
     }

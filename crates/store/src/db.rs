@@ -29,7 +29,7 @@ use crate::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use crate::value::{decode_row, encode_key_vec, encode_row_vec, Row, Value};
 use crate::vfs::{StdVfs, Vfs};
 use crate::wal::{Wal, WalOp, WalPayload};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -349,24 +349,17 @@ impl Database {
             .write()
             .create_index(name, table, ordinals, unique)?;
         // Build from existing rows.
-        let mut tree = BTreeIndex::new();
         let meta = self.catalog.read().index(id)?.clone();
-        let mut dup: Option<String> = None;
-        self.for_each_row(table, |rowid, row| {
-            let key = encode_key_vec(&meta.key_values(row));
-            if unique && tree.contains_key(&key) && dup.is_none() {
-                dup = Some(format!("index {name} over existing rows"));
+        let tree = match self.build_trees(table, std::slice::from_ref(&meta), true) {
+            Ok(mut trees) => trees.pop().unwrap_or_default(),
+            Err(e) => {
+                // Roll the DDL back: without this, the catalog keeps an
+                // IndexMeta that has no tree, and every later write on
+                // the table fails with NoSuchIndex.
+                self.catalog.write().drop_index(id)?;
+                return Err(e);
             }
-            tree.insert(&key, rowid.to_u64());
-            true
-        })?;
-        if let Some(msg) = dup {
-            // Roll the DDL back: without this, the catalog keeps an
-            // IndexMeta that has no tree, and every later write on the
-            // table fails with NoSuchIndex.
-            self.catalog.write().drop_index(id)?;
-            return Err(StoreError::UniqueViolation(msg));
-        }
+        };
         self.indexes.write().insert(id, Arc::new(RwLock::new(tree)));
         self.checkpoint_locked()?;
         Ok(id)
@@ -408,6 +401,7 @@ impl Database {
             _guard: guard,
             id: self.next_txn.fetch_add(1, Ordering::AcqRel),
             undo: Vec::new(),
+            plans: HashMap::new(),
             finished: false,
         }
     }
@@ -972,22 +966,55 @@ impl Database {
         })?
     }
 
+    /// Rebuild every index from the heap: one scan per table, in table id
+    /// order (so the pool holds the same pages after every open), feeding
+    /// all of that table's indexes in index id order. The catalog's map
+    /// iterates in a different order on every open; sorting makes every
+    /// open do the same work in the same order.
     fn rebuild_indexes(&self) -> Result<()> {
-        let index_metas: Vec<IndexMeta> = {
-            let cat = self.catalog.read();
-            cat.indexes.values().cloned().collect()
-        };
-        let mut map = HashMap::with_capacity(index_metas.len());
-        for meta in index_metas {
-            let mut tree = BTreeIndex::new();
-            self.for_each_row(meta.table, |rowid, row| {
-                tree.insert(&encode_key_vec(&meta.key_values(row)), rowid.to_u64());
-                true
-            })?;
-            map.insert(meta.id, Arc::new(RwLock::new(tree)));
+        let mut by_table: BTreeMap<TableId, Vec<IndexMeta>> = BTreeMap::new();
+        for meta in self.catalog.read().indexes.values() {
+            by_table.entry(meta.table).or_default().push(meta.clone());
+        }
+        let mut map = HashMap::new();
+        for (table, mut metas) in by_table {
+            metas.sort_by_key(|m| m.id);
+            let trees = self.build_trees(table, &metas, false)?;
+            for (meta, tree) in metas.into_iter().zip(trees) {
+                map.insert(meta.id, Arc::new(RwLock::new(tree)));
+            }
         }
         *self.indexes.write() = map;
         Ok(())
+    }
+
+    /// Build a tree for each of `metas` (all indexes on `table`) from one
+    /// scan of its heap, encoding each row's key once per index. With
+    /// `check_unique`, a key already present in a unique index fails the
+    /// build (CREATE INDEX); a rebuild on open leaves that to fsck.
+    fn build_trees(
+        &self,
+        table: TableId,
+        metas: &[IndexMeta],
+        check_unique: bool,
+    ) -> Result<Vec<BTreeIndex>> {
+        let mut trees: Vec<BTreeIndex> = metas.iter().map(|_| BTreeIndex::new()).collect();
+        let mut key = Vec::new();
+        for item in self.scan_iter(table)? {
+            let (rowid, row) = item?;
+            for (meta, tree) in metas.iter().zip(&mut trees) {
+                key.clear();
+                meta.encode_key(&row, &mut key)?;
+                if check_unique && meta.unique && tree.contains_key(&key) {
+                    return Err(StoreError::UniqueViolation(format!(
+                        "index {} over existing rows",
+                        meta.name
+                    )));
+                }
+                tree.insert(&key, rowid.to_u64());
+            }
+        }
+        Ok(trees)
     }
 }
 
@@ -1059,6 +1086,43 @@ fn as_bound_ref(b: &Bound<Vec<u8>>) -> Bound<&[u8]> {
 // Transactions
 // ---------------------------------------------------------------------------
 
+/// An index's definition and its tree.
+type IndexedTree = (IndexMeta, Arc<RwLock<BTreeIndex>>);
+
+/// The indexes a write to one table maintains. DDL takes the writer lock
+/// a [`Txn`] holds, so a transaction's plan for a table can never go
+/// stale.
+type IndexPlan = Arc<[IndexedTree]>;
+
+/// Every key of `row`, one per index of `plan`, each encoded once.
+fn encode_keys(plan: &[IndexedTree], row: &[Value]) -> Result<Vec<Vec<u8>>> {
+    plan.iter()
+        .map(|(meta, _)| {
+            let mut key = Vec::new();
+            meta.encode_key(row, &mut key)?;
+            Ok(key)
+        })
+        .collect()
+}
+
+/// Move `rowid`'s entry in every index whose key changed from `from` to
+/// `to` (keys as [`encode_keys`] returns them).
+fn rekey(plan: &[IndexedTree], from: &[Vec<u8>], to: &[Vec<u8>], rowid: RowId) {
+    for (((_, tree), from), to) in plan.iter().zip(from).zip(to) {
+        if from != to {
+            let mut t = tree.write();
+            t.remove(from, rowid.to_u64());
+            t.insert(to, rowid.to_u64());
+        }
+    }
+}
+
+/// The error for a write whose key unique index `meta` already holds.
+fn unique_violation(meta: &IndexMeta, row: &[Value]) -> StoreError {
+    let key: Vec<&Value> = meta.columns.iter().filter_map(|&c| row.get(c)).collect();
+    StoreError::UniqueViolation(format!("index {} key {:?}", meta.name, key))
+}
+
 /// The unique write transaction. Dropped without [`Txn::commit`], all its
 /// changes roll back.
 pub struct Txn<'db> {
@@ -1066,6 +1130,8 @@ pub struct Txn<'db> {
     _guard: MutexGuard<'db, ()>,
     id: u64,
     undo: Vec<UndoOp>,
+    /// Index plans of the tables written so far (see [`IndexPlan`]).
+    plans: HashMap<TableId, IndexPlan>,
     finished: bool,
 }
 
@@ -1083,7 +1149,7 @@ impl<'db> Txn<'db> {
     /// Insert `row` into `table`; returns its stable [`RowId`].
     pub fn insert(&mut self, table: TableId, row: Row) -> Result<RowId> {
         self.db.check_writable()?;
-        let index_metas = self.table_indexes(table)?;
+        let plan = self.index_plan(table)?;
         {
             let cat = self.db.catalog.read();
             cat.table(table)?.check_row(&row)?;
@@ -1095,18 +1161,12 @@ impl<'db> Txn<'db> {
                 bytes.len()
             )));
         }
-        // Unique checks against current index state.
-        for meta in &index_metas {
-            if meta.unique {
-                let key = encode_key_vec(&meta.key_values(&row));
-                let tree = self.db.index_tree(meta.id)?;
-                if tree.read().contains_key(&key) {
-                    return Err(StoreError::UniqueViolation(format!(
-                        "index {} key {:?}",
-                        meta.name,
-                        meta.key_values(&row)
-                    )));
-                }
+        // Each key is encoded once: for the unique check against current
+        // index state, then for the tree insert.
+        let keys = encode_keys(&plan, &row)?;
+        for ((meta, tree), key) in plan.iter().zip(&keys) {
+            if meta.unique && tree.read().contains_key(key) {
+                return Err(unique_violation(meta, &row));
             }
         }
         let rowid = self.place(table, &bytes)?;
@@ -1127,12 +1187,8 @@ impl<'db> Txn<'db> {
             });
             return Err(e);
         }
-        for meta in &index_metas {
-            let key = encode_key_vec(&meta.key_values(&row));
-            self.db
-                .index_tree(meta.id)?
-                .write()
-                .insert(&key, rowid.to_u64());
+        for ((_, tree), key) in plan.iter().zip(&keys) {
+            tree.write().insert(key, rowid.to_u64());
         }
         self.undo.push(UndoOp::Insert { table, rowid, row });
         self.db.note_mutation(table);
@@ -1142,8 +1198,9 @@ impl<'db> Txn<'db> {
     /// Delete the row at `rowid`.
     pub fn delete(&mut self, table: TableId, rowid: RowId) -> Result<()> {
         self.db.check_writable()?;
-        let index_metas = self.table_indexes(table)?;
+        let plan = self.index_plan(table)?;
         let old = self.db.get(table, rowid)?;
+        let keys = encode_keys(&plan, &old)?;
         let old_bytes = encode_row_vec(&old);
         self.db.wal_append(
             self.id,
@@ -1156,12 +1213,8 @@ impl<'db> Txn<'db> {
         self.db.pool.with_page_mut(rowid.page, |buf| {
             PageMut::new(&mut buf[..]).delete(rowid.slot)
         })??;
-        for meta in &index_metas {
-            let key = encode_key_vec(&meta.key_values(&old));
-            self.db
-                .index_tree(meta.id)?
-                .write()
-                .remove(&key, rowid.to_u64());
+        for ((_, tree), key) in plan.iter().zip(&keys) {
+            tree.write().remove(key, rowid.to_u64());
         }
         self.undo.push(UndoOp::Delete {
             table,
@@ -1175,7 +1228,7 @@ impl<'db> Txn<'db> {
     /// Replace the row at `rowid` with `new`. The `RowId` is preserved.
     pub fn update(&mut self, table: TableId, rowid: RowId, new: Row) -> Result<()> {
         self.db.check_writable()?;
-        let index_metas = self.table_indexes(table)?;
+        let plan = self.index_plan(table)?;
         {
             let cat = self.db.catalog.read();
             cat.table(table)?.check_row(&new)?;
@@ -1189,20 +1242,11 @@ impl<'db> Txn<'db> {
                 new_bytes.len()
             )));
         }
-        for meta in &index_metas {
-            if meta.unique {
-                let old_key = encode_key_vec(&meta.key_values(&old));
-                let new_key = encode_key_vec(&meta.key_values(&new));
-                if old_key != new_key {
-                    let tree = self.db.index_tree(meta.id)?;
-                    if tree.read().contains_key(&new_key) {
-                        return Err(StoreError::UniqueViolation(format!(
-                            "index {} key {:?}",
-                            meta.name,
-                            meta.key_values(&new)
-                        )));
-                    }
-                }
+        let old_keys = encode_keys(&plan, &old)?;
+        let new_keys = encode_keys(&plan, &new)?;
+        for (((meta, tree), old_key), new_key) in plan.iter().zip(&old_keys).zip(&new_keys) {
+            if meta.unique && old_key != new_key && tree.read().contains_key(new_key) {
+                return Err(unique_violation(meta, &new));
             }
         }
         // Pre-flight the only real page-level failure (PageFull on grow)
@@ -1231,16 +1275,7 @@ impl<'db> Txn<'db> {
         self.db.pool.with_page_mut(rowid.page, |buf| {
             PageMut::new(&mut buf[..]).update(rowid.slot, &new_bytes)
         })??;
-        for meta in &index_metas {
-            let old_key = encode_key_vec(&meta.key_values(&old));
-            let new_key = encode_key_vec(&meta.key_values(&new));
-            if old_key != new_key {
-                let tree = self.db.index_tree(meta.id)?;
-                let mut t = tree.write();
-                t.remove(&old_key, rowid.to_u64());
-                t.insert(&new_key, rowid.to_u64());
-            }
-        }
+        rekey(&plan, &old_keys, &new_keys, rowid);
         self.undo.push(UndoOp::Update {
             table,
             rowid,
@@ -1293,12 +1328,9 @@ impl<'db> Txn<'db> {
                     self.db.pool.with_page_mut(rowid.page, |buf| {
                         PageMut::new(&mut buf[..]).delete(rowid.slot)
                     })??;
-                    for meta in self.table_indexes(table)? {
-                        let key = encode_key_vec(&meta.key_values(&row));
-                        self.db
-                            .index_tree(meta.id)?
-                            .write()
-                            .remove(&key, rowid.to_u64());
+                    let plan = self.index_plan(table)?;
+                    for ((_, tree), key) in plan.iter().zip(encode_keys(&plan, &row)?) {
+                        tree.write().remove(&key, rowid.to_u64());
                     }
                 }
                 UndoOp::Delete { table, rowid, row } => {
@@ -1308,12 +1340,9 @@ impl<'db> Txn<'db> {
                             .insert_at(rowid.slot, &bytes)
                             .map(|_| ())
                     })??;
-                    for meta in self.table_indexes(table)? {
-                        let key = encode_key_vec(&meta.key_values(&row));
-                        self.db
-                            .index_tree(meta.id)?
-                            .write()
-                            .insert(&key, rowid.to_u64());
+                    let plan = self.index_plan(table)?;
+                    for ((_, tree), key) in plan.iter().zip(encode_keys(&plan, &row)?) {
+                        tree.write().insert(&key, rowid.to_u64());
                     }
                 }
                 UndoOp::Update {
@@ -1326,16 +1355,10 @@ impl<'db> Txn<'db> {
                     self.db.pool.with_page_mut(rowid.page, |buf| {
                         PageMut::new(&mut buf[..]).update(rowid.slot, &bytes)
                     })??;
-                    for meta in self.table_indexes(table)? {
-                        let old_key = encode_key_vec(&meta.key_values(&old));
-                        let new_key = encode_key_vec(&meta.key_values(&new));
-                        if old_key != new_key {
-                            let tree = self.db.index_tree(meta.id)?;
-                            let mut t = tree.write();
-                            t.remove(&new_key, rowid.to_u64());
-                            t.insert(&old_key, rowid.to_u64());
-                        }
-                    }
+                    let plan = self.index_plan(table)?;
+                    let (old_keys, new_keys) =
+                        (encode_keys(&plan, &old)?, encode_keys(&plan, &new)?);
+                    rekey(&plan, &new_keys, &old_keys, rowid);
                 }
             }
         }
@@ -1343,12 +1366,28 @@ impl<'db> Txn<'db> {
         Ok(())
     }
 
-    fn table_indexes(&self, table: TableId) -> Result<Vec<IndexMeta>> {
-        let cat = self.db.catalog.read();
-        cat.indexes_on(table)
+    /// The indexes a write to `table` maintains, looked up on this
+    /// transaction's first write to the table and kept for the rest.
+    fn index_plan(&mut self, table: TableId) -> Result<IndexPlan> {
+        if let Some(plan) = self.plans.get(&table) {
+            return Ok(Arc::clone(plan));
+        }
+        let metas: Vec<IndexMeta> = {
+            let cat = self.db.catalog.read();
+            cat.indexes_on(table)
+                .into_iter()
+                .map(|id| cat.index(id).cloned())
+                .collect::<Result<_>>()?
+        };
+        let plan: IndexPlan = metas
             .into_iter()
-            .map(|id| cat.index(id).cloned())
-            .collect::<Result<Vec<_>>>()
+            .map(|meta| {
+                let tree = self.db.index_tree(meta.id)?;
+                Ok((meta, tree))
+            })
+            .collect::<Result<_>>()?;
+        self.plans.insert(table, Arc::clone(&plan));
+        Ok(plan)
     }
 
     /// Find space for `bytes` in `table`'s heap, allocating a fresh page if

@@ -1,6 +1,7 @@
 //! Property tests for the storage engine's core invariants: row codec
 //! round-trips, order-preserving key encoding, B+tree-vs-model
-//! equivalence, slotted-page behaviour under random operation sequences,
+//! equivalence (random and append-heavy schedules), slotted-page
+//! behaviour under random operation sequences,
 //! and WAL recovery equivalence under simulated crashes. Cases are drawn
 //! from a seeded generator; a failure prints the case seed that replays it.
 
@@ -118,6 +119,112 @@ fn btree_matches_btreeset_model() {
         );
         let expect: Vec<_> = model.into_iter().collect();
         assert_eq!(flat, expect);
+    });
+}
+
+/// Schedules shaped like index maintenance: runs of ascending appends
+/// (some repeating one key with ascending rowids, as a foreign key does),
+/// random-key inserts that land inside the tree, and removes of present
+/// and absent entries. After each case every read path agrees with a
+/// `BTreeSet` oracle.
+#[test]
+fn btree_appends_inserts_and_removes_match_oracle() {
+    use std::collections::BTreeSet;
+    use std::ops::Bound;
+    let key = |n: u64| format!("k{n:08}").into_bytes();
+    check_cases(0x5707_0900, 32, |rng| {
+        let mut tree = BTreeIndex::new();
+        let mut model = BTreeSet::<(Vec<u8>, u64)>::new();
+        let (mut next_key, mut next_rid) = (0u64, 0u64);
+        for _ in 0..rng.gen_range(1..40) {
+            match rng.gen_range(0..4) {
+                // Ascending appends: each key once, or repeated with
+                // ascending rowids.
+                0 | 1 => {
+                    let repeat = if rng.gen_bool(0.5) {
+                        1
+                    } else {
+                        rng.gen_range(2..20)
+                    };
+                    for _ in 0..rng.gen_range(1..120) {
+                        for _ in 0..repeat {
+                            // A random insert may already hold this pair.
+                            if model.insert((key(next_key), next_rid)) {
+                                tree.insert(&key(next_key), next_rid);
+                            }
+                            next_rid += 1;
+                        }
+                        next_key += rng.gen_range(1..3);
+                    }
+                }
+                // Random keys below the right edge, random rowids.
+                2 => {
+                    for _ in 0..rng.gen_range(1..60) {
+                        let entry = (
+                            key(rng.gen_range(0..next_key + 1)),
+                            rng.gen_range(0..next_rid + 1),
+                        );
+                        if model.insert(entry.clone()) {
+                            tree.insert(&entry.0, entry.1);
+                        }
+                    }
+                }
+                // Removes: present entries mostly, absent ones sometimes.
+                _ => {
+                    for _ in 0..rng.gen_range(1..60) {
+                        let entry = match model.iter().nth(rng.gen_range(0..model.len() + 1)) {
+                            Some(e) if rng.gen_bool(0.8) => e.clone(),
+                            _ => (
+                                key(rng.gen_range(0..next_key + 2)),
+                                rng.gen_range(0..next_rid + 2),
+                            ),
+                        };
+                        assert_eq!(tree.remove(&entry.0, entry.1), model.remove(&entry));
+                    }
+                }
+            }
+        }
+        assert_eq!(tree.len(), model.len());
+        let mut flat = Vec::new();
+        tree.for_range(Bound::Unbounded, Bound::Unbounded, |k, r| {
+            flat.push((k.to_vec(), r));
+            true
+        });
+        assert!(
+            flat.iter().eq(model.iter()),
+            "full scan differs from the oracle"
+        );
+        // Probe keys: every key ever used, one past the end, and a few
+        // that sort between two generated keys.
+        let mut probes: Vec<Vec<u8>> = (0..next_key + 2).map(key).collect();
+        probes.push(b"k".to_vec());
+        probes.push(b"k00000000x".to_vec());
+        let expect_eq = |k: &[u8]| -> Vec<u64> {
+            let span = (k.to_vec(), 0)..=(k.to_vec(), u64::MAX);
+            model.range(span).map(|&(_, r)| r).collect()
+        };
+        for k in &probes {
+            assert_eq!(tree.get_eq(k), expect_eq(k));
+            assert_eq!(tree.contains_key(k), !expect_eq(k).is_empty());
+        }
+        let refs: Vec<&[u8]> = probes.iter().rev().map(Vec::as_slice).collect();
+        let batch = tree.get_eq_batch(&refs);
+        for (k, got) in refs.iter().zip(&batch) {
+            assert_eq!(got, &expect_eq(k));
+        }
+        // A bounded range over random endpoints.
+        let (a, b) = (
+            key(rng.gen_range(0..next_key + 1)),
+            key(rng.gen_range(0..next_key + 1)),
+        );
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        let mut ranged = Vec::new();
+        tree.for_range(Bound::Included(&lo), Bound::Excluded(&hi), |k, r| {
+            ranged.push((k.to_vec(), r));
+            true
+        });
+        let expect: Vec<(Vec<u8>, u64)> = model.range((lo, 0)..(hi, 0)).cloned().collect();
+        assert_eq!(ranged, expect);
     });
 }
 
