@@ -27,11 +27,13 @@
 //!   the engine behind `pt bench --compare-baseline`.
 #![deny(missing_docs)]
 
-use crate::datastore::PTDataStore;
+use crate::datastore::{PTDataStore, ResourceRecord};
 use crate::error::Result;
 use crate::query::{QueryEngine, ResultRow};
 use perftrack_store::metrics::Json;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
 /// An aligned pair of results from two executions.
 #[derive(Debug, Clone, PartialEq)]
@@ -497,20 +499,51 @@ pub struct Compare<'s> {
     store: &'s PTDataStore,
 }
 
+/// Per-call memo of [`PTDataStore::resource_by_id`]: every resource on a
+/// structural chain is probed and decoded once per compare, however many
+/// results name it.
+struct ResourceMemo<'s> {
+    store: &'s PTDataStore,
+    records: HashMap<i64, Option<Rc<ResourceRecord>>>,
+}
+
+impl<'s> ResourceMemo<'s> {
+    fn new(store: &'s PTDataStore) -> Self {
+        ResourceMemo {
+            store,
+            records: HashMap::new(),
+        }
+    }
+
+    fn get(&mut self, id: i64) -> Result<Option<Rc<ResourceRecord>>> {
+        if let Some(rec) = self.records.get(&id) {
+            return Ok(rec.clone());
+        }
+        let rec = self.store.resource_by_id(id)?.map(Rc::new);
+        self.records.insert(id, rec.clone());
+        Ok(rec)
+    }
+}
+
 impl<'s> Compare<'s> {
     /// Bind to a store.
     pub fn new(store: &'s PTDataStore) -> Self {
         Compare { store }
     }
 
-    /// All result rows of one execution.
+    /// All result rows of one execution (none for an unknown name).
     pub fn rows_of_execution(&self, execution: &str) -> Result<Vec<ResultRow>> {
-        let engine = QueryEngine::new(self.store);
-        let all = engine.run(&[])?;
-        Ok(all
-            .into_iter()
-            .filter(|r| r.execution == execution)
-            .collect())
+        self.rows_of(&[execution])
+    }
+
+    /// All result rows of the named executions, in ascending result id;
+    /// unknown names contribute nothing and repeated names count once.
+    pub(crate) fn rows_of(&self, executions: &[&str]) -> Result<Vec<ResultRow>> {
+        let ids: Vec<i64> = executions
+            .iter()
+            .filter_map(|e| self.store.execution_id(e))
+            .collect();
+        QueryEngine::new(self.store).rows_of_executions(&ids)
     }
 
     /// The normalized alignment key of a result: metric plus sorted base
@@ -519,25 +552,27 @@ impl<'s> Compare<'s> {
     pub fn alignment_key(&self, row: &ResultRow) -> Result<String> {
         let engine = QueryEngine::new(self.store);
         let types = engine.type_path_by_id()?;
-        self.alignment_key_with(row, &types)
+        self.alignment_key_with(row, &types, &mut ResourceMemo::new(self.store))
     }
 
-    /// [`Compare::alignment_key`] with a pre-built type map, so per-row
-    /// callers (the comparison loop) scan the type table once, not per row.
+    /// [`Compare::alignment_key`] with a pre-built type map and resource
+    /// memo, so per-row callers (the comparison loop) scan the type table
+    /// once and decode each context resource once, not per row.
     fn alignment_key_with(
         &self,
         row: &ResultRow,
-        types: &std::collections::HashMap<i64, String>,
+        types: &HashMap<i64, String>,
+        memo: &mut ResourceMemo<'_>,
     ) -> Result<String> {
         let mut parts: Vec<String> = Vec::new();
         for &rid in &row.context {
-            if let Some(rec) = self.store.resource_by_id(rid)? {
-                let tp = types.get(&rec.type_id).cloned().unwrap_or_default();
+            if let Some(rec) = memo.get(rid)? {
+                let tp = types.get(&rec.type_id).map_or("", String::as_str);
                 let root = tp.split('/').next().unwrap_or("");
                 if root == "execution" || root == "time" {
                     continue;
                 }
-                parts.push(rec.base_name);
+                parts.push(rec.base_name.clone());
             }
         }
         parts.sort();
@@ -550,12 +585,13 @@ impl<'s> Compare<'s> {
         let rows_a = self.rows_of_execution(exec_a)?;
         let rows_b = self.rows_of_execution(exec_b)?;
         let types = QueryEngine::new(self.store).type_path_by_id()?;
+        let mut memo = ResourceMemo::new(self.store);
         // Key → mean value (several rows can share a normalized key, e.g.
         // per-process results collapse when process resources are dropped).
-        let collapse = |rows: &[ResultRow]| -> Result<HashMap<String, (f64, usize)>> {
+        let mut collapse = |rows: &[ResultRow]| -> Result<HashMap<String, (f64, usize)>> {
             let mut m: HashMap<String, (f64, usize)> = HashMap::new();
             for r in rows {
-                let key = self.alignment_key_with(r, &types)?;
+                let key = self.alignment_key_with(r, &types, &mut memo)?;
                 let e = m.entry(key).or_insert((0.0, 0));
                 e.0 += r.value;
                 e.1 += 1;
@@ -628,9 +664,9 @@ impl<'s> Compare<'s> {
     /// ```
     pub fn tree_compare(&self, execs: &[&str], opts: &CompareOptions) -> Result<TreeComparison> {
         let n = execs.len();
-        let engine = QueryEngine::new(self.store);
-        let types = engine.type_path_by_id()?;
-        let all = engine.run(&[])?;
+        let types = QueryEngine::new(self.store).type_path_by_id()?;
+        let rows = self.rows_of(execs)?;
+        let mut memo = ResourceMemo::new(self.store);
         // Name → every argument slot with that name, so a self-compare
         // (`pt compare s v1 v1`) fills both columns.
         let mut exec_index: HashMap<&str, Vec<usize>> = HashMap::new();
@@ -659,7 +695,7 @@ impl<'s> Compare<'s> {
         // structural ancestor chain present, and accumulate the value at
         // the context resources themselves (not their ancestors, which
         // would multiply-count shared cost).
-        for row in &all {
+        for row in &rows {
             let Some(slots) = exec_index.get(row.execution.as_str()) else {
                 continue;
             };
@@ -667,25 +703,30 @@ impl<'s> Compare<'s> {
                 let mut cursor = Some(rid);
                 let mut at_context = true;
                 while let Some(cur) = cursor {
-                    let Some(rec) = self.store.resource_by_id(cur)? else {
+                    let Some(rec) = memo.get(cur)? else {
                         break;
                     };
-                    let tp = types.get(&rec.type_id).cloned().unwrap_or_default();
+                    let tp = types.get(&rec.type_id).map_or("", String::as_str);
                     let root = tp.split('/').next().unwrap_or("");
                     if root == "execution" || root == "time" {
                         break;
                     }
-                    let parent = match rec.parent_id {
-                        Some(pid) => self.store.resource_by_id(pid)?.map(|p| p.name),
-                        None => None,
+                    let node = match nodes.entry(rec.name.clone()) {
+                        Entry::Occupied(node) => node.into_mut(),
+                        Entry::Vacant(slot) => {
+                            let parent = match rec.parent_id {
+                                Some(pid) => memo.get(pid)?.map(|p| p.name.clone()),
+                                None => None,
+                            };
+                            slot.insert(NodeAcc {
+                                base_name: rec.base_name.clone(),
+                                type_path: tp.to_string(),
+                                parent,
+                                present: vec![false; n],
+                                metrics: BTreeMap::new(),
+                            })
+                        }
                     };
-                    let node = nodes.entry(rec.name.clone()).or_insert_with(|| NodeAcc {
-                        base_name: rec.base_name.clone(),
-                        type_path: tp,
-                        parent,
-                        present: vec![false; n],
-                        metrics: BTreeMap::new(),
-                    });
                     for &ei in slots {
                         node.present[ei] = true;
                         if at_context {

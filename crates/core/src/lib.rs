@@ -34,7 +34,7 @@ pub use perftrack_store::metrics::{Json, MetricsSnapshot, OperatorProfile, Query
 pub use perftrack_store::planner::{ExplainNode, ExplainPlan};
 pub use planner::{explain_filters, plan_filters, FilterPlan, PrFilterPlan};
 pub use predict::{Observation, PredictionCheck, Predictor, ScalingModel};
-pub use query::{ExpandStrategy, FreeResourceColumn, QueryEngine, ResultRow};
+pub use query::{FreeResourceColumn, QueryEngine, ResultRow};
 pub use reports::{ExecutionDetail, MetricSummary, Reports, ResourceDetail, StoreSummary};
 pub use schema::Schema;
 pub use session::{DetachedTable, ResultTable, SelectionDialog, BASE_COLUMNS};

@@ -14,7 +14,7 @@
 use crate::compare::Compare;
 use crate::datastore::PTDataStore;
 use crate::error::{PtError, Result};
-use crate::query::{QueryEngine, ResultRow};
+use crate::query::ResultRow;
 use perftrack_model::{PerformanceResult, ResourceName, ResourceSet};
 
 /// One observation used to fit a model.
@@ -139,8 +139,7 @@ impl<'s> Predictor<'s> {
     /// from the run resource's `processes` attribute (PTrun/IRS capture
     /// both record it).
     pub fn observations(&self, metric: &str, executions: &[&str]) -> Result<Vec<Observation>> {
-        let engine = QueryEngine::new(self.store);
-        let all = engine.run(&[])?;
+        let all = Compare::new(self.store).rows_of(executions)?;
         let mut out = Vec::new();
         for exec in executions {
             let rows: Vec<&ResultRow> = all

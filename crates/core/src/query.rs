@@ -3,7 +3,7 @@
 //! performance results, live match counts, and *free resource* discovery
 //! for the GUI's two-step column selection.
 
-use crate::datastore::{decode_resource, PTDataStore, ResourceRecord};
+use crate::datastore::{decode_resource, PTDataStore};
 use crate::error::{PtError, Result};
 use crate::planner::{explain_filters, plan_filters};
 use crate::schema::col;
@@ -11,24 +11,10 @@ use perftrack_model::{AttrPredicate, Relatives, ResourceFilter, Selector};
 use perftrack_store::metrics::{OperatorProfile, QueryProfile};
 use perftrack_store::planner::{ExplainPlan, COST_FETCH_ROW, COST_PROBE, COST_SCAN_ROW};
 use perftrack_store::sync::Mutex;
-use perftrack_store::{StatsState, Value};
+use perftrack_store::{Row, StatsState, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// How ancestor/descendant expansion is computed — the design choice the
-/// paper calls out ("added for performance reasons") and the
-/// closure-ablation bench measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExpandStrategy {
-    /// Use the `resource_has_ancestor` / `resource_has_descendant` closure
-    /// tables (the paper's choice).
-    #[default]
-    ClosureTable,
-    /// Follow `parent_id` chains with index lookups (the alternative the
-    /// closure tables were added to avoid).
-    ParentWalk,
-}
 
 /// One matched performance result, denormalized for display.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,25 +58,14 @@ type ContextMap = Arc<HashMap<i64, Vec<i64>>>;
 
 pub struct QueryEngine<'s> {
     store: &'s PTDataStore,
-    strategy: ExpandStrategy,
     context_cache: Mutex<Option<ContextMap>>,
 }
 
 impl<'s> QueryEngine<'s> {
-    /// Engine with the default (closure table) expansion strategy.
+    /// Engine over `store`; families expand through the closure tables.
     pub fn new(store: &'s PTDataStore) -> Self {
         QueryEngine {
             store,
-            strategy: ExpandStrategy::ClosureTable,
-            context_cache: Mutex::new(None),
-        }
-    }
-
-    /// Engine with an explicit expansion strategy (benches).
-    pub fn with_strategy(store: &'s PTDataStore, strategy: ExpandStrategy) -> Self {
-        QueryEngine {
-            store,
-            strategy,
             context_cache: Mutex::new(None),
         }
     }
@@ -143,36 +118,24 @@ impl<'s> QueryEngine<'s> {
         };
         let mut family: HashSet<i64> = seed.iter().copied().collect();
         if matches!(filter.relatives, Relatives::Ancestors | Relatives::Both) {
-            match self.strategy {
-                ExpandStrategy::ClosureTable => self.expand_closure_batch(
-                    "rha_resource",
-                    schema.resource_has_ancestor,
-                    col::resource_has_ancestor::RESOURCE_ID,
-                    col::resource_has_ancestor::ANCESTOR_ID,
-                    &seed,
-                    &mut family,
-                )?,
-                ExpandStrategy::ParentWalk => {
-                    for &id in &seed {
-                        self.collect_ancestors_walk(id, &mut family)?;
-                    }
-                }
-            }
+            self.expand_closure_batch(
+                "rha_resource",
+                schema.resource_has_ancestor,
+                col::resource_has_ancestor::RESOURCE_ID,
+                col::resource_has_ancestor::ANCESTOR_ID,
+                &seed,
+                &mut family,
+            )?;
         }
         if matches!(filter.relatives, Relatives::Descendants | Relatives::Both) {
-            match self.strategy {
-                ExpandStrategy::ClosureTable => self.expand_closure_batch(
-                    "rhd_resource",
-                    schema.resource_has_descendant,
-                    col::resource_has_descendant::RESOURCE_ID,
-                    col::resource_has_descendant::DESCENDANT_ID,
-                    &seed,
-                    &mut family,
-                )?,
-                ExpandStrategy::ParentWalk => {
-                    self.collect_descendants_walk(&seed.iter().copied().collect(), &mut family)?;
-                }
-            }
+            self.expand_closure_batch(
+                "rhd_resource",
+                schema.resource_has_descendant,
+                col::resource_has_descendant::RESOURCE_ID,
+                col::resource_has_descendant::DESCENDANT_ID,
+                &seed,
+                &mut family,
+            )?;
         }
         Ok(family)
     }
@@ -265,45 +228,6 @@ impl<'s> QueryEngine<'s> {
             for rid in rids {
                 let row = db.get(table, rid)?;
                 into.insert(row[relative_col].as_int()?);
-            }
-        }
-        Ok(())
-    }
-
-    fn collect_ancestors_walk(&self, id: i64, into: &mut HashSet<i64>) -> Result<()> {
-        let mut cur = self.store.resource_by_id(id)?.and_then(|r| r.parent_id);
-        while let Some(pid) = cur {
-            into.insert(pid);
-            cur = self.store.resource_by_id(pid)?.and_then(|r| r.parent_id);
-        }
-        Ok(())
-    }
-
-    /// Without closure tables: scan every resource and climb its parent
-    /// chain looking for a seed — the exact query pattern the paper's
-    /// closure tables exist to avoid.
-    fn collect_descendants_walk(
-        &self,
-        seeds: &HashSet<i64>,
-        into: &mut HashSet<i64>,
-    ) -> Result<()> {
-        let db = self.store.db();
-        let schema = self.store.schema();
-        let mut all: Vec<ResourceRecord> = Vec::new();
-        db.for_each_row(schema.resource_item, |_, row| {
-            all.push(decode_resource(row));
-            true
-        })?;
-        let parent_of: HashMap<i64, Option<i64>> =
-            all.iter().map(|r| (r.id, r.parent_id)).collect();
-        for r in &all {
-            let mut cur = r.parent_id;
-            while let Some(pid) = cur {
-                if seeds.contains(&pid) {
-                    into.insert(r.id);
-                    break;
-                }
-                cur = parent_of.get(&pid).copied().flatten();
             }
         }
         Ok(())
@@ -485,8 +409,103 @@ impl<'s> QueryEngine<'s> {
     /// Denormalize result rows by id.
     pub fn fetch_rows(&self, ids: &[i64]) -> Result<Vec<ResultRow>> {
         let db = self.store.db();
-        let schema = self.store.schema();
         let contexts = self.result_context_map()?;
+        let idx = db.index_id("performance_result_id")?;
+        // One batched probe resolves every result id in a single tree walk.
+        let keys: Vec<Vec<Value>> = ids.iter().map(|&id| vec![Value::Int(id)]).collect();
+        let table = self.store.schema().performance_result;
+        let rows = db
+            .index_lookup_many(idx, &keys)?
+            .into_iter()
+            .filter_map(|rids| rids.first().copied())
+            .map(|rid| Ok(db.get(table, rid)?));
+        self.fetch_rows_with(rows, &contexts)
+    }
+
+    /// Every result of the executions with ids `exec_ids`, in ascending
+    /// result id — exactly the rows `run(&[])` returns for them.
+    ///
+    /// Only the named executions are read: one batched probe of
+    /// `performance_result_exec`, one decode per result row, and
+    /// [`QueryEngine::contexts_of`] for their contexts. The cost scales
+    /// with the executions' results, not with the store. Repeated ids
+    /// count once.
+    pub fn rows_of_executions(&self, exec_ids: &[i64]) -> Result<Vec<ResultRow>> {
+        let db = self.store.db();
+        let mut execs = exec_ids.to_vec();
+        execs.sort_unstable();
+        execs.dedup();
+        let idx = db.index_id("performance_result_exec")?;
+        let keys: Vec<Vec<Value>> = execs.iter().map(|&id| vec![Value::Int(id)]).collect();
+        let mut rows: Vec<(i64, Row)> = Vec::new();
+        for rids in db.index_lookup_many(idx, &keys)? {
+            for rid in rids {
+                let row = db.get(self.store.schema().performance_result, rid)?;
+                rows.push((row[col::performance_result::ID].as_int()?, row));
+            }
+        }
+        rows.sort_unstable_by_key(|(id, _)| *id);
+        let ids: Vec<i64> = rows.iter().map(|(id, _)| *id).collect();
+        let contexts = self.contexts_of(&ids)?;
+        // `run(&[])` matches over the context map, which holds only
+        // results with at least one focus; keep the same set.
+        let rows = rows
+            .into_iter()
+            .filter(|(id, _)| contexts.contains_key(id))
+            .map(|(_, row)| Ok(row));
+        self.fetch_rows_with(rows, &contexts)
+    }
+
+    /// Context resource ids of the given results: a batched `focus_result`
+    /// probe, then a batched `fhr_focus` probe, each context sorted and
+    /// deduplicated as in [`QueryEngine::result_context_map`]. Like that
+    /// map, it has an entry for every result with at least one focus
+    /// (empty when the foci name no resource) and none for the others.
+    pub fn contexts_of(&self, result_ids: &[i64]) -> Result<HashMap<i64, Vec<i64>>> {
+        let db = self.store.db();
+        let schema = self.store.schema();
+        let keys: Vec<Vec<Value>> = result_ids.iter().map(|&id| vec![Value::Int(id)]).collect();
+        let mut out: HashMap<i64, Vec<i64>> = HashMap::with_capacity(result_ids.len());
+        let mut foci: Vec<(i64, i64)> = Vec::new();
+        for (&result, rids) in result_ids
+            .iter()
+            .zip(db.index_lookup_many(db.index_id("focus_result")?, &keys)?)
+        {
+            for rid in rids {
+                let row = db.get(schema.focus, rid)?;
+                foci.push((row[col::focus::ID].as_int()?, result));
+                out.entry(result).or_default();
+            }
+        }
+        let keys: Vec<Vec<Value>> = foci.iter().map(|&(f, _)| vec![Value::Int(f)]).collect();
+        for (&(_, result), rids) in foci
+            .iter()
+            .zip(db.index_lookup_many(db.index_id("fhr_focus")?, &keys)?)
+        {
+            let context = out.entry(result).or_default();
+            for rid in rids {
+                let row = db.get(schema.focus_has_resource, rid)?;
+                context.push(row[col::focus_has_resource::RESOURCE_ID].as_int()?);
+            }
+        }
+        for v in out.values_mut() {
+            v.sort_unstable();
+            v.dedup();
+        }
+        Ok(out)
+    }
+
+    /// Denormalize `performance_result` rows as they are fetched, in
+    /// order, taking each result's context from `contexts`: the shared
+    /// tail of [`QueryEngine::fetch_rows`] and
+    /// [`QueryEngine::rows_of_executions`].
+    fn fetch_rows_with(
+        &self,
+        rows: impl Iterator<Item = Result<Row>>,
+        contexts: &HashMap<i64, Vec<i64>>,
+    ) -> Result<Vec<ResultRow>> {
+        let db = self.store.db();
+        let schema = self.store.schema();
         // Reverse maps for names.
         let exec_by_id: HashMap<i64, String> = self.store.executions().into_iter().collect();
         let mut metric_by_id: HashMap<i64, String> = HashMap::new();
@@ -509,16 +528,11 @@ impl<'s> QueryEngine<'s> {
             }
             true
         })?;
-        let idx = db.index_id("performance_result_id")?;
-        let mut out = Vec::with_capacity(ids.len());
-        // One batched probe resolves every result id in a single tree walk.
-        let keys: Vec<Vec<Value>> = ids.iter().map(|&id| vec![Value::Int(id)]).collect();
-        let rid_batches = db.index_lookup_many(idx, &keys)?;
-        for (&id, rids) in ids.iter().zip(&rid_batches) {
-            let Some(&rid) = rids.first() else {
-                continue;
-            };
-            let row = db.get(schema.performance_result, rid)?;
+        let (lower, upper) = rows.size_hint();
+        let mut out = Vec::with_capacity(upper.unwrap_or(lower));
+        for row in rows {
+            let row = row?;
+            let id = row[col::performance_result::ID].as_int()?;
             out.push(ResultRow {
                 result_id: id,
                 execution: exec_by_id
@@ -751,27 +765,6 @@ mod tests {
             .family(&ResourceFilter::by_name("/nope").relatives(Relatives::Neither))
             .unwrap();
         assert!(fam.is_empty());
-    }
-
-    #[test]
-    fn parent_walk_strategy_matches_closure() {
-        let store = setup();
-        let closure = QueryEngine::with_strategy(&store, ExpandStrategy::ClosureTable);
-        let walk = QueryEngine::with_strategy(&store, ExpandStrategy::ParentWalk);
-        for (name, rel) in [
-            ("Frost", Relatives::Descendants),
-            ("Frost", Relatives::Both),
-            ("batch", Relatives::Ancestors),
-            ("node1", Relatives::Both),
-        ] {
-            let f1 = closure
-                .family(&ResourceFilter::by_name(name).relatives(rel))
-                .unwrap();
-            let f2 = walk
-                .family(&ResourceFilter::by_name(name).relatives(rel))
-                .unwrap();
-            assert_eq!(f1, f2, "strategies disagree for {name} {rel:?}");
-        }
     }
 
     #[test]

@@ -115,15 +115,11 @@ impl<'s> Reports<'s> {
 
     /// Detail for one execution.
     pub fn execution(&self, name: &str) -> Result<ExecutionDetail> {
-        self.store
+        let id = self
+            .store
             .execution_id(name)
             .ok_or_else(|| PtError::NotFound(format!("execution {name}")))?;
-        let engine = QueryEngine::new(self.store);
-        let rows: Vec<_> = engine
-            .run(&[])?
-            .into_iter()
-            .filter(|r| r.execution == name)
-            .collect();
+        let rows = QueryEngine::new(self.store).rows_of_executions(&[id])?;
         let mut metrics: BTreeMap<String, MetricSummary> = BTreeMap::new();
         let mut tools: Vec<String> = Vec::new();
         for r in &rows {

@@ -12,8 +12,8 @@
 //! * `resource_constraint` — resource-valued attributes (resource pairs).
 //! * `resource_has_ancestor` / `resource_has_descendant` — transitive
 //!   closure of the parent relation, maintained on insert; the paper adds
-//!   these "for performance reasons" and the closure-ablation bench
-//!   measures exactly that choice.
+//!   these "for performance reasons" (EXPERIMENTS.md keeps the retired
+//!   closure-ablation bench's measurement of that choice).
 //! * `metric`, `performance_tool` — interned names.
 //! * `performance_result` — the measured values.
 //! * `focus` — one row per resource set of a result, with its role

@@ -1,11 +1,15 @@
 //! Property tests for the execution-comparison engine, over stores drawn
 //! from the workspace's seeded generator: deltas are
 //! antisymmetric under argument swap, self-comparison is exactly zero,
-//! and alignment tolerates deliberately mismatched resource trees.
+//! and alignment tolerates deliberately mismatched resource trees. The
+//! read path is checked too: a compare reads only the named executions'
+//! results, and those are exactly the rows a full scan would give.
 
 use perftrack::compare::{Aggregate, CompareOptions, Normalization};
-use perftrack::{Compare, PTDataStore};
+use perftrack::{AlignedNode, Compare, PTDataStore, QueryEngine};
+use perftrack_workloads::rng::check_cases;
 use perftrack_workloads::Rng;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A positive value in `[0.01, 100.00]`, in hundredths.
 fn value(rng: &mut Rng) -> f64 {
@@ -210,5 +214,186 @@ fn share_normalization_bounds_values() {
                 );
             }
         }
+    }
+}
+
+/// PTdf for `execs` executions over `functions`, each result naming its
+/// function and application (primary) plus the module as a second focus.
+fn executions_ptdf(rng: &mut Rng, execs: &[String], functions: &[String]) -> String {
+    let mut ptdf = String::new();
+    for exec in execs {
+        ptdf.push_str(&format!(
+            "Execution {exec} App\nResource /{exec}-run execution\n"
+        ));
+        for f in functions {
+            let module = &f[..f.rfind('/').unwrap()];
+            for metric in ["CPU time", "wall time"] {
+                ptdf.push_str(&format!(
+                    "PerfResult {exec} \"/app,/{exec}-run,{f}(primary):{module}(parent)\" T \"{metric}\" {} seconds\n",
+                    value(rng)
+                ));
+            }
+        }
+    }
+    ptdf
+}
+
+/// `x` and `y` over a fixed tree, loaded first, then `unrelated` more
+/// executions over the same functions.
+fn store_with_unrelated(unrelated: usize) -> PTDataStore {
+    let store = PTDataStore::in_memory().unwrap();
+    let mut ptdf =
+        String::from("Application App\nResource /app application\nResource /build build\n");
+    let mut functions = Vec::new();
+    for m in 0..3 {
+        ptdf.push_str(&format!("Resource /build/m{m}.c build/module\n"));
+        for f in 0..4 {
+            let name = format!("/build/m{m}.c/fn{f}");
+            ptdf.push_str(&format!("Resource {name} build/module/function\n"));
+            functions.push(name);
+        }
+    }
+    let mut rng = Rng::seed_from_u64(0xc03b_1000);
+    ptdf.push_str(&executions_ptdf(
+        &mut rng,
+        &["x".into(), "y".into()],
+        &functions,
+    ));
+    store.load_ptdf_str(&ptdf).unwrap();
+    let others: Vec<String> = (0..unrelated).map(|i| format!("z{i:02}")).collect();
+    store
+        .load_ptdf_str(&executions_ptdf(&mut rng, &others, &functions))
+        .unwrap();
+    store
+}
+
+#[test]
+fn compare_work_is_independent_of_unrelated_executions() {
+    let mut seen: Vec<(String, u64, u64)> = Vec::new();
+    for unrelated in [2, 10, 40] {
+        let store = store_with_unrelated(unrelated);
+        let cmp = Compare::new(&store);
+        let before = store.db().metrics();
+        let json = cmp
+            .tree_compare(&["x", "y"], &CompareOptions::default())
+            .unwrap()
+            .to_json()
+            .emit();
+        let after = store.db().metrics();
+        let pages = (after.pool.hits + after.pool.misses) - (before.pool.hits + before.pool.misses);
+        let probes = (after.btree.point_probes + after.btree.batch_probes)
+            - (before.btree.point_probes + before.btree.batch_probes);
+        seen.push((json, pages, probes));
+    }
+    let (json, pages, probes) = &seen[0];
+    assert!(json.contains("\"aligned_cells\":32"), "{json}");
+    for (i, (j, p, q)) in seen.iter().enumerate().skip(1) {
+        assert_eq!(j, json, "store {i}: the answer changed");
+        assert_eq!(p, pages, "store {i}: page requests grew with the store");
+        assert_eq!(q, probes, "store {i}: index probes grew with the store");
+    }
+}
+
+#[test]
+fn rows_of_executions_equal_the_filtered_full_scan() {
+    check_cases(0xc03b_2000, 24, |rng| {
+        let store = PTDataStore::in_memory().unwrap();
+        let mut ptdf =
+            String::from("Application App\nResource /app application\nResource /build build\n");
+        let mut resources = vec!["/app".to_string(), "/build".to_string()];
+        for m in 0..rng.gen_range(1..4) {
+            ptdf.push_str(&format!("Resource /build/m{m}.c build/module\n"));
+            resources.push(format!("/build/m{m}.c"));
+            for f in 0..rng.gen_range(1..4) {
+                ptdf.push_str(&format!(
+                    "Resource /build/m{m}.c/fn{f} build/module/function\n"
+                ));
+                resources.push(format!("/build/m{m}.c/fn{f}"));
+            }
+        }
+        let execs: Vec<String> = (0..rng.gen_range(1..6)).map(|e| format!("e{e}")).collect();
+        for _ in 0..rng.gen_range(0..40) {
+            let exec = &execs[rng.gen_range(0..execs.len())];
+            // One to three foci, each naming one or two resources.
+            let foci: Vec<String> = (0..rng.gen_range(1..4))
+                .zip(["primary", "parent", "child"])
+                .map(|(_, role)| {
+                    let set: Vec<&str> = (0..rng.gen_range(1..3))
+                        .map(|_| resources[rng.gen_range(0..resources.len())].as_str())
+                        .collect();
+                    format!("{}({role})", set.join(","))
+                })
+                .collect();
+            ptdf.push_str(&format!(
+                "Execution {exec} App\nPerfResult {exec} \"{}\" T m{} {} s\n",
+                foci.join(":"),
+                rng.gen_range(0..3),
+                value(rng)
+            ));
+        }
+        store.load_ptdf_str(&ptdf).unwrap();
+        let engine = QueryEngine::new(&store);
+        let all = engine.run(&[]).unwrap();
+        // Random id lists: repeats, and an id no execution has.
+        let mut ids: Vec<i64> = Vec::new();
+        for e in &execs {
+            if let Some(id) = store.execution_id(e) {
+                for _ in 0..rng.gen_range(0..3) {
+                    ids.push(id);
+                }
+            }
+        }
+        if rng.gen_bool(0.3) {
+            ids.push(i64::MAX);
+        }
+        let names: BTreeSet<&str> = execs
+            .iter()
+            .filter(|e| store.execution_id(e).is_some_and(|id| ids.contains(&id)))
+            .map(String::as_str)
+            .collect();
+        let expected: Vec<_> = all
+            .iter()
+            .filter(|r| names.contains(r.execution.as_str()))
+            .cloned()
+            .collect();
+        assert_eq!(engine.rows_of_executions(&ids).unwrap(), expected);
+    });
+}
+
+#[test]
+fn self_compare_sums_each_result_once() {
+    let sum = CompareOptions {
+        aggregate: Aggregate::Sum,
+        top: usize::MAX,
+        ..CompareOptions::default()
+    };
+    for seed in 0..10 {
+        let store = random_store(seed);
+        // Expected: each result of `x` summed once into every structural
+        // resource of its context.
+        let mut expected: BTreeMap<(String, String), f64> = BTreeMap::new();
+        for row in Compare::new(&store).rows_of_execution("x").unwrap() {
+            for &rid in &row.context {
+                let name = store.resource_by_id(rid).unwrap().unwrap().name;
+                *expected.entry((name, row.metric.clone())).or_insert(0.0) += row.value;
+            }
+        }
+        let t = Compare::new(&store)
+            .tree_compare(&["x", "x"], &sum)
+            .unwrap();
+        let mut got: BTreeMap<(String, String), f64> = BTreeMap::new();
+        fn walk(n: &AlignedNode, got: &mut BTreeMap<(String, String), f64>) {
+            for (metric, row) in &n.metrics {
+                assert_eq!(row[0], row[1], "{} {metric}", n.name);
+                got.insert((n.name.clone(), metric.clone()), row[0].unwrap());
+            }
+            for c in &n.children {
+                walk(c, got);
+            }
+        }
+        for root in &t.roots {
+            walk(root, &mut got);
+        }
+        assert_eq!(got, expected, "seed {seed}");
     }
 }

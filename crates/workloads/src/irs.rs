@@ -28,6 +28,12 @@ pub struct IrsConfig {
     pub imbalance: f64,
     /// RNG seed.
     pub seed: u64,
+    /// Seed of the program being run. When set, the weights of the
+    /// non-dominant functions — among them the serial ones that fix the
+    /// Amdahl fraction — come from a stream keyed by this seed alone, so
+    /// every run of one code (a process-count sweep) shares them. `None`
+    /// draws them from the run's own stream.
+    pub code_seed: Option<u64>,
 }
 
 impl IrsConfig {
@@ -41,6 +47,7 @@ impl IrsConfig {
             functions: 80,
             imbalance: 0.15,
             seed,
+            code_seed: None,
         }
     }
 }
@@ -79,6 +86,7 @@ pub fn function_names(n: usize) -> Vec<String> {
 /// Generate the six output files of one IRS execution.
 pub fn generate(cfg: &IrsConfig) -> Vec<GenFile> {
     let mut rng = rng_for(cfg.seed, &format!("irs:{}", cfg.exec_name));
+    let mut code_rng = cfg.code_seed.map(|seed| rng_for(seed, "irs:code"));
     let funcs = function_names(cfg.functions);
     // Per-function "work" determines base times; a handful of functions
     // dominate, like a real solver.
@@ -92,7 +100,15 @@ pub fn generate(cfg: &IrsConfig) -> Vec<GenFile> {
     for (fi, f) in funcs.iter().enumerate() {
         let weight = match fi {
             0..=4 => 40.0 / (fi + 1) as f64, // dominant kernels
-            _ => jitter(&mut rng, 1.5, 0.8),
+            _ => {
+                // The run stream draws its weight either way, so a code
+                // seed changes the weights and nothing else.
+                let run_weight = jitter(&mut rng, 1.5, 0.8);
+                match code_rng.as_mut() {
+                    Some(code) => jitter(code, 1.5, 0.8),
+                    None => run_weight,
+                }
+            }
         };
         for metric in IRS_METRICS {
             // Average per-process value: work/np for time-like metrics,

@@ -113,12 +113,16 @@ pub fn paradyn_irs(seed: u64, execs: usize, small: bool) -> Vec<ParadynBundle> {
 }
 
 /// The IRS study runs a sweep over process counts for the Figure 5
-/// load-balance chart: one execution per process count on one machine.
+/// load-balance chart: one execution per process count on one machine,
+/// all of one code (function weights keyed by `seed`, run noise by
+/// `seed + np`).
 pub fn irs_scaling_sweep(seed: u64, machine: &str, nps: &[usize]) -> Vec<ExecutionBundle> {
     nps.iter()
         .map(|&np| {
             let exec_name = format!("irs-{}-np{np:03}", machine.to_lowercase());
-            let cfg = IrsConfig::new(&exec_name, machine, np, seed.wrapping_add(np as u64));
+            let mut cfg = IrsConfig::new(&exec_name, machine, np, seed.wrapping_add(np as u64));
+            // One code across the sweep: only the run noise varies with np.
+            cfg.code_seed = Some(seed);
             ExecutionBundle {
                 exec_name,
                 application: "IRS".into(),
@@ -186,5 +190,33 @@ mod tests {
         assert_eq!(sweep.len(), 4);
         assert_eq!(sweep[2].np, 32);
         assert!(sweep[0].exec_name.contains("np008"));
+    }
+
+    #[test]
+    fn scaling_sweep_runs_share_one_code() {
+        // Serial functions do not speed up with np, so within one code
+        // their per-process CPU time differs across the sweep only by the
+        // run's ±5 % jitter, never by a redrawn weight.
+        let sweep = irs_scaling_sweep(3, "MCR", &[8, 64, 256]);
+        for function in ["TimeStepControl", "WriteDump", "ReadInput"] {
+            let averages: Vec<f64> = sweep
+                .iter()
+                .filter_map(|run| {
+                    let timing = run.files.iter().find(|f| f.name.ends_with("timing.dat"))?;
+                    let line = timing
+                        .content
+                        .lines()
+                        .find(|l| l.starts_with(&format!("{function} CPU_time ")))?;
+                    line.split_whitespace().nth(3)?.parse().ok()
+                })
+                .collect();
+            assert!(averages.len() >= 2, "{function}: {averages:?}");
+            let lo = averages.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = averages.iter().copied().fold(0.0, f64::max);
+            assert!(
+                hi / lo < 1.11,
+                "{function} varies across one code: {averages:?}"
+            );
+        }
     }
 }
