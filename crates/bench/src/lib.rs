@@ -1,6 +1,5 @@
-//! Shared helpers for the benchmark harness: converting workload bundles
-//! to PTdf and loading them, used by both the Criterion benches and the
-//! Table 1 / Figure 5 harness binaries.
+//! Shared helpers for the Table 1 / Figure 5 harness binaries:
+//! converting workload bundles to PTdf and loading them.
 
 use perftrack::{LoadStats, PTDataStore};
 use perftrack_adapters::{self as adapters, ExecContext, ParadynFiles};

@@ -16,18 +16,15 @@ type Result<T> = std::result::Result<T, CliError>;
 /// `pt` exit codes (documented in the README's CLI table):
 /// 0 = success, 2 = completed after transient I/O retries, 3 = store is
 /// in read-only degraded mode, 4 = corruption detected, 5 = the store
-/// directory is locked by another process, 6 = the baseline gate found
-/// a real performance regression, 7 = the baseline/current documents'
-/// schemas drifted so the gate could not compare them. 1 stays the
-/// generic failure code.
+/// directory is locked by another process, 8 = the server stayed
+/// overloaded past the retry budget. 1 stays the generic failure code;
+/// 6 and 7 are unused.
 pub mod exit {
     pub const OK: u8 = 0;
     pub const RETRIED: u8 = 2;
     pub const DEGRADED: u8 = 3;
     pub const CORRUPT: u8 = 4;
     pub const LOCKED: u8 = 5;
-    pub const REGRESSION: u8 = 6;
-    pub const DRIFT: u8 = 7;
     /// The server shed the request under load and the retry budget ran
     /// out before it was admitted.
     pub const OVERLOADED: u8 = 8;
@@ -170,8 +167,7 @@ pub fn convert(argv: &[String]) -> Result<()> {
     let raw_dir = PathBuf::from(a.positional(0, "raw data directory")?);
     let index_path = a
         .get("index")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| raw_dir.join("ptdfgen.index"));
+        .map_or_else(|| raw_dir.join("ptdfgen.index"), PathBuf::from);
     let out = PathBuf::from(a.get("out").ok_or("--out <dir> required")?);
     std::fs::create_dir_all(&out)?;
     let index_text = std::fs::read_to_string(&index_path)?;
@@ -342,7 +338,7 @@ pub fn fsck(argv: &[String]) -> Result<()> {
 pub fn report(argv: &[String]) -> Result<()> {
     let a = parse(argv, &[])?;
     let dir = a.positional(0, "store directory")?;
-    let kind = a.positional.get(1).map(String::as_str).unwrap_or("summary");
+    let kind = a.positional.get(1).map_or("summary", String::as_str);
     let store = open_store(dir)?;
     match kind {
         "summary" => {

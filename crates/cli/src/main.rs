@@ -6,7 +6,6 @@
 //! queries/reports/charts/comparisons from the shell.
 
 mod args;
-mod bench;
 mod commands;
 mod remote;
 
@@ -38,8 +37,6 @@ USAGE:
   pt compare <store-dir> <exec-a> <exec-b> [exec...] [--json|--table] [--top K]
           [--threshold PCT] [--agg mean|sum|min|max] [--normalize raw|share]
   pt export <store-dir> <out-file>
-  pt bench [--quick] [--json] [--out DIR] [--seed S]
-          [--compare-baseline DIR [--threshold PCT]] | pt bench --check [--out DIR]
   pt serve <store-dir> [--bind ADDR | --port N] [--workers N] [--queue N]
           [--deadline-ms N] [--idle-ms N]
   pt --connect host:port <ping|load|query|stats|fsck|compare|export|shutdown> [args...]";
@@ -84,9 +81,8 @@ fn main() -> ExitCode {
     }
     let cmd = argv[0].as_str();
     let rest = &argv[1..];
-    // `pt load` and `pt bench` have documented multi-valued exit-code
-    // contracts (0/2/3/4/5 for load, 0/6/7 for the bench baseline gate;
-    // see README); every other command exits 0, 1, or 5.
+    // `pt load` has a documented multi-valued exit-code contract
+    // (0/2/3/4/5; see README); every other command exits 0, 1, or 5.
     let result: Result<u8, args::CliError> = match cmd {
         "init" => commands::init(rest).map(|()| 0),
         "machines" => commands::machines(rest).map(|()| 0),
@@ -105,7 +101,6 @@ fn main() -> ExitCode {
         "predict" => commands::predict(rest).map(|()| 0),
         "delete" => commands::delete(rest).map(|()| 0),
         "export" => commands::export(rest).map(|()| 0),
-        "bench" => bench::bench(rest),
         "serve" => remote::serve(rest).map(|()| 0),
         other => Err(format!("unknown command {other:?}\n\n{USAGE}").into()),
     };

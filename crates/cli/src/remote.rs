@@ -174,17 +174,16 @@ pub fn dispatch(addr: &str, cmd: &str, rest: &[String]) -> Result<u8> {
     }
 }
 
-/// Mint a per-invocation idempotency token: unique across CLI runs (pid
-/// + wall clock + a process-local counter) so re-running `pt load` on
-/// the same file still appends, while *retries within one run* reuse the
-/// token and can never double-apply.
+/// Mint a per-invocation idempotency token: unique across CLI runs
+/// (pid, wall clock and a process-local counter) so re-running `pt load`
+/// on the same file still appends, while *retries within one run* reuse
+/// the token and can never double-apply.
 fn mint_load_token(path: &str, seq: usize) -> String {
     use std::sync::atomic::{AtomicU64, Ordering};
     static INVOCATION: AtomicU64 = AtomicU64::new(0);
     let nanos = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0);
+        .map_or(0, |d| d.as_nanos() as u64);
     // FNV-1a over the path keeps tokens short but path-distinct.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in path.bytes() {

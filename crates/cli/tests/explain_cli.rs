@@ -8,7 +8,7 @@
 //! consequences of the planner logic alone.
 
 use perftrack_store::metrics::Json;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn pt() -> Command {
@@ -43,7 +43,7 @@ PerfResult e2 /build/a.c/f1(primary) T \"CPU time\" 3.0 seconds
 ";
 
 /// Create a store in `dir` and load the fixture.
-fn loaded_store(dir: &PathBuf) -> String {
+fn loaded_store(dir: &Path) -> String {
     let file = dir.join("in.ptdf");
     std::fs::write(&file, PTDF).unwrap();
     let store = dir.join("store");

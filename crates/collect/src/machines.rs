@@ -140,7 +140,7 @@ impl MachineModel {
         let mut out = Vec::new();
         let grid = format!("/{}", self.grid);
         out.push(PtdfStatement::Resource {
-            name: grid.clone(),
+            name: grid,
             type_path: "grid".into(),
             execution: None,
         });

@@ -169,7 +169,7 @@ pub fn to_ptdf(info: &RunInfo) -> Vec<PtdfStatement> {
     out.push(attr(&deck, "timestamp", &info.input_deck_timestamp));
     let sub = format!("/{}", info.submission_id);
     out.push(PtdfStatement::Resource {
-        name: sub.clone(),
+        name: sub,
         type_path: "submission".into(),
         execution: Some(info.exec_name.clone()),
     });

@@ -21,10 +21,6 @@
 //! * [`TreeComparison`] ranks the most-divergent resources and renders
 //!   itself as a fixed-width table or as the versioned
 //!   `pt-compare/v1` JSON document (contract in `docs/COMPARE.md`).
-//! * [`evaluate_baseline`] checks a current metrics document against a
-//!   stored baseline and produces typed [`Regression`] findings,
-//!   distinguishing real performance regressions from schema drift —
-//!   the engine behind `pt bench --compare-baseline`.
 #![deny(missing_docs)]
 
 use crate::datastore::{PTDataStore, ResourceRecord};
@@ -438,8 +434,8 @@ impl TreeComparison {
         if let Some(g) = self.geo_mean_ratio() {
             out.push_str(&format!(
                 "geo-mean ratio {}/{}: {g:.4}\n",
-                self.executions.last().map(String::as_str).unwrap_or("?"),
-                self.executions.first().map(String::as_str).unwrap_or("?")
+                self.executions.last().map_or("?", String::as_str),
+                self.executions.first().map_or("?", String::as_str)
             ));
         }
         if !self.ranked.is_empty() {
@@ -944,274 +940,6 @@ fn log_divergence(b: f64, v: f64) -> f64 {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Baseline gating (`pt bench --compare-baseline`)
-// ---------------------------------------------------------------------------
-
-/// Whether a larger value of a checked metric is good or bad.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Throughput-style metrics (ops/sec): a drop is a regression.
-    HigherIsBetter,
-    /// Latency-style metrics (seconds, µs): a rise is a regression.
-    LowerIsBetter,
-}
-
-/// One metric to gate: a dotted path into the JSON documents plus its
-/// direction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BaselineCheck {
-    /// Dotted path (e.g. `load.statements_per_sec`).
-    pub path: String,
-    /// Which way is worse.
-    pub direction: Direction,
-}
-
-impl BaselineCheck {
-    /// Construct a check.
-    pub fn new(path: &str, direction: Direction) -> Self {
-        BaselineCheck {
-            path: path.to_string(),
-            direction,
-        }
-    }
-}
-
-/// Classification of one [`Regression`] finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FindingKind {
-    /// The current value is worse than the baseline beyond the threshold.
-    PerfRegression,
-    /// A checked path is missing or non-numeric in either document — the
-    /// schemas no longer line up, so the numbers cannot be trusted.
-    SchemaDrift,
-    /// The current value is better than the baseline beyond the
-    /// threshold (informational; never fails the gate).
-    Improvement,
-}
-
-impl FindingKind {
-    /// Stable lowercase label used in JSON and tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            FindingKind::PerfRegression => "regression",
-            FindingKind::SchemaDrift => "schema-drift",
-            FindingKind::Improvement => "improvement",
-        }
-    }
-}
-
-/// A typed finding from [`evaluate_baseline`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// What happened.
-    pub kind: FindingKind,
-    /// The checked dotted path.
-    pub path: String,
-    /// Baseline value (`None` when missing — schema drift).
-    pub baseline: Option<f64>,
-    /// Current value (`None` when missing — schema drift).
-    pub current: Option<f64>,
-    /// `current / baseline` when both are present and baseline is
-    /// nonzero.
-    pub ratio: Option<f64>,
-    /// Human-readable description.
-    pub message: String,
-}
-
-/// Result of gating a current metrics document against a baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BaselineReport {
-    /// All findings, worst first (drift, then regressions, then
-    /// improvements).
-    pub findings: Vec<Regression>,
-    /// Threshold the gate ran with, in percent.
-    pub threshold_pct: f64,
-    /// Number of checks evaluated.
-    pub checks: usize,
-}
-
-impl BaselineReport {
-    /// True when any finding is a real performance regression.
-    pub fn has_regressions(&self) -> bool {
-        self.findings
-            .iter()
-            .any(|f| f.kind == FindingKind::PerfRegression)
-    }
-
-    /// True when any checked path failed to resolve — the documents'
-    /// schemas have drifted and the comparison is unsound.
-    pub fn has_drift(&self) -> bool {
-        self.findings
-            .iter()
-            .any(|f| f.kind == FindingKind::SchemaDrift)
-    }
-
-    /// The `pt-compare-baseline/v1` JSON document (schema in
-    /// `docs/COMPARE.md`).
-    pub fn to_json(&self) -> Json {
-        let num_or_null = |v: Option<f64>| match v {
-            Some(x) if x.is_finite() => Json::Num(x),
-            _ => Json::Null,
-        };
-        Json::Obj(vec![
-            ("schema".into(), Json::Str("pt-compare-baseline/v1".into())),
-            ("threshold_pct".into(), Json::Num(self.threshold_pct)),
-            ("checks".into(), Json::UInt(self.checks as u64)),
-            (
-                "regressions".into(),
-                Json::UInt(
-                    self.findings
-                        .iter()
-                        .filter(|f| f.kind == FindingKind::PerfRegression)
-                        .count() as u64,
-                ),
-            ),
-            ("drift".into(), Json::Bool(self.has_drift())),
-            (
-                "findings".into(),
-                Json::Arr(
-                    self.findings
-                        .iter()
-                        .map(|f| {
-                            Json::Obj(vec![
-                                ("kind".into(), Json::Str(f.kind.label().into())),
-                                ("path".into(), Json::Str(f.path.clone())),
-                                ("baseline".into(), num_or_null(f.baseline)),
-                                ("current".into(), num_or_null(f.current)),
-                                ("ratio".into(), num_or_null(f.ratio)),
-                                ("message".into(), Json::Str(f.message.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Human-readable summary, one line per finding.
-    pub fn render_table(&self) -> String {
-        let mut out = format!(
-            "baseline gate: {} checks, threshold {}%\n",
-            self.checks, self.threshold_pct
-        );
-        if self.findings.is_empty() {
-            out.push_str("all checks within threshold\n");
-        }
-        for f in &self.findings {
-            out.push_str(&format!("[{}] {}\n", f.kind.label(), f.message));
-        }
-        out
-    }
-}
-
-/// Resolve a dotted path through nested JSON objects to a number.
-fn json_num(doc: &Json, path: &str) -> Option<f64> {
-    let mut cur = doc;
-    for seg in path.split('.') {
-        match cur {
-            Json::Obj(pairs) => cur = &pairs.iter().find(|(k, _)| k == seg)?.1,
-            _ => return None,
-        }
-    }
-    match cur {
-        Json::Num(x) => Some(*x),
-        Json::UInt(x) => Some(*x as f64),
-        _ => None,
-    }
-}
-
-/// Gate `current` against `baseline`: evaluate every check at
-/// `threshold_pct` percent tolerance and produce typed findings.
-///
-/// A metric regresses when it is worse than the baseline by more than
-/// the threshold in its [`Direction`]; a path that does not resolve to a
-/// number in either document is [`FindingKind::SchemaDrift`].
-///
-/// ```
-/// use perftrack::compare::{evaluate_baseline, BaselineCheck, Direction};
-/// use perftrack::Json;
-///
-/// let base = Json::parse(r#"{"load":{"statements_per_sec":1000.0}}"#).unwrap();
-/// let cur = Json::parse(r#"{"load":{"statements_per_sec":400.0}}"#).unwrap();
-/// let checks = [BaselineCheck::new("load.statements_per_sec", Direction::HigherIsBetter)];
-/// let report = evaluate_baseline(&base, &cur, &checks, 50.0);
-/// assert!(report.has_regressions() && !report.has_drift());
-/// ```
-pub fn evaluate_baseline(
-    baseline: &Json,
-    current: &Json,
-    checks: &[BaselineCheck],
-    threshold_pct: f64,
-) -> BaselineReport {
-    let mut findings = Vec::new();
-    let limit = 1.0 + threshold_pct / 100.0;
-    for check in checks {
-        let b = json_num(baseline, &check.path);
-        let c = json_num(current, &check.path);
-        let (Some(b), Some(c)) = (b, c) else {
-            findings.push(Regression {
-                kind: FindingKind::SchemaDrift,
-                path: check.path.clone(),
-                baseline: b,
-                current: c,
-                ratio: None,
-                message: format!(
-                    "{}: missing or non-numeric in {} document",
-                    check.path,
-                    if b.is_none() { "baseline" } else { "current" }
-                ),
-            });
-            continue;
-        };
-        let ratio = (b != 0.0).then(|| c / b);
-        // Normalize to "how many times worse", so one comparison serves
-        // both directions.
-        let worseness = match (check.direction, ratio) {
-            (Direction::LowerIsBetter, Some(q)) => Some(q),
-            (Direction::HigherIsBetter, Some(q)) if q > 0.0 => Some(1.0 / q),
-            _ => None,
-        };
-        match worseness {
-            Some(w) if w > limit => findings.push(Regression {
-                kind: FindingKind::PerfRegression,
-                path: check.path.clone(),
-                baseline: Some(b),
-                current: Some(c),
-                ratio,
-                message: format!(
-                    "{}: {c:.4} vs baseline {b:.4} ({:.0}% worse, threshold {threshold_pct}%)",
-                    check.path,
-                    (w - 1.0) * 100.0
-                ),
-            }),
-            Some(w) if w < 1.0 / limit => findings.push(Regression {
-                kind: FindingKind::Improvement,
-                path: check.path.clone(),
-                baseline: Some(b),
-                current: Some(c),
-                ratio,
-                message: format!(
-                    "{}: {c:.4} vs baseline {b:.4} ({:.0}% better)",
-                    check.path,
-                    (1.0 / w - 1.0) * 100.0
-                ),
-            }),
-            _ => {}
-        }
-    }
-    findings.sort_by_key(|f| match f.kind {
-        FindingKind::SchemaDrift => 0,
-        FindingKind::PerfRegression => 1,
-        FindingKind::Improvement => 2,
-    });
-    BaselineReport {
-        findings,
-        threshold_pct,
-        checks: checks.len(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1449,63 +1177,5 @@ mod tests {
         assert!(table.contains("RESOURCE"));
         assert!(table.contains("/solve"));
         assert!(table.contains("only in v2"));
-    }
-
-    #[test]
-    fn baseline_gate_classifies_findings() {
-        let base = Json::parse(
-            r#"{"load":{"statements_per_sec":1000.0},"query":{"pr_filter":{"avg_micros":50.0}}}"#,
-        )
-        .unwrap();
-        let checks = [
-            BaselineCheck::new("load.statements_per_sec", Direction::HigherIsBetter),
-            BaselineCheck::new("query.pr_filter.avg_micros", Direction::LowerIsBetter),
-        ];
-        // Within threshold: clean.
-        let same = evaluate_baseline(&base, &base, &checks, 25.0);
-        assert!(!same.has_regressions() && !same.has_drift());
-        assert!(same.findings.is_empty());
-        // Throughput halves and latency triples: two regressions.
-        let worse = Json::parse(
-            r#"{"load":{"statements_per_sec":500.0},"query":{"pr_filter":{"avg_micros":150.0}}}"#,
-        )
-        .unwrap();
-        let report = evaluate_baseline(&base, &worse, &checks, 25.0);
-        assert!(report.has_regressions());
-        assert_eq!(
-            report
-                .findings
-                .iter()
-                .filter(|f| f.kind == FindingKind::PerfRegression)
-                .count(),
-            2
-        );
-        // Missing path: schema drift, not a regression.
-        let drifted = Json::parse(r#"{"load":{"renamed":1.0}}"#).unwrap();
-        let report = evaluate_baseline(&base, &drifted, &checks, 25.0);
-        assert!(report.has_drift());
-        assert!(!report.has_regressions());
-        // Both directions see improvements symmetrically.
-        let better = Json::parse(
-            r#"{"load":{"statements_per_sec":4000.0},"query":{"pr_filter":{"avg_micros":10.0}}}"#,
-        )
-        .unwrap();
-        let report = evaluate_baseline(&base, &better, &checks, 25.0);
-        assert!(!report.has_regressions());
-        assert_eq!(
-            report
-                .findings
-                .iter()
-                .filter(|f| f.kind == FindingKind::Improvement)
-                .count(),
-            2
-        );
-        // JSON contract.
-        let doc = Json::parse(&report.to_json().emit()).unwrap();
-        assert_eq!(
-            doc.get("schema"),
-            Some(&Json::Str("pt-compare-baseline/v1".into()))
-        );
-        assert!(matches!(doc.get("findings"), Some(Json::Arr(a)) if a.len() == 2));
     }
 }

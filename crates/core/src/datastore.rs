@@ -151,11 +151,6 @@ impl PTDataStore {
         Self::from_db(Database::in_memory())
     }
 
-    /// In-memory store with explicit engine options.
-    pub fn in_memory_with(opts: DbOptions) -> Result<Self> {
-        Self::from_db(Database::in_memory_with(opts))
-    }
-
     /// Open (or create) a persistent store in `dir`.
     pub fn open(dir: &Path) -> Result<Self> {
         Self::from_db(Database::open(dir)?)
@@ -247,8 +242,7 @@ impl PTDataStore {
         type_rows.sort_by_key(|r| {
             r[col::focus_framework::TYPE_PATH]
                 .as_text()
-                .map(|s| s.split('/').count())
-                .unwrap_or(0)
+                .map_or(0, |s| s.split('/').count())
         });
         for r in &type_rows {
             let id = r[col::focus_framework::ID].as_int()?;
@@ -1828,7 +1822,7 @@ Resource /G/M grid/machine
             resume: true,
         };
         let r1 = store
-            .load_ptdf_files_resumable(&[file.clone()], &opts)
+            .load_ptdf_files_resumable(std::slice::from_ref(&file), &opts)
             .unwrap();
         assert_eq!(r1.files_loaded, 1);
         assert_eq!(r1.files_skipped, 0);
@@ -1905,7 +1899,7 @@ Resource /G/M grid/machine
             resume: true,
         };
         store
-            .load_ptdf_files_resumable(&[path.clone()], &opts)
+            .load_ptdf_files_resumable(std::slice::from_ref(&path), &opts)
             .unwrap();
         // Edit the file: the stale manifest row must not mask new content.
         std::fs::write(&path, "Application One\nApplication Two\n").unwrap();
@@ -1928,7 +1922,7 @@ Resource /G/M grid/machine
         {
             let store = PTDataStore::open(&dir.join("db")).unwrap();
             store
-                .load_ptdf_files_resumable(&[file.clone()], &opts)
+                .load_ptdf_files_resumable(std::slice::from_ref(&file), &opts)
                 .unwrap();
         }
         let store = PTDataStore::open(&dir.join("db")).unwrap();

@@ -21,9 +21,8 @@ pub mod session;
 
 pub use chart::{BarChart, Series};
 pub use compare::{
-    evaluate_baseline, Aggregate, AlignedNode, BaselineCheck, BaselineReport, Compare,
-    CompareOptions, ComparisonReport, ComparisonRow, Direction, DivergentResource, FindingKind,
-    LoadBalanceRow, Normalization, PresenceDrift, Regression, TreeComparison,
+    Aggregate, AlignedNode, Compare, CompareOptions, ComparisonReport, ComparisonRow,
+    DivergentResource, LoadBalanceRow, Normalization, PresenceDrift, TreeComparison,
 };
 pub use datastore::{
     BulkLoadOptions, LoadReport, LoadStats, Loader, ManifestEntry, PTDataStore, ResourceRecord,

@@ -136,7 +136,8 @@ impl<R: BufRead> Iterator for PtdfReader<R> {
                     self.line_no += 1;
                     match PtdfStatement::parse_line(self.buf.trim_end_matches('\n'), self.line_no) {
                         Ok(Some(stmt)) => return Some(Ok(stmt)),
-                        Ok(None) => continue,
+                        // A blank or comment line: read the next one.
+                        Ok(None) => {}
                         Err(e) => return Some(Err(ReadError::Parse(e))),
                     }
                 }

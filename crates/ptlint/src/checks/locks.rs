@@ -291,7 +291,7 @@ fn extract_fns(lexed: &LexedFile, file: &str, out: &mut Vec<FnDef>) {
 
 /// Is token `i` the method ident of an empty-args acquisition call
 /// (`recv.lock()`)? Returns the receiver field name.
-fn acquisition_at<'a>(toks: &'a [Token], i: usize) -> Option<&'a str> {
+fn acquisition_at(toks: &[Token], i: usize) -> Option<&str> {
     let t = &toks[i];
     if t.kind != TokenKind::Ident || !ACQUIRE_METHODS.contains(&t.text.as_str()) {
         return None;
@@ -550,7 +550,7 @@ fn dfs<'a>(
     if depth > 16 {
         return;
     }
-    for (a, b) in edges.iter() {
+    for (a, b) in edges {
         if a != at {
             continue;
         }
@@ -561,8 +561,7 @@ fn dfs<'a>(
                 .iter()
                 .enumerate()
                 .min_by(|x, y| x.1.cmp(y.1))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
+                .map_or(0, |(i, _)| i);
             let mut sig = cyc[min_idx..].to_vec();
             sig.extend_from_slice(&cyc[..min_idx]);
             if seen_sigs.insert(sig.clone()) {

@@ -57,7 +57,7 @@ impl Token {
 
     /// True when this token is the punctuation character `c`.
     pub fn is_punct(&self, c: char) -> bool {
-        self.kind == TokenKind::Punct && self.text.chars().next() == Some(c)
+        self.kind == TokenKind::Punct && self.text.starts_with(c)
     }
 }
 

@@ -854,8 +854,8 @@ mod tests {
         })
     }
 
-    fn decoded(req: Request) -> Result<(Request, RequestHeader), WireError> {
-        Ok((req, RequestHeader::default()))
+    fn decoded(req: Request) -> (Request, RequestHeader) {
+        (req, RequestHeader::default())
     }
 
     #[test]
@@ -872,20 +872,20 @@ mod tests {
             other => panic!("{other:?}"),
         };
         // Expensive op (fsck, cost 64) is shed with a typed retry hint...
-        match handle_frame(&shared, decoded(Request::Fsck { deep: false })) {
+        match handle_frame(&shared, Ok(decoded(Request::Fsck { deep: false }))) {
             (Response::Overloaded { retry_after_ms }, false) => assert!(retry_after_ms > 0),
             other => panic!("expected overloaded, got {other:?}"),
         }
         assert_eq!(shared.metrics.admission_shed.get(), 1);
         // ...while a cheap op still goes straight through.
-        match handle_frame(&shared, decoded(Request::Ping)) {
+        match handle_frame(&shared, Ok(decoded(Request::Ping))) {
             (Response::Pong { .. }, false) => {}
             other => panic!("expected pong, got {other:?}"),
         }
         assert_eq!(shared.metrics.admission_admitted.get(), 1);
         // Once load clears, the same expensive op is admitted.
         drop(held);
-        match handle_frame(&shared, decoded(Request::Fsck { deep: false })) {
+        match handle_frame(&shared, Ok(decoded(Request::Fsck { deep: false }))) {
             (Response::FsckDone { .. }, false) => {}
             other => panic!("expected fsck result, got {other:?}"),
         }
@@ -905,12 +905,12 @@ mod tests {
             other => panic!("{other:?}"),
         };
         // A cheap op sheds (queue_depth 0, capacity full)...
-        match handle_frame(&shared, decoded(Request::Ping)) {
+        match handle_frame(&shared, Ok(decoded(Request::Ping))) {
             (Response::Overloaded { .. }, false) => {}
             other => panic!("expected overloaded, got {other:?}"),
         }
         // ...but shutdown still drains the server.
-        match handle_frame(&shared, decoded(Request::Shutdown)) {
+        match handle_frame(&shared, Ok(decoded(Request::Shutdown))) {
             (Response::ShuttingDown, true) => {}
             other => panic!("expected shutdown, got {other:?}"),
         }
@@ -925,7 +925,13 @@ mod tests {
             &shared,
             Ok((Request::Stats, RequestHeader { deadline_ms: 1 })),
         ) {
-            (Response::Err { category, .. }, false) if category == ErrorCategory::Deadline => {}
+            (
+                Response::Err {
+                    category: ErrorCategory::Deadline,
+                    ..
+                },
+                false,
+            ) => {}
             // Sub-millisecond stats are possible on a fast machine; the
             // contract is only "no looser than the header".
             (Response::Stats { .. }, false) => {}

@@ -290,7 +290,7 @@ impl BTreeIndex {
     #[cfg(debug_assertions)]
     fn debug_validate(&mut self) {
         self.mutations += 1;
-        if self.len <= 512 || self.mutations % 1024 == 0 {
+        if self.len <= 512 || self.mutations.is_multiple_of(1024) {
             debug_assert!(
                 crate::check::tree_is_sound(self),
                 "B+tree invariants broken after mutation #{}",

@@ -703,7 +703,7 @@ mod tests {
         let back = Catalog::from_bytes(&bytes).unwrap();
         assert_eq!(back.stats, c.stats);
         // A flipped byte in the statistics frame is caught by its CRC.
-        let mut bad = bytes.clone();
+        let mut bad = bytes;
         let last = bad.len() - 1;
         bad[last] ^= 0x01;
         assert!(Catalog::from_bytes(&bad).is_err());

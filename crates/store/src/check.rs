@@ -937,7 +937,7 @@ pub fn verify_database(db: &Database, deep: bool) -> Result<FsckReport> {
             })?;
             report.rows_checked += page_rows.len() as u64;
             rows.extend(page_rows);
-            for f in findings.iter_mut() {
+            for f in &mut findings {
                 if f.object.is_empty() {
                     f.object = t.name.clone();
                 }
@@ -1245,7 +1245,7 @@ mod tests {
         let fs = verify_closure(&nodes, &[(2, 1), (3, 2)], &[(1, 2), (2, 3)]);
         assert!(fs.iter().any(|f| f.code == "closure.missing"), "{fs:?}");
         // Extra pair (1, 3): 3 is not an ancestor of 1.
-        let mut anc2 = anc.clone();
+        let mut anc2 = anc;
         anc2.push((1, 3));
         let fs = verify_closure(&nodes, &anc2, &desc);
         assert!(fs.iter().any(|f| f.code == "closure.extra"));

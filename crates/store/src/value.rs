@@ -434,7 +434,7 @@ mod tests {
     fn decode_rejects_truncation_and_trailing() {
         let enc = encode_row_vec(&[Value::Text("abcdef".into())]);
         assert!(decode_row(&enc[..enc.len() - 1]).is_err());
-        let mut extra = enc.clone();
+        let mut extra = enc;
         extra.push(7);
         assert!(decode_row(&extra).is_err());
     }

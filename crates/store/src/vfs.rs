@@ -722,7 +722,7 @@ mod tests {
     #[test]
     fn fault_vfs_crash_at_op_then_restart() {
         let inner = MemVfs::new();
-        let fv = FaultVfs::new(Arc::new(inner.clone()));
+        let fv = FaultVfs::new(Arc::new(inner));
         fv.arm(FaultRule {
             trigger: FaultTrigger::OpIndex(2),
             kind: FaultKind::Crash,

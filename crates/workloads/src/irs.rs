@@ -77,8 +77,7 @@ pub fn function_names(n: usize) -> Vec<String> {
         .map(|i| {
             KNOWN_FUNCTIONS
                 .get(i)
-                .map(|s| s.to_string())
-                .unwrap_or_else(|| format!("irs_kernel_{i:03}"))
+                .map_or_else(|| format!("irs_kernel_{i:03}"), |s| s.to_string())
         })
         .collect()
 }

@@ -9,7 +9,7 @@
 use perftrack::{BulkLoadOptions, PTDataStore};
 use perftrack_store::vfs::{FaultKind, FaultRule, FaultTrigger, FaultVfs, MemVfs, Vfs};
 use perftrack_store::DbOptions;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -38,7 +38,7 @@ fn make_ptdf(app: &str, execs: usize, results: usize) -> String {
     s
 }
 
-fn write_inputs(dir: &PathBuf) -> Vec<PathBuf> {
+fn write_inputs(dir: &Path) -> Vec<PathBuf> {
     let a = dir.join("alpha.ptdf");
     let b = dir.join("beta.ptdf");
     std::fs::write(&a, make_ptdf("alpha", 2, 25)).unwrap();
