@@ -1,5 +1,6 @@
-//! Minimal argument parsing for `pt`: positionals plus `--key value` and
-//! repeatable flags, with typed accessors.
+//! Minimal argument parsing for `pt`: positionals plus each command's
+//! declared `--key value` options and boolean flags, with typed
+//! accessors.
 
 use std::collections::HashMap;
 
@@ -14,9 +15,10 @@ pub struct Args {
 /// Error with a user-facing message.
 pub type CliError = Box<dyn std::error::Error>;
 
-/// Parse `argv`. `value_opts` lists options that consume a value;
-/// everything else starting with `--` is a boolean flag.
-pub fn parse(argv: &[String], value_opts: &[&str]) -> Result<Args, CliError> {
+/// Parse `argv`. `value_opts` lists options that consume a value and
+/// `flag_opts` the boolean flags; any other `--option` is an error, so
+/// a typo never reaches the store.
+pub fn parse(argv: &[String], value_opts: &[&str], flag_opts: &[&str]) -> Result<Args, CliError> {
     let mut args = Args::default();
     let mut it = argv.iter().peekable();
     while let Some(a) = it.next() {
@@ -29,8 +31,10 @@ pub fn parse(argv: &[String], value_opts: &[&str]) -> Result<Args, CliError> {
                     .entry(name.to_string())
                     .or_default()
                     .push(value.clone());
-            } else {
+            } else if flag_opts.contains(&name) {
                 args.flags.push(name.to_string());
+            } else {
+                return Err(format!("unknown option --{name}").into());
             }
         } else {
             args.positional.push(a.clone());
@@ -95,6 +99,7 @@ mod tests {
                 "store", "--name", "Frost", "--name", "MCR", "--csv", "extra",
             ]),
             &["name"],
+            &["csv", "json"],
         )
         .unwrap();
         assert_eq!(a.positional, vec!["store", "extra"]);
@@ -108,15 +113,15 @@ mod tests {
 
     #[test]
     fn numeric_options() {
-        let a = parse(&argv(&["--execs", "62"]), &["execs"]).unwrap();
+        let a = parse(&argv(&["--execs", "62"]), &["execs"], &[]).unwrap();
         assert_eq!(a.get_num("execs", 0usize).unwrap(), 62);
         assert_eq!(a.get_num("seed", 7u64).unwrap(), 7, "default used");
-        let a = parse(&argv(&["--execs", "NaNope"]), &["execs"]).unwrap();
+        let a = parse(&argv(&["--execs", "NaNope"]), &["execs"], &[]).unwrap();
         assert!(a.get_num::<usize>("execs", 0).is_err());
     }
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(parse(&argv(&["--name"]), &["name"]).is_err());
+        assert!(parse(&argv(&["--name"]), &["name"], &[]).is_err());
     }
 }

@@ -74,7 +74,7 @@ fn open_store(dir: &str) -> Result<PTDataStore> {
 /// `pt init <store-dir>` — create a persistent store with the schema and
 /// base types.
 pub fn init(argv: &[String]) -> Result<()> {
-    let a = parse(argv, &[])?;
+    let a = parse(argv, &[], &[])?;
     let dir = a.positional(0, "store directory")?;
     let store = open_store(dir)?;
     println!(
@@ -87,7 +87,7 @@ pub fn init(argv: &[String]) -> Result<()> {
 
 /// `pt machines <store-dir>` — load the paper's four machine models.
 pub fn machines(argv: &[String]) -> Result<()> {
-    let a = parse(argv, &["nodes"])?;
+    let a = parse(argv, &["nodes"], &[])?;
     let dir = a.positional(0, "store directory")?;
     let nodes: usize = a.get_num("nodes", 4)?;
     let store = open_store(dir)?;
@@ -109,7 +109,7 @@ pub fn machines(argv: &[String]) -> Result<()> {
 /// `pt gen <dataset> <out-dir>` — write a synthetic dataset plus a PTdfGen
 /// index file.
 pub fn gen(argv: &[String]) -> Result<()> {
-    let a = parse(argv, &["execs", "seed"])?;
+    let a = parse(argv, &["execs", "seed"], &[])?;
     let dataset = a.positional(0, "dataset (irs|smg-uv|smg-bgl|paradyn)")?;
     let out = PathBuf::from(a.positional(1, "output directory")?);
     let seed: u64 = a.get_num("seed", 2005)?;
@@ -163,7 +163,7 @@ pub fn gen(argv: &[String]) -> Result<()> {
 /// `pt convert <raw-dir> --index <file> --out <dir>` — PTdfGen batch
 /// conversion.
 pub fn convert(argv: &[String]) -> Result<()> {
-    let a = parse(argv, &["index", "out"])?;
+    let a = parse(argv, &["index", "out"], &[])?;
     let raw_dir = PathBuf::from(a.positional(0, "raw data directory")?);
     let index_path = a
         .get("index")
@@ -199,13 +199,20 @@ pub fn convert(argv: &[String]) -> Result<()> {
 /// idempotent bulk loader. Returns the exit code per the contract in
 /// [`exit`].
 pub fn load(argv: &[String]) -> Result<u8> {
-    let a = parse(argv, &["threads", "batch", "max-retries"])?;
+    let a = parse(
+        argv,
+        &["batch", "max-retries"],
+        &["resume", "verify", "profile", "json"],
+    )?;
     let dir = a.positional(0, "store directory")?;
     if a.positional.len() < 2 {
         return Err("at least one PTdf file required".into());
     }
-    let threads: usize = a.get_num("threads", 1)?;
     let max_retries: u32 = a.get_num("max-retries", 3)?;
+    let opts = BulkLoadOptions {
+        batch_statements: a.get_num("batch", 256)?,
+        resume: a.has_flag("resume"),
+    };
     let store = PTDataStore::open_with(
         Path::new(dir),
         perftrack_store::DbOptions {
@@ -216,23 +223,8 @@ pub fn load(argv: &[String]) -> Result<u8> {
     let paths: Vec<PathBuf> = a.positional[1..].iter().map(PathBuf::from).collect();
     let start = std::time::Instant::now();
     let retries_before = store.db().metrics().io.retries;
-    let (stats, manifest_line) = if threads > 1 {
-        (store.load_ptdf_files_parallel(&paths, threads)?, None)
-    } else {
-        let opts = BulkLoadOptions {
-            batch_statements: a.get_num("batch", 256)?,
-            resume: a.has_flag("resume"),
-        };
-        let report = store.load_ptdf_files_resumable(&paths, &opts)?;
-        let line = format!(
-            "manifest: {} loaded, {} skipped, {} batches, {} statements resumed",
-            report.files_loaded,
-            report.files_skipped,
-            report.batches_committed,
-            report.resumed_statements
-        );
-        (report.stats, Some(line))
-    };
+    let report = store.load_ptdf_files_resumable(&paths, &opts)?;
+    let stats = &report.stats;
     println!(
         "loaded {} files in {:.2?}: {} executions, {} resources, {} attributes, {} results",
         paths.len(),
@@ -242,9 +234,13 @@ pub fn load(argv: &[String]) -> Result<u8> {
         stats.attributes,
         stats.results
     );
-    if let Some(line) = manifest_line {
-        println!("{line}");
-    }
+    println!(
+        "manifest: {} loaded, {} skipped, {} batches, {} statements resumed",
+        report.files_loaded,
+        report.files_skipped,
+        report.batches_committed,
+        report.resumed_statements
+    );
     println!("store size: {} bytes", store.size_bytes()?);
     if a.has_flag("verify") {
         let report = store.fsck(false)?;
@@ -281,7 +277,7 @@ pub fn load(argv: &[String]) -> Result<u8> {
 /// (buffer pool, WAL, B+trees, transactions). The metric names and the
 /// JSON schema are documented in `docs/METRICS.md`.
 pub fn stats(argv: &[String]) -> Result<()> {
-    let a = parse(argv, &[])?;
+    let a = parse(argv, &[], &["json"])?;
     let dir = a.positional(0, "store directory")?;
     let store = open_store(dir)?;
     let snap = store.db().metrics();
@@ -300,7 +296,7 @@ pub fn stats(argv: &[String]) -> Result<()> {
 /// them stale and the planner falls back to its heuristic (thresholds
 /// and the statistics format are documented in `docs/PLANNER.md`).
 pub fn analyze(argv: &[String]) -> Result<()> {
-    let a = parse(argv, &[])?;
+    let a = parse(argv, &[], &[])?;
     let dir = a.positional(0, "store directory")?;
     let store = open_store(dir)?;
     let (tables, indexes) = store.db().analyze()?;
@@ -314,7 +310,7 @@ pub fn analyze(argv: &[String]) -> Result<()> {
 /// are documented in `docs/FSCK.md`. Exits nonzero when any
 /// error-severity finding is reported (warnings alone exit zero).
 pub fn fsck(argv: &[String]) -> Result<()> {
-    let a = parse(argv, &[])?;
+    let a = parse(argv, &[], &["deep", "json"])?;
     let dir = a.positional(0, "store directory")?;
     // Unlike the other commands, refuse to create a store here: verifying
     // a store this command just created would always (vacuously) pass.
@@ -336,7 +332,7 @@ pub fn fsck(argv: &[String]) -> Result<()> {
 
 /// `pt report <store-dir> [kind]` — simple reports (§3.3).
 pub fn report(argv: &[String]) -> Result<()> {
-    let a = parse(argv, &[])?;
+    let a = parse(argv, &[], &[])?;
     let dir = a.positional(0, "store directory")?;
     let kind = a.positional.get(1).map_or("summary", String::as_str);
     let store = open_store(dir)?;
@@ -412,7 +408,11 @@ fn filters_from_args(a: &Args) -> Result<Vec<ResourceFilter>> {
 /// EXPLAIN-style per-operator profile of the executed pipeline follows
 /// the rows (as JSON with `--json`; schema in `docs/METRICS.md`).
 pub fn query(argv: &[String]) -> Result<()> {
-    let a = parse(argv, &["name", "type", "relatives", "add-column"])?;
+    let a = parse(
+        argv,
+        &["name", "type", "relatives", "add-column"],
+        &["explain", "profile", "csv", "json"],
+    )?;
     let dir = a.positional(0, "store directory")?;
     let store = open_store(dir)?;
     if a.has_flag("explain") {
@@ -474,7 +474,7 @@ fn print_explain(store: &PTDataStore, a: &Args) -> Result<()> {
 /// estimated rows per operator, as the versioned `pt-explain/v1` tree
 /// (schema in `docs/PLANNER.md`).
 pub fn explain(argv: &[String]) -> Result<()> {
-    let a = parse(argv, &["name", "type", "relatives"])?;
+    let a = parse(argv, &["name", "type", "relatives"], &["json"])?;
     let dir = a.positional(0, "store directory")?;
     let store = open_store(dir)?;
     print_explain(&store, &a)
@@ -482,7 +482,7 @@ pub fn explain(argv: &[String]) -> Result<()> {
 
 /// `pt count <store-dir> ...` — the GUI's live match counts.
 pub fn count(argv: &[String]) -> Result<()> {
-    let a = parse(argv, &["name", "type", "relatives"])?;
+    let a = parse(argv, &["name", "type", "relatives"], &[])?;
     let dir = a.positional(0, "store directory")?;
     let store = open_store(dir)?;
     let engine = QueryEngine::new(&store);
@@ -513,6 +513,7 @@ pub fn chart(argv: &[String]) -> Result<()> {
             "add-column",
             "svg",
         ],
+        &["csv"],
     )?;
     let dir = a.positional(0, "store directory")?;
     let store = open_store(dir)?;
@@ -573,7 +574,11 @@ pub fn compare_options(a: &Args) -> Result<CompareOptions> {
 /// render the result as a table (default) or as the versioned
 /// `pt-compare/v1` JSON document (contract in `docs/COMPARE.md`).
 pub fn compare(argv: &[String]) -> Result<()> {
-    let a = parse(argv, &["threshold", "top", "agg", "normalize"])?;
+    let a = parse(
+        argv,
+        &["threshold", "top", "agg", "normalize"],
+        &["json", "table"],
+    )?;
     let dir = a.positional(0, "store directory")?;
     if a.positional.len() < 3 {
         return Err("at least two executions required".into());
@@ -581,12 +586,6 @@ pub fn compare(argv: &[String]) -> Result<()> {
     let execs: Vec<&str> = a.positional[1..].iter().map(String::as_str).collect();
     let opts = compare_options(&a)?;
     let store = open_store(dir)?;
-    let known = store.executions();
-    for e in &execs {
-        if !known.iter().any(|(_, name)| name == e) {
-            return Err(format!("unknown execution {e:?}").into());
-        }
-    }
     let report = Compare::new(&store).tree_compare(&execs, &opts)?;
     if a.has_flag("json") {
         println!("{}", report.to_json().emit());
@@ -600,7 +599,7 @@ pub fn compare(argv: &[String]) -> Result<()> {
 /// [--at NP]` — fit a scaling model and optionally validate it against a
 /// held-out execution or predict a new process count (§6 future work).
 pub fn predict(argv: &[String]) -> Result<()> {
-    let a = parse(argv, &["metric", "train", "check", "at"])?;
+    let a = parse(argv, &["metric", "train", "check", "at"], &[])?;
     let dir = a.positional(0, "store directory")?;
     let metric = a.get("metric").ok_or("--metric required")?;
     let train = a.get("train").ok_or("--train E1,E2,... required")?;
@@ -638,7 +637,7 @@ pub fn predict(argv: &[String]) -> Result<()> {
 
 /// `pt delete <store-dir> <execution>` — cascade-delete an execution.
 pub fn delete(argv: &[String]) -> Result<()> {
-    let a = parse(argv, &[])?;
+    let a = parse(argv, &[], &[])?;
     let dir = a.positional(0, "store directory")?;
     let exec = a.positional(1, "execution name")?;
     let store = open_store(dir)?;
@@ -649,7 +648,7 @@ pub fn delete(argv: &[String]) -> Result<()> {
 
 /// `pt export <store-dir> <out-file>` — dump the store as PTdf.
 pub fn export(argv: &[String]) -> Result<()> {
-    let a = parse(argv, &[])?;
+    let a = parse(argv, &[], &[])?;
     let dir = a.positional(0, "store directory")?;
     let out = a.positional(1, "output file")?;
     let store = open_store(dir)?;

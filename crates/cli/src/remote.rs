@@ -72,6 +72,7 @@ pub fn serve(argv: &[String]) -> Result<()> {
             "capacity",
             "admission-queue",
         ],
+        &[],
     )?;
     let dir = a.positional(0, "store directory")?;
     let addr = match (a.get("bind"), a.get("port")) {
@@ -202,7 +203,7 @@ fn mint_load_token(path: &str, seq: usize) -> String {
 /// load request carrying an idempotency token. Exits 2 when any request
 /// succeeded only after retries.
 fn remote_load(client: &mut Client, argv: &[String]) -> Result<u8> {
-    let a = parse(argv, &[])?;
+    let a = parse(argv, &[], &[])?;
     if a.positional.is_empty() {
         return Err("at least one PTdf file required".into());
     }
@@ -250,7 +251,7 @@ fn remote_load(client: &mut Client, argv: &[String]) -> Result<u8> {
 /// Build a [`QuerySpec`] from `--name/--type/--relatives/--add-column`,
 /// mirroring the local `pt query` flags.
 fn query_spec_from_args(argv: &[String]) -> Result<(QuerySpec, crate::args::Args)> {
-    let a = parse(argv, &["name", "type", "relatives", "add-column"])?;
+    let a = parse(argv, &["name", "type", "relatives", "add-column"], &["csv"])?;
     let relatives = a
         .get("relatives")
         .and_then(|c| c.chars().next())
@@ -297,7 +298,7 @@ fn remote_query(client: &mut Client, argv: &[String]) -> Result<()> {
 }
 
 fn remote_stats(client: &mut Client, argv: &[String]) -> Result<()> {
-    let a = parse(argv, &[])?;
+    let a = parse(argv, &[], &["json"])?;
     match client.call(&Request::Stats).map_err(map_client_err)? {
         Response::Stats { json, table } => {
             if a.has_flag("json") {
@@ -312,7 +313,7 @@ fn remote_stats(client: &mut Client, argv: &[String]) -> Result<()> {
 }
 
 fn remote_fsck(client: &mut Client, argv: &[String]) -> Result<()> {
-    let a = parse(argv, &[])?;
+    let a = parse(argv, &[], &["deep", "json"])?;
     let deep = a.has_flag("deep");
     match client
         .call(&Request::Fsck { deep })
@@ -344,10 +345,7 @@ fn remote_fsck(client: &mut Client, argv: &[String]) -> Result<()> {
 /// carries the threshold in whole percent; `--agg`/`--normalize` are
 /// local-only options.
 fn remote_compare(client: &mut Client, argv: &[String]) -> Result<()> {
-    let a = parse(argv, &["top", "threshold"])?;
-    if a.positional.len() < 2 {
-        return Err("at least two executions required".into());
-    }
+    let a = parse(argv, &["top", "threshold"], &["json", "table"])?;
     let req = Request::Compare {
         executions: a.positional.clone(),
         top: a.get_num("top", 10u32)?,
@@ -367,7 +365,7 @@ fn remote_compare(client: &mut Client, argv: &[String]) -> Result<()> {
 }
 
 fn remote_export(client: &mut Client, argv: &[String]) -> Result<()> {
-    let a = parse(argv, &[])?;
+    let a = parse(argv, &[], &[])?;
     let out = a.positional(0, "output file")?;
     match client.call(&Request::Export).map_err(map_client_err)? {
         Response::Ptdf { text } => {

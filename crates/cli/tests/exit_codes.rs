@@ -108,3 +108,36 @@ fn corrupt_store_exits_four() {
     assert_eq!(out.status.code(), Some(4), "{out:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn unknown_options_exit_one_before_the_store_changes() {
+    let dir = tmpdir("unknown-opt");
+    let file = dir.join("in.ptdf");
+    std::fs::write(&file, PTDF).unwrap();
+    let store = dir.join("store");
+    let (store, file) = (store.to_str().unwrap(), file.to_str().unwrap());
+    let load = |extra: &[&str]| {
+        pt().args(["load", store, file])
+            .args(extra)
+            .output()
+            .unwrap()
+    };
+    let rows = || {
+        pt().args(["query", store, "--name", "/r"])
+            .output()
+            .unwrap()
+            .stdout
+    };
+    assert_eq!(load(&[]).status.code(), Some(0));
+    let before = rows();
+    assert!(String::from_utf8_lossy(&before).ends_with("(1 rows)\n"));
+    // A typo of --resume and an option `load` does not declare are
+    // usage errors: neither re-applies the file.
+    for extra in [&["--resmue"][..], &["--threads", "2"][..]] {
+        let out = load(extra);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {out:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option"));
+        assert_eq!(rows(), before, "{extra:?} changed the store");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

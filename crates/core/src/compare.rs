@@ -3,89 +3,30 @@
 //! diagnosis line of work the paper builds on, Karavanic & Miller).
 //!
 //! Two executions rarely share context resources verbatim — process and
-//! time resources are execution-specific — so results are aligned on a
-//! *normalized key*: the metric plus the base names of context resources
-//! whose hierarchy is structural (build, environment, grid,
-//! application, ...), dropping the per-run `execution` and `time`
-//! hierarchies. Difference/ratio operators and a load-balance summary
-//! (the Figure 5 computation) operate on aligned pairs.
-//!
-//! On top of the pairwise operators this module provides the
-//! execution-comparison engine behind `pt compare`:
+//! time resources are execution-specific — so the engine behind
+//! `pt compare` aligns only *structural* resources (build, environment,
+//! grid, application, ...), dropping the per-run `execution` and `time`
+//! hierarchies:
 //!
 //! * [`Compare::tree_compare`] aligns two-or-N executions' *resource
-//!   trees* by resource name and type path, tolerating missing or extra
-//!   subtrees (reported as [`PresenceDrift`]), and computes per-resource
+//!   trees* by full resource name, tolerating missing or extra subtrees
+//!   (reported as [`PresenceDrift`]), and computes per-resource
 //!   per-metric deltas and ratios under configurable aggregation and
 //!   normalization ([`CompareOptions`]).
 //! * [`TreeComparison`] ranks the most-divergent resources and renders
 //!   itself as a fixed-width table or as the versioned
 //!   `pt-compare/v1` JSON document (contract in `docs/COMPARE.md`).
+//! * [`Compare::load_balance`] is the Figure 5 min/max/mean summary
+//!   over one execution's per-process values.
 #![deny(missing_docs)]
 
 use crate::datastore::{PTDataStore, ResourceRecord};
-use crate::error::Result;
+use crate::error::{PtError, Result};
 use crate::query::{QueryEngine, ResultRow};
 use perftrack_store::metrics::Json;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
-
-/// An aligned pair of results from two executions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComparisonRow {
-    /// Human-readable alignment key: `metric @ resource,resource,...`.
-    pub key: String,
-    /// Aggregated value in the first execution.
-    pub value_a: f64,
-    /// Aggregated value in the second execution.
-    pub value_b: f64,
-    /// `value_b - value_a`.
-    pub difference: f64,
-    /// `value_b / value_a` (`None` when `value_a == 0`).
-    pub ratio: Option<f64>,
-}
-
-/// Summary of a comparison between two executions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComparisonReport {
-    /// Name of the first (baseline) execution.
-    pub execution_a: String,
-    /// Name of the second execution.
-    pub execution_b: String,
-    /// Aligned pairs, sorted by key.
-    pub rows: Vec<ComparisonRow>,
-    /// Results in A with no aligned partner in B.
-    pub only_in_a: usize,
-    /// Results in B with no aligned partner in A.
-    pub only_in_b: usize,
-}
-
-impl ComparisonReport {
-    /// Rows where B is slower than A by more than `threshold_ratio`
-    /// (regressions when A is the baseline).
-    pub fn regressions(&self, threshold_ratio: f64) -> Vec<&ComparisonRow> {
-        self.rows
-            .iter()
-            .filter(|r| r.ratio.is_some_and(|q| q > threshold_ratio))
-            .collect()
-    }
-
-    /// Rows where B is faster than A by more than the reciprocal of
-    /// `threshold_ratio`.
-    pub fn improvements(&self, threshold_ratio: f64) -> Vec<&ComparisonRow> {
-        self.rows
-            .iter()
-            .filter(|r| r.ratio.is_some_and(|q| q < 1.0 / threshold_ratio))
-            .collect()
-    }
-
-    /// Geometric-mean ratio over aligned rows with positive values — an
-    /// overall speedup/slowdown factor of B relative to A.
-    pub fn geo_mean_ratio(&self) -> Option<f64> {
-        geo_mean(self.rows.iter().filter_map(|r| r.ratio))
-    }
-}
 
 /// Geometric mean over the positive values of an iterator of ratios.
 fn geo_mean(ratios: impl Iterator<Item = f64>) -> Option<f64> {
@@ -123,7 +64,7 @@ pub struct LoadBalanceRow {
 /// execution) cell are collapsed into one value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Aggregate {
-    /// Arithmetic mean (the default; matches the pairwise operators).
+    /// Arithmetic mean (the default).
     Mean,
     /// Sum — total cost attribution.
     Sum,
@@ -527,11 +468,6 @@ impl<'s> Compare<'s> {
         Compare { store }
     }
 
-    /// All result rows of one execution (none for an unknown name).
-    pub fn rows_of_execution(&self, execution: &str) -> Result<Vec<ResultRow>> {
-        self.rows_of(&[execution])
-    }
-
     /// All result rows of the named executions, in ascending result id;
     /// unknown names contribute nothing and repeated names count once.
     pub(crate) fn rows_of(&self, executions: &[&str]) -> Result<Vec<ResultRow>> {
@@ -540,92 +476,6 @@ impl<'s> Compare<'s> {
             .filter_map(|e| self.store.execution_id(e))
             .collect();
         QueryEngine::new(self.store).rows_of_executions(&ids)
-    }
-
-    /// The normalized alignment key of a result: metric plus sorted base
-    /// names of structural context resources (execution/time hierarchies
-    /// dropped).
-    pub fn alignment_key(&self, row: &ResultRow) -> Result<String> {
-        let engine = QueryEngine::new(self.store);
-        let types = engine.type_path_by_id()?;
-        self.alignment_key_with(row, &types, &mut ResourceMemo::new(self.store))
-    }
-
-    /// [`Compare::alignment_key`] with a pre-built type map and resource
-    /// memo, so per-row callers (the comparison loop) scan the type table
-    /// once and decode each context resource once, not per row.
-    fn alignment_key_with(
-        &self,
-        row: &ResultRow,
-        types: &HashMap<i64, String>,
-        memo: &mut ResourceMemo<'_>,
-    ) -> Result<String> {
-        let mut parts: Vec<String> = Vec::new();
-        for &rid in &row.context {
-            if let Some(rec) = memo.get(rid)? {
-                let tp = types.get(&rec.type_id).map_or("", String::as_str);
-                let root = tp.split('/').next().unwrap_or("");
-                if root == "execution" || root == "time" {
-                    continue;
-                }
-                parts.push(rec.base_name.clone());
-            }
-        }
-        parts.sort();
-        parts.dedup();
-        Ok(format!("{} @ {}", row.metric, parts.join(",")))
-    }
-
-    /// Align and compare two executions.
-    pub fn compare_executions(&self, exec_a: &str, exec_b: &str) -> Result<ComparisonReport> {
-        let rows_a = self.rows_of_execution(exec_a)?;
-        let rows_b = self.rows_of_execution(exec_b)?;
-        let types = QueryEngine::new(self.store).type_path_by_id()?;
-        let mut memo = ResourceMemo::new(self.store);
-        // Key → mean value (several rows can share a normalized key, e.g.
-        // per-process results collapse when process resources are dropped).
-        let mut collapse = |rows: &[ResultRow]| -> Result<HashMap<String, (f64, usize)>> {
-            let mut m: HashMap<String, (f64, usize)> = HashMap::new();
-            for r in rows {
-                let key = self.alignment_key_with(r, &types, &mut memo)?;
-                let e = m.entry(key).or_insert((0.0, 0));
-                e.0 += r.value;
-                e.1 += 1;
-            }
-            Ok(m)
-        };
-        let map_a = collapse(&rows_a)?;
-        let map_b = collapse(&rows_b)?;
-        let mut rows = Vec::new();
-        let mut only_in_a = 0usize;
-        for (key, (sum_a, n_a)) in &map_a {
-            match map_b.get(key) {
-                Some((sum_b, n_b)) => {
-                    let value_a = sum_a / *n_a as f64;
-                    let value_b = sum_b / *n_b as f64;
-                    rows.push(ComparisonRow {
-                        key: key.clone(),
-                        value_a,
-                        value_b,
-                        difference: value_b - value_a,
-                        ratio: (value_a != 0.0).then(|| value_b / value_a),
-                    });
-                }
-                None => only_in_a += 1,
-            }
-        }
-        let only_in_b = map_b
-            .keys()
-            .filter(|k| !map_a.contains_key(k.as_str()))
-            .count();
-        rows.sort_by(|x, y| x.key.cmp(&y.key));
-        Ok(ComparisonReport {
-            execution_a: exec_a.to_string(),
-            execution_b: exec_b.to_string(),
-            rows,
-            only_in_a,
-            only_in_b,
-        })
     }
 
     /// Align two-or-N executions' resource trees and rank the
@@ -639,6 +489,9 @@ impl<'s> Compare<'s> {
     /// under [`CompareOptions::aggregate`], optionally normalized to
     /// per-execution shares, and scored by `|ln(ratio)|` against
     /// execution 0.
+    ///
+    /// Fewer than two names is [`PtError::Invalid`]; a name the store
+    /// does not know is [`PtError::NotFound`].
     ///
     /// ```
     /// use perftrack::{Compare, PTDataStore};
@@ -660,8 +513,22 @@ impl<'s> Compare<'s> {
     /// ```
     pub fn tree_compare(&self, execs: &[&str], opts: &CompareOptions) -> Result<TreeComparison> {
         let n = execs.len();
-        let types = QueryEngine::new(self.store).type_path_by_id()?;
-        let rows = self.rows_of(execs)?;
+        if n < 2 {
+            return Err(PtError::Invalid(
+                "compare needs at least two executions".into(),
+            ));
+        }
+        let ids = execs
+            .iter()
+            .map(|e| {
+                self.store
+                    .execution_id(e)
+                    .ok_or_else(|| PtError::NotFound(format!("unknown execution {e:?}")))
+            })
+            .collect::<Result<Vec<i64>>>()?;
+        let engine = QueryEngine::new(self.store);
+        let types = engine.type_path_by_id()?;
+        let rows = engine.rows_of_executions(&ids)?;
         let mut memo = ResourceMemo::new(self.store);
         // Name → every argument slot with that name, so a self-compare
         // (`pt compare s v1 v1`) fills both columns.
@@ -963,8 +830,9 @@ mod tests {
                     (10.0 + p as f64) * scale
                 ));
             }
+            ptdf.push_str(&format!("Resource /t-{exec} time\n"));
             ptdf.push_str(&format!(
-                "PerfResult {exec} \"/irs,/irs-build/main.c/init(primary)\" IRS \"CPU time\" {} seconds\n",
+                "PerfResult {exec} \"/irs,/irs-build/main.c/init,/t-{exec}(primary)\" IRS \"CPU time\" {} seconds\n",
                 2.0 * scale
             ));
         }
@@ -974,48 +842,6 @@ mod tests {
         );
         store.load_ptdf_str(&ptdf).unwrap();
         store
-    }
-
-    #[test]
-    fn alignment_drops_execution_specific_resources() {
-        let store = setup();
-        let c = Compare::new(&store);
-        let rows = c.rows_of_execution("v1").unwrap();
-        let solve_row = rows.iter().find(|r| r.value == 10.0).expect("p0 solve row");
-        let key = c.alignment_key(solve_row).unwrap();
-        assert!(key.contains("solve"));
-        assert!(
-            !key.contains("p0"),
-            "process resource must be dropped: {key}"
-        );
-        assert!(!key.contains("run-v1"));
-    }
-
-    #[test]
-    fn compare_executions_reports_speedup() {
-        let store = setup();
-        let c = Compare::new(&store);
-        let report = c.compare_executions("v1", "v2").unwrap();
-        // Aligned keys: solve (collapsed over 4 processes) and init.
-        assert_eq!(report.rows.len(), 2);
-        assert_eq!(report.only_in_a, 0);
-        assert_eq!(report.only_in_b, 1, "extra function only in v2");
-        for row in &report.rows {
-            let q = row.ratio.unwrap();
-            assert!(
-                (q - 0.5).abs() < 1e-9,
-                "v2 should be exactly 2x faster: {row:?}"
-            );
-            assert!(row.difference < 0.0);
-        }
-        let gm = report.geo_mean_ratio().unwrap();
-        assert!((gm - 0.5).abs() < 1e-9);
-        // Regression/improvement classification.
-        assert!(report.regressions(1.1).is_empty());
-        assert_eq!(report.improvements(1.1).len(), 2);
-        // Reverse direction flags regressions.
-        let reverse = c.compare_executions("v2", "v1").unwrap();
-        assert_eq!(reverse.regressions(1.1).len(), 2);
     }
 
     #[test]
@@ -1049,15 +875,28 @@ mod tests {
         let store = PTDataStore::in_memory().unwrap();
         store
             .load_ptdf_str(
-                "Application A\nResource /r application\nExecution a A\nExecution b A\nPerfResult a /r(primary) T m 0.0 s\nPerfResult b /r(primary) T m 5.0 s\n",
+                "Application A\nResource /r application\nResource /s application\nExecution a A\nExecution b A\nPerfResult a /r(primary) T m 0.0 s\nPerfResult b /r(primary) T m 5.0 s\nPerfResult a /s(primary) T m 1.0 s\nPerfResult b /s(primary) T m 10.0 s\n",
             )
             .unwrap();
         let c = Compare::new(&store);
-        let report = c.compare_executions("a", "b").unwrap();
-        assert_eq!(report.rows.len(), 1);
-        assert_eq!(report.rows[0].ratio, None);
-        assert_eq!(report.rows[0].difference, 5.0);
-        assert_eq!(report.geo_mean_ratio(), None);
+        let opts = CompareOptions {
+            top: 1,
+            ..CompareOptions::default()
+        };
+        let t = c.tree_compare(&["a", "b"], &opts).unwrap();
+        // The value that appeared from zero outranks a tenfold slowdown.
+        assert_eq!(t.ranked_total, 2);
+        let r = &t.ranked[0];
+        assert_eq!(r.resource, "/r");
+        assert_eq!(r.ratio, None);
+        assert_eq!(r.delta, 5.0);
+        assert!(r.score.is_infinite());
+        assert_eq!(t.regressions().len(), 1, "zero → positive is a regression");
+        assert!(t.improvements().is_empty());
+        assert_eq!(t.geo_mean_ratio(), None);
+        let json = t.to_json().emit();
+        assert!(json.contains(r#""ratio":null,"score":null"#), "{json}");
+        assert!(json.contains(r#""geo_mean_ratio":null"#), "{json}");
     }
 
     #[test]
@@ -1097,9 +936,39 @@ mod tests {
             .expect("build root");
         assert_eq!(build.children.len(), 1, "main.c under the build root");
         assert_eq!(build.children[0].children.len(), 3, "three functions");
+        // Per-run `execution` and `time` resources, named by every solve
+        // and init result, never become nodes (each would root its own
+        // subtree) or drift.
+        let roots = t.roots.iter().map(|r| &r.name);
+        assert!(roots
+            .chain(t.drift.iter().map(|d| &d.resource))
+            .all(|n| !n.starts_with("/run-") && !n.starts_with("/t-")));
         // v2 got strictly faster: improvements, no regressions.
         assert!(t.regressions().is_empty());
         assert!(!t.improvements().is_empty());
+        assert!(t.geo_mean_ratio().unwrap() < 1.0);
+        // The reverse direction flags the same cells as regressions.
+        let reverse = c
+            .tree_compare(&["v2", "v1"], &CompareOptions::default())
+            .unwrap();
+        assert_eq!(reverse.regressions().len(), t.improvements().len());
+        assert!(reverse.improvements().is_empty());
+    }
+
+    #[test]
+    fn tree_compare_rejects_bad_arguments() {
+        let store = setup();
+        let c = Compare::new(&store);
+        let opts = CompareOptions::default();
+        for execs in [&[][..], &["v1"][..]] {
+            let err = c.tree_compare(execs, &opts).unwrap_err();
+            assert!(matches!(err, PtError::Invalid(_)), "{execs:?}: {err}");
+        }
+        let err = c.tree_compare(&["v1", "nope"], &opts).unwrap_err();
+        assert!(
+            matches!(&err, PtError::NotFound(m) if m.contains("\"nope\"")),
+            "{err}"
+        );
     }
 
     #[test]

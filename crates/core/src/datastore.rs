@@ -460,27 +460,6 @@ impl PTDataStore {
         Ok((stats, false))
     }
 
-    /// Load one PTdf file.
-    pub fn load_ptdf_file(&self, path: &Path) -> Result<LoadStats> {
-        let text = std::fs::read_to_string(path)?;
-        self.load_ptdf_str(&text)
-    }
-
-    /// Load many PTdf files: parsing fans out across `threads` worker
-    /// threads, application stays serial (single-writer engine). This is
-    /// the optimization the paper's §4.2 flags data-load time for.
-    pub fn load_ptdf_files_parallel(
-        &self,
-        paths: &[std::path::PathBuf],
-        threads: usize,
-    ) -> Result<LoadStats> {
-        let texts: Vec<String> = paths
-            .iter()
-            .map(std::fs::read_to_string)
-            .collect::<std::io::Result<_>>()?;
-        self.load_ptdf_texts_parallel(&texts, threads)
-    }
-
     /// Load PTdf files through the crash-safe manifest: statements are
     /// applied in bounded batches, and every batch commit also advances
     /// the file's `load_manifest` watermark *in the same transaction*.
@@ -594,34 +573,6 @@ impl PTDataStore {
     /// rejected; see `docs/FAULTS.md`).
     pub fn is_degraded(&self) -> bool {
         self.db.is_degraded()
-    }
-
-    /// Parallel-parse already-read PTdf documents, then apply serially.
-    pub fn load_ptdf_texts_parallel(&self, texts: &[String], threads: usize) -> Result<LoadStats> {
-        let threads = threads.max(1).min(texts.len().max(1));
-        let chunk = texts.len().div_ceil(threads);
-        let parsed: Vec<Result<Vec<Vec<PtdfStatement>>>> = std::thread::scope(|s| {
-            texts
-                .chunks(chunk.max(1))
-                .map(|part| {
-                    s.spawn(move || {
-                        part.iter()
-                            .map(|t| perftrack_ptdf::parse_str(t).map_err(PtError::Ptdf))
-                            .collect::<Result<Vec<_>>>()
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("parser thread panicked"))
-                .collect()
-        });
-        let mut stats = LoadStats::default();
-        for group in parsed {
-            for stmts in group? {
-                stats.merge(&self.load_statements(&stmts)?);
-            }
-        }
-        Ok(stats)
     }
 
     /// Export the complete store as PTdf statements (inverse of load).
@@ -1713,36 +1664,6 @@ PerfResult irs-mcr-008 /irs-run(primary) IRS "wall time" 99.25 seconds
         // Second export is identical (canonical order).
         let exported2 = store2.export_ptdf().unwrap();
         assert_eq!(exported.len(), exported2.len());
-    }
-
-    #[test]
-    fn parallel_text_load_matches_serial() {
-        let store1 = PTDataStore::in_memory().unwrap();
-        let store2 = PTDataStore::in_memory().unwrap();
-        // Shared machine definitions must load first in both paths.
-        let machine = r#"
-Resource /G grid
-Resource /G/M grid/machine
-"#;
-        store1.load_ptdf_str(machine).unwrap();
-        store2.load_ptdf_str(machine).unwrap();
-        let texts: Vec<String> = (0..6)
-            .map(|i| {
-                format!(
-                    "Application A\nExecution e{i} A\nResource /run{i} execution\nPerfResult e{i} /run{i}(primary) T m{i} {i}.5 s\n"
-                )
-            })
-            .collect();
-        for t in &texts {
-            store1.load_ptdf_str(t).unwrap();
-        }
-        let stats = store2.load_ptdf_texts_parallel(&texts, 3).unwrap();
-        assert_eq!(stats.results, 6);
-        assert_eq!(
-            store1.result_count().unwrap(),
-            store2.result_count().unwrap()
-        );
-        assert_eq!(store1.metrics(), store2.metrics());
     }
 
     #[test]

@@ -21,8 +21,8 @@ pub mod session;
 
 pub use chart::{BarChart, Series};
 pub use compare::{
-    Aggregate, AlignedNode, Compare, CompareOptions, ComparisonReport, ComparisonRow,
-    DivergentResource, LoadBalanceRow, Normalization, PresenceDrift, TreeComparison,
+    Aggregate, AlignedNode, Compare, CompareOptions, DivergentResource, LoadBalanceRow,
+    Normalization, PresenceDrift, TreeComparison,
 };
 pub use datastore::{
     BulkLoadOptions, LoadReport, LoadStats, Loader, ManifestEntry, PTDataStore, ResourceRecord,

@@ -230,16 +230,6 @@ impl<'s> Predictor<'s> {
         loader.commit()?;
         Ok(id)
     }
-
-    /// Convenience: compare a stored prediction against a real execution
-    /// with the comparison engine.
-    pub fn compare_prediction(
-        &self,
-        predicted_exec: &str,
-        actual_exec: &str,
-    ) -> Result<crate::compare::ComparisonReport> {
-        Compare::new(self.store).compare_executions(predicted_exec, actual_exec)
-    }
 }
 
 #[cfg(test)]
@@ -355,9 +345,13 @@ mod tests {
         .unwrap();
         // The prediction behaves like a measurement: the comparison
         // operators align it against the real np=128 run.
-        let report = p.compare_prediction("predicted-128", "e128").unwrap();
-        assert_eq!(report.rows.len(), 1);
-        let ratio = report.rows[0].ratio.unwrap();
+        let t = Compare::new(&store)
+            .tree_compare(&["predicted-128", "e128"], &Default::default())
+            .unwrap();
+        assert_eq!(t.aligned_cells, 1);
+        assert!(t.drift.is_empty(), "{:?}", t.drift);
+        let cell = &t.roots[0].metrics["solve time"];
+        let ratio = cell[1].unwrap() / cell[0].unwrap();
         assert!((ratio - 1.0).abs() < 0.01, "prediction within 1%: {ratio}");
         // Predicted executions are flagged.
         let run = store

@@ -372,7 +372,8 @@ fn self_compare_sums_each_result_once() {
         // Expected: each result of `x` summed once into every structural
         // resource of its context.
         let mut expected: BTreeMap<(String, String), f64> = BTreeMap::new();
-        for row in Compare::new(&store).rows_of_execution("x").unwrap() {
+        let x = store.execution_id("x").unwrap();
+        for row in QueryEngine::new(&store).rows_of_executions(&[x]).unwrap() {
             for &rid in &row.context {
                 let name = store.resource_by_id(rid).unwrap().unwrap().name;
                 *expected.entry((name, row.metric.clone())).or_insert(0.0) += row.value;

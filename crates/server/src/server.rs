@@ -499,30 +499,18 @@ fn execute(shared: &Shared, req: &Request) -> Response {
             threshold_pct,
         } => {
             let _r = shared.write_gate.read();
-            let result = (|| {
-                if executions.len() < 2 {
-                    return Err(PtError::Invalid(
-                        "compare needs at least two executions".into(),
-                    ));
-                }
-                let known = store.executions();
-                for e in executions {
-                    if !known.iter().any(|(_, name)| name == e) {
-                        return Err(PtError::NotFound(format!("execution {e:?}")));
-                    }
-                }
-                let execs: Vec<&str> = executions.iter().map(String::as_str).collect();
-                let opts = CompareOptions {
-                    top: *top as usize,
-                    threshold_pct: *threshold_pct as f64,
-                    ..CompareOptions::default()
-                };
-                Compare::new(store).tree_compare(&execs, &opts)
-            })();
-            result.map(|report| Response::CompareDone {
-                json: report.to_json().emit(),
-                table: report.render_table(),
-            })
+            let execs: Vec<&str> = executions.iter().map(String::as_str).collect();
+            let opts = CompareOptions {
+                top: *top as usize,
+                threshold_pct: *threshold_pct as f64,
+                ..CompareOptions::default()
+            };
+            Compare::new(store)
+                .tree_compare(&execs, &opts)
+                .map(|report| Response::CompareDone {
+                    json: report.to_json().emit(),
+                    table: report.render_table(),
+                })
         }
         Request::Shutdown => Ok(Response::ShuttingDown),
     };

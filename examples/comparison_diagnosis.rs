@@ -5,13 +5,14 @@
 //! paper builds on.
 //!
 //! Scenario: two versions of IRS are run on the same machine; version 2
-//! regressed one kernel. The comparison engine aligns results across the
-//! executions by metric + structural context, then difference/ratio
-//! operators and a regression report localize the problem automatically.
+//! regressed one kernel. The comparison engine aligns the executions'
+//! structural resource trees, ranks the (resource, metric) cells that
+//! diverged, and its regression report localizes the problem
+//! automatically.
 //!
 //! Run with: `cargo run --example comparison_diagnosis`
 
-use perftrack::{Compare, QueryEngine};
+use perftrack::{Compare, CompareOptions, QueryEngine};
 use perftrack_suite::adapters;
 use perftrack_suite::prelude::*;
 use perftrack_suite::workloads::irs::{generate, IrsConfig};
@@ -67,44 +68,50 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- automated comparison -------------------------------------------------
     let compare = Compare::new(&store);
-    let report = compare.compare_executions("irs-v1", "irs-v2")?;
+    let opts = CompareOptions {
+        threshold_pct: 50.0,
+        top: usize::MAX,
+        ..CompareOptions::default()
+    };
+    let report = compare.tree_compare(&["irs-v1", "irs-v2"], &opts)?;
     println!(
-        "\naligned {} metric-context pairs (only-in-v1: {}, only-in-v2: {})",
-        report.rows.len(),
-        report.only_in_a,
-        report.only_in_b
+        "\naligned {} (resource, metric) cells; presence drift: {}",
+        report.aligned_cells,
+        report.drift.len()
     );
     println!(
-        "overall geo-mean ratio v2/v1: {:.3} (≈1.0 — the regression is local)",
-        report.geo_mean_ratio().unwrap()
+        "divergent cells: {} of {} (the regression is local)",
+        report.ranked_total, report.aligned_cells
     );
 
     // Regression report: anything 50%+ slower.
-    let regressions = report.regressions(1.5);
+    let regressions = report.regressions();
     println!("\nregressions (v2 > 1.5× v1): {}", regressions.len());
     let mut shown = 0;
     for r in &regressions {
-        if r.key.contains("CPU_time") {
+        if r.metric.contains("CPU_time") {
             println!(
                 "  {:<52} {:>9.4} → {:>9.4}  ({:.2}x)",
-                r.key,
-                r.value_a,
-                r.value_b,
-                r.ratio.unwrap()
+                format!("{} @ {}", r.metric, r.resource),
+                r.values[0].unwrap_or(f64::NAN),
+                r.values[1].unwrap_or(f64::NAN),
+                r.ratio.unwrap_or(f64::INFINITY)
             );
             shown += 1;
         }
     }
     assert!(shown > 0);
     assert!(
-        regressions.iter().all(|r| r.key.contains("MatrixSolveCG")),
+        regressions
+            .iter()
+            .all(|r| r.resource == "/IRS-code/irs.c/MatrixSolveCG"),
         "diagnosis must localize the regression to the changed kernel"
     );
 
     // Improvements: none expected.
     println!(
         "improvements (v2 < v1/1.5): {}",
-        report.improvements(1.5).len()
+        report.improvements().len()
     );
 
     // --- load balance view (Figure 5's computation as an operator) ------------

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example purple_benchmark_study`
 
-use perftrack::{Compare, QueryEngine, Series};
+use perftrack::{Compare, CompareOptions, QueryEngine, Series};
 use perftrack_suite::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -128,11 +128,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- cross-machine comparison (the study's motivation) -------------------
     let compare = Compare::new(&store);
-    let report = compare.compare_executions("irs-mcr-np032", "irs-frost-np032")?;
+    let report = compare.tree_compare(
+        &["irs-mcr-np032", "irs-frost-np032"],
+        &CompareOptions::default(),
+    )?;
     println!(
-        "MCR vs Frost at np=32: {} aligned metrics, geo-mean ratio {:.3}",
-        report.rows.len(),
-        report.geo_mean_ratio().unwrap_or(f64::NAN)
+        "MCR vs Frost at np=32: {} aligned cells, {} divergent",
+        report.aligned_cells, report.ranked_total
     );
     Ok(())
 }

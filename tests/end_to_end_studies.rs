@@ -3,7 +3,7 @@
 //! case study, plus a combined store holding all three at once (the
 //! paper's core claim: heterogeneous data in a single analysis session).
 
-use perftrack::{Compare, PTDataStore, QueryEngine, SelectionDialog};
+use perftrack::{Compare, CompareOptions, PTDataStore, QueryEngine, SelectionDialog};
 use perftrack_adapters::{self as adapters, ExecContext, ParadynFiles};
 use perftrack_collect::MachineModel;
 use perftrack_model::prelude::*;
@@ -221,8 +221,10 @@ fn cross_platform_comparison_after_combined_load() {
     let compare = Compare::new(&store);
     let execs = store.executions();
     let (a, b) = (&execs[0].1, &execs[1].1);
-    let report = compare.compare_executions(a, b).unwrap();
-    assert!(report.rows.len() > 500, "rich alignment across machines");
+    let report = compare
+        .tree_compare(&[a, b], &CompareOptions::default())
+        .unwrap();
+    assert!(report.aligned_cells > 500, "rich alignment across machines");
     assert!(report.geo_mean_ratio().is_some());
 }
 

@@ -135,12 +135,11 @@ fn queries_on_unknown_entities_error_not_panic() {
     assert!(err.to_string().contains("not found"));
     // Unknown column type path.
     assert!(engine.column_values(&[], "mystery").is_err());
-    // Compare with a missing execution yields empty alignment, not a
-    // crash.
-    let cmp = perftrack::Compare::new(&store);
-    let report = cmp.compare_executions("e1", "missing").unwrap();
-    assert!(report.rows.is_empty());
-    assert_eq!(report.only_in_a, 1);
+    // Compare with a missing execution is a typed error, not a crash.
+    let err = perftrack::Compare::new(&store)
+        .tree_compare(&["e1", "missing"], &Default::default())
+        .unwrap_err();
+    assert!(matches!(err, perftrack::PtError::NotFound(_)), "{err}");
 }
 
 #[test]
