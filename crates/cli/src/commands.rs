@@ -194,32 +194,20 @@ pub fn convert(argv: &[String]) -> Result<()> {
     Ok(())
 }
 
-/// `pt load <store-dir> <ptdf-file>... [--resume] [--batch N]
-/// [--max-retries N]` — load PTdf files through the crash-safe,
-/// idempotent bulk loader. Returns the exit code per the contract in
-/// [`exit`].
+/// `pt load <store-dir> <ptdf-file>... [--resume] [--batch N]` — load
+/// PTdf files through the crash-safe, idempotent bulk loader. Returns
+/// the exit code per the contract in [`exit`].
 pub fn load(argv: &[String]) -> Result<u8> {
-    let a = parse(
-        argv,
-        &["batch", "max-retries"],
-        &["resume", "verify", "profile", "json"],
-    )?;
+    let a = parse(argv, &["batch"], &["resume", "verify", "profile", "json"])?;
     let dir = a.positional(0, "store directory")?;
     if a.positional.len() < 2 {
         return Err("at least one PTdf file required".into());
     }
-    let max_retries: u32 = a.get_num("max-retries", 3)?;
     let opts = BulkLoadOptions {
         batch_statements: a.get_num("batch", 256)?,
         resume: a.has_flag("resume"),
     };
-    let store = PTDataStore::open_with(
-        Path::new(dir),
-        perftrack_store::DbOptions {
-            max_io_retries: max_retries,
-            ..Default::default()
-        },
-    )?;
+    let store = PTDataStore::open(Path::new(dir))?;
     let paths: Vec<PathBuf> = a.positional[1..].iter().map(PathBuf::from).collect();
     let start = std::time::Instant::now();
     let retries_before = store.db().metrics().io.retries;

@@ -19,7 +19,7 @@ USAGE:
   pt machines <store-dir> [--nodes N]
   pt gen <irs|smg-uv|smg-bgl|paradyn> <out-dir> [--execs N] [--seed S]
   pt convert <raw-dir> --index <file> --out <dir>
-  pt load <store-dir> <ptdf-file>... [--resume] [--batch N] [--max-retries N]
+  pt load <store-dir> <ptdf-file>... [--resume] [--batch N]
           [--verify] [--profile] [--json]
   pt report <store-dir> [summary|types|executions|metrics|tables]
   pt report <store-dir> execution <name> | resource <full-name>

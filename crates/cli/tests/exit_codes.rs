@@ -133,7 +133,11 @@ fn unknown_options_exit_one_before_the_store_changes() {
     assert!(String::from_utf8_lossy(&before).ends_with("(1 rows)\n"));
     // A typo of --resume and an option `load` does not declare are
     // usage errors: neither re-applies the file.
-    for extra in [&["--resmue"][..], &["--threads", "2"][..]] {
+    for extra in [
+        &["--resmue"][..],
+        &["--threads", "2"][..],
+        &["--max-retries", "3"][..],
+    ] {
         let out = load(extra);
         assert_eq!(out.status.code(), Some(1), "{extra:?}: {out:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option"));

@@ -156,7 +156,7 @@ impl PTDataStore {
         Self::from_db(Database::open(dir)?)
     }
 
-    /// Open with explicit engine options (retry policy, pool size, ...).
+    /// Open with explicit engine options (pool size, retry sleep, ...).
     pub fn open_with(dir: &Path, opts: DbOptions) -> Result<Self> {
         Self::from_db(Database::open_with(dir, opts)?)
     }

@@ -198,8 +198,8 @@ impl ChaosInjector {
         })
     }
 
-    /// Next value of the seeded corruption stream (LCG, same constants
-    /// as `FaultVfs::seeded_schedule`).
+    /// Next value of the seeded corruption stream (Numerical Recipes
+    /// LCG constants; period 2^64).
     fn next_rand(&self) -> u64 {
         let mut x = self.rng.load(Ordering::Relaxed);
         x = x

@@ -47,12 +47,6 @@ pub struct DbOptions {
     pub pool_shards: usize,
     /// Checkpoint automatically when the WAL exceeds this many bytes.
     pub checkpoint_wal_bytes: u64,
-    /// Retries of the WAL flush path on *transient* I/O failures
-    /// (see [`StoreError::is_transient`]) before the error is final.
-    pub max_io_retries: u32,
-    /// Backoff before the first retry; doubles per attempt (bounded
-    /// exponential backoff).
-    pub retry_backoff: Duration,
     /// Clock injection point: how a retry waits out its backoff. A plain
     /// fn pointer so options stay `Clone + Debug`; tests install a no-op
     /// to stay deterministic and instantaneous.
@@ -65,8 +59,6 @@ impl Default for DbOptions {
             pool_frames: 4096, // 32 MiB of cache
             pool_shards: 0,    // auto
             checkpoint_wal_bytes: 64 << 20,
-            max_io_retries: 3,
-            retry_backoff: Duration::from_millis(10),
             sleep: std::thread::sleep,
         }
     }
@@ -131,25 +123,32 @@ pub struct Database {
     _dir_lock: Option<DirLock>,
 }
 
+/// Retries of the WAL flush path on *transient* I/O failures (see
+/// [`StoreError::is_transient`]) before the error is final.
+const MAX_IO_RETRIES: u32 = 3;
+/// Backoff before the first retry; doubles per attempt (bounded
+/// exponential backoff).
+const RETRY_BACKOFF: Duration = Duration::from_millis(10);
+
 /// Flush the WAL with the retry policy: transient failures back off and
 /// retry; a fatal failure (or exhausted retries) flips the database into
 /// read-only degraded mode. Free-standing so the buffer pool's writeback
 /// hook can share the exact policy with the commit path.
 fn wal_sync_guarded(
     wal: &Wal,
-    opts: &DbOptions,
+    sleep: fn(Duration),
     io: &IoStats,
     degraded: &AtomicBool,
 ) -> Result<()> {
     let mut attempt = 0u32;
-    let mut delay = opts.retry_backoff;
+    let mut delay = RETRY_BACKOFF;
     loop {
         match wal.sync() {
             Ok(()) => return Ok(()),
-            Err(e) if e.is_transient() && attempt < opts.max_io_retries => {
+            Err(e) if e.is_transient() && attempt < MAX_IO_RETRIES => {
                 attempt += 1;
                 io.retries.inc();
-                (opts.sleep)(delay);
+                sleep(delay);
                 delay = delay.saturating_mul(2);
             }
             Err(e) => {
@@ -275,25 +274,17 @@ impl Database {
 
     fn install_wal_hook(&self) {
         let wal = Arc::clone(&self.wal);
-        let opts = self.opts.clone();
+        let sleep = self.opts.sleep;
         let io = Arc::clone(&self.io);
         let degraded = Arc::clone(&self.degraded);
         self.pool.set_writeback_hook(Box::new(move || {
-            wal_sync_guarded(&wal, &opts, &io, &degraded)
+            wal_sync_guarded(&wal, sleep, &io, &degraded)
         }));
     }
 
-    /// Flush the WAL under the configured retry/degradation policy.
+    /// Flush the WAL under the retry/degradation policy.
     fn wal_sync(&self) -> Result<()> {
-        wal_sync_guarded(&self.wal, &self.opts, &self.io, &self.degraded)
-    }
-
-    /// Append one WAL record, degrading to read-only mode if the append
-    /// path itself fails (only possible under fault injection).
-    fn wal_append(&self, txn: u64, payload: &WalPayload) -> Result<u64> {
-        self.wal.append(txn, payload).inspect_err(|_| {
-            self.degraded.store(true, Ordering::Release);
-        })
+        wal_sync_guarded(&self.wal, self.opts.sleep, &self.io, &self.degraded)
     }
 
     /// True once the database has entered read-only degraded mode (the
@@ -557,8 +548,6 @@ impl Database {
     }
 
     fn checkpoint_locked(&self) -> Result<()> {
-        #[cfg(feature = "failpoints")]
-        crate::failpoints::check("db.checkpoint")?;
         self.wal_sync()?;
         self.pool.flush_all()?;
         if let Some(dir) = &self.dir {
@@ -827,7 +816,11 @@ impl Database {
                     committed.insert(r.txn);
                     finished.insert(r.txn);
                 }
+                // A commit whose sync failed is rolled back in memory and
+                // followed by an Abort; if a later sync makes both durable,
+                // the Abort wins.
                 WalPayload::Abort => {
+                    committed.remove(&r.txn);
                     finished.insert(r.txn);
                 }
                 _ => {}
@@ -1170,23 +1163,14 @@ impl<'db> Txn<'db> {
             }
         }
         let rowid = self.place(table, &bytes)?;
-        // `place` already put the record on a page; if the log append
-        // fails the row would be physically present but unlogged (and not
-        // yet in `undo`, so rollback could never remove it). Compensate
-        // inline: take the slot back out before surfacing the error.
-        if let Err(e) = self.db.wal_append(
+        self.db.wal.append(
             self.id,
             &WalPayload::Op(WalOp::Insert {
                 table: table.0,
                 rowid,
                 row: bytes,
             }),
-        ) {
-            let _ = self.db.pool.with_page_mut(rowid.page, |buf| {
-                PageMut::new(&mut buf[..]).delete(rowid.slot)
-            });
-            return Err(e);
-        }
+        );
         for ((_, tree), key) in plan.iter().zip(&keys) {
             tree.write().insert(key, rowid.to_u64());
         }
@@ -1202,14 +1186,14 @@ impl<'db> Txn<'db> {
         let old = self.db.get(table, rowid)?;
         let keys = encode_keys(&plan, &old)?;
         let old_bytes = encode_row_vec(&old);
-        self.db.wal_append(
+        self.db.wal.append(
             self.id,
             &WalPayload::Op(WalOp::Delete {
                 table: table.0,
                 rowid,
                 old: old_bytes,
             }),
-        )?;
+        );
         self.db.pool.with_page_mut(rowid.page, |buf| {
             PageMut::new(&mut buf[..]).delete(rowid.slot)
         })??;
@@ -1263,7 +1247,7 @@ impl<'db> Txn<'db> {
                 return Err(StoreError::PageFull);
             }
         }
-        self.db.wal_append(
+        self.db.wal.append(
             self.id,
             &WalPayload::Op(WalOp::Update {
                 table: table.0,
@@ -1271,7 +1255,7 @@ impl<'db> Txn<'db> {
                 old: old_bytes,
                 new: new_bytes.clone(),
             }),
-        )?;
+        );
         self.db.pool.with_page_mut(rowid.page, |buf| {
             PageMut::new(&mut buf[..]).update(rowid.slot, &new_bytes)
         })??;
@@ -1292,7 +1276,7 @@ impl<'db> Txn<'db> {
     /// next open rolls its operations back.
     pub fn commit(mut self) -> Result<()> {
         self.db.check_writable()?;
-        self.db.wal_append(self.id, &WalPayload::Commit)?;
+        self.db.wal.append(self.id, &WalPayload::Commit);
         self.db.wal_sync()?;
         self.finished = true;
         self.db.commits.inc();
@@ -1362,7 +1346,7 @@ impl<'db> Txn<'db> {
                 }
             }
         }
-        self.db.wal.append(self.id, &WalPayload::Abort)?;
+        self.db.wal.append(self.id, &WalPayload::Abort);
         Ok(())
     }
 
@@ -1407,13 +1391,13 @@ impl<'db> Txn<'db> {
         }
         // Allocate and format a new heap page (non-transactional).
         let page = self.db.pool.allocate_page()?;
-        self.db.wal_append(
+        self.db.wal.append(
             0,
             &WalPayload::Op(WalOp::AllocPage {
                 table: table.0,
                 page: page.0,
             }),
-        )?;
+        );
         self.db.pool.with_page_mut(page, |buf| {
             PageMut::new(&mut buf[..]).format(PageType::Heap);
         })?;
@@ -1999,7 +1983,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let fault = FaultVfs::new(Arc::new(MemVfs::new()));
         let opts = DbOptions {
-            retry_backoff: Duration::from_millis(0),
             sleep: |_| {},
             ..DbOptions::default()
         };

@@ -79,8 +79,6 @@ pub mod check;
 pub mod db;
 pub mod disk;
 pub mod error;
-#[cfg(feature = "failpoints")]
-pub mod failpoints;
 pub mod lock;
 pub mod metrics;
 pub mod page;

@@ -422,27 +422,6 @@ impl FaultVfs {
     }
 }
 
-/// Build a deterministic pseudo-random schedule of `count` rules, all of
-/// kind `kind`, at operation indexes below `max_op`. Uses a fixed LCG so
-/// the same seed always yields the same schedule — no wall clock, no
-/// global RNG (see `docs/FAULTS.md` on determinism).
-pub fn seeded_schedule(seed: u64, count: usize, max_op: u64, kind: FaultKind) -> Vec<FaultRule> {
-    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-    let mut rules = Vec::with_capacity(count);
-    for _ in 0..count {
-        // Numerical Recipes LCG constants; period 2^64.
-        x = x
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        rules.push(FaultRule {
-            trigger: FaultTrigger::OpIndex((x >> 16) % max_op.max(1)),
-            kind,
-            once: true,
-        });
-    }
-    rules
-}
-
 fn crash_err() -> StoreError {
     StoreError::Io(std::io::Error::other("simulated crash (FaultVfs)"))
 }
@@ -755,24 +734,5 @@ mod tests {
             (s.writes, s.syncs, s.truncates, s.reads, s.bytes_written),
             (2, 1, 1, 1, 20)
         );
-    }
-
-    #[test]
-    fn seeded_schedule_is_deterministic() {
-        let a = seeded_schedule(7, 5, 100, FaultKind::Crash);
-        let b = seeded_schedule(7, 5, 100, FaultKind::Crash);
-        let idx = |rules: &[FaultRule]| -> Vec<u64> {
-            rules
-                .iter()
-                .map(|r| match r.trigger {
-                    FaultTrigger::OpIndex(n) => n,
-                    _ => unreachable!(),
-                })
-                .collect()
-        };
-        assert_eq!(idx(&a), idx(&b));
-        assert!(idx(&a).iter().all(|&n| n < 100));
-        let c = seeded_schedule(8, 5, 100, FaultKind::Crash);
-        assert_ne!(idx(&a), idx(&c), "different seeds differ");
     }
 }

@@ -349,9 +349,7 @@ impl Wal {
 
     /// Append a record; returns its LSN. The record is buffered until
     /// [`Wal::sync`].
-    pub fn append(&self, txn: u64, payload: &WalPayload) -> Result<u64> {
-        #[cfg(feature = "failpoints")]
-        crate::failpoints::check("wal.append")?;
+    pub fn append(&self, txn: u64, payload: &WalPayload) -> u64 {
         let lsn = self.next_lsn.fetch_add(1, Ordering::AcqRel);
         let mut body = Vec::with_capacity(64);
         encode_payload(lsn, txn, payload, &mut body);
@@ -370,7 +368,7 @@ impl Wal {
             .extend_from_slice(&(body.len() as u32).to_be_bytes());
         inner.pending.extend_from_slice(&crc32(&body).to_be_bytes());
         inner.pending.extend_from_slice(&body);
-        Ok(lsn)
+        lsn
     }
 
     /// Flush buffered records to the log file and fsync.
@@ -381,8 +379,6 @@ impl Wal {
     /// mid-log. Pending records are only discarded once the fsync
     /// succeeds.
     pub fn sync(&self) -> Result<()> {
-        #[cfg(feature = "failpoints")]
-        crate::failpoints::check("wal.sync")?;
         let start = std::time::Instant::now();
         let mut inner = self.inner.lock();
         if inner.pending.is_empty() {
@@ -534,7 +530,7 @@ mod tests {
             WalPayload::Commit,
         ];
         for p in &ops {
-            wal.append(42, p).unwrap();
+            wal.append(42, p);
         }
         wal.sync().unwrap();
         let recs = wal.read_all().unwrap();
@@ -549,7 +545,7 @@ mod tests {
     #[test]
     fn unsynced_records_are_not_durable() {
         let wal = Wal::in_memory();
-        wal.append(1, &WalPayload::Commit).unwrap();
+        wal.append(1, &WalPayload::Commit);
         assert!(wal.read_all().unwrap().is_empty(), "pending is volatile");
         wal.sync().unwrap();
         assert_eq!(wal.read_all().unwrap().len(), 1);
@@ -563,8 +559,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let wal = Wal::open(&path).unwrap();
-            wal.append(1, &WalPayload::Commit).unwrap();
-            wal.append(2, &WalPayload::Commit).unwrap();
+            wal.append(1, &WalPayload::Commit);
+            wal.append(2, &WalPayload::Commit);
             wal.sync().unwrap();
         }
         // Simulate a crash mid-append: chop bytes off the end.
@@ -585,7 +581,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let wal = Wal::open(&path).unwrap();
-            wal.append(1, &WalPayload::Commit).unwrap();
+            wal.append(1, &WalPayload::Commit);
             wal.sync().unwrap();
         }
         let clean_len = std::fs::metadata(&path).unwrap().len();
@@ -615,8 +611,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let wal = Wal::open(&path).unwrap();
-            wal.append(1, &WalPayload::Commit).unwrap();
-            wal.append(2, &WalPayload::Commit).unwrap();
+            wal.append(1, &WalPayload::Commit);
+            wal.append(2, &WalPayload::Commit);
             wal.sync().unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
@@ -636,12 +632,12 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let wal = Wal::open(&path).unwrap();
-            wal.append(1, &WalPayload::Commit).unwrap();
-            wal.append(1, &WalPayload::Commit).unwrap();
+            wal.append(1, &WalPayload::Commit);
+            wal.append(1, &WalPayload::Commit);
             wal.sync().unwrap();
         }
         let wal = Wal::open(&path).unwrap();
-        let lsn = wal.append(2, &WalPayload::Commit).unwrap();
+        let lsn = wal.append(2, &WalPayload::Commit);
         assert_eq!(lsn, 3);
         std::fs::remove_file(&path).unwrap();
     }
@@ -649,7 +645,7 @@ mod tests {
     #[test]
     fn stats_count_appends_and_syncs() {
         let wal = Wal::in_memory();
-        wal.append(1, &WalPayload::Commit).unwrap();
+        wal.append(1, &WalPayload::Commit);
         wal.append(
             1,
             &WalPayload::Op(WalOp::Insert {
@@ -657,8 +653,7 @@ mod tests {
                 rowid: rid(0, 0),
                 row: vec![1, 2, 3],
             }),
-        )
-        .unwrap();
+        );
         wal.sync().unwrap();
         let s = wal.stats();
         assert_eq!(s.appends, 2);
@@ -678,8 +673,8 @@ mod tests {
             once: true,
         });
         let wal = Wal::open_with_vfs(&fv, Path::new("retry.wal")).unwrap();
-        wal.append(1, &WalPayload::Commit).unwrap();
-        wal.append(2, &WalPayload::Commit).unwrap();
+        wal.append(1, &WalPayload::Commit);
+        wal.append(2, &WalPayload::Commit);
         let err = wal.sync().unwrap_err();
         assert!(matches!(err, StoreError::Io(_)));
         // Retry rewrites the whole batch at the same offset: both
@@ -693,7 +688,7 @@ mod tests {
     #[test]
     fn truncate_empties_log() {
         let wal = Wal::in_memory();
-        wal.append(1, &WalPayload::Commit).unwrap();
+        wal.append(1, &WalPayload::Commit);
         wal.sync().unwrap();
         assert!(!wal.is_empty().unwrap());
         wal.truncate().unwrap();

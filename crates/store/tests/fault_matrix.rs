@@ -1,21 +1,19 @@
-//! Table-driven fault matrix (`--features failpoints`): every fault kind
-//! crossed with every injection point — page writes (via [`FaultVfs`]),
-//! WAL append, WAL sync, and checkpoint (via named failpoints). Each cell
-//! asserts the documented contract from `docs/FAULTS.md`: transient WAL
-//! sync faults are retried to success; everything else surfaces a typed
-//! error (degrading the database where the WAL write path is involved);
-//! and in **every** cell a reopen recovers a store that passes deep fsck
-//! with all previously committed rows intact.
-
-#![cfg(feature = "failpoints")]
+//! Table-driven fault matrix: fault kinds crossed with the two places
+//! the engine's durable state crosses the file boundary — page-file
+//! writes and the WAL's write + fsync — all injected through
+//! [`FaultVfs`]. Each cell asserts the documented contract from
+//! `docs/FAULTS.md`: transient WAL sync faults are retried to success;
+//! everything else surfaces a typed error (degrading the database where
+//! the WAL write path is involved); and in **every** cell a reopen
+//! recovers a store that passes deep fsck with exactly the committed
+//! rows.
 
 use perftrack_store::prelude::*;
 use perftrack_store::vfs::{FaultKind, FaultRule, FaultTrigger, FaultVfs, MemVfs};
-use perftrack_store::{failpoints, StoreError};
+use perftrack_store::StoreError;
 use std::io::ErrorKind;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ptstore-matrix-{tag}-{}", std::process::id()));
@@ -26,7 +24,6 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 fn no_sleep_opts() -> DbOptions {
     DbOptions {
-        retry_backoff: Duration::from_millis(0),
         sleep: |_| {},
         ..DbOptions::default()
     }
@@ -35,15 +32,12 @@ fn no_sleep_opts() -> DbOptions {
 /// Where the fault is injected.
 #[derive(Debug, Clone, Copy)]
 enum Point {
-    /// `FaultVfs` rule against the next page-file write (fires during
-    /// checkpoint, when dirty pages reach the VFS).
+    /// The next page-file write (fires during checkpoint, when dirty
+    /// pages reach the VFS).
     PageWrite,
-    /// `wal.append` failpoint — the in-memory framing step.
-    WalAppend,
-    /// `wal.sync` failpoint — the durability step commits retry through.
+    /// The next fsync, which is the commit's WAL flush: the log records
+    /// are written but never made durable, and commits retry through it.
     WalSync,
-    /// `db.checkpoint` failpoint — the maintenance barrier.
-    Checkpoint,
 }
 
 /// What the cell must observe at the injection site.
@@ -60,10 +54,11 @@ enum Expect {
 struct Case {
     name: &'static str,
     point: Point,
-    kind: ErrorKind,
-    /// For `Point::PageWrite` only: inject a short write instead of a
-    /// clean error when `Some(keep)`.
-    short_write: Option<usize>,
+    kind: FaultKind,
+    /// After the fault, crash on the first page write of the closing
+    /// checkpoint: whatever that checkpoint's WAL flush made durable is
+    /// left for recovery to replay.
+    crash_on_close: bool,
     expect: Expect,
 }
 
@@ -73,72 +68,57 @@ const CASES: &[Case] = &[
     Case {
         name: "wal-sync/transient",
         point: Point::WalSync,
-        kind: ErrorKind::Interrupted,
-        short_write: None,
+        kind: FaultKind::Error(ErrorKind::Interrupted),
+        crash_on_close: false,
         expect: Expect::RetriedOk,
     },
     Case {
         name: "wal-sync/timeout",
         point: Point::WalSync,
-        kind: ErrorKind::TimedOut,
-        short_write: None,
+        kind: FaultKind::Error(ErrorKind::TimedOut),
+        crash_on_close: false,
         expect: Expect::RetriedOk,
     },
     Case {
         name: "wal-sync/enospc",
         point: Point::WalSync,
-        kind: ErrorKind::StorageFull,
-        short_write: None,
+        kind: FaultKind::Error(ErrorKind::StorageFull),
+        crash_on_close: false,
         expect: Expect::Fails {
             degraded: Some(true),
         },
     },
     Case {
-        name: "wal-append/transient",
-        point: Point::WalAppend,
-        kind: ErrorKind::Interrupted,
-        short_write: None,
-        // Appends buffer in memory; a failure there is never retried —
-        // the log position is unknowable, so the engine degrades.
+        // The failed commit's records (Insert…, Commit) and the rollback's
+        // Abort reach the log together at the closing checkpoint; the
+        // crash keeps them there. Recovery must honour the Abort.
+        name: "wal-sync/enospc-then-crash",
+        point: Point::WalSync,
+        kind: FaultKind::Error(ErrorKind::StorageFull),
+        crash_on_close: true,
         expect: Expect::Fails {
             degraded: Some(true),
         },
     },
     Case {
-        name: "wal-append/enospc",
-        point: Point::WalAppend,
-        kind: ErrorKind::StorageFull,
-        short_write: None,
-        expect: Expect::Fails {
-            degraded: Some(true),
-        },
-    },
-    Case {
-        name: "checkpoint/transient",
-        point: Point::Checkpoint,
-        kind: ErrorKind::Interrupted,
-        short_write: None,
-        expect: Expect::Fails { degraded: None },
-    },
-    Case {
-        name: "checkpoint/enospc",
-        point: Point::Checkpoint,
-        kind: ErrorKind::StorageFull,
-        short_write: None,
+        name: "page-write/transient",
+        point: Point::PageWrite,
+        kind: FaultKind::Error(ErrorKind::Interrupted),
+        crash_on_close: false,
         expect: Expect::Fails { degraded: None },
     },
     Case {
         name: "page-write/enospc",
         point: Point::PageWrite,
-        kind: ErrorKind::StorageFull,
-        short_write: None,
+        kind: FaultKind::Error(ErrorKind::StorageFull),
+        crash_on_close: false,
         expect: Expect::Fails { degraded: None },
     },
     Case {
         name: "page-write/torn",
         point: Point::PageWrite,
-        kind: ErrorKind::WriteZero, // produced by ShortWrite
-        short_write: Some(100),
+        kind: FaultKind::ShortWrite { keep: 100 },
+        crash_on_close: false,
         expect: Expect::Fails { degraded: None },
     },
 ];
@@ -147,7 +127,6 @@ const CASES: &[Case] = &[
 /// provoke it, assert the contract, then disarm + reopen and prove the
 /// store recovered clean.
 fn run_case(case: &Case) {
-    failpoints::clear_all();
     let dir = tmpdir(&case.name.replace('/', "-"));
     let inner: Arc<MemVfs> = Arc::new(MemVfs::new());
     let fault = FaultVfs::new(Arc::clone(&inner) as Arc<dyn Vfs>);
@@ -166,30 +145,23 @@ fn run_case(case: &Case) {
         let retries_before = db.metrics().io.retries;
 
         // Arm the cell's fault.
-        match case.point {
-            Point::PageWrite => {
-                let kind = match case.short_write {
-                    Some(keep) => FaultKind::ShortWrite { keep },
-                    None => FaultKind::Error(case.kind),
-                };
-                fault.arm(FaultRule {
-                    trigger: FaultTrigger::NthWrite(fault.op_stats().writes),
-                    kind,
-                    once: true,
-                });
-            }
-            Point::WalAppend => failpoints::fail("wal.append", 0, 1, case.kind),
-            Point::WalSync => failpoints::fail("wal.sync", 0, 1, case.kind),
-            Point::Checkpoint => failpoints::fail("db.checkpoint", 0, 1, case.kind),
-        }
+        let ops = fault.op_stats();
+        let trigger = match case.point {
+            Point::PageWrite => FaultTrigger::NthWrite(ops.writes),
+            Point::WalSync => FaultTrigger::NthSync(ops.syncs),
+        };
+        fault.arm(FaultRule {
+            trigger,
+            kind: case.kind,
+            once: true,
+        });
 
-        // Provoke it. Checkpoint/page-write faults fire on an explicit
-        // checkpoint; WAL faults fire on the next transaction (append
-        // faults fire on the first insert's log record, sync faults at
-        // commit). The failed transaction rolls back on drop.
+        // Provoke it. Page-write faults fire on an explicit checkpoint;
+        // sync faults fire at the next transaction's commit. The failed
+        // transaction rolls back on drop.
         let outcome: Result<(), StoreError> = match case.point {
-            Point::Checkpoint | Point::PageWrite => db.checkpoint(),
-            Point::WalAppend | Point::WalSync => {
+            Point::PageWrite => db.checkpoint(),
+            Point::WalSync => {
                 let txn = db.begin();
                 (|mut txn: Txn<'_>| {
                     for i in 0..BASELINE_ROWS {
@@ -241,10 +213,24 @@ fn run_case(case: &Case) {
             Expect::Fails { .. } => BASELINE_ROWS,
         };
 
-        // Disarm everything before the database drops (Drop checkpoints).
-        failpoints::clear_all();
+        // Disarm the fault before the database drops (Drop checkpoints).
+        // A crash cell instead lets that checkpoint flush the WAL (one
+        // write) and dies on its first page write.
         fault.clear_rules();
+        if case.crash_on_close {
+            fault.arm(FaultRule {
+                trigger: FaultTrigger::NthWrite(fault.op_stats().writes + 1),
+                kind: FaultKind::Crash,
+                once: true,
+            });
+        }
     }
+    assert_eq!(
+        fault.crashed(),
+        case.crash_on_close,
+        "{}: the closing checkpoint crashed",
+        case.name
+    );
 
     // Simulated restart: reopen from the durable layer and demand a
     // structurally sound store with every committed row present.
@@ -272,24 +258,4 @@ fn fault_matrix_every_cell_holds_its_contract() {
     for case in CASES {
         run_case(case);
     }
-}
-
-/// The seeded-schedule helper must be deterministic: the same seed yields
-/// the same rule set, and a database driven against it fails (or not)
-/// identically across runs.
-#[test]
-fn seeded_schedules_are_reproducible() {
-    use perftrack_store::vfs::seeded_schedule;
-    let a = seeded_schedule(42, 5, 200, FaultKind::Error(ErrorKind::Interrupted));
-    let b = seeded_schedule(42, 5, 200, FaultKind::Error(ErrorKind::Interrupted));
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.trigger, y.trigger);
-        assert_eq!(x.kind, y.kind);
-    }
-    let c = seeded_schedule(43, 5, 200, FaultKind::Error(ErrorKind::Interrupted));
-    assert!(
-        a.iter().zip(&c).any(|(x, y)| x.trigger != y.trigger),
-        "different seeds must differ"
-    );
 }

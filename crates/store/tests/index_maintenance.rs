@@ -197,9 +197,8 @@ fn open_rejects_committed_insert_shorter_than_schema() {
             rowid: next,
             row: encode_row_vec(&[Value::Int(7)]),
         }),
-    )
-    .unwrap();
-    wal.append(99, &WalPayload::Commit).unwrap();
+    );
+    wal.append(99, &WalPayload::Commit);
     wal.sync().unwrap();
     drop(wal);
     match Database::open(&dir) {

@@ -50,7 +50,6 @@ fn tmpdir(tag: &str) -> PathBuf {
 fn opts() -> DbOptions {
     DbOptions {
         pool_frames: 16,
-        retry_backoff: Duration::from_millis(0),
         sleep: |_| {},
         ..DbOptions::default()
     }
