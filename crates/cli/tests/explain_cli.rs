@@ -68,7 +68,7 @@ const GOLDEN_HEURISTIC: &str = "\
 plan (pt-explain/v1)
 pr-filter  est=?
   family[0]  index-eq(resource_item_base) [heuristic] relatives=descendants  est=?
-  context-map  focus+focus_has_resource  est=?
+  context-map  postings(fhr_resource)  est=?
   match  order=[0]  est=?
   fetch  index-eq(performance_result_id)  est=?
 ";
@@ -81,14 +81,14 @@ plan (pt-explain/v1)
 pr-filter  est=?
   family[0]  index-eq(resource_item_base) [statistics] relatives=descendants  est=4
   family[1]  index-eq(resource_item_type) [statistics] relatives=neither  est=1
-  context-map  focus+focus_has_resource  est=3
+  context-map  scan(focus+focus_has_resource)  est=3
   match  order=[1,0]  est=?
   fetch  index-eq(performance_result_id)  est=?
 ";
 
 /// Byte-stable golden `--json` form of the same plan (compact, key
 /// order fixed by the in-tree codec).
-const GOLDEN_JSON: &str = "{\"schema\":\"pt-explain/v1\",\"plan\":{\"operator\":\"pr-filter\",\"detail\":\"\",\"estimated_rows\":null,\"children\":[{\"operator\":\"family[0]\",\"detail\":\"index-eq(resource_item_base) [statistics] relatives=descendants\",\"estimated_rows\":4,\"children\":[]},{\"operator\":\"family[1]\",\"detail\":\"index-eq(resource_item_type) [statistics] relatives=neither\",\"estimated_rows\":1,\"children\":[]},{\"operator\":\"context-map\",\"detail\":\"focus+focus_has_resource\",\"estimated_rows\":3,\"children\":[]},{\"operator\":\"match\",\"detail\":\"order=[1,0]\",\"estimated_rows\":null,\"children\":[]},{\"operator\":\"fetch\",\"detail\":\"index-eq(performance_result_id)\",\"estimated_rows\":null,\"children\":[]}]}}\n";
+const GOLDEN_JSON: &str = "{\"schema\":\"pt-explain/v1\",\"plan\":{\"operator\":\"pr-filter\",\"detail\":\"\",\"estimated_rows\":null,\"children\":[{\"operator\":\"family[0]\",\"detail\":\"index-eq(resource_item_base) [statistics] relatives=descendants\",\"estimated_rows\":4,\"children\":[]},{\"operator\":\"family[1]\",\"detail\":\"index-eq(resource_item_type) [statistics] relatives=neither\",\"estimated_rows\":1,\"children\":[]},{\"operator\":\"context-map\",\"detail\":\"scan(focus+focus_has_resource)\",\"estimated_rows\":3,\"children\":[]},{\"operator\":\"match\",\"detail\":\"order=[1,0]\",\"estimated_rows\":null,\"children\":[]},{\"operator\":\"fetch\",\"detail\":\"index-eq(performance_result_id)\",\"estimated_rows\":null,\"children\":[]}]}}\n";
 
 #[test]
 fn explain_without_statistics_is_heuristic_golden() {

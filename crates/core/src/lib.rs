@@ -31,7 +31,7 @@ pub use error::{PtError, Result};
 pub use perftrack_store::check::{Finding, FsckReport, Severity};
 pub use perftrack_store::metrics::{Json, MetricsSnapshot, OperatorProfile, QueryProfile};
 pub use perftrack_store::planner::{ExplainNode, ExplainPlan};
-pub use planner::{explain_filters, plan_filters, FilterPlan, PrFilterPlan};
+pub use planner::{explain_filters, plan_filters, ContextAccess, FilterPlan, PrFilterPlan};
 pub use predict::{Observation, PredictionCheck, Predictor, ScalingModel};
 pub use query::{FreeResourceColumn, QueryEngine, ResultRow};
 pub use reports::{ExecutionDetail, MetricSummary, Reports, ResourceDetail, StoreSummary};

@@ -5,7 +5,8 @@
 //! store's ANALYZE statistics ([`perftrack_store::db::Database::analyze`])
 //! and decides the order in which families are checked during the match
 //! stage — most selective first, so non-matching contexts are rejected
-//! after the fewest set probes. The same pass feeds
+//! after the fewest set probes — and how that stage reads result
+//! contexts ([`ContextAccess`]). The same pass feeds
 //! [`crate::query::QueryEngine::explain`] (the `pt-explain/v1` tree) and
 //! the estimate annotations on profiled runs.
 //!
@@ -16,9 +17,9 @@
 //! labelled `[stale]`, and execution is the same either way.
 
 use crate::datastore::PTDataStore;
-use crate::schema::Schema;
+use crate::error::Result;
 use perftrack_model::{Relatives, ResourceFilter, Selector};
-use perftrack_store::planner::{ExplainNode, ExplainPlan};
+use perftrack_store::planner::{ExplainNode, ExplainPlan, COST_FETCH_ROW, COST_SCAN_ROW};
 use perftrack_store::value::encode_key_vec;
 use perftrack_store::{StatsState, TableId, Value};
 
@@ -44,10 +45,59 @@ pub struct PrFilterPlan {
     /// Family-check order for the match stage: filter indexes sorted by
     /// ascending estimated family size (unestimated filters last).
     pub match_order: Vec<usize>,
-    /// Estimated result contexts (rows of the `focus` table).
-    pub estimated_contexts: Option<u64>,
+    /// How the match stage reads result contexts.
+    pub context_access: ContextAccess,
+    /// Estimated contexts it reads: the smallest family's postings, or
+    /// every result context (rows of the `focus` table) for the scan.
+    pub estimated_candidates: Option<u64>,
     /// Estimated matching results, when it can be bounded.
     pub estimated_matches: Option<u64>,
+}
+
+/// How the match stage reads result contexts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ContextAccess {
+    /// From the smallest family's postings — the `focus_has_resource`
+    /// rows naming a member, found through `fhr_resource` — only the
+    /// contexts of the results they lead to.
+    Postings,
+    /// Every context, by one pass over `focus` and `focus_has_resource`.
+    Scan,
+}
+
+impl ContextAccess {
+    /// The cost rule: following `postings` to their foci reads two rows
+    /// each at `COST_FETCH_ROW`; the scan reads every `focus` and
+    /// `focus_has_resource` row at `COST_SCAN_ROW`, and wins ties.
+    pub(crate) fn choose(store: &PTDataStore, postings: u64) -> Result<ContextAccess> {
+        let schema = store.schema();
+        let scanned = table_rows(store, schema.focus, "focus_id")?
+            + table_rows(store, schema.focus_has_resource, "fhr_resource")?;
+        if 2.0 * postings as f64 * COST_FETCH_ROW >= scanned as f64 * COST_SCAN_ROW {
+            Ok(ContextAccess::Scan)
+        } else {
+            Ok(ContextAccess::Postings)
+        }
+    }
+
+    /// `postings` or `scan`, as in the profile's `context-map:<label>`.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            ContextAccess::Postings => "postings",
+            ContextAccess::Scan => "scan",
+        }
+    }
+}
+
+/// Live rows of `table`: the analysed count, fresh or stale, else the
+/// entry count of `index`, one of its indexes, so an unanalysed store
+/// costs correctly too without reading a page.
+pub(crate) fn table_rows(store: &PTDataStore, table: TableId, index: &str) -> Result<u64> {
+    let db = store.db();
+    match db.table_stats_state(table).rows() {
+        Some(rows) => Ok(rows),
+        None => Ok(db.index_len(db.index_id(index)?)? as u64),
+    }
 }
 
 fn relatives_label(r: Relatives) -> &'static str {
@@ -172,8 +222,25 @@ pub fn plan_filters(store: &PTDataStore, filters: &[ResourceFilter]) -> PrFilter
     let plans: Vec<FilterPlan> = filters.iter().map(|f| plan_one(store, f)).collect();
     let mut match_order: Vec<usize> = (0..plans.len()).collect();
     match_order.sort_by_key(|&i| plans[i].estimated_family.unwrap_or(u64::MAX));
-    let schema: &Schema = store.schema();
-    let estimated_contexts = store.db().table_stats_state(schema.focus).rows();
+    let db = store.db();
+    let estimated_contexts = db.table_stats_state(store.schema().focus).rows();
+    // The smallest family's postings: its size times the `fhr_resource`
+    // fan-out. Unestimated, the engine still starts from postings and
+    // decides from the exact count.
+    let fanout = db
+        .index_id("fhr_resource")
+        .ok()
+        .and_then(|i| db.index_avg_fanout(i));
+    let postings = (plans.iter().map(|p| p.estimated_family).min().flatten())
+        .zip(fanout)
+        .map(|(family, fanout)| (family as f64 * fanout).round() as u64);
+    let (context_access, estimated_candidates) = match postings {
+        _ if plans.is_empty() => (ContextAccess::Scan, estimated_contexts),
+        Some(p) if ContextAccess::choose(store, p).ok() == Some(ContextAccess::Scan) => {
+            (ContextAccess::Scan, estimated_contexts)
+        }
+        p => (ContextAccess::Postings, p),
+    };
     // An empty family can't match anything; an empty filter list matches
     // every context. In between, context membership isn't estimable from
     // per-table statistics alone.
@@ -187,7 +254,8 @@ pub fn plan_filters(store: &PTDataStore, filters: &[ResourceFilter]) -> PrFilter
     PrFilterPlan {
         filters: plans,
         match_order,
-        estimated_contexts,
+        context_access,
+        estimated_candidates,
         estimated_matches,
     }
 }
@@ -214,8 +282,14 @@ pub fn explain_filters(plan: &PrFilterPlan) -> ExplainPlan {
         .join(",");
     root = root
         .child(
-            ExplainNode::new("context-map", "focus+focus_has_resource")
-                .with_estimate(plan.estimated_contexts),
+            ExplainNode::new(
+                "context-map",
+                match plan.context_access {
+                    ContextAccess::Postings => "postings(fhr_resource)",
+                    ContextAccess::Scan => "scan(focus+focus_has_resource)",
+                },
+            )
+            .with_estimate(plan.estimated_candidates),
         )
         .child(
             ExplainNode::new("match", &format!("order=[{order}]"))

@@ -5,15 +5,14 @@
 
 use crate::datastore::{decode_resource, PTDataStore};
 use crate::error::{PtError, Result};
-use crate::planner::{explain_filters, plan_filters};
+use crate::planner::{explain_filters, plan_filters, table_rows, ContextAccess};
 use crate::schema::col;
 use perftrack_model::{AttrPredicate, Relatives, ResourceFilter, Selector};
 use perftrack_store::metrics::{OperatorProfile, QueryProfile};
 use perftrack_store::planner::{ExplainPlan, COST_FETCH_ROW, COST_PROBE, COST_SCAN_ROW};
-use perftrack_store::sync::Mutex;
-use perftrack_store::{Row, StatsState, Value};
+use perftrack_store::{Row, RowId, StatsState, Value};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One matched performance result, denormalized for display.
@@ -48,26 +47,46 @@ pub struct MatchCounts {
 }
 
 /// Query engine bound to a data store.
-///
-/// The engine lazily caches the result-context map (the join of `focus`
-/// and `focus_has_resource`), which every matching and counting operation
-/// needs. An engine is therefore a cheap *snapshot view*: create a fresh
-/// one after loading new data.
-/// Cached result-id → context-resource-ids map.
-type ContextMap = Arc<HashMap<i64, Vec<i64>>>;
-
 pub struct QueryEngine<'s> {
     store: &'s PTDataStore,
-    context_cache: Mutex<Option<ContextMap>>,
+}
+
+/// The contexts the match stage read, how, and the families still to
+/// check them against, smallest first — the planner's match-order rule,
+/// with exact sizes since the families are built.
+struct Candidates {
+    access: ContextAccess,
+    contexts: HashMap<i64, Vec<i64>>,
+    check: Vec<usize>,
+}
+
+impl Candidates {
+    /// Ids (ascending) of the candidates meeting every family in `check`.
+    fn matching(&self, families: &[HashSet<i64>]) -> Vec<i64> {
+        let mut ids: Vec<i64> = self
+            .contexts
+            .iter()
+            .filter(|(_, ctx)| {
+                self.check
+                    .iter()
+                    .all(|&i| ctx.iter().any(|r| families[i].contains(r)))
+            })
+            .map(|(&id, _)| id)
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+}
+
+/// One single-column integer key per id, for a batched index probe.
+fn int_keys(ids: &[i64]) -> Vec<Vec<Value>> {
+    ids.iter().map(|&id| vec![Value::Int(id)]).collect()
 }
 
 impl<'s> QueryEngine<'s> {
     /// Engine over `store`; families expand through the closure tables.
     pub fn new(store: &'s PTDataStore) -> Self {
-        QueryEngine {
-            store,
-            context_cache: Mutex::new(None),
-        }
+        QueryEngine { store }
     }
 
     // -- family construction -------------------------------------------------
@@ -223,8 +242,7 @@ impl<'s> QueryEngine<'s> {
                 };
             }
         }
-        let keys: Vec<Vec<Value>> = seeds.iter().map(|&id| vec![Value::Int(id)]).collect();
-        for rids in db.index_lookup_many(idx, &keys)? {
+        for rids in db.index_lookup_many(idx, &int_keys(seeds))? {
             for rid in rids {
                 let row = db.get(table, rid)?;
                 into.insert(row[relative_col].as_int()?);
@@ -235,45 +253,36 @@ impl<'s> QueryEngine<'s> {
 
     // -- matching -------------------------------------------------------------
 
-    /// Map of result id → context resource ids (one pass over focus +
-    /// focus_has_resource, cached for the engine's lifetime).
-    pub fn result_context_map(&self) -> Result<Arc<HashMap<i64, Vec<i64>>>> {
-        if let Some(cached) = self.context_cache.lock().clone() {
-            return Ok(cached);
-        }
-        let built = Arc::new(self.build_context_map()?);
-        *self.context_cache.lock() = Some(Arc::clone(&built));
-        Ok(built)
-    }
-
-    fn build_context_map(&self) -> Result<HashMap<i64, Vec<i64>>> {
+    /// Every result with a focus → its context resource ids, from one pass
+    /// over `focus` and one over `focus_has_resource`.
+    fn context_scan(&self) -> Result<HashMap<i64, Vec<i64>>> {
         let db = self.store.db();
         let schema = self.store.schema();
-        let mut focus_to_result: HashMap<i64, i64> = HashMap::new();
-        db.for_each_row(schema.focus, |_, row| {
-            if let (Ok(fid), Ok(rid)) = (
-                row[col::focus::ID].as_int(),
-                row[col::focus::RESULT_ID].as_int(),
-            ) {
-                focus_to_result.insert(fid, rid);
+        let foci = table_rows(self.store, schema.focus, "focus_id")? as usize;
+        // Focus id → its result and the resources it names.
+        let mut by_focus: HashMap<i64, (i64, Vec<i64>)> = HashMap::with_capacity(foci);
+        for item in db.scan_iter(schema.focus)? {
+            let (_, row) = item?;
+            let result = row[col::focus::RESULT_ID].as_int()?;
+            by_focus.insert(row[col::focus::ID].as_int()?, (result, Vec::new()));
+        }
+        for item in db.scan_iter(schema.focus_has_resource)? {
+            let (_, row) = item?;
+            let focus = row[col::focus_has_resource::FOCUS_ID].as_int()?;
+            if let Some((_, resources)) = by_focus.get_mut(&focus) {
+                resources.push(row[col::focus_has_resource::RESOURCE_ID].as_int()?);
             }
-            true
-        })?;
-        let mut out: HashMap<i64, Vec<i64>> = HashMap::with_capacity(focus_to_result.len());
-        db.for_each_row(schema.focus_has_resource, |_, row| {
-            if let (Ok(fid), Ok(res)) = (
-                row[col::focus_has_resource::FOCUS_ID].as_int(),
-                row[col::focus_has_resource::RESOURCE_ID].as_int(),
-            ) {
-                if let Some(&result) = focus_to_result.get(&fid) {
-                    out.entry(result).or_default().push(res);
+        }
+        // A context is the union of its result's foci, empty when they
+        // name nothing.
+        let mut out: HashMap<i64, Vec<i64>> = HashMap::with_capacity(foci);
+        for (result, resources) in by_focus.into_values() {
+            match out.entry(result) {
+                Entry::Vacant(slot) => {
+                    slot.insert(resources);
                 }
+                Entry::Occupied(slot) => slot.into_mut().extend(resources),
             }
-            true
-        })?;
-        // Results whose foci name no resources still exist.
-        for (_, rid) in focus_to_result {
-            out.entry(rid).or_default();
         }
         for v in out.values_mut() {
             v.sort_unstable();
@@ -282,55 +291,95 @@ impl<'s> QueryEngine<'s> {
         Ok(out)
     }
 
-    /// Result ids whose context matches every family (the paper's rule).
-    ///
-    /// Families are checked smallest-first — the planner's match-order
-    /// rule, here with exact cardinalities since the sets are already
-    /// materialized — so non-matching contexts fail on the cheapest,
-    /// most selective probe. The result set is order-independent.
+    /// The `focus_has_resource` rows naming a member of `family` — its
+    /// postings — from one batched `fhr_resource` probe, reading no row.
+    fn postings(&self, family: &HashSet<i64>) -> Result<Vec<RowId>> {
+        let db = self.store.db();
+        let ids: Vec<i64> = family.iter().copied().collect();
+        let rids = db.index_lookup_many(db.index_id("fhr_resource")?, &int_keys(&ids))?;
+        Ok(rids.into_iter().flatten().collect())
+    }
+
+    /// The contexts the match stage checks: the smallest family's postings
+    /// are counted, and [`ContextAccess::choose`] costs them against the
+    /// scan. With no family at all, everything matches, so that scans.
+    fn candidates(&self, families: &[HashSet<i64>]) -> Result<Candidates> {
+        let mut check: Vec<usize> = (0..families.len()).collect();
+        check.sort_by_key(|&i| families[i].len());
+        let postings = match check.first() {
+            Some(&smallest) => self.postings(&families[smallest])?,
+            None => return self.read_contexts(ContextAccess::Scan, &[], check),
+        };
+        let access = ContextAccess::choose(self.store, postings.len() as u64)?;
+        self.read_contexts(access, &postings, check)
+    }
+
+    /// Read contexts by `access`. From postings of the family `check[0]`:
+    /// each posting's focus, one batched `focus_id` probe for their
+    /// results, and [`QueryEngine::contexts_of`] of those; they all meet
+    /// `check[0]`, so it is not checked again.
+    fn read_contexts(
+        &self,
+        access: ContextAccess,
+        postings: &[RowId],
+        mut check: Vec<usize>,
+    ) -> Result<Candidates> {
+        let contexts = match access {
+            ContextAccess::Scan => self.context_scan()?,
+            ContextAccess::Postings => {
+                check.remove(0);
+                let db = self.store.db();
+                let schema = self.store.schema();
+                let mut foci = Vec::with_capacity(postings.len());
+                for &rid in postings {
+                    let row = db.get(schema.focus_has_resource, rid)?;
+                    foci.push(row[col::focus_has_resource::FOCUS_ID].as_int()?);
+                }
+                foci.sort_unstable();
+                foci.dedup();
+                let mut results = Vec::with_capacity(foci.len());
+                let idx = db.index_id("focus_id")?;
+                for rid in db
+                    .index_lookup_many(idx, &int_keys(&foci))?
+                    .into_iter()
+                    .flatten()
+                {
+                    results.push(db.get(schema.focus, rid)?[col::focus::RESULT_ID].as_int()?);
+                }
+                results.sort_unstable();
+                results.dedup();
+                self.contexts_of(&results)?
+            }
+        };
+        Ok(Candidates {
+            access,
+            contexts,
+            check,
+        })
+    }
+
+    /// Result ids whose context matches every family (the paper's rule),
+    /// ascending, read by the cheaper [`ContextAccess`].
     pub fn matching_result_ids(&self, families: &[HashSet<i64>]) -> Result<Vec<i64>> {
-        let contexts = self.result_context_map()?;
-        let mut order: Vec<usize> = (0..families.len()).collect();
-        order.sort_by_key(|&i| families[i].len());
-        let mut ids: Vec<i64> = contexts
-            .iter()
-            .filter(|(_, ctx)| {
-                order
-                    .iter()
-                    .all(|&i| ctx.iter().any(|r| families[i].contains(r)))
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        ids.sort_unstable();
-        Ok(ids)
+        Ok(self.candidates(families)?.matching(families))
     }
 
     /// Live counts: how many results each family matches alone, and how
-    /// many match the whole filter (§3.2's query-size feedback).
+    /// many match the whole filter (§3.2's query-size feedback), each by
+    /// the same costed path as [`QueryEngine::matching_result_ids`].
     pub fn match_counts(&self, families: &[HashSet<i64>]) -> Result<MatchCounts> {
-        let contexts = self.result_context_map()?;
-        let mut per_family = vec![0usize; families.len()];
-        let mut whole = 0usize;
-        for ctx in contexts.values() {
-            let mut all = true;
-            for (i, fam) in families.iter().enumerate() {
-                if ctx.iter().any(|r| fam.contains(r)) {
-                    per_family[i] += 1;
-                } else {
-                    all = false;
-                }
-            }
-            if all {
-                whole += 1;
-            }
-        }
+        let per_family = families
+            .iter()
+            .map(|f| Ok(self.matching_result_ids(std::slice::from_ref(f))?.len()))
+            .collect::<Result<_>>()?;
+        let whole = self.matching_result_ids(families)?.len();
         Ok(MatchCounts { per_family, whole })
     }
 
     /// Full query: build families from filters, match, and denormalize
     /// into displayable rows.
     pub fn run(&self, filters: &[ResourceFilter]) -> Result<Vec<ResultRow>> {
-        Ok(self.run_profiled(filters)?.0)
+        Ok(self.run_with_families(filters)?.0)
     }
 
     /// EXPLAIN the pr-filter pipeline without running it: the planned
@@ -343,11 +392,22 @@ impl<'s> QueryEngine<'s> {
     /// Like [`QueryEngine::run`], but also returns a per-operator profile
     /// of the pr-filter pipeline (operator names documented in
     /// `docs/METRICS.md`): one `family` operator per filter, then
-    /// `context-map`, `match`, and `fetch`.
+    /// `context-map:postings` or `context-map:scan` (the path the match
+    /// stage took), `match`, and `fetch`.
     pub fn run_profiled(
         &self,
         filters: &[ResourceFilter],
     ) -> Result<(Vec<ResultRow>, QueryProfile)> {
+        let (rows, profile, _) = self.run_with_families(filters)?;
+        Ok((rows, profile))
+    }
+
+    /// [`QueryEngine::run_profiled`], also handing back the families it
+    /// built, so a caller that needs them does not expand them twice.
+    pub(crate) fn run_with_families(
+        &self,
+        filters: &[ResourceFilter],
+    ) -> Result<(Vec<ResultRow>, QueryProfile, Vec<HashSet<i64>>)> {
         let total_start = Instant::now();
         let mut profile = QueryProfile::default();
         let plan = plan_filters(self.store, filters);
@@ -369,29 +429,28 @@ impl<'s> QueryEngine<'s> {
             families.push(fam);
         }
 
-        // Context map (cached after the first build; the profile records
-        // whatever this call actually cost).
         let stage = Instant::now();
-        let contexts = self.result_context_map()?;
-        profile.push(
-            OperatorProfile::new("context-map", 0, contexts.len() as u64, stage.elapsed())
-                .with_estimated_rows(plan.estimated_contexts),
-        );
-
-        let stage = Instant::now();
-        let ids = self.matching_result_ids(&families)?;
+        let candidates = self.candidates(&families)?;
+        let read = candidates.contexts.len() as u64;
         profile.push(
             OperatorProfile::new(
-                "match",
-                contexts.len() as u64,
-                ids.len() as u64,
+                format!("context-map:{}", candidates.access.label()),
+                0,
+                read,
                 stage.elapsed(),
             )
-            .with_estimated_rows(plan.estimated_matches),
+            .with_estimated_rows(plan.estimated_candidates),
         );
 
         let stage = Instant::now();
-        let rows = self.fetch_rows(&ids)?;
+        let ids = candidates.matching(&families);
+        profile.push(
+            OperatorProfile::new("match", read, ids.len() as u64, stage.elapsed())
+                .with_estimated_rows(plan.estimated_matches),
+        );
+
+        let stage = Instant::now();
+        let rows = self.fetch(&ids, candidates.contexts)?;
         profile.push(
             OperatorProfile::new(
                 "fetch",
@@ -403,23 +462,53 @@ impl<'s> QueryEngine<'s> {
         );
 
         profile.total_nanos = total_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        Ok((rows, profile))
+        Ok((rows, profile, families))
     }
 
-    /// Denormalize result rows by id.
+    /// Denormalize result rows by id, in the order given; the ids name
+    /// distinct results, and unknown ones are skipped. Their contexts come
+    /// through the indexes at `COST_FETCH_ROW` per focus and resource row,
+    /// or from one scan when the ids are a quarter or more of all results.
     pub fn fetch_rows(&self, ids: &[i64]) -> Result<Vec<ResultRow>> {
-        let db = self.store.db();
-        let contexts = self.result_context_map()?;
-        let idx = db.index_id("performance_result_id")?;
-        // One batched probe resolves every result id in a single tree walk.
-        let keys: Vec<Vec<Value>> = ids.iter().map(|&id| vec![Value::Int(id)]).collect();
         let table = self.store.schema().performance_result;
-        let rows = db
-            .index_lookup_many(idx, &keys)?
-            .into_iter()
-            .filter_map(|rids| rids.first().copied())
-            .map(|rid| Ok(db.get(table, rid)?));
-        self.fetch_rows_with(rows, &contexts)
+        let results = table_rows(self.store, table, "performance_result_id")?;
+        let contexts = if ids.len() as f64 * COST_FETCH_ROW >= results as f64 * COST_SCAN_ROW {
+            self.context_scan()?
+        } else {
+            self.contexts_of(ids)?
+        };
+        self.fetch(ids, contexts)
+    }
+
+    /// The fetch stage: the rows of `ids`, in order, each taking its
+    /// context out of `contexts`. Rows come from one batched
+    /// `performance_result_id` probe, or one scan when that costs less.
+    fn fetch(&self, ids: &[i64], contexts: HashMap<i64, Vec<i64>>) -> Result<Vec<ResultRow>> {
+        let db = self.store.db();
+        let table = self.store.schema().performance_result;
+        let results = table_rows(self.store, table, "performance_result_id")?;
+        let rows = if ids.len() as f64 * (COST_PROBE + COST_FETCH_ROW)
+            > results as f64 * COST_SCAN_ROW
+        {
+            let mut by_id: HashMap<i64, Option<Row>> = ids.iter().map(|&id| (id, None)).collect();
+            for item in db.scan_iter(table)? {
+                let (_, row) = item?;
+                if let Some(slot) = by_id.get_mut(&row[col::performance_result::ID].as_int()?) {
+                    *slot = Some(row);
+                }
+            }
+            ids.iter()
+                .filter_map(|id| by_id.get_mut(id)?.take())
+                .collect()
+        } else {
+            let idx = db.index_id("performance_result_id")?;
+            db.index_lookup_many(idx, &int_keys(ids))?
+                .into_iter()
+                .filter_map(|rids| rids.first().copied())
+                .map(|rid| Ok(db.get(table, rid)?))
+                .collect::<Result<Vec<Row>>>()?
+        };
+        self.fetch_rows_with(rows, contexts)
     }
 
     /// Every result of the executions with ids `exec_ids`, in ascending
@@ -436,9 +525,8 @@ impl<'s> QueryEngine<'s> {
         execs.sort_unstable();
         execs.dedup();
         let idx = db.index_id("performance_result_exec")?;
-        let keys: Vec<Vec<Value>> = execs.iter().map(|&id| vec![Value::Int(id)]).collect();
         let mut rows: Vec<(i64, Row)> = Vec::new();
-        for rids in db.index_lookup_many(idx, &keys)? {
+        for rids in db.index_lookup_many(idx, &int_keys(&execs))? {
             for rid in rids {
                 let row = db.get(self.store.schema().performance_result, rid)?;
                 rows.push((row[col::performance_result::ID].as_int()?, row));
@@ -447,24 +535,25 @@ impl<'s> QueryEngine<'s> {
         rows.sort_unstable_by_key(|(id, _)| *id);
         let ids: Vec<i64> = rows.iter().map(|(id, _)| *id).collect();
         let contexts = self.contexts_of(&ids)?;
-        // `run(&[])` matches over the context map, which holds only
-        // results with at least one focus; keep the same set.
+        // `run(&[])` matches over every context, which only results with
+        // at least one focus have; keep the same set.
         let rows = rows
             .into_iter()
             .filter(|(id, _)| contexts.contains_key(id))
-            .map(|(_, row)| Ok(row));
-        self.fetch_rows_with(rows, &contexts)
+            .map(|(_, row)| row)
+            .collect();
+        self.fetch_rows_with(rows, contexts)
     }
 
     /// Context resource ids of the given results: a batched `focus_result`
     /// probe, then a batched `fhr_focus` probe, each context sorted and
-    /// deduplicated as in [`QueryEngine::result_context_map`]. Like that
-    /// map, it has an entry for every result with at least one focus
-    /// (empty when the foci name no resource) and none for the others.
+    /// deduplicated. Like the scan of every context, it has an entry for
+    /// every result with at least one focus (empty when the foci name no
+    /// resource) and none for the others.
     pub fn contexts_of(&self, result_ids: &[i64]) -> Result<HashMap<i64, Vec<i64>>> {
         let db = self.store.db();
         let schema = self.store.schema();
-        let keys: Vec<Vec<Value>> = result_ids.iter().map(|&id| vec![Value::Int(id)]).collect();
+        let keys = int_keys(result_ids);
         let mut out: HashMap<i64, Vec<i64>> = HashMap::with_capacity(result_ids.len());
         let mut foci: Vec<(i64, i64)> = Vec::new();
         for (&result, rids) in result_ids
@@ -495,14 +584,13 @@ impl<'s> QueryEngine<'s> {
         Ok(out)
     }
 
-    /// Denormalize `performance_result` rows as they are fetched, in
-    /// order, taking each result's context from `contexts`: the shared
-    /// tail of [`QueryEngine::fetch_rows`] and
-    /// [`QueryEngine::rows_of_executions`].
+    /// Denormalize `performance_result` rows, in order, taking each
+    /// result's context out of `contexts`: the shared tail of
+    /// [`QueryEngine::fetch_rows`] and [`QueryEngine::rows_of_executions`].
     fn fetch_rows_with(
         &self,
-        rows: impl Iterator<Item = Result<Row>>,
-        contexts: &HashMap<i64, Vec<i64>>,
+        rows: Vec<Row>,
+        mut contexts: HashMap<i64, Vec<i64>>,
     ) -> Result<Vec<ResultRow>> {
         let db = self.store.db();
         let schema = self.store.schema();
@@ -528,10 +616,8 @@ impl<'s> QueryEngine<'s> {
             }
             true
         })?;
-        let (lower, upper) = rows.size_hint();
-        let mut out = Vec::with_capacity(upper.unwrap_or(lower));
+        let mut out = Vec::with_capacity(rows.len());
         for row in rows {
-            let row = row?;
             let id = row[col::performance_result::ID].as_int()?;
             out.push(ResultRow {
                 result_id: id,
@@ -549,7 +635,7 @@ impl<'s> QueryEngine<'s> {
                     .get(&row[col::performance_result::TOOL_ID].as_int()?)
                     .cloned()
                     .unwrap_or_default(),
-                context: contexts.get(&id).cloned().unwrap_or_default(),
+                context: contexts.remove(&id).unwrap_or_default(),
             });
         }
         Ok(out)
@@ -825,7 +911,13 @@ mod tests {
             .collect();
         assert_eq!(
             names,
-            vec!["family[0]", "family[1]", "context-map", "match", "fetch"]
+            vec![
+                "family[0]",
+                "family[1]",
+                "context-map:scan",
+                "match",
+                "fetch"
+            ]
         );
         assert_eq!(profile.operators[0].rows_out, 1, "exact-name family");
         assert_eq!(profile.operators[3].rows_out, 5, "match narrows to 5 ids");
@@ -842,18 +934,22 @@ mod tests {
         let store = setup();
         let q = QueryEngine::new(&store);
         let before = store.db().metrics().btree;
-        let rows = q
-            .run(&[ResourceFilter::by_name("Frost").relatives(Relatives::Both)])
+        let (rows, profile) = q
+            .run_profiled(&[
+                ResourceFilter::by_name("Frost/batch/node0/p0").relatives(Relatives::Both)
+            ])
             .unwrap();
-        assert_eq!(rows.len(), 5);
+        assert_eq!(rows.len(), 2, "p0's result and Frost's machine-level one");
+        assert_eq!(profile.operators[1].operator, "context-map:postings");
         let after = store.db().metrics().btree;
-        // Family expansion walks rha_resource and rhd_resource once each,
-        // and fetch resolves every matched result id in one walk of
-        // performance_result_id: three batched probes total, regardless of
-        // how many seeds or ids are in flight.
+        // Family expansion walks rha_resource and rhd_resource once each;
+        // matching walks fhr_resource for the postings, focus_id for their
+        // results, and focus_result and fhr_focus for those contexts: six
+        // batched probes, however many seeds or ids are in flight. Fetch
+        // scans the 10-row performance_result rather than probe it.
         assert_eq!(
             after.batch_probes - before.batch_probes,
-            3,
+            6,
             "one batch per index touched"
         );
         // The only point probe is the shorthand seed resolution against
@@ -863,6 +959,111 @@ mod tests {
             1,
             "per-seed point probes are gone"
         );
+    }
+
+    /// A random tree of modules and functions under `/build`, results over
+    /// it with one to three foci each, and some results whose one focus
+    /// names no resource. Returns the store and its resource names.
+    fn random_world(rng: &mut perftrack_workloads::Rng) -> (PTDataStore, Vec<String>) {
+        let store = PTDataStore::in_memory().unwrap();
+        let mut ptdf =
+            String::from("Application App\nResource /app application\nResource /build build\n");
+        let mut resources = vec!["/app".to_string(), "/build".to_string()];
+        for m in 0..rng.gen_range(1..4) {
+            ptdf.push_str(&format!("Resource /build/m{m}.c build/module\n"));
+            resources.push(format!("/build/m{m}.c"));
+            for f in 0..rng.gen_range(0..4) {
+                ptdf.push_str(&format!(
+                    "Resource /build/m{m}.c/fn{f} build/module/function\n"
+                ));
+                resources.push(format!("/build/m{m}.c/fn{f}"));
+            }
+        }
+        ptdf.push_str("Execution e0 App\nExecution e1 App\n");
+        for _ in 0..rng.gen_range(0..40) {
+            let foci: Vec<String> = (0..rng.gen_range(1..4))
+                .zip(["primary", "parent", "child"])
+                .map(|(_, role)| {
+                    let set: Vec<&str> = (0..rng.gen_range(1..3))
+                        .map(|_| resources[rng.gen_range(0..resources.len())].as_str())
+                        .collect();
+                    format!("{}({role})", set.join(","))
+                })
+                .collect();
+            ptdf.push_str(&format!(
+                "PerfResult e{} \"{}\" T m{} 1.0 s\n",
+                rng.gen_range(0..2),
+                foci.join(":"),
+                rng.gen_range(0..3)
+            ));
+        }
+        store.load_ptdf_str(&ptdf).unwrap();
+        for _ in 0..rng.gen_range(0..3) {
+            let empty =
+                perftrack_model::PerformanceResult::simple("e0", "m0", 1.0, "s", "T", vec![]);
+            store.add_performance_result(&empty).unwrap();
+        }
+        (store, resources)
+    }
+
+    #[test]
+    fn postings_and_scan_agree_on_ids_and_contexts() {
+        perftrack_workloads::rng::check_cases(0x9057_0100, 48, |rng| {
+            let (store, resources) = random_world(rng);
+            let q = QueryEngine::new(&store);
+            let relatives = [
+                Relatives::Neither,
+                Relatives::Ancestors,
+                Relatives::Descendants,
+                Relatives::Both,
+            ];
+            let filters: Vec<ResourceFilter> = (0..rng.gen_range(1..4))
+                .map(|_| {
+                    // One in eight names nothing: an empty family.
+                    let name = if rng.gen_bool(0.125) {
+                        "/nope".to_string()
+                    } else {
+                        resources[rng.gen_range(0..resources.len())].clone()
+                    };
+                    ResourceFilter::by_name(&name).relatives(relatives[rng.gen_range(0..4)])
+                })
+                .collect();
+            let families: Vec<_> = filters.iter().map(|f| q.family(f).unwrap()).collect();
+            let mut order: Vec<usize> = (0..families.len()).collect();
+            order.sort_by_key(|&i| families[i].len());
+            let postings = q.postings(&families[order[0]]).unwrap();
+            let by_postings = q
+                .read_contexts(ContextAccess::Postings, &postings, order.clone())
+                .unwrap();
+            let by_scan = q.read_contexts(ContextAccess::Scan, &[], order).unwrap();
+            let ids = by_scan.matching(&families);
+            assert_eq!(by_postings.matching(&families), ids, "{filters:?}");
+            for id in &ids {
+                assert_eq!(
+                    by_postings.contexts[id], by_scan.contexts[id],
+                    "result {id}"
+                );
+            }
+            // The public calls, whichever path the cost rule picks.
+            assert_eq!(q.matching_result_ids(&families).unwrap(), ids);
+            let per_family: Vec<usize> = families
+                .iter()
+                .map(|f| {
+                    by_scan
+                        .contexts
+                        .values()
+                        .filter(|ctx| ctx.iter().any(|r| f.contains(r)))
+                        .count()
+                })
+                .collect();
+            let counts = q.match_counts(&families).unwrap();
+            assert_eq!((counts.per_family, counts.whole), (per_family, ids.len()));
+            let rows = q.fetch_rows(&ids).unwrap();
+            assert_eq!(rows.len(), ids.len());
+            for row in rows {
+                assert_eq!(row.context, by_scan.contexts[&row.result_id]);
+            }
+        });
     }
 
     #[test]

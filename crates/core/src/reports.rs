@@ -9,7 +9,7 @@
 use crate::datastore::PTDataStore;
 use crate::error::{PtError, Result};
 use crate::query::QueryEngine;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
 
 /// Store-wide inventory.
@@ -213,12 +213,11 @@ impl<'s> Reports<'s> {
                 }
                 true
             })?;
-        // Results whose context contains this resource.
-        let contexts = engine.result_context_map()?;
-        let results_in_context = contexts
-            .values()
-            .filter(|ctx| ctx.contains(&rec.id))
-            .count();
+        // Results whose context contains this resource: the matches of
+        // the one-resource family.
+        let results_in_context = engine
+            .matching_result_ids(&[HashSet::from([rec.id])])?
+            .len();
         Ok(ResourceDetail {
             name: rec.name.clone(),
             type_path: types.get(&rec.type_id).cloned().unwrap_or_default(),

@@ -229,12 +229,7 @@ impl<'s> SelectionDialog<'s> {
     pub fn retrieve_profiled(&self) -> Result<(ResultTable<'s>, QueryProfile)> {
         let engine = QueryEngine::new(self.store);
         let filters: Vec<ResourceFilter> = self.selected.iter().map(|p| p.filter.clone()).collect();
-        let (rows, profile) = engine.run_profiled(&filters)?;
-        let families = self
-            .selected
-            .iter()
-            .map(|p| engine.family(&p.filter))
-            .collect::<Result<Vec<_>>>()?;
+        let (rows, profile, families) = engine.run_with_families(&filters)?;
         Ok((
             ResultTable {
                 store: self.store,
@@ -864,7 +859,10 @@ mod tests {
             .iter()
             .map(|o| o.operator.as_str())
             .collect();
-        assert_eq!(names, vec!["family[0]", "context-map", "match", "fetch"]);
+        assert_eq!(
+            names,
+            vec!["family[0]", "context-map:scan", "match", "fetch"]
+        );
         assert!(profile.total_nanos > 0);
     }
 

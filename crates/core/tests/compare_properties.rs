@@ -3,10 +3,12 @@
 //! antisymmetric under argument swap, self-comparison is exactly zero,
 //! and alignment tolerates deliberately mismatched resource trees. The
 //! read path is checked too: a compare reads only the named executions'
-//! results, and those are exactly the rows a full scan would give.
+//! results, and those are exactly the rows a full scan would give; a
+//! narrow pr-filter query likewise reads only the results it can return.
 
 use perftrack::compare::{Aggregate, CompareOptions, Normalization};
-use perftrack::{AlignedNode, Compare, PTDataStore, QueryEngine};
+use perftrack::{AlignedNode, Compare, PTDataStore, QueryEngine, ResultRow};
+use perftrack_model::{Relatives, ResourceFilter};
 use perftrack_workloads::rng::check_cases;
 use perftrack_workloads::Rng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -292,6 +294,40 @@ fn compare_work_is_independent_of_unrelated_executions() {
         assert_eq!(p, pages, "store {i}: page requests grew with the store");
         assert_eq!(q, probes, "store {i}: index probes grew with the store");
     }
+}
+
+#[test]
+fn narrow_query_work_is_independent_of_unrelated_executions() {
+    // `/x-run` is the smaller family, so matching starts from its
+    // postings and reads only `x`'s contexts.
+    let filters = [
+        ResourceFilter::by_name("/build/m0.c").relatives(Relatives::Descendants),
+        ResourceFilter::by_name("/x-run").relatives(Relatives::Neither),
+    ];
+    let mut seen: Vec<(Vec<ResultRow>, u64, u64)> = Vec::new();
+    for unrelated in [2, 10] {
+        let store = store_with_unrelated(unrelated);
+        let before = store.db().metrics();
+        let (rows, profile) = QueryEngine::new(&store).run_profiled(&filters).unwrap();
+        let after = store.db().metrics();
+        assert_eq!(profile.operators[2].operator, "context-map:postings");
+        let pages = (after.pool.hits + after.pool.misses) - (before.pool.hits + before.pool.misses);
+        seen.push((
+            rows,
+            pages,
+            after.btree.node_reads - before.btree.node_reads,
+        ));
+    }
+    let (rows, pages, node_reads) = &seen[0];
+    assert_eq!(rows.len(), 8, "x's results in m0.c's four functions");
+    assert!(rows.iter().all(|r| r.execution == "x"));
+    let (rows_10, pages_10, node_reads_10) = &seen[1];
+    assert_eq!(rows_10, rows, "the answer changed");
+    assert_eq!(pages_10, pages, "page requests grew with the store");
+    assert_eq!(
+        node_reads_10, node_reads,
+        "B+tree node reads grew with the store"
+    );
 }
 
 #[test]

@@ -480,6 +480,12 @@ impl Database {
             .ok_or_else(|| StoreError::NoSuchIndex(format!("index id {}", index.0)))
     }
 
+    /// Entries in `index` — one per live row of its table — counted
+    /// without reading a page, unlike [`Database::row_count`].
+    pub fn index_len(&self, index: IndexId) -> Result<usize> {
+        Ok(self.index_tree(index)?.read().len())
+    }
+
     /// Rowids whose index key equals `key` exactly (full key).
     pub fn index_lookup(&self, index: IndexId, key: &[Value]) -> Result<Vec<RowId>> {
         let tree = self.index_tree(index)?;

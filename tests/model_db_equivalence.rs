@@ -118,16 +118,30 @@ fn filters_under_test(reg: &TypeRegistry) -> Vec<ResourceFilter> {
     ]
 }
 
+/// Check the world unanalysed, then again after `analyze()`: the engine's
+/// cost rules (postings or context scan, probe or closure scan) read live
+/// row counts in the first pass and statistics in the second.
 fn check_equivalence(w: &World) {
     let (reg, repo, model_results) = build_model(w);
     let store = build_db(w);
-    let engine = QueryEngine::new(&store);
-    let filters = filters_under_test(&reg);
+    check_store(&store, &reg, &repo, &model_results);
+    store.db().analyze().unwrap();
+    check_store(&store, &reg, &repo, &model_results);
+}
+
+fn check_store(
+    store: &PTDataStore,
+    reg: &TypeRegistry,
+    repo: &ResourceRepo,
+    model_results: &[PerformanceResult],
+) {
+    let engine = QueryEngine::new(store);
+    let filters = filters_under_test(reg);
 
     // 1. Family contents agree (names).
     for f in &filters {
         let model_family: std::collections::BTreeSet<String> = f
-            .apply(&repo)
+            .apply(repo)
             .members
             .iter()
             .map(|n| n.as_str().to_string())
@@ -143,8 +157,8 @@ fn check_equivalence(w: &World) {
 
     // 2. Whole pr-filter matching agrees, for pairs of filters.
     for pair in filters.chunks(2) {
-        let prf = PrFilter::from_filters(&repo, pair);
-        let model_matched = prf.filter(&model_results).len();
+        let prf = PrFilter::from_filters(repo, pair);
+        let model_matched = prf.filter(model_results).len();
         let families: Vec<_> = pair.iter().map(|f| engine.family(f).unwrap()).collect();
         let db_matched = engine.matching_result_ids(&families).unwrap().len();
         assert_eq!(
@@ -153,7 +167,7 @@ fn check_equivalence(w: &World) {
         );
 
         // 3. Live counts agree.
-        let model_counts = prf.match_counts(&model_results);
+        let model_counts = prf.match_counts(model_results);
         let db_counts = engine.match_counts(&families).unwrap();
         assert_eq!(model_counts.per_family, db_counts.per_family);
         assert_eq!(model_counts.whole, db_counts.whole);
