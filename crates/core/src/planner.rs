@@ -70,9 +70,7 @@ impl ContextAccess {
     /// each at `COST_FETCH_ROW`; the scan reads every `focus` and
     /// `focus_has_resource` row at `COST_SCAN_ROW`, and wins ties.
     pub(crate) fn choose(store: &PTDataStore, postings: u64) -> Result<ContextAccess> {
-        let schema = store.schema();
-        let scanned = table_rows(store, schema.focus, "focus_id")?
-            + table_rows(store, schema.focus_has_resource, "fhr_resource")?;
+        let scanned = table_rows(store, "focus_id")? + table_rows(store, "fhr_resource")?;
         if 2.0 * postings as f64 * COST_FETCH_ROW >= scanned as f64 * COST_SCAN_ROW {
             Ok(ContextAccess::Scan)
         } else {
@@ -89,15 +87,12 @@ impl ContextAccess {
     }
 }
 
-/// Live rows of `table`: the analysed count, fresh or stale, else the
-/// entry count of `index`, one of its indexes, so an unanalysed store
-/// costs correctly too without reading a page.
-pub(crate) fn table_rows(store: &PTDataStore, table: TableId, index: &str) -> Result<u64> {
+/// Live rows of the table `index` is on: the index's entry count, exact
+/// and read without a page, so the cost rules never act on drifted
+/// statistics.
+pub(crate) fn table_rows(store: &PTDataStore, index: &str) -> Result<u64> {
     let db = store.db();
-    match db.table_stats_state(table).rows() {
-        Some(rows) => Ok(rows),
-        None => Ok(db.index_len(db.index_id(index)?)? as u64),
-    }
+    Ok(db.index_len(db.index_id(index)?)? as u64)
 }
 
 fn relatives_label(r: Relatives) -> &'static str {

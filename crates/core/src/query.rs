@@ -258,7 +258,7 @@ impl<'s> QueryEngine<'s> {
     fn context_scan(&self) -> Result<HashMap<i64, Vec<i64>>> {
         let db = self.store.db();
         let schema = self.store.schema();
-        let foci = table_rows(self.store, schema.focus, "focus_id")? as usize;
+        let foci = table_rows(self.store, "focus_id")? as usize;
         // Focus id → its result and the resources it names.
         let mut by_focus: HashMap<i64, (i64, Vec<i64>)> = HashMap::with_capacity(foci);
         for item in db.scan_iter(schema.focus)? {
@@ -315,9 +315,8 @@ impl<'s> QueryEngine<'s> {
     }
 
     /// Read contexts by `access`. From postings of the family `check[0]`:
-    /// each posting's focus, one batched `focus_id` probe for their
-    /// results, and [`QueryEngine::contexts_of`] of those; they all meet
-    /// `check[0]`, so it is not checked again.
+    /// [`QueryEngine::results_of`] them, and [`QueryEngine::contexts_of`]
+    /// those; they all meet `check[0]`, so it is not checked again.
     fn read_contexts(
         &self,
         access: ContextAccess,
@@ -328,27 +327,7 @@ impl<'s> QueryEngine<'s> {
             ContextAccess::Scan => self.context_scan()?,
             ContextAccess::Postings => {
                 check.remove(0);
-                let db = self.store.db();
-                let schema = self.store.schema();
-                let mut foci = Vec::with_capacity(postings.len());
-                for &rid in postings {
-                    let row = db.get(schema.focus_has_resource, rid)?;
-                    foci.push(row[col::focus_has_resource::FOCUS_ID].as_int()?);
-                }
-                foci.sort_unstable();
-                foci.dedup();
-                let mut results = Vec::with_capacity(foci.len());
-                let idx = db.index_id("focus_id")?;
-                for rid in db
-                    .index_lookup_many(idx, &int_keys(&foci))?
-                    .into_iter()
-                    .flatten()
-                {
-                    results.push(db.get(schema.focus, rid)?[col::focus::RESULT_ID].as_int()?);
-                }
-                results.sort_unstable();
-                results.dedup();
-                self.contexts_of(&results)?
+                self.contexts_of(&self.results_of(postings)?)?
             }
         };
         Ok(Candidates {
@@ -358,6 +337,33 @@ impl<'s> QueryEngine<'s> {
         })
     }
 
+    /// The distinct results (ascending) that `postings` lead to: each
+    /// posting's focus, then one batched `focus_id` probe for their
+    /// results.
+    fn results_of(&self, postings: &[RowId]) -> Result<Vec<i64>> {
+        let db = self.store.db();
+        let schema = self.store.schema();
+        let mut foci = Vec::with_capacity(postings.len());
+        for &rid in postings {
+            let row = db.get(schema.focus_has_resource, rid)?;
+            foci.push(row[col::focus_has_resource::FOCUS_ID].as_int()?);
+        }
+        foci.sort_unstable();
+        foci.dedup();
+        let mut results = Vec::with_capacity(foci.len());
+        let idx = db.index_id("focus_id")?;
+        for rid in db
+            .index_lookup_many(idx, &int_keys(&foci))?
+            .into_iter()
+            .flatten()
+        {
+            results.push(db.get(schema.focus, rid)?[col::focus::RESULT_ID].as_int()?);
+        }
+        results.sort_unstable();
+        results.dedup();
+        Ok(results)
+    }
+
     /// Result ids whose context matches every family (the paper's rule),
     /// ascending, read by the cheaper [`ContextAccess`].
     pub fn matching_result_ids(&self, families: &[HashSet<i64>]) -> Result<Vec<i64>> {
@@ -365,14 +371,57 @@ impl<'s> QueryEngine<'s> {
     }
 
     /// Live counts: how many results each family matches alone, and how
-    /// many match the whole filter (§3.2's query-size feedback), each by
-    /// the same costed path as [`QueryEngine::matching_result_ids`].
+    /// many match the whole filter (§3.2's query-size feedback). Each
+    /// family's matches are the results its postings lead to, and the
+    /// whole filter's are their intersection — unless the match stage's
+    /// cost rule picks the scan for any family (or there is none): then
+    /// one scan counts them all.
     pub fn match_counts(&self, families: &[HashSet<i64>]) -> Result<MatchCounts> {
-        let per_family = families
+        // Largest first: the family most likely to pick the scan is costed
+        // before any of the others' postings are read.
+        let mut order: Vec<usize> = (0..families.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(families[i].len()));
+        let mut postings = vec![Vec::new(); families.len()];
+        for &i in &order {
+            postings[i] = self.postings(&families[i])?;
+            if ContextAccess::choose(self.store, postings[i].len() as u64)? == ContextAccess::Scan {
+                return self.count_by_scan(families);
+            }
+        }
+        let Some(&smallest) = order.last() else {
+            return self.count_by_scan(families);
+        };
+        let matched = postings
             .iter()
-            .map(|f| Ok(self.matching_result_ids(std::slice::from_ref(f))?.len()))
-            .collect::<Result<_>>()?;
-        let whole = self.matching_result_ids(families)?.len();
+            .map(|p| self.results_of(p))
+            .collect::<Result<Vec<_>>>()?;
+        let mut whole = matched[smallest].clone();
+        for m in &matched {
+            whole.retain(|id| m.binary_search(id).is_ok());
+        }
+        Ok(MatchCounts {
+            per_family: matched.iter().map(Vec::len).collect(),
+            whole: whole.len(),
+        })
+    }
+
+    /// [`QueryEngine::match_counts`] in one pass over every context.
+    fn count_by_scan(&self, families: &[HashSet<i64>]) -> Result<MatchCounts> {
+        let mut per_family = vec![0usize; families.len()];
+        let mut whole = 0usize;
+        for ctx in self.context_scan()?.values() {
+            let mut all = true;
+            for (i, fam) in families.iter().enumerate() {
+                if ctx.iter().any(|r| fam.contains(r)) {
+                    per_family[i] += 1;
+                } else {
+                    all = false;
+                }
+            }
+            if all {
+                whole += 1;
+            }
+        }
         Ok(MatchCounts { per_family, whole })
     }
 
@@ -470,8 +519,7 @@ impl<'s> QueryEngine<'s> {
     /// through the indexes at `COST_FETCH_ROW` per focus and resource row,
     /// or from one scan when the ids are a quarter or more of all results.
     pub fn fetch_rows(&self, ids: &[i64]) -> Result<Vec<ResultRow>> {
-        let table = self.store.schema().performance_result;
-        let results = table_rows(self.store, table, "performance_result_id")?;
+        let results = table_rows(self.store, "performance_result_id")?;
         let contexts = if ids.len() as f64 * COST_FETCH_ROW >= results as f64 * COST_SCAN_ROW {
             self.context_scan()?
         } else {
@@ -486,7 +534,7 @@ impl<'s> QueryEngine<'s> {
     fn fetch(&self, ids: &[i64], contexts: HashMap<i64, Vec<i64>>) -> Result<Vec<ResultRow>> {
         let db = self.store.db();
         let table = self.store.schema().performance_result;
-        let results = table_rows(self.store, table, "performance_result_id")?;
+        let results = table_rows(self.store, "performance_result_id")?;
         let rows = if ids.len() as f64 * (COST_PROBE + COST_FETCH_ROW)
             > results as f64 * COST_SCAN_ROW
         {
@@ -826,6 +874,21 @@ mod tests {
         store
     }
 
+    /// [`setup`] plus `n` results of a third execution whose one focus
+    /// names only `/IRS-MCR`: they match no Frost filter but grow every
+    /// table a query may scan.
+    fn setup_with_unrelated(n: usize) -> PTDataStore {
+        let store = setup();
+        let mut ptdf = String::from("Execution irs-pad IRS\n");
+        for i in 0..n {
+            ptdf.push_str(&format!(
+                "PerfResult irs-pad \"/IRS-MCR(primary)\" IRS \"CPU time\" {i}.0 seconds\n"
+            ));
+        }
+        store.load_ptdf_str(&ptdf).unwrap();
+        store
+    }
+
     #[test]
     fn family_by_name_with_descendants() {
         let store = setup();
@@ -931,34 +994,40 @@ mod tests {
 
     #[test]
     fn pr_filter_probes_each_index_once_per_batch() {
-        let store = setup();
-        let q = QueryEngine::new(&store);
-        let before = store.db().metrics().btree;
-        let (rows, profile) = q
-            .run_profiled(&[
-                ResourceFilter::by_name("Frost/batch/node0/p0").relatives(Relatives::Both)
-            ])
-            .unwrap();
-        assert_eq!(rows.len(), 2, "p0's result and Frost's machine-level one");
-        assert_eq!(profile.operators[1].operator, "context-map:postings");
-        let after = store.db().metrics().btree;
         // Family expansion walks rha_resource and rhd_resource once each;
         // matching walks fhr_resource for the postings, focus_id for their
         // results, and focus_result and fhr_focus for those contexts: six
         // batched probes, however many seeds or ids are in flight. Fetch
-        // scans the 10-row performance_result rather than probe it.
-        assert_eq!(
-            after.batch_probes - before.batch_probes,
-            6,
-            "one batch per index touched"
-        );
-        // The only point probe is the shorthand seed resolution against
-        // the base-name index.
-        assert_eq!(
-            after.point_probes - before.point_probes,
-            1,
-            "per-seed point probes are gone"
-        );
+        // adds one walk of performance_result_id for every matched id when
+        // it probes, and none when it scans a table that small. The only
+        // point probe is the shorthand seed resolution against the
+        // base-name index.
+        let cases = [
+            // 10 results: two ids cost more to probe than to scan.
+            (setup(), "Frost/batch/node0/p0", 2, "fetch:scan", 6),
+            // 70 results: five ids are probed.
+            (setup_with_unrelated(60), "Frost", 5, "fetch:probe", 7),
+        ];
+        for (store, name, matched, fetch, batches) in cases {
+            let q = QueryEngine::new(&store);
+            let before = store.db().metrics().btree;
+            let (rows, profile) = q
+                .run_profiled(&[ResourceFilter::by_name(name).relatives(Relatives::Both)])
+                .unwrap();
+            assert_eq!(rows.len(), matched, "{name}");
+            assert_eq!(profile.operators[1].operator, "context-map:postings");
+            let after = store.db().metrics().btree;
+            assert_eq!(
+                after.batch_probes - before.batch_probes,
+                batches,
+                "{fetch}: one batch per index touched"
+            );
+            assert_eq!(
+                after.point_probes - before.point_probes,
+                1,
+                "per-seed point probes are gone"
+            );
+        }
     }
 
     /// A random tree of modules and functions under `/build`, results over
