@@ -5,25 +5,33 @@
 //! logical entry as the composite `(key, rowid)`, which keeps every entry
 //! unique and makes deletes exact.
 //!
-//! The tree lives in memory and is rebuilt when a database is opened: one
-//! heap scan per table feeds every index on that table. Durability of
-//! indexed data is the WAL + page file's job. This mirrors the paper's
-//! deployment where indexes are a DBMS-internal acceleration structure,
-//! and it keeps the write-ahead log purely logical.
+//! The tree lives in memory and is built when a database is opened: one
+//! heap scan per table collects a `(key, rowid)` run for every index on
+//! that table, each run is sorted, and `BTreeIndex::from_sorted` packs
+//! it bottom-up. Durability of indexed data is the WAL + page file's job.
+//! This mirrors the paper's deployment where indexes are a DBMS-internal
+//! acceleration structure, and it keeps the write-ahead log purely
+//! logical.
+//!
+//! A sorted build fills every leaf evenly, at most `MAX_KEYS` entries
+//! each, so every node but the root is at least half full; the tree that
+//! inserts grow from the same entries is usually larger, because a split
+//! leaves both halves half full. After the build, writes go through
+//! [`BTreeIndex::insert`] and [`BTreeIndex::remove`].
 //!
 //! Many keys arrive in ascending order: `*_id` columns and the foreign
-//! keys of rows loaded in id order grow with the row, and a rebuild
-//! visits rows in row-id order. An insert therefore compares with a
-//! node's last separator or entry before binary-searching it: an entry
-//! past the right edge costs one comparison per level and a push onto
-//! the leaf, and any other entry one extra comparison per level. In the
-//! bulk loads and rebuilds docs/PERF.md measures, about two thirds of
+//! keys of rows loaded in id order grow with the row. An insert therefore
+//! compares with a node's last separator or entry before binary-searching
+//! it: an entry past the right edge costs one comparison per level and a
+//! push onto the leaf, and any other entry one extra comparison per
+//! level. In the bulk loads docs/PERF.md measures, about two thirds of
 //! index inserts take the right edge. The split rule does not depend on
-//! the path taken, so the tree's shape is the same either way.
+//! the path taken.
 //!
 //! Deletion does not rebalance (underfull nodes are allowed); the tree
 //! never becomes incorrect, only — under adversarial delete patterns —
-//! shallower than optimal. Bulk rebuilds restore tightness.
+//! shallower than optimal. The sorted build on the next open restores
+//! tightness.
 
 use crate::metrics::BTreeStatsSnapshot;
 use std::ops::Bound;
@@ -244,6 +252,16 @@ impl Node {
     }
 }
 
+/// Sizes of the fewest groups of at most `cap` items that hold `n` items,
+/// as even as possible: they differ by at most one. With two or more
+/// groups each holds at least `cap / 2` items, since `n > cap · (groups - 1)`.
+/// Zero items make one empty group, the empty tree's root leaf.
+fn even_groups(n: usize, cap: usize) -> impl Iterator<Item = usize> {
+    let groups = n.div_ceil(cap).max(1);
+    let (base, extra) = (n / groups, n % groups);
+    (0..groups).map(move |i| base + usize::from(i < extra))
+}
+
 /// An in-memory B+tree index over encoded keys.
 pub struct BTreeIndex {
     root: Node,
@@ -277,6 +295,62 @@ impl BTreeIndex {
             #[cfg(debug_assertions)]
             mutations: 0,
         }
+    }
+
+    /// Build a tree from entries sorted in ascending composite
+    /// `(key, rowid)` order, with no pair twice.
+    ///
+    /// Leaves are packed evenly, at most [`MAX_KEYS`] entries each, so
+    /// every leaf but a lone root is at least half full. Each level above
+    /// groups the one below the same way, at most `MAX_KEYS + 1` children
+    /// per node, and takes the smallest entry of every child but the first
+    /// as its separator — the entry an insert's split would have pushed
+    /// up. Inserts and removes work on the result as on any other tree.
+    pub(crate) fn from_sorted(entries: Vec<Entry>) -> Self {
+        let len = entries.len();
+        let mut entries = entries.into_iter();
+        // Each node with the smallest entry of its subtree.
+        let mut level: Vec<(Option<Entry>, Node)> = even_groups(len, MAX_KEYS)
+            .map(|n| {
+                let leaf: Vec<Entry> = entries.by_ref().take(n).collect();
+                (leaf.first().cloned(), Node::Leaf(leaf))
+            })
+            .collect();
+        while level.len() > 1 {
+            let mut nodes = level.into_iter();
+            level = even_groups(nodes.len(), MAX_KEYS + 1)
+                .map(|n| {
+                    let mut low = None;
+                    let mut seps = Vec::with_capacity(n - 1);
+                    let mut children = Vec::with_capacity(n);
+                    for (first, child) in nodes.by_ref().take(n) {
+                        if children.is_empty() {
+                            low = first;
+                        } else {
+                            seps.extend(first);
+                        }
+                        children.push(child);
+                    }
+                    (low, Node::Internal { seps, children })
+                })
+                .collect();
+        }
+        let root = level.pop().map_or(Node::Leaf(Vec::new()), |(_, node)| node);
+        let tree = BTreeIndex::with_root(root, len);
+        debug_assert!(
+            crate::check::tree_is_sound(&tree),
+            "B+tree invariants broken by a sorted build of {len} entries"
+        );
+        tree
+    }
+
+    /// A tree over `root`, which holds `len` entries. Verifier tests use it
+    /// for shapes no insert or sorted build produces.
+    pub(crate) fn with_root(root: Node, len: usize) -> Self {
+        let mut tree = BTreeIndex::new();
+        tree.root = root;
+        tree.len = len;
+        tree
     }
 
     /// Root node, for the structural verifier in [`crate::check`].
@@ -662,23 +736,35 @@ mod tests {
         assert_eq!(t.get_eq_batch(&[b"z".as_slice()]), vec![Vec::<u64>::new()]);
     }
 
-    #[test]
-    fn matches_std_btreemap_model() {
-        use std::collections::BTreeSet;
-        let mut tree = BTreeIndex::new();
-        let mut model: BTreeSet<(Vec<u8>, u64)> = BTreeSet::new();
-        // Deterministic pseudo-random ops.
-        let mut state = 0x1234_5678u64;
-        let mut next = || {
+    /// Deterministic pseudo-random source for the model tests.
+    fn lcg(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             state >> 33
-        };
-        for _ in 0..5000 {
+        }
+    }
+
+    fn entries_of(tree: &BTreeIndex) -> Vec<(Vec<u8>, u64)> {
+        let mut out = Vec::new();
+        tree.for_range(Bound::Unbounded, Bound::Unbounded, |key, rid| {
+            out.push((key.to_vec(), rid));
+            true
+        });
+        out
+    }
+
+    /// Random inserts and removes on `tree`, mirrored on a set that starts
+    /// with the tree's entries; the two must agree after every op.
+    fn check_against_model(tree: &mut BTreeIndex, ops: usize, next: &mut impl FnMut() -> u64) {
+        use std::collections::BTreeSet;
+        let mut model: BTreeSet<(Vec<u8>, u64)> = entries_of(tree).into_iter().collect();
+        for _ in 0..ops {
             let key = format!("k{:03}", next() % 100).into_bytes();
             let rid = next() % 50;
-            if next() % 3 == 0 {
+            if next().is_multiple_of(3) {
                 let a = tree.remove(&key, rid);
                 let b = model.remove(&(key.clone(), rid));
                 assert_eq!(a, b);
@@ -688,12 +774,70 @@ mod tests {
             }
         }
         assert_eq!(tree.len(), model.len());
-        let mut tree_entries = Vec::new();
-        tree.for_range(Bound::Unbounded, Bound::Unbounded, |key, rid| {
-            tree_entries.push((key.to_vec(), rid));
-            true
-        });
-        let model_entries: Vec<_> = model.into_iter().collect();
-        assert_eq!(tree_entries, model_entries);
+        assert_eq!(entries_of(tree), model.into_iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn matches_std_btreemap_model() {
+        let mut tree = BTreeIndex::new();
+        check_against_model(&mut tree, 5000, &mut lcg(0x1234_5678));
+    }
+
+    #[test]
+    fn sorted_build_is_tight_and_matches_insert_build() {
+        let m = MAX_KEYS;
+        let random = if cfg!(miri) { 200 } else { 5000 };
+        let mut sizes = vec![0, 1, m, m + 1, 2 * m + 1, random];
+        if !cfg!(miri) {
+            sizes.extend([(m + 1) * (m + 1) - 1, (m + 1) * (m + 1) + 1]);
+        }
+        for n in sizes {
+            let mut next = lcg(n as u64 + 7);
+            // About three entries per key, so duplicate keys straddle
+            // leaves; rowids are distinct, so every pair is.
+            let distinct = n as u64 / 3 + 1;
+            let raw: Vec<(Vec<u8>, u64)> = (0..n as u64)
+                .map(|rid| (format!("k{:05}", next() % distinct).into_bytes(), rid))
+                .collect();
+            let mut inserted = BTreeIndex::new();
+            for (key, rid) in &raw {
+                inserted.insert(key, *rid);
+            }
+            let mut run: Vec<Entry> = raw.iter().map(|(k, r)| (k.as_slice().into(), *r)).collect();
+            run.sort_unstable();
+            let mut bulk = BTreeIndex::from_sorted(run);
+
+            let findings = crate::check::verify_tree(&bulk, "bulk");
+            assert!(findings.is_empty(), "n={n}: {findings:?}");
+            assert_eq!(bulk.len(), n);
+            assert_eq!(bulk.stats().splits, 0, "a sorted build splits nothing");
+            assert_eq!(entries_of(&bulk), entries_of(&inserted), "n={n}");
+            let mut keys: Vec<Vec<u8>> = raw.iter().map(|(k, _)| k.clone()).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            keys.push(b"absent".to_vec());
+            for key in &keys {
+                assert_eq!(bulk.get_eq(key), inserted.get_eq(key), "n={n}");
+            }
+            let probe: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+            assert_eq!(bulk.get_eq_batch(&probe), inserted.get_eq_batch(&probe));
+            for (lo, hi) in keys.iter().zip(keys.iter().skip(keys.len() / 3)).step_by(7) {
+                let (lo, hi) = (
+                    Bound::Excluded(lo.as_slice()),
+                    Bound::Included(hi.as_slice()),
+                );
+                assert_eq!(bulk.collect_range(lo, hi), inserted.collect_range(lo, hi));
+            }
+
+            // Remove about a third of the built entries, then mix random
+            // inserts and removes.
+            for (key, rid) in &raw {
+                if next().is_multiple_of(3) {
+                    assert!(bulk.remove(key, *rid), "n={n}");
+                }
+            }
+            check_against_model(&mut bulk, if cfg!(miri) { 300 } else { 3000 }, &mut next);
+            assert!(crate::check::tree_is_sound(&bulk), "n={n}");
+        }
     }
 }

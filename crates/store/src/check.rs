@@ -378,17 +378,18 @@ struct TreeWalk<'a> {
     out: Vec<Finding>,
     leaf_depths: HashSet<usize>,
     entries_seen: usize,
-    last: Option<Entry>,
+    /// The entry visited before the current one, borrowed from the tree.
+    last: Option<&'a Entry>,
 }
 
-impl TreeWalk<'_> {
+impl<'a> TreeWalk<'a> {
     fn finding(&mut self, code: &'static str, severity: Severity, detail: String) {
         let object = self.object;
         self.out
             .push(Finding::new(code, severity, detail).on_object(object));
     }
 
-    fn check_entry(&mut self, e: &Entry, lo: Option<&Entry>, hi: Option<&Entry>) {
+    fn check_entry(&mut self, e: &'a Entry, lo: Option<&Entry>, hi: Option<&Entry>) {
         if let Some(l) = lo {
             if cmp_entries(e, l).is_lt() {
                 self.finding(
@@ -413,8 +414,8 @@ impl TreeWalk<'_> {
                 );
             }
         }
-        if let Some(prev) = self.last.take() {
-            if cmp_entries(&prev, e).is_ge() {
+        if let Some(prev) = self.last.replace(e) {
+            if cmp_entries(prev, e).is_ge() {
                 self.finding(
                     "tree.order",
                     Severity::Error,
@@ -425,11 +426,10 @@ impl TreeWalk<'_> {
                 );
             }
         }
-        self.last = Some((e.0.clone(), e.1));
         self.entries_seen += 1;
     }
 
-    fn walk(&mut self, node: &Node, depth: usize, lo: Option<&Entry>, hi: Option<&Entry>) {
+    fn walk(&mut self, node: &'a Node, depth: usize, lo: Option<&'a Entry>, hi: Option<&'a Entry>) {
         match node {
             Node::Leaf(entries) => {
                 self.leaf_depths.insert(depth);
@@ -880,10 +880,14 @@ pub fn verify_database(db: &Database, deep: bool) -> Result<FsckReport> {
         }
     }
 
-    // Pages and rows, per table.
+    // Pages and rows, per table. Every row is decoded and schema-checked;
+    // only `deep`'s bijection keeps the decoded rows, the fast pass counts
+    // them.
+    let mut table_live: HashMap<TableId, usize> = HashMap::new();
     let mut table_rows: HashMap<TableId, Vec<(RowId, Row)>> = HashMap::new();
     let mut table_clean: HashMap<TableId, bool> = HashMap::new();
     for t in &tables {
+        let mut live = 0usize;
         let mut rows: Vec<(RowId, Row)> = Vec::new();
         let mut clean = true;
         for &pg in &t.pages {
@@ -892,7 +896,7 @@ pub fn verify_database(db: &Database, deep: bool) -> Result<FsckReport> {
                 continue; // already reported
             }
             report.pages_checked += 1;
-            let (mut findings, page_rows) = db.pool_ref().with_page(pg, |buf| {
+            let (mut findings, page_live) = db.pool_ref().with_page(pg, |buf| {
                 let mut fs = check_page(&buf[..], pg.0);
                 let p = PageRef::new(&buf[..]);
                 if fs.is_empty() && matches!(p.page_type(), Ok(PageType::Free)) {
@@ -905,7 +909,7 @@ pub fn verify_database(db: &Database, deep: bool) -> Result<FsckReport> {
                         .on_page(pg.0),
                     );
                 }
-                let mut page_rows: Vec<(RowId, Row)> = Vec::new();
+                let mut page_live = 0usize;
                 if fs.iter().all(|f| f.severity != Severity::Error) {
                     for (slot, rec) in p.iter() {
                         match decode_row(rec) {
@@ -928,15 +932,18 @@ pub fn verify_database(db: &Database, deep: bool) -> Result<FsckReport> {
                                         .on_page(pg.0),
                                     );
                                 }
-                                page_rows.push((RowId { page: pg, slot }, row));
+                                page_live += 1;
+                                if deep {
+                                    rows.push((RowId { page: pg, slot }, row));
+                                }
                             }
                         }
                     }
                 }
-                (fs, page_rows)
+                (fs, page_live)
             })?;
-            report.rows_checked += page_rows.len() as u64;
-            rows.extend(page_rows);
+            report.rows_checked += page_live as u64;
+            live += page_live;
             for f in &mut findings {
                 if f.object.is_empty() {
                     f.object = t.name.clone();
@@ -949,6 +956,7 @@ pub fn verify_database(db: &Database, deep: bool) -> Result<FsckReport> {
                 report.push(f);
             }
         }
+        table_live.insert(t.id, live);
         table_rows.insert(t.id, rows);
         table_clean.insert(t.id, clean);
     }
@@ -1017,8 +1025,8 @@ pub fn verify_database(db: &Database, deep: bool) -> Result<FsckReport> {
         if !table_clean.get(&im.table).copied().unwrap_or(false) {
             continue; // heap damage already reported; derived checks would cascade
         }
-        let rows = &table_rows[&im.table];
-        if tree.len() != rows.len() {
+        let live = table_live[&im.table];
+        if tree.len() != live {
             report.push(
                 Finding::new(
                     "index.count",
@@ -1026,13 +1034,14 @@ pub fn verify_database(db: &Database, deep: bool) -> Result<FsckReport> {
                     format!(
                         "tree holds {} entries but the heap has {} live rows",
                         tree.len(),
-                        rows.len()
+                        live
                     ),
                 )
                 .on_object(&im.name),
             );
         }
         if im.unique {
+            // The previous key, copied into one reused buffer.
             let mut prev: Option<Vec<u8>> = None;
             tree.for_range(Bound::Unbounded, Bound::Unbounded, |key, rid| {
                 if prev.as_deref() == Some(key) {
@@ -1048,11 +1057,14 @@ pub fn verify_database(db: &Database, deep: bool) -> Result<FsckReport> {
                         .on_object(&im.name),
                     );
                 }
-                prev = Some(key.to_vec());
+                let buf = prev.get_or_insert_with(Vec::new);
+                buf.clear();
+                buf.extend_from_slice(key);
                 true
             });
         }
         if deep {
+            let rows = &table_rows[&im.table];
             let by_rid: HashMap<u64, &Row> =
                 rows.iter().map(|(rid, row)| (rid.to_u64(), row)).collect();
             let mut row_key = Vec::new();
@@ -1199,6 +1211,88 @@ mod tests {
         assert_eq!(errors(&fs), 0, "underfull is never an Error: {fs:?}");
         assert!(fs.iter().any(|f| f.code == "tree.fill"));
         assert!(tree_is_sound(&t));
+    }
+
+    #[test]
+    fn out_of_order_leaves_are_reported() {
+        let leaf =
+            |keys: &[&str]| Node::Leaf(keys.iter().map(|k| (k.as_bytes().into(), 0u64)).collect());
+        // "o" in the left leaf, then "a" in the right one.
+        let t = BTreeIndex::with_root(
+            Node::Internal {
+                seps: vec![(b"m".as_slice().into(), 0)],
+                children: vec![leaf(&["n", "o"]), leaf(&["a", "b"])],
+            },
+            4,
+        );
+        let fs = verify_tree(&t, "t");
+        assert!(fs.iter().any(|f| f.code == "tree.order"), "{fs:?}");
+        assert!(!tree_is_sound(&t));
+    }
+
+    /// A table `h(id)` with a unique index `h_id` over rows 0..10; returns
+    /// the row ids in insert order.
+    fn indexed_table(db: &Database) -> Vec<RowId> {
+        use crate::catalog::Column;
+        use crate::value::{ColumnType, Value};
+        let t = db
+            .create_table("h", vec![Column::new("id", ColumnType::Int)])
+            .unwrap();
+        db.create_index("h_id", t, &["id"], true).unwrap();
+        let mut txn = db.begin();
+        let rids = (0..10)
+            .map(|i| txn.insert(t, vec![Value::Int(i)]).unwrap())
+            .collect();
+        txn.commit().unwrap();
+        assert!(db.verify(true).unwrap().is_clean());
+        rids
+    }
+
+    fn codes(report: &FsckReport) -> Vec<&'static str> {
+        report.findings.iter().map(|f| f.code).collect()
+    }
+
+    #[test]
+    fn heap_slot_deleted_behind_an_index_is_reported() {
+        let db = Database::in_memory();
+        let rids = indexed_table(&db);
+        // Tombstone the last row's slot without telling the index.
+        let rid = rids[9];
+        db.pool_ref()
+            .with_page_mut(rid.page, |buf| PageMut::new(&mut buf[..]).delete(rid.slot))
+            .unwrap()
+            .unwrap();
+        let fast = db.verify(false).unwrap();
+        assert_eq!(codes(&fast), ["index.count"], "{}", fast.render_table());
+        assert_eq!(fast.rows_checked, 9);
+        let deep = db.verify(true).unwrap();
+        assert!(
+            codes(&deep).contains(&"index.dangling"),
+            "{}",
+            deep.render_table()
+        );
+    }
+
+    #[test]
+    fn duplicate_key_in_unique_index_is_reported() {
+        use crate::value::{encode_key_vec, Value};
+        let db = Database::in_memory();
+        let rids = indexed_table(&db);
+        // Give row 1's entry row 0's key: the entry count still matches.
+        let tree = db.index_tree_opt(db.index_id("h_id").unwrap()).unwrap();
+        let rid = rids[1].to_u64();
+        {
+            let mut tree = tree.write();
+            assert!(tree.remove(&encode_key_vec(&[Value::Int(1)]), rid));
+            tree.insert(&encode_key_vec(&[Value::Int(0)]), rid);
+        }
+        let report = db.verify(false).unwrap();
+        assert_eq!(
+            codes(&report),
+            ["index.unique"],
+            "{}",
+            report.render_table()
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! `checkpoint` flushes all pages, persists the catalog, and truncates the
 //! log.
 
-use crate::btree::BTreeIndex;
+use crate::btree::{BTreeIndex, Entry};
 use crate::buffer::{BufferPool, PoolStatsSnapshot};
 use crate::catalog::{Catalog, Column, IndexId, IndexMeta, TableId};
 use crate::disk::DiskManager;
@@ -988,32 +988,42 @@ impl Database {
     }
 
     /// Build a tree for each of `metas` (all indexes on `table`) from one
-    /// scan of its heap, encoding each row's key once per index. With
-    /// `check_unique`, a key already present in a unique index fails the
-    /// build (CREATE INDEX); a rebuild on open leaves that to fsck.
+    /// scan of its heap: each row's key is encoded once per index into
+    /// that index's `(key, rowid)` run, and each run is sorted and packed
+    /// by [`BTreeIndex::from_sorted`]. With `check_unique`, two equal keys
+    /// side by side in a unique index's sorted run fail the build (CREATE
+    /// INDEX); a rebuild on open leaves that to fsck.
     fn build_trees(
         &self,
         table: TableId,
         metas: &[IndexMeta],
         check_unique: bool,
     ) -> Result<Vec<BTreeIndex>> {
-        let mut trees: Vec<BTreeIndex> = metas.iter().map(|_| BTreeIndex::new()).collect();
+        let mut runs: Vec<Vec<Entry>> = metas.iter().map(|_| Vec::new()).collect();
         let mut key = Vec::new();
         for item in self.scan_iter(table)? {
             let (rowid, row) = item?;
-            for (meta, tree) in metas.iter().zip(&mut trees) {
+            for (meta, run) in metas.iter().zip(&mut runs) {
                 key.clear();
                 meta.encode_key(&row, &mut key)?;
-                if check_unique && meta.unique && tree.contains_key(&key) {
+                run.push((key.as_slice().into(), rowid.to_u64()));
+            }
+        }
+        metas
+            .iter()
+            .zip(runs)
+            .map(|(meta, mut run)| {
+                // Tuple order is the tree's composite (key, rowid) order.
+                run.sort_unstable();
+                if check_unique && meta.unique && run.windows(2).any(|w| w[0].0 == w[1].0) {
                     return Err(StoreError::UniqueViolation(format!(
                         "index {} over existing rows",
                         meta.name
                     )));
                 }
-                tree.insert(&key, rowid.to_u64());
-            }
-        }
-        Ok(trees)
+                Ok(BTreeIndex::from_sorted(run))
+            })
+            .collect()
     }
 }
 
@@ -1733,6 +1743,36 @@ mod tests {
         txn.insert(t, row(2, "same", None)).unwrap();
         txn.commit().unwrap();
         assert!(db.create_index("uniq_name", t, &["name"], true).is_err());
+    }
+
+    #[test]
+    fn create_unique_index_finds_duplicates_on_different_pages() {
+        let db = Database::in_memory();
+        let t = db.create_table("people", people_schema()).unwrap();
+        let mut txn = db.begin();
+        let rids: Vec<RowId> = (0..500)
+            .map(|i| {
+                let name = if i == 0 || i == 499 {
+                    "twin".to_string()
+                } else {
+                    format!("p-{i}")
+                };
+                txn.insert(t, row(i, &name, None)).unwrap()
+            })
+            .collect();
+        txn.commit().unwrap();
+        assert_ne!(rids[0].page, rids[499].page);
+        let err = db
+            .create_index("uniq_name", t, &["name"], true)
+            .unwrap_err();
+        assert!(matches!(err, StoreError::UniqueViolation(_)), "{err}");
+        assert!(db.index_id("uniq_name").is_err(), "catalog rolled back");
+        // The same column builds as a non-unique index, twins included.
+        let idx = db.create_index("by_name", t, &["name"], false).unwrap();
+        let twins = db.index_lookup(idx, &[Value::Text("twin".into())]).unwrap();
+        assert_eq!(twins, [rids[0], rids[499]]);
+        let report = db.verify(true).unwrap();
+        assert!(report.is_clean(), "{}", report.render_table());
     }
 
     #[test]
