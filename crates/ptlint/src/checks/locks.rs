@@ -1,4 +1,4 @@
-//! Check 3: static lock-order checking.
+//! Static lock-order checking.
 //!
 //! Deadlock freedom in the engine rests on a global acquisition order
 //! over a handful of locks (buffer-pool shard mutexes, frame rwlocks,

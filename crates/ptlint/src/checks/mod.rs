@@ -1,13 +1,8 @@
-//! The four check families, plus the infrastructure they share: a
-//! lexed-file cache over the workspace and the `ptlint: allow(...)`
-//! escape-hatch directives.
+//! The lock-order check and the lexed-file cache it reads the
+//! workspace through.
 
-pub mod io;
 pub mod locks;
-pub mod panics;
-pub mod protocol;
 
-use crate::findings::{Finding, LintReport, Severity};
 use crate::lexer::LexedFile;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -15,8 +10,7 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 /// The workspace under analysis: a root directory plus a cache of lexed
-/// files so checks that share inputs (panic-freedom and lock-order both
-/// read `buffer.rs`) lex each file once.
+/// files, so a file that declares several locks is lexed once.
 pub struct Workspace {
     root: PathBuf,
     cache: RefCell<BTreeMap<String, Rc<LexedFile>>>,
@@ -52,143 +46,5 @@ impl Workspace {
     /// Number of distinct files lexed so far (feeds `files_scanned`).
     pub fn files_lexed(&self) -> usize {
         self.cache.borrow().len()
-    }
-
-    /// All `.rs` files under a workspace-relative directory, recursive,
-    /// as sorted workspace-relative paths. Missing directories yield an
-    /// empty list (the caller decides whether that is an error).
-    pub fn rust_sources(&self, rel_dir: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        collect_rs(&self.root.join(rel_dir), rel_dir, &mut out);
-        out.sort();
-        out
-    }
-}
-
-fn collect_rs(dir: &Path, rel: &str, out: &mut Vec<String>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let child_rel = format!("{rel}/{name}");
-        let path = entry.path();
-        if path.is_dir() {
-            collect_rs(&path, &child_rel, out);
-        } else if name.ends_with(".rs") {
-            out.push(child_rel);
-        }
-    }
-}
-
-/// One parsed `// ptlint: allow(<family>) -- <reason>` directive.
-#[derive(Debug)]
-struct AllowDirective {
-    line: u32,
-    family: String,
-    has_reason: bool,
-}
-
-/// All allow-directives in one file. A directive suppresses findings of
-/// its family on its own line (trailing comment) and on the line
-/// directly below it (standalone comment line).
-#[derive(Debug, Default)]
-pub struct Allows {
-    directives: Vec<AllowDirective>,
-}
-
-impl Allows {
-    /// Extract directives from a lexed file's comments.
-    pub fn parse(lexed: &LexedFile) -> Allows {
-        let mut directives = Vec::new();
-        for (line, text) in &lexed.comments {
-            let t = text.trim();
-            let Some(rest) = t.strip_prefix("ptlint:") else {
-                continue;
-            };
-            let rest = rest.trim();
-            let Some(inner) = rest.strip_prefix("allow(").and_then(|r| r.split_once(')')) else {
-                continue;
-            };
-            let (family, after) = inner;
-            let has_reason = after
-                .trim()
-                .strip_prefix("--")
-                .is_some_and(|r| !r.trim().is_empty());
-            directives.push(AllowDirective {
-                line: *line,
-                family: family.trim().to_string(),
-                has_reason,
-            });
-        }
-        Allows { directives }
-    }
-
-    /// Does a directive of `family` cover a finding on `line`?
-    pub fn permits(&self, family: &str, line: u32) -> bool {
-        self.directives
-            .iter()
-            .any(|d| d.family == family && d.has_reason && (d.line == line || d.line + 1 == line))
-    }
-
-    /// Report every directive that lacks the mandatory `-- reason`
-    /// suffix. A reason-less allow is itself an error: the escape hatch
-    /// exists to carry the justification into the diff.
-    pub fn report_unjustified(&self, file: &str, report: &mut LintReport) {
-        for d in &self.directives {
-            if !d.has_reason {
-                report.push(Finding {
-                    code: "directive.unjustified-allow",
-                    severity: Severity::Error,
-                    file: file.to_string(),
-                    line: d.line,
-                    detail: format!(
-                        "`ptlint: allow({})` without a `-- reason`; every exemption must say why",
-                        d.family
-                    ),
-                });
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn directive_covers_same_and_next_line() {
-        let f = LexedFile::lex(
-            "// ptlint: allow(io) -- flock needs a real fd\nlet a = 1;\nlet b = 2; // ptlint: allow(panic) -- len checked above\n",
-        );
-        let allows = Allows::parse(&f);
-        assert!(allows.permits("io", 1));
-        assert!(allows.permits("io", 2));
-        assert!(!allows.permits("io", 3));
-        assert!(allows.permits("panic", 3));
-        assert!(
-            allows.permits("panic", 4),
-            "directives cover the next line too"
-        );
-        assert!(!allows.permits("panic", 5));
-    }
-
-    #[test]
-    fn reasonless_directive_is_an_error_and_does_not_permit() {
-        let f = LexedFile::lex("// ptlint: allow(panic)\nlet a = 1;\n");
-        let allows = Allows::parse(&f);
-        assert!(!allows.permits("panic", 2));
-        let mut report = LintReport::new();
-        allows.report_unjustified("x.rs", &mut report);
-        assert_eq!(report.errors(), 1);
-        assert_eq!(report.findings[0].code, "directive.unjustified-allow");
-    }
-
-    #[test]
-    fn unrelated_comments_are_ignored() {
-        let f = LexedFile::lex("// allow(panic) without the prefix\n// ptlint: deny(everything)\n");
-        let allows = Allows::parse(&f);
-        assert!(allows.directives.is_empty());
     }
 }

@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 pub enum Severity {
     /// Style/consistency issue; never fails the build.
     Warning,
-    /// Invariant violation; fails the build when its family is denied.
+    /// Invariant violation; fails the build.
     Error,
 }
 
@@ -22,14 +22,14 @@ pub enum Severity {
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Stable machine-readable code, `family.kind`
-    /// (e.g. `io.direct-fs`, `locks.cycle`).
+    /// (e.g. `locks.new-edge`, `locks.cycle`).
     pub code: &'static str,
     /// Error or warning.
     pub severity: Severity,
     /// Workspace-relative path of the offending file.
     pub file: String,
     /// 1-based line, or 0 when the finding has no single line (e.g. a
-    /// missing dispatch arm is about an absence).
+    /// cycle or a missing allowlist is about the whole graph).
     pub line: u32,
     /// What the rule saw, in one line.
     pub detail: String,
@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn counters_and_severities() {
         let mut r = LintReport::new();
-        r.push(f("io.direct-fs", "a.rs", 3, Severity::Error));
+        r.push(f("locks.new-edge", "a.rs", 3, Severity::Error));
         r.push(f("locks.unused-edge", "b.rs", 0, Severity::Warning));
         assert_eq!(r.errors(), 1);
         assert_eq!(r.warnings(), 1);
@@ -212,29 +212,29 @@ mod tests {
         let mut r = LintReport::new();
         r.files_scanned = 2;
         r.push(Finding {
-            code: "io.direct-fs",
+            code: "locks.new-edge",
             severity: Severity::Error,
             file: "a.rs".into(),
             line: 1,
-            detail: "uses \"std::fs\"\n".into(),
+            detail: "acquires \"pool.a\"\n".into(),
         });
         let j1 = r.to_json();
         let j2 = r.to_json();
         assert_eq!(j1, j2);
         assert!(j1.starts_with("{\"schema\":\"pt-lint/v1\","));
-        assert!(j1.contains("\\\"std::fs\\\"\\n"));
+        assert!(j1.contains("\\\"pool.a\\\"\\n"));
     }
 
     #[test]
     fn per_code_cap_truncates_with_a_marker() {
         let mut r = LintReport::new();
         for i in 0..(FINDINGS_CAP_PER_CODE + 10) {
-            r.push(f("panics.unwrap", "x.rs", i as u32 + 1, Severity::Error));
+            r.push(f("locks.new-edge", "x.rs", i as u32 + 1, Severity::Error));
         }
         let count = r
             .findings
             .iter()
-            .filter(|x| x.code == "panics.unwrap")
+            .filter(|x| x.code == "locks.new-edge")
             .count();
         assert_eq!(count, FINDINGS_CAP_PER_CODE + 1);
         assert!(r.findings.last().unwrap().detail.contains("suppressed"));

@@ -1,18 +1,15 @@
-//! A minimal Rust lexer: the token stream every check walks.
+//! A minimal Rust lexer: the token stream the lock-order check walks.
 //!
-//! This is deliberately *not* a full parser. The four ptlint checks need
-//! exactly three things a grep cannot provide:
+//! This is deliberately *not* a full parser. The check needs exactly
+//! two things a grep cannot provide:
 //!
-//! 1. **String/comment awareness** — `std::fs` inside a doc comment or a
-//!    string literal is not a violation; `unwrap()` inside a test module
-//!    is not a hot-path panic. The lexer strips comments and keeps
-//!    literals as single tokens, so checks never match inside them.
-//! 2. **Token adjacency** — `use std :: fs as xfs` is five tokens no
-//!    matter how it is formatted, so import renames cannot slip past the
-//!    way they slip past a line-oriented grep.
-//! 3. **Brace structure** — `#[cfg(test)]`-gated regions and function
-//!    bodies are brace-balanced token ranges, which is all the scoping
-//!    the checks need.
+//! 1. **String/comment awareness** — `.lock()` inside a doc comment or a
+//!    string literal is not an acquisition. The lexer strips comments
+//!    and keeps literals as single tokens, so the check never matches
+//!    inside them.
+//! 2. **Brace structure** — function bodies, guard scopes and
+//!    `#[cfg(test)]`-gated regions are brace-balanced token ranges,
+//!    which is all the scoping the check needs.
 //!
 //! The lexer handles the full literal syntax that appears in this
 //! workspace: nested block comments, raw strings with arbitrary `#`
@@ -61,14 +58,12 @@ impl Token {
     }
 }
 
-/// A lexed source file: tokens plus the line comments (for `ptlint:`
-/// directives) and per-token test-region classification.
+/// A lexed source file: tokens plus per-token test-region
+/// classification.
 #[derive(Debug)]
 pub struct LexedFile {
     /// All non-comment tokens in source order.
     pub tokens: Vec<Token>,
-    /// `(line, text)` for every `//` comment, text excluding the slashes.
-    pub comments: Vec<(u32, String)>,
     /// Parallel to `tokens`: true when the token sits inside a
     /// `#[cfg(test)]` / `#[test]`-gated item.
     pub in_test: Vec<bool>,
@@ -77,13 +72,9 @@ pub struct LexedFile {
 impl LexedFile {
     /// Lex `src` and classify test regions.
     pub fn lex(src: &str) -> LexedFile {
-        let (tokens, comments) = tokenize(src);
+        let tokens = tokenize(src);
         let in_test = mark_test_regions(&tokens);
-        LexedFile {
-            tokens,
-            comments,
-            in_test,
-        }
+        LexedFile { tokens, in_test }
     }
 
     /// The token index range `[open+1, close)` for the brace block whose
@@ -106,10 +97,9 @@ impl LexedFile {
     }
 }
 
-fn tokenize(src: &str) -> (Vec<Token>, Vec<(u32, String)>) {
+fn tokenize(src: &str) -> Vec<Token> {
     let bytes = src.as_bytes();
     let mut tokens = Vec::new();
-    let mut comments = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
     while i < bytes.len() {
@@ -121,11 +111,9 @@ fn tokenize(src: &str) -> (Vec<Token>, Vec<(u32, String)>) {
             }
             c if c.is_whitespace() => i += 1,
             '/' if bytes.get(i + 1) == Some(&b'/') => {
-                let start = i + 2;
                 while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
-                comments.push((line, src[start..i].to_string()));
             }
             '/' if bytes.get(i + 1) == Some(&b'*') => {
                 let mut depth = 1usize;
@@ -256,7 +244,7 @@ fn tokenize(src: &str) -> (Vec<Token>, Vec<(u32, String)>) {
             }
         }
     }
-    (tokens, comments)
+    tokens
 }
 
 fn is_ident_char(b: u8) -> bool {
@@ -454,17 +442,16 @@ mod tests {
 
     #[test]
     fn comments_and_strings_do_not_produce_code_tokens() {
-        let f =
-            LexedFile::lex("// std::fs in a comment\nlet s = \"std::fs::read\"; /* std::fs */\n");
-        let fs_idents = f.tokens.iter().filter(|t| t.is_ident("fs")).count();
-        assert_eq!(fs_idents, 0);
-        assert_eq!(f.comments.len(), 1);
-        assert!(f.comments[0].1.contains("std::fs"));
+        let f = LexedFile::lex(
+            "// self.a.lock() in a comment\nlet s = \"self.b.lock()\"; /* self.c.lock() */\n",
+        );
+        let lock_idents = f.tokens.iter().filter(|t| t.is_ident("lock")).count();
+        assert_eq!(lock_idents, 0);
         // The string literal is one Str token holding the inner text.
         assert!(f
             .tokens
             .iter()
-            .any(|t| t.kind == TokenKind::Str && t.text == "std::fs::read"));
+            .any(|t| t.kind == TokenKind::Str && t.text == "self.b.lock()"));
     }
 
     #[test]

@@ -1,22 +1,20 @@
-//! `ptlint` — workspace-aware static analysis for the PerfTrack repo.
+//! `ptlint` — the lock-order check for the PerfTrack workspace.
 //!
-//! The engine's correctness story rests on a few cross-cutting
-//! invariants that no single crate's type system can see: all engine
-//! I/O flows through the `Vfs` seam, the request path never panics on
-//! untrusted bytes, locks are acquired in one global order, and the
-//! wire protocol's four hand-synchronized surfaces (opcode constants,
-//! enum arms, dispatch match, `OP_LABELS`) stay in step. `ptlint`
-//! checks all four as a CI gate, reporting typed [`Finding`]s with the
-//! same table/JSON contract as `pt fsck`.
+//! Deadlock freedom in the engine rests on one global lock-acquisition
+//! order. `ptlint` re-derives the held-while-acquiring graph from the
+//! source, diffs it against the committed allowlist
+//! (`tools/lock-order.toml`) and reports new edges and cycles as typed
+//! [`Finding`]s, with the same table/JSON contract as `pt fsck`. No
+//! standard tool checks this; the workspace's other static policies
+//! (I/O confinement, panic-freedom, protocol and metric consistency)
+//! are clippy lints and tests — `docs/ANALYSIS.md` maps each policy to
+//! where it is enforced.
 //!
 //! The analysis is token-level, not AST-level: the crate is
-//! deliberately dependency-free (this container builds with no network
-//! access, and a lint gate should never be knocked over by the
-//! dependencies of the code it checks), so it lexes Rust by hand —
-//! enough to strip comments/strings, mark `#[cfg(test)]` regions,
-//! match brace structure, and track `use` renames, which is what
-//! separates it from the grep it replaces. See `docs/ANALYSIS.md` for
-//! the check catalogue and escape-hatch policy.
+//! deliberately dependency-free (a lint gate should never be knocked
+//! over by the dependencies of the code it checks), so it lexes Rust by
+//! hand — enough to strip comments and strings, mark `#[cfg(test)]`
+//! regions, and match brace structure.
 
 #![deny(missing_docs)]
 
@@ -31,7 +29,7 @@ pub use findings::{Finding, LintReport, Severity};
 use checks::Workspace;
 use std::path::Path;
 
-/// Which checks to run and where.
+/// Where to run the check.
 #[derive(Debug, Clone)]
 pub struct Options {
     /// Workspace root directory.
@@ -49,17 +47,14 @@ impl Default for Options {
     }
 }
 
-/// Run every check family over the workspace and return the report.
+/// Run the lock-order check over the workspace and return the report.
 pub fn run_all(opts: &Options) -> LintReport {
     let ws = Workspace::new(&opts.root);
     let mut report = LintReport::new();
-    checks::io::run(&ws, &mut report);
-    checks::panics::run(&ws, &mut report);
     match load_lock_config(&ws, &opts.lock_order) {
         Ok(cfg) => checks::locks::run(&ws, &cfg, &mut report),
         Err(f) => report.push(f),
     }
-    checks::protocol::run(&ws, &mut report);
     report.files_scanned = ws.files_lexed();
     report
 }
@@ -90,18 +85,6 @@ fn load_lock_config(ws: &Workspace, rel: &str) -> Result<LockOrderConfig, Findin
         line: 0,
         detail: e,
     })
-}
-
-/// The deny family a finding code belongs to: its prefix, with
-/// `metrics.*` folded into `protocol` (one ISSUE-level check family)
-/// and `directive.*` standing alone.
-pub fn family(code: &str) -> &str {
-    let prefix = code.split('.').next().unwrap_or(code);
-    if prefix == "metrics" {
-        "protocol"
-    } else {
-        prefix
-    }
 }
 
 /// Convenience for tests: run everything against a given root with the

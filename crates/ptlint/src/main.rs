@@ -1,18 +1,15 @@
-//! The `ptlint` binary: run the static-analysis pass and render the
-//! report as a table (default) or JSON (`--json`), optionally writing
-//! to a file (`--out`) for CI artifact upload.
+//! The `ptlint` binary: run the lock-order check and render the report
+//! as a table (default) or JSON (`--json`), optionally writing to a
+//! file (`--out`) for CI artifact upload.
 //!
 //! ```text
-//! ptlint [--root DIR] [--json] [--out FILE]
-//!        [--deny all|io,panics,locks,protocol,directive]
-//!        [--lock-order FILE] [--list-edges]
+//! ptlint [--root DIR] [--json] [--out FILE] [--lock-order FILE] [--list-edges]
 //! ```
 //!
-//! Exit codes: `0` — no denied errors (warnings never fail the build);
-//! `1` — at least one error finding in a denied family; `2` — usage or
-//! internal error.
+//! Exit codes: `0` — no errors (warnings never fail the build); `1` —
+//! at least one error finding; `2` — usage or internal error.
 
-use ptlint::{family, run_all, Options, Severity};
+use ptlint::{run_all, Options};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -30,7 +27,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut opts = Options::default();
     let mut json = false;
     let mut out: Option<String> = None;
-    let mut deny: Vec<String> = Vec::new();
     let mut list_edges = false;
 
     let mut it = args.iter();
@@ -40,15 +36,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             "--lock-order" => opts.lock_order = next_value(&mut it, "--lock-order")?,
             "--json" => json = true,
             "--out" => out = Some(next_value(&mut it, "--out")?),
-            "--deny" => {
-                for f in next_value(&mut it, "--deny")?.split(',') {
-                    deny.push(f.trim().to_string());
-                }
-            }
             "--list-edges" => list_edges = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: ptlint [--root DIR] [--json] [--out FILE] [--deny all|FAMILIES] [--lock-order FILE] [--list-edges]"
+                    "usage: ptlint [--root DIR] [--json] [--out FILE] [--lock-order FILE] [--list-edges]"
                 );
                 return Ok(ExitCode::SUCCESS);
             }
@@ -86,14 +77,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
     }
 
-    let deny_all = deny.iter().any(|d| d == "all");
-    let denied_errors = report
-        .findings
-        .iter()
-        .filter(|f| f.severity == Severity::Error)
-        .filter(|f| deny_all || deny.iter().any(|d| d == family(f.code)))
-        .count();
-    Ok(if denied_errors > 0 {
+    Ok(if report.errors() > 0 {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS

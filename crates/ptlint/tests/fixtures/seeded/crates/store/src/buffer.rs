@@ -1,4 +1,4 @@
-//! Seeded violations: a hot-path unwrap and a lock-order cycle.
+//! Seeded violation: a lock-order cycle.
 use crate::sync::Mutex;
 
 pub struct Pool {
@@ -17,17 +17,5 @@ impl Pool {
         let _b = self.b.lock();
         let _a = self.a.lock();
         0
-    }
-
-    pub fn hot(&self, v: Option<u32>) -> u32 {
-        v.unwrap()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn unwrap_in_tests_is_fine() {
-        Some(1u32).unwrap();
     }
 }

@@ -29,6 +29,8 @@
 //! versioning rules) is documented in `docs/SERVER.md`.
 
 #![deny(missing_docs)]
+// I/O confinement: no `std::fs` outside the Vfs seam (lists in clippy.toml).
+#![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod admission;
 pub mod client;

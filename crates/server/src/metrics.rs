@@ -98,7 +98,7 @@ pub struct ServerMetrics {
     /// Summed opcode cost of requests currently executing.
     pub admission_in_flight_cost: Gauge,
     /// Per-opcode request latency, indexed like [`OP_LABELS`].
-    pub op_latency: [LatencyHistogram; 9],
+    pub op_latency: [LatencyHistogram; OP_LABELS.len()],
 }
 
 impl ServerMetrics {

@@ -7,6 +7,18 @@
 //! error taxonomy are documented in `docs/SERVER.md`; that document is
 //! the compatibility contract for the `version` byte.
 
+// Panic-freedom: this file is on the request path or the engine core,
+// so its non-test code returns typed errors instead of panicking.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::wire::{
     encode_frame, put_bool, put_str, put_str_list, put_u32, put_u64, put_u8, Frame, PayloadReader,
     WireError,

@@ -40,6 +40,18 @@
 //! and drops the channel, workers finish the request in flight, answer
 //! nothing further, and exit once the queue is empty.
 
+// Panic-freedom: this file is on the request path or the engine core,
+// so its non-test code returns typed errors instead of panicking.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
 use crate::metrics::ServerMetrics;
 use crate::proto::{

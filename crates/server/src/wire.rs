@@ -23,6 +23,18 @@
 //! malformed byte sequence returns a typed [`WireError`] rather than
 //! panicking, no matter what the peer sends.
 
+// Panic-freedom: this file is on the request path or the engine core,
+// so its non-test code returns typed errors instead of panicking.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::fmt;
 
 /// Hard ceiling on a frame body (version + opcode + payload), 32 MiB.

@@ -4,11 +4,12 @@
 //! "need more bytes"), never a panic. A failing property prints the case
 //! seed that replays it.
 
+use perftrack_server::metrics::OP_LABELS;
 use perftrack_server::proto::{
     ErrorCategory, NameFilter, QuerySpec, Request, Response, WireFreeColumn, WireLoadStats,
     WIRE_VERSION,
 };
-use perftrack_server::wire::{FrameDecoder, PayloadReader, WireError};
+use perftrack_server::wire::{Frame, FrameDecoder, PayloadReader, WireError};
 use perftrack_workloads::rng::{check_cases, Rng};
 
 fn arb_bytes(rng: &mut Rng, n: usize) -> Vec<u8> {
@@ -120,7 +121,7 @@ fn arb_response(rng: &mut Rng) -> Response {
 }
 
 /// The one complete frame in `bytes`.
-fn one_frame(bytes: &[u8]) -> perftrack_server::wire::Frame {
+fn one_frame(bytes: &[u8]) -> Frame {
     let mut dec = FrameDecoder::new();
     dec.extend(bytes);
     dec.next_frame().unwrap().unwrap()
@@ -207,8 +208,30 @@ fn sample_requests() -> Vec<Request> {
         Request::Export,
         Request::Stats,
         Request::Fsck { deep: true },
+        Request::Compare {
+            executions: vec!["irs-mcr-0000".into(), "irs-mcr-0002".into()],
+            top: 20,
+            threshold_pct: 2,
+        },
         Request::Shutdown,
     ]
+}
+
+/// Declaration-order position of a request's variant. There is no `_`
+/// arm, so a new variant does not compile until it is numbered here;
+/// `samples_cover_every_variant` then wants a sample of it.
+fn request_variant(req: &Request) -> usize {
+    match req {
+        Request::Ping => 0,
+        Request::LoadPtdf { .. } => 1,
+        Request::Query(_) => 2,
+        Request::FreeResources(_) => 3,
+        Request::Export => 4,
+        Request::Stats => 5,
+        Request::Fsck { .. } => 6,
+        Request::Compare { .. } => 7,
+        Request::Shutdown => 8,
+    }
 }
 
 fn sample_responses() -> Vec<Response> {
@@ -247,12 +270,37 @@ fn sample_responses() -> Vec<Response> {
             json: "{}".into(),
             table: "bad\n".into(),
         },
+        Response::CompareDone {
+            json: "{\"schema\":\"pt-compare/v1\"}".into(),
+            table: "metric  base  other\n".into(),
+        },
         Response::ShuttingDown,
+        Response::Overloaded {
+            retry_after_ms: 250,
+        },
         Response::Err {
             category: ErrorCategory::Deadline,
             message: "too slow".into(),
         },
     ]
+}
+
+/// Declaration-order position of a response's variant; see
+/// [`request_variant`].
+fn response_variant(resp: &Response) -> usize {
+    match resp {
+        Response::Pong { .. } => 0,
+        Response::Loaded { .. } => 1,
+        Response::Table { .. } => 2,
+        Response::FreeResources(_) => 3,
+        Response::Ptdf { .. } => 4,
+        Response::Stats { .. } => 5,
+        Response::FsckDone { .. } => 6,
+        Response::CompareDone { .. } => 7,
+        Response::ShuttingDown => 8,
+        Response::Overloaded { .. } => 9,
+        Response::Err { .. } => 10,
+    }
 }
 
 /// Drain a decoder until it parks or errors; decode every frame both
@@ -332,6 +380,42 @@ fn bit_flipped_frames_error_or_decode_but_never_panic() {
             drain(&mut dec);
         }
     }
+}
+
+/// How many opcodes `decode` knows: the bytes whose empty-payload frame
+/// fails with anything but `BadOpcode`.
+fn known_opcodes<T>(decode: impl Fn(&Frame) -> Result<T, WireError>) -> usize {
+    (0..=u8::MAX)
+        .filter(|&opcode| {
+            let frame = Frame {
+                version: WIRE_VERSION,
+                opcode,
+                payload: Vec::new(),
+            };
+            !matches!(decode(&frame), Err(WireError::BadOpcode(_)))
+        })
+        .count()
+}
+
+/// The samples hold one message of every variant, in declaration
+/// order, and there are as many as `decode` knows opcodes, so
+/// `every_sample_message_roundtrips` reaches every opcode.
+#[test]
+fn samples_cover_every_variant() {
+    let requests: Vec<usize> = sample_requests().iter().map(request_variant).collect();
+    let expected: Vec<usize> = (0..known_opcodes(Request::decode)).collect();
+    assert_eq!(requests, expected);
+    let responses: Vec<usize> = sample_responses().iter().map(response_variant).collect();
+    let expected: Vec<usize> = (0..known_opcodes(Response::decode)).collect();
+    assert_eq!(responses, expected);
+}
+
+/// `Request::label` names every opcode's latency histogram: its values
+/// over all variants are exactly `OP_LABELS`, in order.
+#[test]
+fn request_labels_are_op_labels() {
+    let labels: Vec<&str> = sample_requests().iter().map(Request::label).collect();
+    assert_eq!(labels, OP_LABELS);
 }
 
 #[test]

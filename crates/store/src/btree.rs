@@ -33,6 +33,18 @@
 //! shallower than optimal. The sorted build on the next open restores
 //! tightness.
 
+// Panic-freedom: this file is on the request path or the engine core,
+// so its non-test code returns typed errors instead of panicking.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::metrics::BTreeStatsSnapshot;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -364,7 +376,7 @@ impl BTreeIndex {
     #[cfg(debug_assertions)]
     fn debug_validate(&mut self) {
         self.mutations += 1;
-        if self.len <= 512 || self.mutations.is_multiple_of(1024) {
+        if self.len <= 512 || self.mutations % 1024 == 0 {
             debug_assert!(
                 crate::check::tree_is_sound(self),
                 "B+tree invariants broken after mutation #{}",

@@ -37,6 +37,18 @@
 //!   [`StoreError::PoolExhausted`] — scoped pins are short, so transient
 //!   all-pinned states resolve in a few scheduler quanta.
 
+// Panic-freedom: this file is on the request path or the engine core,
+// so its non-test code returns typed errors instead of panicking.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::disk::DiskManager;
 use crate::error::{Result, StoreError};
 use crate::page::{PageId, PAGE_SIZE};
@@ -232,8 +244,11 @@ impl BufferPool {
 
     /// The shard a page maps to.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "modulo keeps the index in range; with_shards guarantees >= 1 shard"
+    )]
     fn shard_of(&self, id: PageId) -> &Shard {
-        // ptlint: allow(panic) -- modulo keeps the index in range; with_shards guarantees >= 1 shard
         &self.shards[id.0 as usize % self.shards.len()]
     }
 
@@ -242,8 +257,11 @@ impl BufferPool {
     /// `local` below the shard's capacity, which `with_shards` sized the
     /// frame vector to cover exactly.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "shard.base + local < frames.len() by pool construction"
+    )]
     fn frame(&self, idx: usize) -> &Frame {
-        // ptlint: allow(panic) -- shard.base + local < frames.len() by pool construction
         &self.frames[idx]
     }
 

@@ -480,16 +480,25 @@ impl Catalog {
     /// deliberately does not model.
     pub fn save(&self, path: &Path) -> Result<()> {
         let tmp = path.with_extension("tmp");
-        // ptlint: allow(io) -- catalog snapshot uses host atomic rename, outside the paged Vfs seam
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "catalog snapshot uses host atomic rename, outside the paged Vfs seam"
+        )]
         std::fs::write(&tmp, self.to_bytes())?;
-        // ptlint: allow(io) -- second half of the write-temp-then-rename pair above
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "second half of the write-temp-then-rename pair above"
+        )]
         std::fs::rename(&tmp, path)?;
         Ok(())
     }
 
     /// Load a catalog from `path`.
     pub fn load(path: &Path) -> Result<Self> {
-        // ptlint: allow(io) -- catalog snapshot lives outside the paged Vfs seam (see save)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "catalog snapshot lives outside the paged Vfs seam (see save)"
+        )]
         let bytes = std::fs::read(path)?;
         Catalog::from_bytes(&bytes)
     }

@@ -1116,6 +1116,10 @@ pub fn verify_database(db: &Database, deep: bool) -> Result<FsckReport> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the tests plant corrupted page files on the host filesystem"
+)]
 mod tests {
     use super::*;
     use crate::page::PageMut;

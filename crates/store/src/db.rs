@@ -217,7 +217,10 @@ impl Database {
     /// fault-injection tests use to run a whole database against
     /// [`crate::vfs::FaultVfs`].
     pub fn open_with_vfs(dir: &Path, opts: DbOptions, vfs: &dyn Vfs) -> Result<Self> {
-        // ptlint: allow(io) -- store-directory creation happens before any Vfs handle exists
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "store-directory creation happens before any Vfs handle exists"
+        )]
         std::fs::create_dir_all(dir)?;
         // Take the directory lock before reading a single page: two
         // processes racing through recovery would each replay the WAL
@@ -1446,6 +1449,10 @@ impl Drop for Database {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the tests open, crash and reopen stores in host scratch directories"
+)]
 mod tests {
     use super::*;
     use crate::value::ColumnType;

@@ -89,6 +89,10 @@ impl DiskManager {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the tests exercise the real-disk page file on host scratch files"
+)]
 mod tests {
     use super::*;
     use crate::vfs::FaultVfs;

@@ -71,6 +71,8 @@
 //! ```
 
 #![deny(missing_docs)]
+// I/O confinement: no `std::fs` outside the Vfs seam (lists in clippy.toml).
+#![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod btree;
 pub mod buffer;

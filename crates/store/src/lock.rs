@@ -27,7 +27,10 @@
 //! are unchanged.
 
 use crate::error::{Result, StoreError};
-// ptlint: allow(io) -- fcntl record locks need a real host file descriptor, not a Vfs handle
+#[expect(
+    clippy::disallowed_types,
+    reason = "fcntl record locks need a real host file descriptor, not a Vfs handle"
+)]
 use std::fs::File;
 use std::path::Path;
 
@@ -39,6 +42,10 @@ pub const LOCK_FILE: &str = "store.lock";
 #[derive(Debug)]
 pub struct DirLock {
     // Keeps the descriptor — and with it the kernel lock — alive.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "fcntl record locks need a real host file descriptor, not a Vfs handle"
+    )]
     _file: File,
 }
 
@@ -48,7 +55,10 @@ impl DirLock {
     /// it; any other failure surfaces as the underlying I/O error.
     pub fn acquire(dir: &Path) -> Result<DirLock> {
         let path = dir.join(LOCK_FILE);
-        // ptlint: allow(io) -- the lock file must be a real kernel fd for fcntl(F_SETLK)
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the lock file must be a real kernel fd for fcntl(F_SETLK)"
+        )]
         let file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
@@ -78,8 +88,11 @@ impl DirLock {
 }
 
 #[cfg(all(target_os = "linux", not(miri)))]
+#[expect(
+    clippy::disallowed_types,
+    reason = "FFI shim over fcntl; operates on the real descriptor by design"
+)]
 mod sys {
-    // ptlint: allow(io) -- FFI shim over fcntl; operates on the real descriptor by design
     use std::fs::File;
     use std::os::unix::io::AsRawFd;
 
@@ -134,8 +147,11 @@ mod sys {
 }
 
 #[cfg(any(not(target_os = "linux"), miri))]
+#[expect(
+    clippy::disallowed_types,
+    reason = "signature parity with the linux sys module above"
+)]
 mod sys {
-    // ptlint: allow(io) -- signature parity with the linux sys module above
     use std::fs::File;
 
     pub fn lock_exclusive(_file: &File) -> std::io::Result<()> {
@@ -148,6 +164,10 @@ mod sys {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the tests take the directory lock in host scratch directories"
+)]
 mod tests {
     use super::*;
 

@@ -18,6 +18,18 @@
 //! reclaimed by [`PageMut::compact`], which rewrites live records without
 //! changing slot ids.
 
+// Panic-freedom: this file is on the request path or the engine core,
+// so its non-test code returns typed errors instead of panicking.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::error::{Result, StoreError};
 
 /// Size of every page in bytes.

@@ -15,8 +15,9 @@
 //! the WAL (a failed write flips the store to degraded mode and recovery
 //! replays a committed prefix on reopen), the structures under the pool,
 //! WAL and admission locks are updated by steps that each leave them
-//! valid, and `ptlint`'s panic check keeps panicking calls out of the
-//! code that runs under those locks.
+//! valid, and the clippy panic-freedom header (`#![deny(..)]` in
+//! `buffer.rs` and `wal.rs`) keeps panicking calls out of the code that
+//! runs under the pool and WAL locks.
 //!
 //! These are types, not call-site idiom, on purpose: `ptlint`'s
 //! lock-order pass binds a guard for `let g = x.lock();` and treats a

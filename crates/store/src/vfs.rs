@@ -19,6 +19,12 @@
 //! reached the inner layer — exactly the guarantee window a real
 //! buffered-I/O system has between `write(2)` and `fsync(2)`.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "this file is the Vfs seam: the one place engine code touches std::fs"
+)]
+
 use crate::error::{Result, StoreError};
 use crate::sync::Mutex;
 use std::collections::HashMap;

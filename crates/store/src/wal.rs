@@ -17,6 +17,18 @@
 //! final record after a crash) fails the length or CRC check and cleanly
 //! terminates the recovery scan.
 
+// Panic-freedom: this file is on the request path or the engine core,
+// so its non-test code returns typed errors instead of panicking.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::error::{Result, StoreError};
 use crate::metrics::{Counter, LatencyHistogram, WalStatsSnapshot};
 use crate::page::RowId;
@@ -51,11 +63,14 @@ fn crc32_table() -> &'static [u32; 256] {
 }
 
 /// CRC-32 checksum of `data` (IEEE polynomial).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "index is masked to 0xFF and the table has 256 entries"
+)]
 pub fn crc32(data: &[u8]) -> u32 {
     let table = crc32_table();
     let mut c = 0xFFFF_FFFFu32;
     for &b in data {
-        // ptlint: allow(panic) -- index is masked to 0xFF and the table has 256 entries
         c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
@@ -316,9 +331,12 @@ pub struct Wal {
 
 impl Wal {
     /// Log kept in memory (no durability; tests and ephemeral stores).
+    #[expect(
+        clippy::expect_used,
+        reason = "MemVfs::open is infallible; no untrusted input reaches this"
+    )]
     pub fn in_memory() -> Self {
         Self::open_with_vfs(&MemVfs::new(), Path::new("wal.mem"))
-            // ptlint: allow(panic) -- MemVfs::open is infallible; no untrusted input reaches this
             .expect("in-memory log cannot fail to open")
     }
 
@@ -488,6 +506,10 @@ impl Wal {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the tests exercise the real-disk log on host scratch files"
+)]
 mod tests {
     use super::*;
     use crate::page::PageId;

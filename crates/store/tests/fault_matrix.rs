@@ -8,6 +8,11 @@
 //! recovers a store that passes deep fsck with exactly the committed
 //! rows.
 
+#![allow(
+    clippy::incompatible_msrv,
+    reason = "the ENOSPC cases inject ErrorKind::StorageFull (Rust 1.83); the MSRV covers the library, not its tests"
+)]
+
 use perftrack_store::prelude::*;
 use perftrack_store::vfs::{FaultKind, FaultRule, FaultTrigger, FaultVfs, MemVfs};
 use perftrack_store::StoreError;

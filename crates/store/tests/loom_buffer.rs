@@ -30,8 +30,14 @@
 //! which switches to a larger configuration (more threads than frames,
 //! forcing eviction under contention).
 
-#![allow(unknown_lints)]
-#![allow(unexpected_cfgs)]
+#![allow(
+    unknown_lints,
+    reason = "toolchains that predate check-cfg do not know `unexpected_cfgs`"
+)]
+#![allow(
+    unexpected_cfgs,
+    reason = "`--cfg loom` selects the larger model-checking configuration"
+)]
 
 use std::collections::HashSet;
 

@@ -80,12 +80,12 @@ pub fn cube_factors(np: usize) -> (usize, usize, usize) {
     let mut best = (np, 1, 1);
     let mut best_score = usize::MAX;
     for x in 1..=np {
-        if !np.is_multiple_of(x) {
+        if np % x != 0 {
             continue;
         }
         let rem = np / x;
         for y in 1..=rem {
-            if !rem.is_multiple_of(y) {
+            if rem % y != 0 {
                 continue;
             }
             let z = rem / y;
