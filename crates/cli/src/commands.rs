@@ -1,13 +1,22 @@
 //! Implementations of the `pt` subcommands.
+//!
+//! `query`, `stats`, `fsck`, `export` and `compare` run on a [`Site`]:
+//! the store directory `pt <cmd> <store-dir>` names, answered in-process
+//! by `perftrack_server::ops`, or the `pt serve` address of
+//! `pt --connect ADDR <cmd>`, answered by the same functions through the
+//! [`Client`]. Each builds one [`Request`] from its arguments and prints
+//! the [`Response`] with [`render`], so both sites print the same bytes.
 
 use crate::args::{parse, Args, CliError};
 use perftrack::{
-    BulkLoadOptions, Compare, CompareOptions, PTDataStore, Predictor, QueryEngine, Reports,
-    SelectionDialog,
+    BulkLoadOptions, CompareOptions, DetachedTable, PTDataStore, Predictor, PtError, QueryEngine,
+    Reports,
 };
 use perftrack_adapters as adapters;
 use perftrack_collect::MachineModel;
-use perftrack_model::{Relatives, ResourceFilter, TypePath};
+use perftrack_server::{
+    categorize, ops, Client, ClientError, ErrorCategory, NameFilter, QuerySpec, Request, Response,
+};
 use perftrack_workloads as wl;
 use std::path::{Path, PathBuf};
 
@@ -46,25 +55,126 @@ impl std::fmt::Display for ExitCodeError {
 
 impl std::error::Error for ExitCodeError {}
 
-/// Map an error to the exit-code contract by walking its source chain
-/// for typed storage errors.
+/// The exit code of an error category, for local and remote errors
+/// alike; categories outside the contract exit 1.
+fn code_for(category: ErrorCategory) -> u8 {
+    match category {
+        ErrorCategory::ReadOnly => exit::DEGRADED,
+        ErrorCategory::Corrupt => exit::CORRUPT,
+        ErrorCategory::Locked => exit::LOCKED,
+        ErrorCategory::Overloaded => exit::OVERLOADED,
+        _ => 1,
+    }
+}
+
+/// Map a command's error to the exit-code contract: a local engine error
+/// is categorized as the server would report it, and a remote one
+/// carries the server's category.
 pub fn exit_code_for(e: &CliError) -> u8 {
-    let mut cur: Option<&(dyn std::error::Error + 'static)> = Some(e.as_ref());
-    while let Some(err) = cur {
-        if let Some(x) = err.downcast_ref::<ExitCodeError>() {
-            return x.code;
-        }
-        if let Some(s) = err.downcast_ref::<perftrack_store::StoreError>() {
-            match s {
-                perftrack_store::StoreError::ReadOnly => return exit::DEGRADED,
-                perftrack_store::StoreError::Corrupt(_) => return exit::CORRUPT,
-                perftrack_store::StoreError::Locked(_) => return exit::LOCKED,
-                _ => {}
+    if let Some(x) = e.downcast_ref::<ExitCodeError>() {
+        return x.code;
+    }
+    let category = match (e.downcast_ref::<PtError>(), e.downcast_ref::<ClientError>()) {
+        (Some(pt), _) => Some(categorize(pt)),
+        (None, Some(c)) => c.remote_category(),
+        (None, None) => None,
+    };
+    category.map_or(1, code_for)
+}
+
+/// Where a command runs: a local store directory, or the address of a
+/// `pt serve` (`pt --connect ADDR <cmd>`).
+enum Site {
+    Dir(String),
+    Addr(String),
+}
+
+/// A command's value options and flags.
+type Opts<'a> = (&'a [&'a str], &'a [&'a str]);
+
+const NO_OPTS: Opts<'static> = (&[], &[]);
+
+/// Parse a command that runs on either site. `opts` are declared on
+/// both; `local_only` only on a store directory, so over `--connect`
+/// they are unknown options and fail here, before anything is opened.
+/// A local command's first positional is its store directory, which is
+/// taken out of the returned positionals.
+fn parse_at(
+    connect: Option<&str>,
+    argv: &[String],
+    opts: Opts<'_>,
+    local_only: Opts<'_>,
+) -> Result<(Site, Args)> {
+    let Some(addr) = connect else {
+        let values = [opts.0, local_only.0].concat();
+        let flags = [opts.1, local_only.1].concat();
+        let mut a = parse(argv, &values, &flags)?;
+        let dir = a.positional(0, "store directory")?.to_string();
+        a.positional.remove(0);
+        return Ok((Site::Dir(dir), a));
+    };
+    Ok((Site::Addr(addr.to_string()), parse(argv, opts.0, opts.1)?))
+}
+
+impl Site {
+    /// Answer `req`: in-process on the local store (opening it takes
+    /// its directory lock), or over the wire.
+    fn call(&self, req: &Request) -> Result<Response> {
+        Ok(match self {
+            Site::Dir(dir) => ops::execute(&open_store(dir)?, req)?,
+            Site::Addr(addr) => Client::connect(addr.as_str()).call(req)?,
+        })
+    }
+}
+
+/// Print a response as its command does, whichever site answered.
+/// `--json` picks the JSON rendering where there is one, `--csv` the CSV
+/// form of a table; an export writes its text to positional 0. A check
+/// with error findings prints its report, then fails.
+fn render(resp: Response, a: &Args) -> Result<()> {
+    let failed = match &resp {
+        Response::FsckDone {
+            errors, warnings, ..
+        } => (*errors > 0).then(|| format!("{errors} error(s), {warnings} warning(s)")),
+        _ => None,
+    };
+    match resp {
+        Response::Table { columns, rows } => {
+            if a.has_flag("csv") {
+                print!("{}", DetachedTable { columns, rows }.to_csv());
+            } else {
+                println!("{}", columns.join(" | "));
+                for row in &rows {
+                    println!("{}", row.join(" | "));
+                }
+                println!("({} rows)", rows.len());
             }
         }
-        cur = err.source();
+        Response::Stats { json, table }
+        | Response::CompareDone { json, table }
+        | Response::FsckDone { json, table, .. } => {
+            if a.has_flag("json") {
+                println!("{json}");
+            } else {
+                print!("{table}");
+            }
+        }
+        Response::Ptdf { text } => {
+            let out = a.positional(0, "output file")?;
+            let statements = text.lines().filter(|l| !l.trim().is_empty()).count();
+            std::fs::write(out, text)?;
+            println!("exported {statements} statements to {out}");
+        }
+        Response::Pong { version, degraded } => {
+            println!("server protocol v{version}, degraded: {degraded}");
+        }
+        Response::ShuttingDown => println!("server is draining"),
+        other => return Err(format!("unexpected response from server: {other:?}").into()),
     }
-    1
+    match failed {
+        Some(summary) => Err(format!("integrity check failed: {summary}").into()),
+        None => Ok(()),
+    }
 }
 
 fn open_store(dir: &str) -> Result<PTDataStore> {
@@ -262,19 +372,12 @@ pub fn load(argv: &[String]) -> Result<u8> {
 }
 
 /// `pt stats <store-dir> [--json]` — engine observability counters
-/// (buffer pool, WAL, B+trees, transactions). The metric names and the
-/// JSON schema are documented in `docs/METRICS.md`.
-pub fn stats(argv: &[String]) -> Result<()> {
-    let a = parse(argv, &[], &["json"])?;
-    let dir = a.positional(0, "store directory")?;
-    let store = open_store(dir)?;
-    let snap = store.db().metrics();
-    if a.has_flag("json") {
-        println!("{}", snap.to_json().emit());
-    } else {
-        print!("{}", snap.render_table());
-    }
-    Ok(())
+/// (buffer pool, WAL, B+trees, transactions); a server adds its own
+/// under `server`. The metric names and the JSON schema are documented
+/// in `docs/METRICS.md`.
+pub fn stats(connect: Option<&str>, argv: &[String]) -> Result<()> {
+    let (site, a) = parse_at(connect, argv, (&[], &["json"]), NO_OPTS)?;
+    render(site.call(&Request::Stats)?, &a)
 }
 
 /// `pt analyze <store-dir>` — collect planner statistics (per-table row
@@ -287,7 +390,7 @@ pub fn analyze(argv: &[String]) -> Result<()> {
     let a = parse(argv, &[], &[])?;
     let dir = a.positional(0, "store directory")?;
     let store = open_store(dir)?;
-    let (tables, indexes) = store.db().analyze()?;
+    let (tables, indexes) = store.db().analyze().map_err(PtError::from)?;
     println!("analyzed {tables} tables and {indexes} indexes; statistics persisted to the catalog");
     Ok(())
 }
@@ -297,25 +400,19 @@ pub fn analyze(argv: &[String]) -> Result<()> {
 /// and foreign keys. Every invariant, finding code, and the JSON schema
 /// are documented in `docs/FSCK.md`. Exits nonzero when any
 /// error-severity finding is reported (warnings alone exit zero).
-pub fn fsck(argv: &[String]) -> Result<()> {
-    let a = parse(argv, &[], &["deep", "json"])?;
-    let dir = a.positional(0, "store directory")?;
+pub fn fsck(connect: Option<&str>, argv: &[String]) -> Result<()> {
+    let (site, a) = parse_at(connect, argv, (&[], &["deep", "json"]), NO_OPTS)?;
     // Unlike the other commands, refuse to create a store here: verifying
     // a store this command just created would always (vacuously) pass.
-    if !Path::new(dir).join("pages.db").exists() {
-        return Err(format!("no store found at {dir} (missing pages.db)").into());
+    if let Site::Dir(dir) = &site {
+        if !Path::new(dir).join("pages.db").exists() {
+            return Err(format!("no store found at {dir} (missing pages.db)").into());
+        }
     }
-    let store = open_store(dir)?;
-    let report = store.fsck(a.has_flag("deep"))?;
-    if a.has_flag("json") {
-        println!("{}", report.to_json().emit());
-    } else {
-        print!("{}", report.render_table());
-    }
-    if report.error_count() > 0 {
-        return Err(format!("integrity check failed: {}", report.summary()).into());
-    }
-    Ok(())
+    let req = Request::Fsck {
+        deep: a.has_flag("deep"),
+    };
+    render(site.call(&req)?, &a)
 }
 
 /// `pt report <store-dir> [kind]` — simple reports (§3.3).
@@ -363,7 +460,8 @@ pub fn report(argv: &[String]) -> Result<()> {
         }
         "tables" => {
             for (name, table) in store.schema().all_tables() {
-                println!("{name}\t{} rows", store.db().row_count(table)?);
+                let rows = store.db().row_count(table).map_err(PtError::from)?;
+                println!("{name}\t{rows} rows");
             }
         }
         other => return Err(format!("unknown report {other:?}").into()),
@@ -371,83 +469,70 @@ pub fn report(argv: &[String]) -> Result<()> {
     Ok(())
 }
 
-fn filters_from_args(a: &Args) -> Result<Vec<ResourceFilter>> {
-    let relatives = match a.get("relatives") {
-        Some(code) => {
-            let c = code.chars().next().unwrap_or('D');
-            Relatives::from_code(c).ok_or_else(|| format!("bad relatives code {code:?}"))?
-        }
-        None => Relatives::Descendants,
-    };
-    let mut filters = Vec::new();
-    for name in a.get_all("name") {
-        filters.push(ResourceFilter::by_name(name).relatives(relatives));
+/// The pr-filter flags: `--name`, `--type`, `--relatives` and
+/// `--add-column`, as the spec `pt query` sends on either site (and
+/// `count`, `chart` and `explain` run locally).
+/// [`QuerySpec::filters`] validates them.
+fn query_spec(a: &Args) -> QuerySpec {
+    let relatives = a
+        .get("relatives")
+        .map_or('D', |c| c.chars().next().unwrap_or('D'));
+    QuerySpec {
+        names: a
+            .get_all("name")
+            .into_iter()
+            .map(|p| NameFilter {
+                pattern: p.to_string(),
+                relatives,
+            })
+            .collect(),
+        types: a.get_all("type").into_iter().map(String::from).collect(),
+        add_columns: a
+            .get_all("add-column")
+            .into_iter()
+            .map(String::from)
+            .collect(),
     }
-    for ty in a.get_all("type") {
-        filters.push(ResourceFilter::by_type(
-            TypePath::new(ty).map_err(|e| e.to_string())?,
-        ));
-    }
-    Ok(filters)
 }
 
 /// `pt query <store-dir> [--name PAT]... [--type PATH]...` — run a
 /// pr-filter query and print the result table. With `--profile`, an
 /// EXPLAIN-style per-operator profile of the executed pipeline follows
-/// the rows (as JSON with `--json`; schema in `docs/METRICS.md`).
-pub fn query(argv: &[String]) -> Result<()> {
-    let a = parse(
+/// the rows (as JSON with `--json`; schema in `docs/METRICS.md`);
+/// `--explain` prints the plan instead of running it. Both are
+/// local-only options.
+pub fn query(connect: Option<&str>, argv: &[String]) -> Result<()> {
+    let (site, a) = parse_at(
+        connect,
         argv,
-        &["name", "type", "relatives", "add-column"],
-        &["explain", "profile", "csv", "json"],
+        (&["name", "type", "relatives", "add-column"], &["csv"]),
+        (&[], &["explain", "profile", "json"]),
     )?;
-    let dir = a.positional(0, "store directory")?;
+    let spec = query_spec(&a);
+    let Site::Dir(dir) = &site else {
+        return render(site.call(&Request::Query(spec))?, &a);
+    };
     let store = open_store(dir)?;
     if a.has_flag("explain") {
         // EXPLAIN without executing, like SQL's EXPLAIN.
-        print_explain(&store, &a)?;
-        return Ok(());
+        return print_explain(&store, &spec, &a);
     }
-    let mut dialog = SelectionDialog::new(&store);
-    for f in filters_from_args(&a)? {
-        match &f.selector {
-            perftrack_model::Selector::ByName(n) => dialog.add_name(n, f.relatives),
-            perftrack_model::Selector::ByType(t) => dialog.add_type(t),
-            perftrack_model::Selector::ByAttrs(_) => {}
-        }
-    }
-    let (mut table, profile) = if a.has_flag("profile") {
-        let (t, p) = dialog.retrieve_profiled()?;
-        (t, Some(p))
-    } else {
-        (dialog.retrieve()?, None)
-    };
-    for col in a.get_all("add-column") {
-        table.add_resource_column(col);
-    }
-    if a.has_flag("csv") {
-        print!("{}", table.to_csv()?);
-    } else {
-        println!("{}", table.columns().join(" | "));
-        for row in table.render()? {
-            println!("{}", row.join(" | "));
-        }
-        println!("({} rows)", table.len());
-    }
-    if let Some(p) = profile {
+    // The function `Request::Query` runs, which also yields the profile.
+    let (resp, profile) = ops::query(&store, &spec)?;
+    render(resp, &a)?;
+    if a.has_flag("profile") {
         if a.has_flag("json") {
-            println!("{}", p.to_json().emit());
+            println!("{}", profile.to_json().emit());
         } else {
             // To stderr so `--csv | ...` pipelines stay clean.
-            eprint!("{}", p.render_table());
+            eprint!("{}", profile.render_table());
         }
     }
     Ok(())
 }
 
-fn print_explain(store: &PTDataStore, a: &Args) -> Result<()> {
-    let engine = QueryEngine::new(store);
-    let plan = engine.explain(&filters_from_args(a)?);
+fn print_explain(store: &PTDataStore, spec: &QuerySpec, a: &Args) -> Result<()> {
+    let plan = QueryEngine::new(store).explain(&spec.filters()?)?;
     if a.has_flag("json") {
         println!("{}", plan.to_json().emit());
     } else {
@@ -457,15 +542,15 @@ fn print_explain(store: &PTDataStore, a: &Args) -> Result<()> {
 }
 
 /// `pt explain <store-dir> [--name PAT]... [--type PATH]...
-/// [--relatives D|A|B|N] [--json]` — show the planned pr-filter pipeline
-/// without running it: access path, closure expansion, match order, and
-/// estimated rows per operator, as the versioned `pt-explain/v1` tree
-/// (schema in `docs/PLANNER.md`).
+/// [--relatives D|A|B|N] [--json]` — show the pr-filter pipeline
+/// without running it: access path, closure expansion, the match order
+/// and context access execution takes, and estimated rows per operator,
+/// as the versioned `pt-explain/v1` tree (schema in `docs/PLANNER.md`).
 pub fn explain(argv: &[String]) -> Result<()> {
     let a = parse(argv, &["name", "type", "relatives"], &["json"])?;
     let dir = a.positional(0, "store directory")?;
     let store = open_store(dir)?;
-    print_explain(&store, &a)
+    print_explain(&store, &query_spec(&a), &a)
 }
 
 /// `pt count <store-dir> ...` — the GUI's live match counts.
@@ -474,7 +559,7 @@ pub fn count(argv: &[String]) -> Result<()> {
     let dir = a.positional(0, "store directory")?;
     let store = open_store(dir)?;
     let engine = QueryEngine::new(&store);
-    let filters = filters_from_args(&a)?;
+    let filters = query_spec(&a).filters()?;
     let families: Vec<_> = filters
         .iter()
         .map(|f| engine.family(f))
@@ -505,16 +590,7 @@ pub fn chart(argv: &[String]) -> Result<()> {
     )?;
     let dir = a.positional(0, "store directory")?;
     let store = open_store(dir)?;
-    let mut dialog = SelectionDialog::new(&store);
-    for f in filters_from_args(&a)? {
-        if let perftrack_model::Selector::ByName(n) = &f.selector {
-            dialog.add_name(n, f.relatives);
-        }
-    }
-    let mut table = dialog.retrieve()?;
-    for col in a.get_all("add-column") {
-        table.add_resource_column(col);
-    }
+    let (table, _) = ops::retrieve(&store, &query_spec(&a))?;
     let category: usize = a.get_num("category", 0)?;
     let series: usize = a.get_num("series", 1)?;
     let title = a.get("title").unwrap_or("PerfTrack chart");
@@ -534,9 +610,8 @@ pub fn chart(argv: &[String]) -> Result<()> {
     Ok(())
 }
 
-/// Build [`CompareOptions`] from the shared `--top/--threshold/--agg/
-/// --normalize` flags (used by the local and remote compare paths).
-pub fn compare_options(a: &Args) -> Result<CompareOptions> {
+/// Build [`CompareOptions`] from `--top/--threshold/--agg/--normalize`.
+fn compare_options(a: &Args) -> Result<CompareOptions> {
     let defaults = CompareOptions::default();
     let aggregate = match a.get("agg") {
         Some(s) => perftrack::Aggregate::parse(s)
@@ -561,26 +636,35 @@ pub fn compare_options(a: &Args) -> Result<CompareOptions> {
 /// executions' resource trees, rank the most-divergent resources, and
 /// render the result as a table (default) or as the versioned
 /// `pt-compare/v1` JSON document (contract in `docs/COMPARE.md`).
-pub fn compare(argv: &[String]) -> Result<()> {
-    let a = parse(
+pub fn compare(connect: Option<&str>, argv: &[String]) -> Result<()> {
+    let (site, a) = parse_at(
+        connect,
         argv,
-        &["threshold", "top", "agg", "normalize"],
-        &["json", "table"],
+        (&["threshold", "top"], &["json", "table"]),
+        (&["agg", "normalize"], &[]),
     )?;
-    let dir = a.positional(0, "store directory")?;
-    if a.positional.len() < 3 {
+    if a.positional.len() < 2 {
         return Err("at least two executions required".into());
     }
-    let execs: Vec<&str> = a.positional[1..].iter().map(String::as_str).collect();
-    let opts = compare_options(&a)?;
-    let store = open_store(dir)?;
-    let report = Compare::new(&store).tree_compare(&execs, &opts)?;
-    if a.has_flag("json") {
-        println!("{}", report.to_json().emit());
-    } else {
-        print!("{}", report.render_table());
-    }
-    Ok(())
+    let resp = match &site {
+        // `Request::Compare` carries no `--agg`/`--normalize` and takes
+        // the threshold in whole percent, so a local store is compared
+        // with the full options, by the function the server's arm calls.
+        Site::Dir(dir) => {
+            let opts = compare_options(&a)?;
+            ops::compare(&open_store(dir)?, &a.positional, &opts)?
+        }
+        Site::Addr(_) => {
+            let defaults = CompareOptions::default();
+            let req = Request::Compare {
+                executions: a.positional.clone(),
+                top: a.get_num("top", defaults.top as u32)?,
+                threshold_pct: a.get_num("threshold", defaults.threshold_pct as u32)?,
+            };
+            site.call(&req)?
+        }
+    };
+    render(resp, &a)
 }
 
 /// `pt predict <store-dir> --metric M --train E1,E2,... [--check EXEC]
@@ -635,13 +719,15 @@ pub fn delete(argv: &[String]) -> Result<()> {
 }
 
 /// `pt export <store-dir> <out-file>` — dump the store as PTdf.
-pub fn export(argv: &[String]) -> Result<()> {
+pub fn export(connect: Option<&str>, argv: &[String]) -> Result<()> {
+    let (site, a) = parse_at(connect, argv, NO_OPTS, NO_OPTS)?;
+    a.positional(0, "output file")?;
+    render(site.call(&Request::Export)?, &a)
+}
+
+/// `pt --connect ADDR ping|shutdown` — the requests a server answers
+/// about itself: its protocol version and degraded flag, or a drain.
+pub fn session(addr: &str, req: &Request, argv: &[String]) -> Result<()> {
     let a = parse(argv, &[], &[])?;
-    let dir = a.positional(0, "store directory")?;
-    let out = a.positional(1, "output file")?;
-    let store = open_store(dir)?;
-    let stmts = store.export_ptdf()?;
-    std::fs::write(out, perftrack_ptdf::to_string(&stmts))?;
-    println!("exported {} statements to {out}", stmts.len());
-    Ok(())
+    render(Site::Addr(addr.to_string()).call(req)?, &a)
 }

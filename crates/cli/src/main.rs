@@ -9,6 +9,7 @@ mod args;
 mod commands;
 mod remote;
 
+use perftrack_server::Request;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -39,7 +40,9 @@ USAGE:
   pt export <store-dir> <out-file>
   pt serve <store-dir> [--bind ADDR | --port N] [--workers N] [--queue N]
           [--deadline-ms N] [--idle-ms N]
-  pt --connect host:port <ping|load|query|stats|fsck|compare|export|shutdown> [args...]";
+  pt --connect host:port <ping|load|query|stats|fsck|compare|export|shutdown> [args...]
+          (args as the local command's, less <store-dir> and the local-only
+          options listed in docs/SERVER.md §8)";
 
 fn main() -> ExitCode {
     // `pt ... | head` closes stdout early; Rust's println! panics on the
@@ -63,51 +66,52 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    // `pt --connect host:port <cmd> ...` routes a subcommand through the
-    // network client instead of opening a local store.
-    if argv[0] == "--connect" {
+    // `pt --connect host:port <cmd> ...` runs a command against a running
+    // `pt serve` instead of a local store, through the same table.
+    let (connect, cmd, rest) = if argv[0] == "--connect" {
         if argv.len() < 3 {
             eprintln!("pt --connect: usage: pt --connect host:port <command> [args...]");
             return ExitCode::FAILURE;
         }
-        let (addr, cmd, rest) = (&argv[1], argv[2].as_str(), &argv[3..]);
-        return match remote::dispatch(addr, cmd, rest) {
-            Ok(code) => ExitCode::from(code),
-            Err(e) => {
-                eprintln!("pt --connect {cmd}: {e}");
-                ExitCode::from(commands::exit_code_for(&e).max(1))
-            }
-        };
-    }
-    let cmd = argv[0].as_str();
-    let rest = &argv[1..];
+        (Some(argv[1].as_str()), argv[2].as_str(), &argv[3..])
+    } else {
+        (None, argv[0].as_str(), &argv[1..])
+    };
     // `pt load` has a documented multi-valued exit-code contract
     // (0/2/3/4/5; see README); every other command exits 0, 1, or 5.
-    let result: Result<u8, args::CliError> = match cmd {
-        "init" => commands::init(rest).map(|()| 0),
-        "machines" => commands::machines(rest).map(|()| 0),
-        "gen" => commands::gen(rest).map(|()| 0),
-        "convert" => commands::convert(rest).map(|()| 0),
-        "load" => commands::load(rest),
-        "report" => commands::report(rest).map(|()| 0),
-        "stats" => commands::stats(rest).map(|()| 0),
-        "analyze" => commands::analyze(rest).map(|()| 0),
-        "fsck" => commands::fsck(rest).map(|()| 0),
-        "query" => commands::query(rest).map(|()| 0),
-        "explain" => commands::explain(rest).map(|()| 0),
-        "count" => commands::count(rest).map(|()| 0),
-        "chart" => commands::chart(rest).map(|()| 0),
-        "compare" => commands::compare(rest).map(|()| 0),
-        "predict" => commands::predict(rest).map(|()| 0),
-        "delete" => commands::delete(rest).map(|()| 0),
-        "export" => commands::export(rest).map(|()| 0),
-        "serve" => remote::serve(rest).map(|()| 0),
-        other => Err(format!("unknown command {other:?}\n\n{USAGE}").into()),
+    let result: Result<u8, args::CliError> = match (cmd, connect) {
+        ("query", _) => commands::query(connect, rest).map(|()| 0),
+        ("stats", _) => commands::stats(connect, rest).map(|()| 0),
+        ("fsck", _) => commands::fsck(connect, rest).map(|()| 0),
+        ("compare", _) => commands::compare(connect, rest).map(|()| 0),
+        ("export", _) => commands::export(connect, rest).map(|()| 0),
+        ("load", Some(addr)) => remote::load(addr, rest),
+        ("ping", Some(addr)) => commands::session(addr, &Request::Ping, rest).map(|()| 0),
+        ("shutdown", Some(addr)) => commands::session(addr, &Request::Shutdown, rest).map(|()| 0),
+        (other, Some(_)) => Err(format!(
+            "unknown remote command {other:?} (supported: ping, load, query, stats, fsck, compare, export, shutdown)"
+        )
+        .into()),
+        ("init", None) => commands::init(rest).map(|()| 0),
+        ("machines", None) => commands::machines(rest).map(|()| 0),
+        ("gen", None) => commands::gen(rest).map(|()| 0),
+        ("convert", None) => commands::convert(rest).map(|()| 0),
+        ("load", None) => commands::load(rest),
+        ("report", None) => commands::report(rest).map(|()| 0),
+        ("analyze", None) => commands::analyze(rest).map(|()| 0),
+        ("explain", None) => commands::explain(rest).map(|()| 0),
+        ("count", None) => commands::count(rest).map(|()| 0),
+        ("chart", None) => commands::chart(rest).map(|()| 0),
+        ("predict", None) => commands::predict(rest).map(|()| 0),
+        ("delete", None) => commands::delete(rest).map(|()| 0),
+        ("serve", None) => remote::serve(rest).map(|()| 0),
+        (other, None) => Err(format!("unknown command {other:?}\n\n{USAGE}").into()),
     };
     match result {
         Ok(code) => ExitCode::from(code),
         Err(e) => {
-            eprintln!("pt {cmd}: {e}");
+            let via = if connect.is_some() { " --connect" } else { "" };
+            eprintln!("pt{via} {cmd}: {e}");
             ExitCode::from(commands::exit_code_for(&e).max(1))
         }
     }

@@ -1,24 +1,13 @@
-//! `pt serve` and `pt --connect`: the networked halves of the CLI.
-//!
-//! `pt serve <store-dir>` opens the store (taking the directory lock)
-//! and exposes it over TCP until SIGTERM/SIGINT or a remote `shutdown`
-//! request drains it. `pt --connect host:port <subcommand>` routes the
-//! read/write subcommands (`load`, `query`, `stats`, `fsck`, `compare`,
-//! `export`, plus `ping`/`shutdown`) through the retrying client instead of
-//! opening a local store. Exit codes mirror the local contract: remote
-//! `read-only` maps to 3, `corrupt` to 4, `locked` to 5, a shed request
-//! whose retry budget ran out maps to 8, and a load that succeeded only
-//! after transient retries exits 2. Every `load` request carries a
-//! per-invocation idempotency token so client-side retries can never
-//! double-apply rows.
+//! `pt serve`, and `pt --connect ADDR load`: the one remote command
+//! with an implementation of its own, since the wire has no op for the
+//! local resumable manifest. It uploads each file's text with a
+//! per-invocation idempotency token, so client-side retries can never
+//! double-apply rows, and exits 2 when it succeeded only after retries.
 
 use crate::args::{parse, CliError};
-use crate::commands::{exit, ExitCodeError};
+use crate::commands::exit;
 use perftrack::PTDataStore;
-use perftrack_server::{
-    AdmissionConfig, Client, ClientError, ErrorCategory, NameFilter, QuerySpec, Request, Response,
-    Server, ServerConfig,
-};
+use perftrack_server::{AdmissionConfig, Client, Request, Response, Server, ServerConfig};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -114,67 +103,6 @@ pub fn serve(argv: &[String]) -> Result<()> {
     Ok(())
 }
 
-/// Map a client failure onto the CLI exit-code contract. Server-reported
-/// categories translate to the same codes the local commands use; pure
-/// transport failures stay at the generic exit 1.
-fn map_client_err(e: ClientError) -> CliError {
-    let code = match e.remote_category() {
-        Some(ErrorCategory::ReadOnly) => exit::DEGRADED,
-        Some(ErrorCategory::Corrupt) => exit::CORRUPT,
-        Some(ErrorCategory::Locked) => exit::LOCKED,
-        Some(ErrorCategory::Overloaded) => exit::OVERLOADED,
-        _ => 1,
-    };
-    if code != 1 {
-        return ExitCodeError {
-            code,
-            msg: e.to_string(),
-        }
-        .into();
-    }
-    Box::new(e)
-}
-
-fn unexpected(resp: &Response) -> CliError {
-    format!("unexpected response from server: {resp:?}").into()
-}
-
-/// `pt --connect host:port <subcommand> ...` — dispatch a subcommand
-/// over the wire. Returns the process exit code.
-pub fn dispatch(addr: &str, cmd: &str, rest: &[String]) -> Result<u8> {
-    let mut client = Client::connect(addr);
-    match cmd {
-        "ping" => {
-            match client.call(&Request::Ping).map_err(map_client_err)? {
-                Response::Pong { version, degraded } => {
-                    println!("server protocol v{version}, degraded: {degraded}");
-                    Ok(0)
-                }
-                other => Err(unexpected(&other)),
-            }
-        }
-        "load" => remote_load(&mut client, rest),
-        "query" => remote_query(&mut client, rest).map(|()| 0),
-        "stats" => remote_stats(&mut client, rest).map(|()| 0),
-        "fsck" => remote_fsck(&mut client, rest).map(|()| 0),
-        "compare" => remote_compare(&mut client, rest).map(|()| 0),
-        "export" => remote_export(&mut client, rest).map(|()| 0),
-        "shutdown" => {
-            match client.call(&Request::Shutdown).map_err(map_client_err)? {
-                Response::ShuttingDown => {
-                    println!("server is draining");
-                    Ok(0)
-                }
-                other => Err(unexpected(&other)),
-            }
-        }
-        other => Err(format!(
-            "unknown remote command {other:?} (supported: ping, load, query, stats, fsck, compare, export, shutdown)"
-        )
-        .into()),
-    }
-}
-
 /// Mint a per-invocation idempotency token: unique across CLI runs
 /// (pid, wall clock and a process-local counter) so re-running `pt load`
 /// on the same file still appends, while *retries within one run* reuse
@@ -202,8 +130,9 @@ fn mint_load_token(path: &str, seq: usize) -> String {
 /// `pt --connect ADDR load <ptdf-file>...` — upload each file as one
 /// load request carrying an idempotency token. Exits 2 when any request
 /// succeeded only after retries.
-fn remote_load(client: &mut Client, argv: &[String]) -> Result<u8> {
+pub fn load(addr: &str, argv: &[String]) -> Result<u8> {
     let a = parse(argv, &[], &[])?;
+    let mut client = Client::connect(addr);
     if a.positional.is_empty() {
         return Err("at least one PTdf file required".into());
     }
@@ -212,10 +141,7 @@ fn remote_load(client: &mut Client, argv: &[String]) -> Result<u8> {
     for (i, path) in a.positional.iter().enumerate() {
         let text = std::fs::read_to_string(path)?;
         let token = mint_load_token(path, i);
-        match client
-            .call(&Request::LoadPtdf { text, token })
-            .map_err(map_client_err)?
-        {
+        match client.call(&Request::LoadPtdf { text, token })? {
             Response::Loaded { stats: s, replayed } => {
                 if replayed {
                     replays += 1;
@@ -226,7 +152,7 @@ fn remote_load(client: &mut Client, argv: &[String]) -> Result<u8> {
                 total.attributes += s.attributes;
                 total.results += s.results;
             }
-            other => return Err(unexpected(&other)),
+            other => return Err(format!("unexpected response from server: {other:?}").into()),
         }
     }
     println!(
@@ -246,134 +172,4 @@ fn remote_load(client: &mut Client, argv: &[String]) -> Result<u8> {
         return Ok(exit::RETRIED);
     }
     Ok(exit::OK)
-}
-
-/// Build a [`QuerySpec`] from `--name/--type/--relatives/--add-column`,
-/// mirroring the local `pt query` flags.
-fn query_spec_from_args(argv: &[String]) -> Result<(QuerySpec, crate::args::Args)> {
-    let a = parse(argv, &["name", "type", "relatives", "add-column"], &["csv"])?;
-    let relatives = a
-        .get("relatives")
-        .and_then(|c| c.chars().next())
-        .unwrap_or('D');
-    let spec = QuerySpec {
-        names: a
-            .get_all("name")
-            .into_iter()
-            .map(|p| NameFilter {
-                pattern: p.to_string(),
-                relatives,
-            })
-            .collect(),
-        types: a.get_all("type").into_iter().map(String::from).collect(),
-        add_columns: a
-            .get_all("add-column")
-            .into_iter()
-            .map(String::from)
-            .collect(),
-    };
-    Ok((spec, a))
-}
-
-fn remote_query(client: &mut Client, argv: &[String]) -> Result<()> {
-    let (spec, a) = query_spec_from_args(argv)?;
-    match client.call(&Request::Query(spec)).map_err(map_client_err)? {
-        Response::Table { columns, rows } => {
-            if a.has_flag("csv") {
-                println!("{}", columns.join(","));
-                for row in &rows {
-                    println!("{}", row.join(","));
-                }
-            } else {
-                println!("{}", columns.join(" | "));
-                for row in &rows {
-                    println!("{}", row.join(" | "));
-                }
-                println!("({} rows)", rows.len());
-            }
-            Ok(())
-        }
-        other => Err(unexpected(&other)),
-    }
-}
-
-fn remote_stats(client: &mut Client, argv: &[String]) -> Result<()> {
-    let a = parse(argv, &[], &["json"])?;
-    match client.call(&Request::Stats).map_err(map_client_err)? {
-        Response::Stats { json, table } => {
-            if a.has_flag("json") {
-                println!("{json}");
-            } else {
-                print!("{table}");
-            }
-            Ok(())
-        }
-        other => Err(unexpected(&other)),
-    }
-}
-
-fn remote_fsck(client: &mut Client, argv: &[String]) -> Result<()> {
-    let a = parse(argv, &[], &["deep", "json"])?;
-    let deep = a.has_flag("deep");
-    match client
-        .call(&Request::Fsck { deep })
-        .map_err(map_client_err)?
-    {
-        Response::FsckDone {
-            errors,
-            json,
-            table,
-            ..
-        } => {
-            if a.has_flag("json") {
-                println!("{json}");
-            } else {
-                print!("{table}");
-            }
-            if errors > 0 {
-                return Err(format!("integrity check failed: {errors} errors").into());
-            }
-            Ok(())
-        }
-        other => Err(unexpected(&other)),
-    }
-}
-
-/// `pt --connect ADDR compare <exec-a> <exec-b> [exec...] [--json]
-/// [--top K] [--threshold PCT]` — run the tree comparison server-side
-/// and print whichever rendering was asked for. The wire protocol
-/// carries the threshold in whole percent; `--agg`/`--normalize` are
-/// local-only options.
-fn remote_compare(client: &mut Client, argv: &[String]) -> Result<()> {
-    let a = parse(argv, &["top", "threshold"], &["json", "table"])?;
-    let req = Request::Compare {
-        executions: a.positional.clone(),
-        top: a.get_num("top", 10u32)?,
-        threshold_pct: a.get_num("threshold", 25u32)?,
-    };
-    match client.call(&req).map_err(map_client_err)? {
-        Response::CompareDone { json, table } => {
-            if a.has_flag("json") {
-                println!("{json}");
-            } else {
-                print!("{table}");
-            }
-            Ok(())
-        }
-        other => Err(unexpected(&other)),
-    }
-}
-
-fn remote_export(client: &mut Client, argv: &[String]) -> Result<()> {
-    let a = parse(argv, &[], &[])?;
-    let out = a.positional(0, "output file")?;
-    match client.call(&Request::Export).map_err(map_client_err)? {
-        Response::Ptdf { text } => {
-            let statements = text.lines().filter(|l| !l.trim().is_empty()).count();
-            std::fs::write(out, text)?;
-            println!("exported {statements} statements to {out}");
-            Ok(())
-        }
-        other => Err(unexpected(&other)),
-    }
 }

@@ -1,17 +1,17 @@
 //! Core-level planning pass over the pr-filter IR.
 //!
-//! Before running a pr-filter query, [`plan_filters`] costs each
-//! [`ResourceFilter`]'s seed access path and closure expansion from the
-//! store's ANALYZE statistics ([`perftrack_store::db::Database::analyze`])
-//! and decides the order in which families are checked during the match
-//! stage — most selective first, so non-matching contexts are rejected
-//! after the fewest set probes — and how that stage reads result
-//! contexts ([`ContextAccess`]). The same pass feeds
-//! [`crate::query::QueryEngine::explain`] (the `pt-explain/v1` tree) and
-//! the estimate annotations on profiled runs.
+//! Before running a pr-filter query, [`plan_filters`] estimates each
+//! [`ResourceFilter`]'s seed access and closure expansion from the
+//! store's ANALYZE statistics ([`perftrack_store::db::Database::analyze`]),
+//! and the contexts and matches the match stage will see. These are
+//! estimates only: the match stage's order and its [`ContextAccess`] are
+//! decided from the built families' exact sizes and their postings
+//! count ([`crate::query::QueryEngine::explain`] names that same
+//! decision), so statistics annotate the `pt-explain/v1` tree and the
+//! profiled runs with `est=` and never change a path.
 //!
 //! This is the planner every query runs, so it owns the store's
-//! `planner.*` counters: each filter's seed decision counts once, as a
+//! `planner.*` counters: each filter's seed estimate counts once, as a
 //! statistics hit, a stale fallback, or a miss. The pass never fails:
 //! missing statistics leave estimates empty, drifted ones are used but
 //! labelled `[stale]`, and execution is the same either way.
@@ -37,21 +37,29 @@ pub struct FilterPlan {
     pub estimated_family: Option<u64>,
 }
 
-/// The planned evaluation of a whole pr-filter query.
+/// The estimated evaluation of a whole pr-filter query.
 #[derive(Debug, Clone)]
 pub struct PrFilterPlan {
     /// One plan per filter, in the caller's filter order.
     pub filters: Vec<FilterPlan>,
-    /// Family-check order for the match stage: filter indexes sorted by
-    /// ascending estimated family size (unestimated filters last).
-    pub match_order: Vec<usize>,
-    /// How the match stage reads result contexts.
-    pub context_access: ContextAccess,
-    /// Estimated contexts it reads: the smallest family's postings, or
-    /// every result context (rows of the `focus` table) for the scan.
-    pub estimated_candidates: Option<u64>,
+    /// Estimated postings of the smallest estimated family: the contexts
+    /// the match stage reads on [`ContextAccess::Postings`].
+    pub estimated_postings: Option<u64>,
+    /// Estimated result contexts (rows of the `focus` table): what it
+    /// reads on [`ContextAccess::Scan`].
+    pub estimated_contexts: Option<u64>,
     /// Estimated matching results, when it can be bounded.
     pub estimated_matches: Option<u64>,
+}
+
+impl PrFilterPlan {
+    /// Estimated contexts the match stage reads by `access`.
+    pub fn estimated_candidates(&self, access: ContextAccess) -> Option<u64> {
+        match access {
+            ContextAccess::Postings => self.estimated_postings,
+            ContextAccess::Scan => self.estimated_contexts,
+        }
+    }
 }
 
 /// How the match stage reads result contexts.
@@ -211,31 +219,21 @@ fn plan_one(store: &PTDataStore, filter: &ResourceFilter) -> FilterPlan {
     }
 }
 
-/// Plan a pr-filter query: cost each filter's seed access and expansion,
-/// and order the match-stage family checks by estimated selectivity.
+/// Estimate a pr-filter query: each filter's seed access and expansion,
+/// and what the match stage reads and returns.
 pub fn plan_filters(store: &PTDataStore, filters: &[ResourceFilter]) -> PrFilterPlan {
     let plans: Vec<FilterPlan> = filters.iter().map(|f| plan_one(store, f)).collect();
-    let mut match_order: Vec<usize> = (0..plans.len()).collect();
-    match_order.sort_by_key(|&i| plans[i].estimated_family.unwrap_or(u64::MAX));
     let db = store.db();
     let estimated_contexts = db.table_stats_state(store.schema().focus).rows();
     // The smallest family's postings: its size times the `fhr_resource`
-    // fan-out. Unestimated, the engine still starts from postings and
-    // decides from the exact count.
+    // fan-out.
     let fanout = db
         .index_id("fhr_resource")
         .ok()
         .and_then(|i| db.index_avg_fanout(i));
-    let postings = (plans.iter().map(|p| p.estimated_family).min().flatten())
+    let estimated_postings = (plans.iter().map(|p| p.estimated_family).min().flatten())
         .zip(fanout)
         .map(|(family, fanout)| (family as f64 * fanout).round() as u64);
-    let (context_access, estimated_candidates) = match postings {
-        _ if plans.is_empty() => (ContextAccess::Scan, estimated_contexts),
-        Some(p) if ContextAccess::choose(store, p).ok() == Some(ContextAccess::Scan) => {
-            (ContextAccess::Scan, estimated_contexts)
-        }
-        p => (ContextAccess::Postings, p),
-    };
     // An empty family can't match anything; an empty filter list matches
     // every context. In between, context membership isn't estimable from
     // per-table statistics alone.
@@ -248,17 +246,22 @@ pub fn plan_filters(store: &PTDataStore, filters: &[ResourceFilter]) -> PrFilter
     };
     PrFilterPlan {
         filters: plans,
-        match_order,
-        context_access,
-        estimated_candidates,
+        estimated_postings,
+        estimated_contexts,
         estimated_matches,
     }
 }
 
 /// Render a [`PrFilterPlan`] as a `pt-explain/v1` operator tree, using
 /// the profiled-run operator vocabulary (`family[i]`, `context-map`,
-/// `match`, `fetch` — documented in `docs/METRICS.md`).
-pub fn explain_filters(plan: &PrFilterPlan) -> ExplainPlan {
+/// `match`, `fetch` — documented in `docs/METRICS.md`). `access` and
+/// `match_order` are the match stage's decision, from the exact family
+/// sizes; the plan supplies only the `est=` annotations.
+pub fn explain_filters(
+    plan: &PrFilterPlan,
+    access: ContextAccess,
+    match_order: &[usize],
+) -> ExplainPlan {
     let mut root = ExplainNode::new("pr-filter", "").with_estimate(plan.estimated_matches);
     for (i, f) in plan.filters.iter().enumerate() {
         root = root.child(
@@ -269,8 +272,7 @@ pub fn explain_filters(plan: &PrFilterPlan) -> ExplainPlan {
             .with_estimate(f.estimated_family),
         );
     }
-    let order = plan
-        .match_order
+    let order = match_order
         .iter()
         .map(|i| i.to_string())
         .collect::<Vec<_>>()
@@ -279,12 +281,12 @@ pub fn explain_filters(plan: &PrFilterPlan) -> ExplainPlan {
         .child(
             ExplainNode::new(
                 "context-map",
-                match plan.context_access {
+                match access {
                     ContextAccess::Postings => "postings(fhr_resource)",
                     ContextAccess::Scan => "scan(focus+focus_has_resource)",
                 },
             )
-            .with_estimate(plan.estimated_candidates),
+            .with_estimate(plan.estimated_candidates(access)),
         )
         .child(
             ExplainNode::new("match", &format!("order=[{order}]"))
@@ -320,7 +322,7 @@ mod tests {
         assert_eq!(plan.filters.len(), 1);
         assert!(plan.filters[0].access.contains("[heuristic]"));
         assert_eq!(plan.filters[0].estimated_family, None);
-        assert_eq!(plan.match_order, vec![0]);
+        assert_eq!(plan.estimated_postings, None);
     }
 
     #[test]
@@ -334,13 +336,15 @@ mod tests {
         let plan = plan_filters(&store, &filters);
         assert!(plan.filters[0].access.contains("[statistics]"));
         assert_eq!(plan.filters[1].estimated_family, Some(1));
-        // The selective exact-name family is checked first.
-        assert_eq!(plan.match_order[0], 1);
         assert!(
             plan.filters[0].estimated_family.unwrap() > 1,
             "descendant expansion multiplies the seed: {plan:?}"
         );
-        let table = explain_filters(&plan).render_table();
+        // The selective exact-name family is checked first.
+        let table = crate::QueryEngine::new(&store)
+            .explain(&filters)
+            .unwrap()
+            .render_table();
         assert!(
             table.starts_with("plan (pt-explain/v1)\npr-filter"),
             "{table}"

@@ -78,6 +78,15 @@ impl Candidates {
     }
 }
 
+/// How the match stage reads contexts: `access`, from `postings` of the
+/// family `check[0]` when that is [`ContextAccess::Postings`], checking
+/// the families in `check`.
+struct MatchPath {
+    access: ContextAccess,
+    postings: Vec<RowId>,
+    check: Vec<usize>,
+}
+
 /// One single-column integer key per id, for a batched index probe.
 fn int_keys(ids: &[i64]) -> Vec<Vec<Value>> {
     ids.iter().map(|&id| vec![Value::Int(id)]).collect()
@@ -300,18 +309,34 @@ impl<'s> QueryEngine<'s> {
         Ok(rids.into_iter().flatten().collect())
     }
 
-    /// The contexts the match stage checks: the smallest family's postings
-    /// are counted, and [`ContextAccess::choose`] costs them against the
-    /// scan. With no family at all, everything matches, so that scans.
-    fn candidates(&self, families: &[HashSet<i64>]) -> Result<Candidates> {
+    /// The match stage's decision: the families to check, smallest first,
+    /// and how to read contexts — the smallest family's postings are
+    /// counted, and [`ContextAccess::choose`] costs them against the scan.
+    /// With no family at all, everything matches, so that scans. Reads
+    /// the `fhr_resource` index only, no context or row.
+    fn match_path(&self, families: &[HashSet<i64>]) -> Result<MatchPath> {
         let mut check: Vec<usize> = (0..families.len()).collect();
         check.sort_by_key(|&i| families[i].len());
-        let postings = match check.first() {
-            Some(&smallest) => self.postings(&families[smallest])?,
-            None => return self.read_contexts(ContextAccess::Scan, &[], check),
+        let Some(&smallest) = check.first() else {
+            return Ok(MatchPath {
+                access: ContextAccess::Scan,
+                postings: Vec::new(),
+                check,
+            });
         };
+        let postings = self.postings(&families[smallest])?;
         let access = ContextAccess::choose(self.store, postings.len() as u64)?;
-        self.read_contexts(access, &postings, check)
+        Ok(MatchPath {
+            access,
+            postings,
+            check,
+        })
+    }
+
+    /// The contexts the match stage checks, read by [`QueryEngine::match_path`].
+    fn candidates(&self, families: &[HashSet<i64>]) -> Result<Candidates> {
+        let path = self.match_path(families)?;
+        self.read_contexts(path.access, &path.postings, path.check)
     }
 
     /// Read contexts by `access`. From postings of the family `check[0]`:
@@ -431,11 +456,20 @@ impl<'s> QueryEngine<'s> {
         Ok(self.run_with_families(filters)?.0)
     }
 
-    /// EXPLAIN the pr-filter pipeline without running it: the planned
-    /// access path, expansion, and match order per filter, as a
-    /// `pt-explain/v1` tree with estimated rows per operator.
-    pub fn explain(&self, filters: &[ResourceFilter]) -> ExplainPlan {
-        explain_filters(&plan_filters(self.store, filters))
+    /// EXPLAIN the pr-filter pipeline without running it, as a
+    /// `pt-explain/v1` tree: each filter's access path and expansion, and
+    /// the match order and context access that execution takes — built
+    /// families and their postings count decide them, as in
+    /// [`QueryEngine::run`], with no context or result row read.
+    /// Statistics supply only the estimated rows per operator.
+    pub fn explain(&self, filters: &[ResourceFilter]) -> Result<ExplainPlan> {
+        let plan = plan_filters(self.store, filters);
+        let families = filters
+            .iter()
+            .map(|f| self.family(f))
+            .collect::<Result<Vec<_>>>()?;
+        let path = self.match_path(&families)?;
+        Ok(explain_filters(&plan, path.access, &path.check))
     }
 
     /// Like [`QueryEngine::run`], but also returns a per-operator profile
@@ -488,7 +522,7 @@ impl<'s> QueryEngine<'s> {
                 read,
                 stage.elapsed(),
             )
-            .with_estimated_rows(plan.estimated_candidates),
+            .with_estimated_rows(plan.estimated_candidates(candidates.access)),
         );
 
         let stage = Instant::now();
@@ -1133,6 +1167,43 @@ mod tests {
                 assert_eq!(row.context, by_scan.contexts[&row.result_id]);
             }
         });
+    }
+
+    #[test]
+    fn explain_names_the_path_execution_takes() {
+        let mut seen = HashSet::new();
+        perftrack_workloads::rng::check_cases(0x9057_0200, 48, |rng| {
+            let (store, resources) = random_world(rng);
+            let analysed = rng.gen_bool(0.5);
+            if analysed {
+                store.db().analyze().unwrap();
+            }
+            let filters: Vec<ResourceFilter> = (0..rng.gen_range(0..4))
+                .map(|_| {
+                    let name = &resources[rng.gen_range(0..resources.len())];
+                    ResourceFilter::by_name(name).relatives(Relatives::Descendants)
+                })
+                .collect();
+            let q = QueryEngine::new(&store);
+            let plan = q.explain(&filters).unwrap();
+            let planned = plan
+                .root
+                .children
+                .iter()
+                .find(|n| n.operator == "context-map")
+                .map(|n| n.detail.split('(').next().unwrap().to_string())
+                .unwrap();
+            let (_, profile) = q.run_profiled(&filters).unwrap();
+            let ran = profile
+                .operators
+                .iter()
+                .find_map(|op| op.operator.strip_prefix("context-map:"))
+                .unwrap()
+                .to_string();
+            assert_eq!(planned, ran, "analysed={analysed} {filters:?}");
+            seen.insert((ran, analysed));
+        });
+        assert_eq!(seen.len(), 4, "both paths, analysed and not: {seen:?}");
     }
 
     #[test]

@@ -215,14 +215,6 @@ impl<'s> SelectionDialog<'s> {
         Ok(self.retrieve_profiled()?.0)
     }
 
-    /// EXPLAIN the pr-filter the dialog has built so far, without
-    /// running it (the CLI's `--explain` flag surfaces this).
-    pub fn explain(&self) -> perftrack_store::planner::ExplainPlan {
-        let engine = QueryEngine::new(self.store);
-        let filters: Vec<ResourceFilter> = self.selected.iter().map(|p| p.filter.clone()).collect();
-        engine.explain(&filters)
-    }
-
     /// Like [`SelectionDialog::retrieve`], but also returns the
     /// per-operator [`QueryProfile`] of the executed pr-filter pipeline
     /// (the CLI's `--profile` flag surfaces this).
@@ -432,28 +424,13 @@ impl<'s> ResultTable<'s> {
     }
 
     /// Export the visible table as CSV ("store data in a format suitable
-    /// for spreadsheet programs to import").
+    /// for spreadsheet programs to import"), by [`DetachedTable::to_csv`].
     pub fn to_csv(&self) -> Result<String> {
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .columns()
-                .iter()
-                .map(|c| csv_escape(c))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in self.render()? {
-            out.push_str(
-                &row.iter()
-                    .map(|c| csv_escape(c))
-                    .collect::<Vec<_>>()
-                    .join(","),
-            );
-            out.push('\n');
-        }
-        Ok(out)
+        let table = DetachedTable {
+            columns: self.columns(),
+            rows: self.render()?,
+        };
+        Ok(table.to_csv())
     }
 
     /// Plot visible rows as a bar chart: categories from one rendered

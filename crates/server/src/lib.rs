@@ -11,6 +11,9 @@
 //!   panic-free incremental decoder.
 //! * [`proto`] — typed [`proto::Request`]/[`proto::Response`] messages
 //!   and the [`proto::ErrorCategory`] taxonomy.
+//! * [`ops`] — the store side of every request: [`ops::execute`] and one
+//!   function per request kind, free of socket, gate and admission, so
+//!   the server and `pt` on a local store answer from the same code.
 //! * [`server`] — thread-per-connection server with a bounded accept
 //!   queue, single-writer/multi-reader scheduling, per-request
 //!   deadlines, idle reaping, and graceful drain.
@@ -35,6 +38,7 @@
 pub mod admission;
 pub mod client;
 pub mod metrics;
+pub mod ops;
 pub mod proto;
 pub mod server;
 pub mod transport;
@@ -43,6 +47,7 @@ pub mod wire;
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionPermit};
 pub use client::{Client, ClientConfig, ClientError};
 pub use metrics::ServerMetrics;
+pub use ops::execute;
 pub use proto::{
     ErrorCategory, NameFilter, QuerySpec, Request, RequestHeader, Response, WireFreeColumn,
     WireLoadStats, EXPENSIVE_COST, WIRE_VERSION,

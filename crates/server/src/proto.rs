@@ -215,6 +215,13 @@ impl Request {
         }
     }
 
+    /// False only for `LoadPtdf`, the one request that writes: the server
+    /// runs it under the write side of its gate and every other store
+    /// request under the read side.
+    pub fn is_read_only(&self) -> bool {
+        !matches!(self, Request::LoadPtdf { .. })
+    }
+
     /// Admission-control cost, in abstract capacity units (the
     /// per-opcode cost table; see `docs/SERVER.md` §admission). Costs
     /// at or above [`EXPENSIVE_COST`] mark a request as expensive:

@@ -23,8 +23,9 @@
 //! [`crate::transport::ChaosInjector`] into either side of the wire.
 //!
 //! Workers serve one connection at a time to completion. Requests on a
-//! connection execute under a server-level `RwLock<()>` gate: PTdf loads
-//! take the write side, every read-only request the read side, so the
+//! connection execute ([`crate::ops::execute`]) under a server-level
+//! `RwLock<()>` gate: PTdf loads take the write side, every other store
+//! request the read side, and `Ping`/`Shutdown` neither, so the
 //! store sees at most one writer while readers proceed concurrently
 //! (the engine's own latching makes this safe; the gate makes it
 //! *scheduled* — a bulk load cannot starve between individual readers).
@@ -54,14 +55,15 @@
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
 use crate::metrics::ServerMetrics;
-use crate::proto::{
-    ErrorCategory, QuerySpec, Request, RequestHeader, Response, WireFreeColumn, WireLoadStats,
-    WIRE_VERSION,
-};
+use crate::ops::{self, execute};
+use crate::proto::{ErrorCategory, Request, RequestHeader, Response};
 use crate::transport::{wrap_stream, Transport, TransportFactory};
 use crate::wire::{FrameDecoder, WireError};
-use perftrack::{Compare, CompareOptions, PTDataStore, PtError, ResultTable, SelectionDialog};
-use perftrack_model::{Relatives, TypePath};
+use perftrack::{PTDataStore, PtError};
+// Named by the unit tests through `use super::*`.
+#[cfg(test)]
+use crate::proto::{QuerySpec, WIRE_VERSION};
+#[cfg(test)]
 use perftrack_store::metrics::Json;
 use perftrack_store::sync::{Mutex, RwLock};
 use perftrack_store::StoreError;
@@ -385,7 +387,7 @@ fn handle_frame(
     let label = req.label();
     shared.metrics.in_flight.inc();
     let start = Instant::now();
-    let mut resp = execute(shared, &req);
+    let mut resp = execute_gated(shared, &req);
     let elapsed = start.elapsed();
     shared.metrics.in_flight.dec();
     drop(_permit);
@@ -424,127 +426,28 @@ fn sync_admission_gauges(shared: &Shared) {
         .set(shared.admission.in_flight_cost());
 }
 
-/// Dispatch a request against the store under the scheduling gate.
-fn execute(shared: &Shared, req: &Request) -> Response {
+/// Run a request under the scheduling gate, taken once and keyed on
+/// [`Request::is_read_only`]: the write side for writes, the read side
+/// for other store requests, and neither for `Ping`/`Shutdown`. `Stats`
+/// gains the server's own section.
+fn execute_gated(shared: &Shared, req: &Request) -> Response {
     let store = &*shared.store;
-    let result = match req {
-        Request::Ping => Ok(Response::Pong {
-            version: WIRE_VERSION,
-            degraded: store.is_degraded(),
-        }),
-        Request::LoadPtdf { text, token } => {
-            let _w = shared.write_gate.write();
-            store
-                .load_ptdf_str_dedup(text, token)
-                .map(|(s, replayed)| Response::Loaded {
-                    stats: WireLoadStats {
-                        statements: s.statements as u64,
-                        applications: s.applications as u64,
-                        resource_types: s.resource_types as u64,
-                        executions: s.executions as u64,
-                        resources: s.resources as u64,
-                        attributes: s.attributes as u64,
-                        constraints: s.constraints as u64,
-                        results: s.results as u64,
-                    },
-                    replayed,
-                })
+    let result = if matches!(req, Request::Ping | Request::Shutdown) {
+        execute(store, req)
+    } else if req.is_read_only() {
+        let _r = shared.write_gate.read();
+        match req {
+            Request::Stats => Ok(ops::stats(store, Some(&shared.metrics))),
+            _ => execute(store, req),
         }
-        Request::Query(spec) => {
-            let _r = shared.write_gate.read();
-            run_query(store, spec).and_then(|mut table| {
-                for col in &spec.add_columns {
-                    table.add_resource_column(col);
-                }
-                let columns = table.columns();
-                let rows = table.render()?;
-                Ok(Response::Table { columns, rows })
-            })
-        }
-        Request::FreeResources(spec) => {
-            let _r = shared.write_gate.read();
-            run_query(store, spec).and_then(|table| {
-                let cols = table
-                    .addable_columns()?
-                    .into_iter()
-                    .map(|c| WireFreeColumn {
-                        type_path: c.type_path,
-                        distinct_values: c.distinct_values as u64,
-                        attributes: c.attributes,
-                    })
-                    .collect();
-                Ok(Response::FreeResources(cols))
-            })
-        }
-        Request::Export => {
-            let _r = shared.write_gate.read();
-            store.export_ptdf().map(|stmts| Response::Ptdf {
-                text: perftrack_ptdf::to_string(&stmts),
-            })
-        }
-        Request::Stats => {
-            let _r = shared.write_gate.read();
-            let engine = store.db().metrics();
-            let mut pairs = match engine.to_json() {
-                Json::Obj(pairs) => pairs,
-                other => vec![("engine".into(), other)],
-            };
-            pairs.push(("server".into(), shared.metrics.to_json()));
-            let table = format!("{}{}", engine.render_table(), shared.metrics.render_table());
-            Ok(Response::Stats {
-                json: Json::Obj(pairs).emit(),
-                table,
-            })
-        }
-        Request::Fsck { deep } => {
-            let _r = shared.write_gate.read();
-            store.fsck(*deep).map(|report| Response::FsckDone {
-                errors: report.error_count(),
-                warnings: report.warning_count(),
-                json: report.to_json().emit(),
-                table: report.render_table(),
-            })
-        }
-        Request::Compare {
-            executions,
-            top,
-            threshold_pct,
-        } => {
-            let _r = shared.write_gate.read();
-            let execs: Vec<&str> = executions.iter().map(String::as_str).collect();
-            let opts = CompareOptions {
-                top: *top as usize,
-                threshold_pct: *threshold_pct as f64,
-                ..CompareOptions::default()
-            };
-            Compare::new(store)
-                .tree_compare(&execs, &opts)
-                .map(|report| Response::CompareDone {
-                    json: report.to_json().emit(),
-                    table: report.render_table(),
-                })
-        }
-        Request::Shutdown => Ok(Response::ShuttingDown),
+    } else {
+        let _w = shared.write_gate.write();
+        execute(store, req)
     };
     result.unwrap_or_else(|e| Response::Err {
         category: categorize(&e),
         message: e.to_string(),
     })
-}
-
-/// Build the selection dialog for a wire query and retrieve the table.
-fn run_query<'s>(store: &'s PTDataStore, spec: &QuerySpec) -> Result<ResultTable<'s>, PtError> {
-    let mut dialog = SelectionDialog::new(store);
-    for nf in &spec.names {
-        let rel = Relatives::from_code(nf.relatives)
-            .ok_or_else(|| PtError::Invalid(format!("bad relatives code {:?}", nf.relatives)))?;
-        dialog.add_name(&nf.pattern, rel);
-    }
-    for t in &spec.types {
-        let tp = TypePath::new(t)?;
-        dialog.add_type(&tp);
-    }
-    dialog.retrieve()
 }
 
 /// Map an engine error onto the wire error taxonomy (the contract table
