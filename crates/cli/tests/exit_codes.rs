@@ -74,9 +74,11 @@ fn usage_errors_exit_one() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
 }
 
-#[test]
-fn corrupt_store_exits_four() {
-    let dir = tmpdir("corrupt");
+/// Load a store, flip the 64 bytes of its page file starting at
+/// `at(file length)`, and `pt load --resume` it: the open-time (or
+/// load-time) verification must classify this as corruption.
+fn flipped_store_exits_four(tag: &str, at: impl Fn(usize) -> usize) {
+    let dir = tmpdir(tag);
     let file = dir.join("in.ptdf");
     std::fs::write(&file, PTDF).unwrap();
     let store = dir.join("store");
@@ -86,11 +88,9 @@ fn corrupt_store_exits_four() {
         .unwrap();
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 
-    // Flip bytes inside the page file; the open-time (or load-time)
-    // verification must classify this as corruption.
     let pages = store.join("pages.db");
     let mut bytes = std::fs::read(&pages).unwrap();
-    let mid = bytes.len() / 2;
+    let mid = at(bytes.len());
     for b in &mut bytes[mid..mid + 64] {
         *b ^= 0xFF;
     }
@@ -107,6 +107,20 @@ fn corrupt_store_exits_four() {
         .unwrap();
     assert_eq!(out.status.code(), Some(4), "{out:?}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn corrupt_store_exits_four() {
+    // The file's middle bytes, wherever in a page they land: a header,
+    // slots, records or the free gap between them.
+    flipped_store_exits_four("corrupt", |len| len / 2);
+}
+
+#[test]
+fn corrupt_page_header_exits_four() {
+    // The first bytes of the middle page: its header and first slots.
+    let page = perftrack_store::page::PAGE_SIZE;
+    flipped_store_exits_four("corrupt-header", |len| len / page / 2 * page);
 }
 
 #[test]

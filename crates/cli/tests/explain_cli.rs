@@ -64,13 +64,14 @@ fn analyze(store: &str) {
 
 /// Byte-stable golden: an un-ANALYZEd store plans heuristically with no
 /// estimates — and that is an ordinary plan, not an error. The `a.c`
-/// family's two postings cost more than the scan of three foci and
-/// three focus links, so the scan is the path execution takes.
+/// family's one posting fans out to two links; following them costs more
+/// than the scan of two focus resources and three links, so the scan is
+/// the path execution takes.
 const GOLDEN_HEURISTIC: &str = "\
 plan (pt-explain/v1)
 pr-filter  est=?
   family[0]  index-eq(resource_item_base) [heuristic] relatives=descendants  est=?
-  context-map  scan(focus+focus_has_resource)  est=?
+  context-map  scan(focus_has_resource+result_has_focus)  est=?
   match  order=[0]  est=?
   fetch  index-eq(performance_result_id)  est=?
 ";
@@ -84,14 +85,14 @@ plan (pt-explain/v1)
 pr-filter  est=?
   family[0]  index-eq(resource_item_base) [statistics] relatives=descendants  est=4
   family[1]  index-eq(resource_item_type) [statistics] relatives=neither  est=1
-  context-map  postings(fhr_resource)  est=2
+  context-map  postings(fhr_resource,rhf_focus)  est=2
   match  order=[1,0]  est=?
   fetch  index-eq(performance_result_id)  est=?
 ";
 
 /// Byte-stable golden `--json` form of the same plan (compact, key
 /// order fixed by the in-tree codec).
-const GOLDEN_JSON: &str = "{\"schema\":\"pt-explain/v1\",\"plan\":{\"operator\":\"pr-filter\",\"detail\":\"\",\"estimated_rows\":null,\"children\":[{\"operator\":\"family[0]\",\"detail\":\"index-eq(resource_item_base) [statistics] relatives=descendants\",\"estimated_rows\":4,\"children\":[]},{\"operator\":\"family[1]\",\"detail\":\"index-eq(resource_item_type) [statistics] relatives=neither\",\"estimated_rows\":1,\"children\":[]},{\"operator\":\"context-map\",\"detail\":\"postings(fhr_resource)\",\"estimated_rows\":2,\"children\":[]},{\"operator\":\"match\",\"detail\":\"order=[1,0]\",\"estimated_rows\":null,\"children\":[]},{\"operator\":\"fetch\",\"detail\":\"index-eq(performance_result_id)\",\"estimated_rows\":null,\"children\":[]}]}}\n";
+const GOLDEN_JSON: &str = "{\"schema\":\"pt-explain/v1\",\"plan\":{\"operator\":\"pr-filter\",\"detail\":\"\",\"estimated_rows\":null,\"children\":[{\"operator\":\"family[0]\",\"detail\":\"index-eq(resource_item_base) [statistics] relatives=descendants\",\"estimated_rows\":4,\"children\":[]},{\"operator\":\"family[1]\",\"detail\":\"index-eq(resource_item_type) [statistics] relatives=neither\",\"estimated_rows\":1,\"children\":[]},{\"operator\":\"context-map\",\"detail\":\"postings(fhr_resource,rhf_focus)\",\"estimated_rows\":2,\"children\":[]},{\"operator\":\"match\",\"detail\":\"order=[1,0]\",\"estimated_rows\":null,\"children\":[]},{\"operator\":\"fetch\",\"detail\":\"index-eq(performance_result_id)\",\"estimated_rows\":null,\"children\":[]}]}}\n";
 
 #[test]
 fn explain_without_statistics_is_heuristic_golden() {

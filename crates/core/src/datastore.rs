@@ -111,6 +111,32 @@ struct NameCache {
     /// resource id → (parent id, type id); lets closure maintenance walk
     /// parent chains without touching the database.
     resource_meta: HashMap<i64, (Option<i64>, i64)>,
+    /// Ordered resource-id list → focus id: the intern map that stores
+    /// each distinct focus once. `None` until the first result is loaded
+    /// after open ([`PTDataStore::ensure_foci`]), so opening a store for
+    /// reads never pays for it.
+    foci: Option<HashMap<Vec<i64>, i64>>,
+}
+
+/// First id of the foci a non-primary set — `(parent)`, `(child)`,
+/// `(sender)`, `(receiver)` — names first; a primary set's new foci are
+/// numbered from 1. A primary set usually names its execution's own
+/// resources, so its focus is private to one execution, while the other
+/// roles name code or partners that many executions share. Numbering the
+/// two apart keeps one execution's primary foci adjacent in `rhf_focus`
+/// and `fhr_focus`: a shared focus's links, which grow with every
+/// execution that names it, never sit between them, so a narrow query's
+/// probes read as many leaves at 10 executions as at 2. Which range a
+/// focus is in changes no stored content and no answer.
+const SHARED_FOCUS_IDS: i64 = 1 << 40;
+
+/// The id sequence a focus id belongs to (see [`SHARED_FOCUS_IDS`]).
+fn focus_seq(shared: bool) -> &'static str {
+    if shared {
+        "focus.shared"
+    } else {
+        "focus"
+    }
 }
 
 struct IdGen {
@@ -310,9 +336,10 @@ impl PTDataStore {
                 }
                 true
             })?;
+        max.insert(focus_seq(true), SHARED_FOCUS_IDS - 1);
         self.db.for_each_row(self.schema.focus, |_, r| {
             if let Ok(id) = r[col::focus::ID].as_int() {
-                track("focus", id, &mut max);
+                track(focus_seq(id >= SHARED_FOCUS_IDS), id, &mut max);
             }
             true
         })?;
@@ -703,44 +730,36 @@ impl PTDataStore {
             let cache = self.cache.read();
             cache.tools.iter().map(|(k, v)| (*v, k.clone())).collect()
         };
-        // focus id -> (result id, role); then group resources per focus.
-        let mut focus_info: HashMap<i64, (i64, String)> = HashMap::new();
-        self.db.for_each_row(self.schema.focus, |_, r| {
-            focus_info.insert(
-                r[col::focus::ID].as_int().unwrap_or(0),
-                (
-                    r[col::focus::RESULT_ID].as_int().unwrap_or(0),
-                    r[col::focus::FOCUS_TYPE]
-                        .as_text()
-                        .unwrap_or("primary")
-                        .to_string(),
-                ),
-            );
-            true
-        })?;
+        // Each focus's resources, in stored order; then each result's
+        // sets, in link order. A link to a missing focus, or a focus
+        // naming a missing resource, fails the export rather than writing
+        // PTdf that cannot be loaded back.
         let mut focus_resources: HashMap<i64, Vec<String>> = HashMap::new();
-        self.db
-            .for_each_row(self.schema.focus_has_resource, |_, r| {
-                let fid = r[col::focus_has_resource::FOCUS_ID].as_int().unwrap_or(0);
-                let rid = r[col::focus_has_resource::RESOURCE_ID]
-                    .as_int()
-                    .unwrap_or(0);
-                if let Some(name) = res_by_id.get(&rid) {
-                    focus_resources.entry(fid).or_default().push(name.clone());
-                }
-                true
-            })?;
+        for (fid, rids) in self.focus_lists()? {
+            let names = rids
+                .iter()
+                .map(|rid| {
+                    res_by_id.get(rid).cloned().ok_or_else(|| {
+                        PtError::NotFound(format!("resource {rid} named by focus {fid}"))
+                    })
+                })
+                .collect::<Result<Vec<String>>>()?;
+            focus_resources.insert(fid, names);
+        }
         let mut result_sets: HashMap<i64, Vec<perftrack_ptdf::PtdfResourceSet>> = HashMap::new();
-        let mut focus_ids: Vec<i64> = focus_info.keys().copied().collect();
-        focus_ids.sort_unstable();
-        for fid in focus_ids {
-            let (result_id, role) = &focus_info[&fid];
+        for item in self.db.scan_iter(self.schema.result_has_focus)? {
+            let (_, r) = item?;
+            let result_id = r[col::result_has_focus::RESULT_ID].as_int()?;
+            let fid = r[col::result_has_focus::FOCUS_ID].as_int()?;
+            let resources = focus_resources.get(&fid).ok_or_else(|| {
+                PtError::NotFound(format!("focus {fid} linked by result {result_id}"))
+            })?;
             result_sets
-                .entry(*result_id)
+                .entry(result_id)
                 .or_default()
                 .push(perftrack_ptdf::PtdfResourceSet {
-                    resources: focus_resources.remove(&fid).unwrap_or_default(),
-                    set_type: role.clone(),
+                    resources: resources.clone(),
+                    set_type: r[col::result_has_focus::FOCUS_TYPE].as_text()?.to_string(),
                 });
         }
         // Stream the result rows out of the pool, taking ownership of each
@@ -890,10 +909,11 @@ impl PTDataStore {
     }
 
     /// Delete an execution and everything hanging off it: its performance
-    /// results, their foci and focus-resource links, and the execution row
-    /// itself. Resources are left in place (they are shared across
-    /// executions by design). Runs in one transaction; returns
-    /// `(results, foci, links)` removed.
+    /// results, their `result_has_focus` links, the foci no remaining link
+    /// references (with their resource rows), and the execution row
+    /// itself. Foci another execution still links to stay, and resources
+    /// are left in place (they are shared across executions by design).
+    /// Runs in one transaction; returns `(results, foci, links)` removed.
     pub fn delete_execution(&self, name: &str) -> Result<(usize, usize, usize)> {
         let exec_id = self
             .cache
@@ -904,41 +924,116 @@ impl PTDataStore {
             .ok_or_else(|| PtError::NotFound(format!("execution {name}")))?;
         let mut txn = self.db.begin();
         let mut n_results = 0usize;
-        let mut n_foci = 0usize;
         let mut n_links = 0usize;
-        // Results of this execution.
+        // Results of this execution and their links.
         let result_idx = self.db.index_id("performance_result_exec")?;
-        let focus_idx = self.db.index_id("focus_result")?;
-        let fhr_idx = self.db.index_id("fhr_focus")?;
+        let link_idx = self.db.index_id("rhf_result")?;
+        let mut touched: Vec<i64> = Vec::new();
         for result_rowid in self.db.index_lookup(result_idx, &[Value::Int(exec_id)])? {
             let result_row = self.db.get(self.schema.performance_result, result_rowid)?;
             let result_id = result_row[col::performance_result::ID].as_int()?;
-            for focus_rowid in self.db.index_lookup(focus_idx, &[Value::Int(result_id)])? {
-                let focus_row = self.db.get(self.schema.focus, focus_rowid)?;
-                let focus_id = focus_row[col::focus::ID].as_int()?;
-                for link_rowid in self.db.index_lookup(fhr_idx, &[Value::Int(focus_id)])? {
-                    txn.delete(self.schema.focus_has_resource, link_rowid)?;
-                    n_links += 1;
-                }
-                txn.delete(self.schema.focus, focus_rowid)?;
-                n_foci += 1;
+            for link_rowid in self.db.index_lookup(link_idx, &[Value::Int(result_id)])? {
+                let link = self.db.get(self.schema.result_has_focus, link_rowid)?;
+                touched.push(link[col::result_has_focus::FOCUS_ID].as_int()?);
+                txn.delete(self.schema.result_has_focus, link_rowid)?;
+                n_links += 1;
             }
             txn.delete(self.schema.performance_result, result_rowid)?;
             n_results += 1;
+        }
+        // Foci that no link references any more. The transaction's deletes
+        // are already in the indexes, so an empty `rhf_focus` probe means
+        // no other execution shares the focus.
+        touched.sort_unstable();
+        touched.dedup();
+        let mut orphaned: Vec<i64> = Vec::new();
+        for (&focus_id, links) in touched.iter().zip(
+            self.db
+                .index_lookup_many(self.db.index_id("rhf_focus")?, &int_keys(&touched))?,
+        ) {
+            if links.is_empty() {
+                orphaned.push(focus_id);
+            }
+        }
+        let keys = int_keys(&orphaned);
+        for rowids in self
+            .db
+            .index_lookup_many(self.db.index_id("fhr_focus")?, &keys)?
+        {
+            for rowid in rowids {
+                txn.delete(self.schema.focus_has_resource, rowid)?;
+            }
+        }
+        for rowids in self
+            .db
+            .index_lookup_many(self.db.index_id("focus_id")?, &keys)?
+        {
+            for rowid in rowids {
+                txn.delete(self.schema.focus, rowid)?;
+            }
         }
         // The execution row itself.
         let exec_idx = self.db.index_id("execution_id")?;
         for rowid in self.db.index_lookup(exec_idx, &[Value::Int(exec_id)])? {
             txn.delete(self.schema.execution, rowid)?;
         }
+        // The cache changes under its lock taken before the commit: the
+        // transaction holds the writer lock until `commit` returns, so the
+        // next writer cannot look up the deleted execution or intern onto
+        // a deleted focus, and a failed commit leaves the cache as it was.
+        let mut cache = self.cache.write();
         txn.commit()?;
-        self.cache.write().executions.remove(name);
+        cache.executions.remove(name);
+        if let Some(foci) = cache.foci.as_mut() {
+            foci.retain(|_, id| orphaned.binary_search(id).is_err());
+        }
+        drop(cache);
         // Reclaim fragmented page space in the touched tables.
         self.db.compact_table(self.schema.performance_result)?;
+        self.db.compact_table(self.schema.result_has_focus)?;
         self.db.compact_table(self.schema.focus)?;
         self.db.compact_table(self.schema.focus_has_resource)?;
-        Ok((n_results, n_foci, n_links))
+        Ok((n_results, orphaned.len(), n_links))
     }
+
+    /// Every focus's resource ids, in stored order: one pass over `focus`
+    /// (a focus may name no resource) and one over `focus_has_resource`,
+    /// whose rows of one focus were written together in PTdf order.
+    pub(crate) fn focus_lists(&self) -> Result<HashMap<i64, Vec<i64>>> {
+        let mut lists: HashMap<i64, Vec<i64>> =
+            HashMap::with_capacity(self.db.index_len(self.db.index_id("focus_id")?)?);
+        for item in self.db.scan_iter(self.schema.focus)? {
+            lists.insert(item?.1[col::focus::ID].as_int()?, Vec::new());
+        }
+        for item in self.db.scan_iter(self.schema.focus_has_resource)? {
+            let (_, r) = item?;
+            if let Some(list) = lists.get_mut(&r[col::focus_has_resource::FOCUS_ID].as_int()?) {
+                list.push(r[col::focus_has_resource::RESOURCE_ID].as_int()?);
+            }
+        }
+        Ok(lists)
+    }
+
+    /// Build the focus intern map if this open has not yet. Called by the
+    /// loader, which holds the writer lock, before it interns its first
+    /// focus.
+    fn ensure_foci(&self) -> Result<()> {
+        if self.cache.read().foci.is_some() {
+            return Ok(());
+        }
+        let foci = self
+            .focus_lists()?
+            .into_iter()
+            .map(|(id, list)| (list, id))
+            .collect();
+        self.cache.write().foci.get_or_insert(foci);
+        Ok(())
+    }
+}
+
+/// One single-column integer key per id, for a batched index probe.
+pub(crate) fn int_keys(ids: &[i64]) -> Vec<Vec<Value>> {
+    ids.iter().map(|&id| vec![Value::Int(id)]).collect()
 }
 
 fn decode_manifest(row: &Row) -> ManifestEntry {
@@ -1360,25 +1455,51 @@ impl<'s> Loader<'s> {
                 Value::Text(result.units.clone()),
             ],
         )?;
+        let links = self.store.schema.result_has_focus;
         for (role, rids) in resolved {
-            let focus_id = self.store.ids.lock().alloc("focus");
-            let ftable = self.store.schema.focus;
+            let focus_id = self.intern_focus(rids, role != ContextRole::Primary)?;
             self.txn().insert(
-                ftable,
+                links,
                 vec![
-                    Value::Int(focus_id),
                     Value::Int(id),
+                    Value::Int(focus_id),
                     Value::Text(role.name().to_string()),
                 ],
             )?;
-            let fhr = self.store.schema.focus_has_resource;
-            for rid in rids {
-                self.txn()
-                    .insert(fhr, vec![Value::Int(focus_id), Value::Int(rid)])?;
-            }
         }
         self.stats.results += 1;
         Ok(id)
+    }
+
+    /// The id of the focus naming exactly `rids`, in this order: an
+    /// existing one, or a new `focus` row and its `focus_has_resource`
+    /// rows, remembered in the overlay until commit. A new focus is
+    /// numbered in the range of the role naming it (see
+    /// [`SHARED_FOCUS_IDS`]).
+    fn intern_focus(&mut self, rids: Vec<i64>, shared: bool) -> Result<i64> {
+        if self.overlay.foci.is_none() {
+            self.store.ensure_foci()?;
+            self.overlay.foci = Some(HashMap::new());
+        }
+        let known = |c: &NameCache| c.foci.as_ref()?.get(rids.as_slice()).copied();
+        if let Some(id) = self.lookup(known) {
+            return Ok(id);
+        }
+        let focus_id = self.store.ids.lock().alloc(focus_seq(shared));
+        let (focus, fhr) = (
+            self.store.schema.focus,
+            self.store.schema.focus_has_resource,
+        );
+        self.txn().insert(focus, vec![Value::Int(focus_id)])?;
+        for &rid in &rids {
+            self.txn()
+                .insert(fhr, vec![Value::Int(focus_id), Value::Int(rid)])?;
+        }
+        self.overlay
+            .foci
+            .get_or_insert_with(HashMap::new)
+            .insert(rids, focus_id);
+        Ok(focus_id)
     }
 
     /// Record (or advance) the manifest row for `path` inside this
@@ -1445,8 +1566,11 @@ impl<'s> Loader<'s> {
     /// Commit the load; merges caches into the store and returns stats.
     pub fn commit(mut self) -> Result<LoadStats> {
         let txn = self.txn.take().expect("loader already finished");
-        txn.commit()?;
+        // Publish under the cache lock taken before the commit, as
+        // `delete_execution` does: the next writer sees this load's names
+        // and foci, and a failed commit publishes nothing.
         let mut cache = self.store.cache.write();
+        txn.commit()?;
         cache.applications.extend(self.overlay.applications.drain());
         cache.types.extend(self.overlay.types.drain());
         cache.executions.extend(self.overlay.executions.drain());
@@ -1456,6 +1580,9 @@ impl<'s> Loader<'s> {
         cache
             .resource_meta
             .extend(self.overlay.resource_meta.drain());
+        if let (Some(foci), Some(new)) = (cache.foci.as_mut(), self.overlay.foci.take()) {
+            foci.extend(new);
+        }
         drop(cache);
         *self.store.registry.write() = std::mem::replace(&mut self.registry, TypeRegistry::empty());
         Ok(self.stats)
@@ -1663,7 +1790,44 @@ PerfResult irs-mcr-008 /irs-run(primary) IRS "wall time" 99.25 seconds
         assert!(store2.registry().contains("syncObject"));
         // Second export is identical (canonical order).
         let exported2 = store2.export_ptdf().unwrap();
-        assert_eq!(exported.len(), exported2.len());
+        assert_eq!(exported, exported2);
+    }
+
+    #[test]
+    fn export_refuses_dangling_focus_references() {
+        // A link to a focus that does not exist.
+        let store = PTDataStore::in_memory().unwrap();
+        store.load_ptdf_str(sample_ptdf()).unwrap();
+        let s = *store.schema();
+        let mut txn = store.db().begin();
+        txn.insert(
+            s.result_has_focus,
+            vec![
+                Value::Int(1),
+                Value::Int(9_999),
+                Value::Text("child".into()),
+            ],
+        )
+        .unwrap();
+        txn.commit().unwrap();
+        let err = store.export_ptdf().unwrap_err();
+        assert!(
+            matches!(&err, PtError::NotFound(m) if m.contains("focus 9999")),
+            "{err}"
+        );
+
+        // A focus naming a resource that does not exist.
+        let store = PTDataStore::in_memory().unwrap();
+        store.load_ptdf_str(sample_ptdf()).unwrap();
+        let mut txn = store.db().begin();
+        txn.insert(s.focus_has_resource, vec![Value::Int(1), Value::Int(8_888)])
+            .unwrap();
+        txn.commit().unwrap();
+        let err = store.export_ptdf().unwrap_err();
+        assert!(
+            matches!(&err, PtError::NotFound(m) if m.contains("resource 8888")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1701,8 +1865,20 @@ PerfResult irs-mcr-008 /irs-run(primary) IRS "wall time" 99.25 seconds
         assert_eq!(store.result_count().unwrap(), 3);
         let (results, foci, links) = store.delete_execution("irs-mcr-008").unwrap();
         assert_eq!(results, 2);
-        assert_eq!(foci, 2);
-        assert_eq!(links, 3);
+        assert_eq!(links, 2);
+        // `/irs-run` is still linked by irs-mcr-009's result, so only the
+        // `process0,p0` focus goes.
+        assert_eq!(foci, 1);
+        let count = |t| store.db().row_count(t).unwrap();
+        let s = *store.schema();
+        assert_eq!(
+            (
+                count(s.focus),
+                count(s.focus_has_resource),
+                count(s.result_has_focus)
+            ),
+            (1, 1, 1)
+        );
         // The other execution's result and all resources survive.
         assert_eq!(store.result_count().unwrap(), 1);
         assert_eq!(store.resource_count().unwrap(), 7);
@@ -1715,6 +1891,62 @@ PerfResult irs-mcr-008 /irs-run(primary) IRS "wall time" 99.25 seconds
         assert_eq!(rows[0].execution, "irs-mcr-009");
         // Deleting again errors.
         assert!(store.delete_execution("irs-mcr-008").is_err());
+        // The intern map forgot the deleted focus: loading it again writes
+        // it once more, and the store stays free of orphan and duplicate
+        // foci.
+        store.load_ptdf_str(
+            "Execution irs-mcr-010 IRS\nPerfResult irs-mcr-010 \"/irs-run/process0,/MCRGrid/MCR/batch/n1/p0(primary)\" IRS \"CPU time\" 1.0 seconds\n",
+        )
+        .unwrap();
+        assert_eq!(count(s.focus), 2);
+        let report = store.fsck(true).unwrap();
+        assert!(report.findings.is_empty(), "{}", report.summary());
+    }
+
+    #[test]
+    fn deletes_racing_loads_leave_no_dangling_links() {
+        // Each round, one thread deletes the only execution naming `/rN`
+        // while another loads an execution naming it. The loader waits
+        // for the delete's writer lock and must then see the focus gone
+        // from the intern map; a stale entry links a deleted focus.
+        const ROUNDS: usize = 200;
+        let store = PTDataStore::in_memory().unwrap();
+        let mut ptdf = String::from("Application App\n");
+        for r in 0..ROUNDS {
+            ptdf.push_str(&format!(
+                "Resource /r{r} execution\nExecution old{r} App\n\
+                 PerfResult old{r} /r{r}(primary) T m 1.0 s\n"
+            ));
+        }
+        store.load_ptdf_str(&ptdf).unwrap();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for r in 0..ROUNDS {
+                    barrier.wait();
+                    store.delete_execution(&format!("old{r}")).unwrap();
+                }
+            });
+            scope.spawn(|| {
+                for r in 0..ROUNDS {
+                    barrier.wait();
+                    store
+                        .load_ptdf_str(&format!(
+                            "Execution new{r} App\nPerfResult new{r} /r{r}(primary) T m 2.0 s\n"
+                        ))
+                        .unwrap();
+                }
+            });
+        });
+        let report = store.fsck(false).unwrap();
+        assert_eq!(report.error_count(), 0, "{}", report.summary());
+        let results = store
+            .export_ptdf()
+            .unwrap()
+            .into_iter()
+            .filter(|s| matches!(s, PtdfStatement::PerfResult { .. }))
+            .count();
+        assert_eq!(results, ROUNDS);
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //!   resolve to a live row (`ref.dangling`), and key columns must hold
 //!   integers, with `NULL` allowed only where the schema says a root is
 //!   legal (`ref.type`).
+//! * **Foci are values** — every `focus` row is linked by at least one
+//!   `result_has_focus` row (`focus.orphan`), and no two foci name the
+//!   same resources in the same order (`focus.duplicate`). Both are
+//!   warnings: reads stay correct, but the loader's intern map and
+//!   `delete_execution` keep neither from happening.
 
 use crate::datastore::PTDataStore;
 use crate::error::Result;
@@ -24,7 +29,7 @@ pub use perftrack_store::check::{Finding, FsckReport, Severity};
 
 use perftrack_store::check::verify_closure;
 use perftrack_store::{RowId, ScanIter, TableId, Value};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Verify a whole store: the storage engine's structural fsck plus the
 /// PerfTrack logical checks described in the module docs.
@@ -36,6 +41,7 @@ pub fn verify_store(store: &PTDataStore, deep: bool) -> Result<FsckReport> {
     let mut report = store.db().verify(deep)?;
     check_closure(store, &mut report)?;
     check_references(store, &mut report)?;
+    check_foci(store, &mut report)?;
     Ok(report)
 }
 
@@ -268,11 +274,18 @@ fn check_references(store: &PTDataStore, report: &mut FsckReport) -> Result<()> 
             parent: TOOL,
         },
         FkCheck {
-            object: "focus.result_id",
-            table: s.focus,
-            column: col::focus::RESULT_ID,
+            object: "result_has_focus.result_id",
+            table: s.result_has_focus,
+            column: col::result_has_focus::RESULT_ID,
             nullable: false,
             parent: RESULT,
+        },
+        FkCheck {
+            object: "result_has_focus.focus_id",
+            table: s.result_has_focus,
+            column: col::result_has_focus::FOCUS_ID,
+            nullable: false,
+            parent: FOCUS,
         },
         FkCheck {
             object: "focus_has_resource.focus_id",
@@ -292,6 +305,58 @@ fn check_references(store: &PTDataStore, report: &mut FsckReport) -> Result<()> 
 
     for c in &checks {
         check_fk(report, db.scan_iter(c.table)?, c, &parents[c.parent])?;
+    }
+    Ok(())
+}
+
+/// Report foci no link references (`focus.orphan`) and foci naming the
+/// same ordered resource list as a lower-numbered one (`focus.duplicate`).
+/// Keys that are not integers are `ref.type` findings already.
+fn check_foci(store: &PTDataStore, report: &mut FsckReport) -> Result<()> {
+    let db = store.db();
+    let s = store.schema();
+    let mut lists: BTreeMap<i64, Vec<i64>> = BTreeMap::new();
+    for item in db.scan_iter(s.focus)? {
+        if let Ok(id) = item?.1[col::focus::ID].as_int() {
+            lists.insert(id, Vec::new());
+        }
+    }
+    for item in db.scan_iter(s.focus_has_resource)? {
+        let (_, row) = item?;
+        let focus = row[col::focus_has_resource::FOCUS_ID].as_int();
+        let resource = row[col::focus_has_resource::RESOURCE_ID].as_int();
+        if let (Ok(focus), Ok(resource)) = (focus, resource) {
+            if let Some(list) = lists.get_mut(&focus) {
+                list.push(resource);
+            }
+        }
+    }
+    let mut linked = HashSet::new();
+    for item in db.scan_iter(s.result_has_focus)? {
+        if let Ok(id) = item?.1[col::result_has_focus::FOCUS_ID].as_int() {
+            linked.insert(id);
+        }
+    }
+    let mut first: HashMap<&[i64], i64> = HashMap::with_capacity(lists.len());
+    for (&id, list) in &lists {
+        if !linked.contains(&id) {
+            report.push(Finding::external(
+                "focus.orphan",
+                Severity::Warning,
+                "focus",
+                format!("focus {id}: no result_has_focus row links it"),
+            ));
+        }
+        if let Some(&kept) = first.get(list.as_slice()) {
+            report.push(Finding::external(
+                "focus.duplicate",
+                Severity::Warning,
+                "focus",
+                format!("focus {id} names the same resources, in order, as focus {kept}"),
+            ));
+        } else {
+            first.insert(list, id);
+        }
     }
     Ok(())
 }
@@ -411,5 +476,119 @@ PerfResult irs-mcr-008 /MCRGrid/MCR/batch/n1(primary) IRS \"CPU time\" 42.5 seco
             .any(|f| f.code == "closure.extra" || f.code == "closure.cycle"));
         // The forged pair also breaks the ancestor/descendant mirror.
         assert!(report.findings.iter().any(|f| f.code == "closure.mirror"));
+    }
+
+    fn findings_with<'r>(report: &'r FsckReport, code: &str) -> Vec<&'r Finding> {
+        report.findings.iter().filter(|f| f.code == code).collect()
+    }
+
+    #[test]
+    fn dangling_result_focus_links_detected() {
+        let store = loaded_store();
+        let s = *store.schema();
+        let mut txn = store.db().begin();
+        txn.insert(
+            s.result_has_focus,
+            vec![
+                Value::Int(777),
+                Value::Int(888),
+                Value::Text("primary".into()),
+            ],
+        )
+        .unwrap();
+        txn.commit().unwrap();
+
+        let report = verify_store(&store, false).unwrap();
+        let dangling: Vec<&str> = findings_with(&report, "ref.dangling")
+            .iter()
+            .map(|f| f.object.as_str())
+            .collect();
+        assert_eq!(
+            dangling,
+            ["result_has_focus.result_id", "result_has_focus.focus_id"]
+        );
+    }
+
+    #[test]
+    fn orphan_focus_detected() {
+        let store = loaded_store();
+        let s = *store.schema();
+        let mut txn = store.db().begin();
+        txn.insert(s.focus, vec![Value::Int(500)]).unwrap();
+        txn.commit().unwrap();
+
+        let report = verify_store(&store, false).unwrap();
+        assert_eq!(report.error_count(), 0, "{}", report.summary());
+        let orphans = findings_with(&report, "focus.orphan");
+        assert_eq!(orphans.len(), 1, "{:?}", report.findings);
+        assert_eq!(orphans[0].severity, Severity::Warning);
+        assert!(orphans[0].detail.contains("focus 500"), "{:?}", orphans[0]);
+    }
+
+    #[test]
+    fn duplicate_focus_detected() {
+        let store = loaded_store();
+        let s = *store.schema();
+        // A second, linked focus naming the loaded result's one resource.
+        let db = store.db();
+        let (_, row) = db.scan(s.focus_has_resource).unwrap().remove(0);
+        let resource = row[col::focus_has_resource::RESOURCE_ID].clone();
+        let mut txn = db.begin();
+        txn.insert(s.focus, vec![Value::Int(501)]).unwrap();
+        txn.insert(s.focus_has_resource, vec![Value::Int(501), resource])
+            .unwrap();
+        txn.insert(
+            s.result_has_focus,
+            vec![Value::Int(1), Value::Int(501), Value::Text("parent".into())],
+        )
+        .unwrap();
+        txn.commit().unwrap();
+
+        let report = verify_store(&store, false).unwrap();
+        assert_eq!(report.error_count(), 0, "{}", report.summary());
+        assert!(findings_with(&report, "focus.orphan").is_empty());
+        let duplicates = findings_with(&report, "focus.duplicate");
+        assert_eq!(duplicates.len(), 1, "{:?}", report.findings);
+        assert!(
+            duplicates[0].detail.contains("focus 501"),
+            "{:?}",
+            duplicates[0]
+        );
+    }
+
+    #[test]
+    fn store_with_per_result_foci_is_refused() {
+        let dir = std::env::temp_dir().join(format!("pt-old-foci-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            use perftrack_store::{Column, ColumnType, Database};
+            let db = Database::open(&dir).unwrap();
+            db.create_table(
+                "focus",
+                vec![
+                    Column::new("id", ColumnType::Int),
+                    Column::new("result_id", ColumnType::Int),
+                    Column::new("focus_type", ColumnType::Text),
+                ],
+            )
+            .unwrap();
+        }
+        let Err(err) = PTDataStore::open(&dir) else {
+            panic!("a store with focus.result_id must be refused");
+        };
+        assert!(
+            matches!(
+                &err,
+                crate::PtError::Store(perftrack_store::StoreError::SchemaMismatch(m))
+                    if m.contains("pt export") && m.contains("pt load")
+            ),
+            "{err}"
+        );
+        // Refused before any DDL: the old store is left as it was.
+        let db = perftrack_store::Database::open(&dir).unwrap();
+        let tables: Vec<String> = db.tables().into_iter().map(|(_, n)| n).collect();
+        assert_eq!(tables, ["focus"]);
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

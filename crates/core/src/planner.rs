@@ -42,10 +42,11 @@ pub struct FilterPlan {
 pub struct PrFilterPlan {
     /// One plan per filter, in the caller's filter order.
     pub filters: Vec<FilterPlan>,
-    /// Estimated postings of the smallest estimated family: the contexts
-    /// the match stage reads on [`ContextAccess::Postings`].
-    pub estimated_postings: Option<u64>,
-    /// Estimated result contexts (rows of the `focus` table): what it
+    /// Estimated `result_has_focus` links the smallest estimated family's
+    /// postings fan out to: the contexts the match stage reads on
+    /// [`ContextAccess::Postings`].
+    pub estimated_links: Option<u64>,
+    /// Estimated result contexts (rows of `performance_result`): what it
     /// reads on [`ContextAccess::Scan`].
     pub estimated_contexts: Option<u64>,
     /// Estimated matching results, when it can be bounded.
@@ -56,7 +57,7 @@ impl PrFilterPlan {
     /// Estimated contexts the match stage reads by `access`.
     pub fn estimated_candidates(&self, access: ContextAccess) -> Option<u64> {
         match access {
-            ContextAccess::Postings => self.estimated_postings,
+            ContextAccess::Postings => self.estimated_links,
             ContextAccess::Scan => self.estimated_contexts,
         }
     }
@@ -66,20 +67,32 @@ impl PrFilterPlan {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ContextAccess {
     /// From the smallest family's postings — the `focus_has_resource`
-    /// rows naming a member, found through `fhr_resource` — only the
-    /// contexts of the results they lead to.
+    /// rows naming a member, found through `fhr_resource` — to their
+    /// foci, and through `rhf_focus` to the results linking those: only
+    /// the contexts of those results.
     Postings,
-    /// Every context, by one pass over `focus` and `focus_has_resource`.
+    /// Every context, by one pass over `focus_has_resource` (each focus
+    /// once) and one over `result_has_focus`.
     Scan,
 }
 
 impl ContextAccess {
-    /// The cost rule: following `postings` to their foci reads two rows
-    /// each at `COST_FETCH_ROW`; the scan reads every `focus` and
-    /// `focus_has_resource` row at `COST_SCAN_ROW`, and wins ties.
-    pub(crate) fn choose(store: &PTDataStore, postings: u64) -> Result<ContextAccess> {
-        let scanned = table_rows(store, "focus_id")? + table_rows(store, "fhr_resource")?;
-        if 2.0 * postings as f64 * COST_FETCH_ROW >= scanned as f64 * COST_SCAN_ROW {
+    /// The cost rule. Following `postings` reads each posting and, twice,
+    /// each link its focus fans out to — once for the result, once for
+    /// that result's context — at `COST_FETCH_ROW`. The scan reads every
+    /// `focus_has_resource` and `result_has_focus` row at `COST_SCAN_ROW`,
+    /// and wins ties. Table sizes are exact index sizes; `links` counts
+    /// the postings' links exactly, and is not asked for when the
+    /// postings alone already cost as much as the scan.
+    pub(crate) fn choose(
+        store: &PTDataStore,
+        postings: u64,
+        links: impl FnOnce() -> Result<u64>,
+    ) -> Result<ContextAccess> {
+        let scanned = (table_rows(store, "fhr_resource")? + table_rows(store, "rhf_focus")?) as f64
+            * COST_SCAN_ROW;
+        let reading = |links: u64| (postings + 2 * links) as f64 * COST_FETCH_ROW;
+        if reading(0) >= scanned || reading(links()?) >= scanned {
             Ok(ContextAccess::Scan)
         } else {
             Ok(ContextAccess::Postings)
@@ -224,16 +237,16 @@ fn plan_one(store: &PTDataStore, filter: &ResourceFilter) -> FilterPlan {
 pub fn plan_filters(store: &PTDataStore, filters: &[ResourceFilter]) -> PrFilterPlan {
     let plans: Vec<FilterPlan> = filters.iter().map(|f| plan_one(store, f)).collect();
     let db = store.db();
-    let estimated_contexts = db.table_stats_state(store.schema().focus).rows();
-    // The smallest family's postings: its size times the `fhr_resource`
-    // fan-out.
-    let fanout = db
-        .index_id("fhr_resource")
-        .ok()
-        .and_then(|i| db.index_avg_fanout(i));
-    let estimated_postings = (plans.iter().map(|p| p.estimated_family).min().flatten())
-        .zip(fanout)
-        .map(|(family, fanout)| (family as f64 * fanout).round() as u64);
+    let estimated_contexts = db
+        .table_stats_state(store.schema().performance_result)
+        .rows();
+    // The links the smallest family's postings fan out to: its size times
+    // the `fhr_resource` fan-out (foci per resource) times the `rhf_focus`
+    // fan-out (links per focus).
+    let fanout = |index: &str| db.index_id(index).ok().and_then(|i| db.index_avg_fanout(i));
+    let estimated_links = (plans.iter().map(|p| p.estimated_family).min().flatten())
+        .zip(fanout("fhr_resource").zip(fanout("rhf_focus")))
+        .map(|(family, (foci, links))| (family as f64 * foci * links).round() as u64);
     // An empty family can't match anything; an empty filter list matches
     // every context. In between, context membership isn't estimable from
     // per-table statistics alone.
@@ -246,7 +259,7 @@ pub fn plan_filters(store: &PTDataStore, filters: &[ResourceFilter]) -> PrFilter
     };
     PrFilterPlan {
         filters: plans,
-        estimated_postings,
+        estimated_links,
         estimated_contexts,
         estimated_matches,
     }
@@ -282,8 +295,8 @@ pub fn explain_filters(
             ExplainNode::new(
                 "context-map",
                 match access {
-                    ContextAccess::Postings => "postings(fhr_resource)",
-                    ContextAccess::Scan => "scan(focus+focus_has_resource)",
+                    ContextAccess::Postings => "postings(fhr_resource,rhf_focus)",
+                    ContextAccess::Scan => "scan(focus_has_resource+result_has_focus)",
                 },
             )
             .with_estimate(plan.estimated_candidates(access)),
@@ -322,7 +335,7 @@ mod tests {
         assert_eq!(plan.filters.len(), 1);
         assert!(plan.filters[0].access.contains("[heuristic]"));
         assert_eq!(plan.filters[0].estimated_family, None);
-        assert_eq!(plan.estimated_postings, None);
+        assert_eq!(plan.estimated_links, None);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! performance results, live match counts, and *free resource* discovery
 //! for the GUI's two-step column selection.
 
-use crate::datastore::{decode_resource, PTDataStore};
+use crate::datastore::{decode_resource, int_keys, PTDataStore};
 use crate::error::{PtError, Result};
 use crate::planner::{explain_filters, plan_filters, table_rows, ContextAccess};
 use crate::schema::col;
@@ -11,7 +11,6 @@ use perftrack_model::{AttrPredicate, Relatives, ResourceFilter, Selector};
 use perftrack_store::metrics::{OperatorProfile, QueryProfile};
 use perftrack_store::planner::{ExplainPlan, COST_FETCH_ROW, COST_PROBE, COST_SCAN_ROW};
 use perftrack_store::{Row, RowId, StatsState, Value};
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
 
@@ -78,18 +77,13 @@ impl Candidates {
     }
 }
 
-/// How the match stage reads contexts: `access`, from `postings` of the
-/// family `check[0]` when that is [`ContextAccess::Postings`], checking
-/// the families in `check`.
+/// How the match stage reads contexts: `access`, from the `links` the
+/// family `check[0]` fans out to when that is [`ContextAccess::Postings`],
+/// checking the families in `check`.
 struct MatchPath {
     access: ContextAccess,
-    postings: Vec<RowId>,
+    links: Vec<RowId>,
     check: Vec<usize>,
-}
-
-/// One single-column integer key per id, for a batched index probe.
-fn int_keys(ids: &[i64]) -> Vec<Vec<Value>> {
-    ids.iter().map(|&id| vec![Value::Int(id)]).collect()
 }
 
 impl<'s> QueryEngine<'s> {
@@ -262,35 +256,25 @@ impl<'s> QueryEngine<'s> {
 
     // -- matching -------------------------------------------------------------
 
-    /// Every result with a focus → its context resource ids, from one pass
-    /// over `focus` and one over `focus_has_resource`.
+    /// Every result with a focus → its context resource ids:
+    /// [`PTDataStore::focus_lists`] reads each distinct focus once, and one
+    /// pass over `result_has_focus` fans them out to the results linking
+    /// them.
     fn context_scan(&self) -> Result<HashMap<i64, Vec<i64>>> {
         let db = self.store.db();
         let schema = self.store.schema();
-        let foci = table_rows(self.store, "focus_id")? as usize;
-        // Focus id → its result and the resources it names.
-        let mut by_focus: HashMap<i64, (i64, Vec<i64>)> = HashMap::with_capacity(foci);
-        for item in db.scan_iter(schema.focus)? {
-            let (_, row) = item?;
-            let result = row[col::focus::RESULT_ID].as_int()?;
-            by_focus.insert(row[col::focus::ID].as_int()?, (result, Vec::new()));
-        }
-        for item in db.scan_iter(schema.focus_has_resource)? {
-            let (_, row) = item?;
-            let focus = row[col::focus_has_resource::FOCUS_ID].as_int()?;
-            if let Some((_, resources)) = by_focus.get_mut(&focus) {
-                resources.push(row[col::focus_has_resource::RESOURCE_ID].as_int()?);
-            }
-        }
+        let by_focus = self.store.focus_lists()?;
         // A context is the union of its result's foci, empty when they
         // name nothing.
-        let mut out: HashMap<i64, Vec<i64>> = HashMap::with_capacity(foci);
-        for (result, resources) in by_focus.into_values() {
-            match out.entry(result) {
-                Entry::Vacant(slot) => {
-                    slot.insert(resources);
-                }
-                Entry::Occupied(slot) => slot.into_mut().extend(resources),
+        let mut out: HashMap<i64, Vec<i64>> =
+            HashMap::with_capacity(table_rows(self.store, "performance_result_id")? as usize);
+        for item in db.scan_iter(schema.result_has_focus)? {
+            let (_, row) = item?;
+            let context = out
+                .entry(row[col::result_has_focus::RESULT_ID].as_int()?)
+                .or_default();
+            if let Some(resources) = by_focus.get(&row[col::result_has_focus::FOCUS_ID].as_int()?) {
+                context.extend_from_slice(resources);
             }
         }
         for v in out.values_mut() {
@@ -309,63 +293,10 @@ impl<'s> QueryEngine<'s> {
         Ok(rids.into_iter().flatten().collect())
     }
 
-    /// The match stage's decision: the families to check, smallest first,
-    /// and how to read contexts — the smallest family's postings are
-    /// counted, and [`ContextAccess::choose`] costs them against the scan.
-    /// With no family at all, everything matches, so that scans. Reads
-    /// the `fhr_resource` index only, no context or row.
-    fn match_path(&self, families: &[HashSet<i64>]) -> Result<MatchPath> {
-        let mut check: Vec<usize> = (0..families.len()).collect();
-        check.sort_by_key(|&i| families[i].len());
-        let Some(&smallest) = check.first() else {
-            return Ok(MatchPath {
-                access: ContextAccess::Scan,
-                postings: Vec::new(),
-                check,
-            });
-        };
-        let postings = self.postings(&families[smallest])?;
-        let access = ContextAccess::choose(self.store, postings.len() as u64)?;
-        Ok(MatchPath {
-            access,
-            postings,
-            check,
-        })
-    }
-
-    /// The contexts the match stage checks, read by [`QueryEngine::match_path`].
-    fn candidates(&self, families: &[HashSet<i64>]) -> Result<Candidates> {
-        let path = self.match_path(families)?;
-        self.read_contexts(path.access, &path.postings, path.check)
-    }
-
-    /// Read contexts by `access`. From postings of the family `check[0]`:
-    /// [`QueryEngine::results_of`] them, and [`QueryEngine::contexts_of`]
-    /// those; they all meet `check[0]`, so it is not checked again.
-    fn read_contexts(
-        &self,
-        access: ContextAccess,
-        postings: &[RowId],
-        mut check: Vec<usize>,
-    ) -> Result<Candidates> {
-        let contexts = match access {
-            ContextAccess::Scan => self.context_scan()?,
-            ContextAccess::Postings => {
-                check.remove(0);
-                self.contexts_of(&self.results_of(postings)?)?
-            }
-        };
-        Ok(Candidates {
-            access,
-            contexts,
-            check,
-        })
-    }
-
-    /// The distinct results (ascending) that `postings` lead to: each
-    /// posting's focus, then one batched `focus_id` probe for their
-    /// results.
-    fn results_of(&self, postings: &[RowId]) -> Result<Vec<i64>> {
+    /// The `result_has_focus` rows `postings` fan out to: each posting's
+    /// focus, deduplicated, then one batched `rhf_focus` probe, reading no
+    /// link row.
+    fn links_of(&self, postings: &[RowId]) -> Result<Vec<RowId>> {
         let db = self.store.db();
         let schema = self.store.schema();
         let mut foci = Vec::with_capacity(postings.len());
@@ -375,15 +306,87 @@ impl<'s> QueryEngine<'s> {
         }
         foci.sort_unstable();
         foci.dedup();
-        let mut results = Vec::with_capacity(foci.len());
-        let idx = db.index_id("focus_id")?;
-        for rid in db
+        let idx = db.index_id("rhf_focus")?;
+        Ok(db
             .index_lookup_many(idx, &int_keys(&foci))?
             .into_iter()
             .flatten()
-        {
-            results.push(db.get(schema.focus, rid)?[col::focus::RESULT_ID].as_int()?);
-        }
+            .collect())
+    }
+
+    /// The links `family` fans out to, or `None` when
+    /// [`ContextAccess::choose`] finds the scan cheaper: postings that
+    /// alone cost more than the scan decide before any row is read;
+    /// otherwise [`QueryEngine::links_of`] counts the links exactly.
+    fn fan_out(&self, family: &HashSet<i64>) -> Result<Option<Vec<RowId>>> {
+        let postings = self.postings(family)?;
+        let mut links = Vec::new();
+        let access = ContextAccess::choose(self.store, postings.len() as u64, || {
+            links = self.links_of(&postings)?;
+            Ok(links.len() as u64)
+        })?;
+        Ok((access == ContextAccess::Postings).then_some(links))
+    }
+
+    /// The match stage's decision: the families to check, smallest first,
+    /// and how to read contexts — [`QueryEngine::fan_out`] of the smallest
+    /// family. With no family at all, everything matches, so that scans.
+    /// Reads at most the postings' `focus_has_resource` rows; no link,
+    /// context or result row.
+    fn match_path(&self, families: &[HashSet<i64>]) -> Result<MatchPath> {
+        let mut check: Vec<usize> = (0..families.len()).collect();
+        check.sort_by_key(|&i| families[i].len());
+        let links = match check.first() {
+            Some(&smallest) => self.fan_out(&families[smallest])?,
+            None => None,
+        };
+        Ok(MatchPath {
+            access: match links {
+                Some(_) => ContextAccess::Postings,
+                None => ContextAccess::Scan,
+            },
+            links: links.unwrap_or_default(),
+            check,
+        })
+    }
+
+    /// The contexts the match stage checks, read by [`QueryEngine::match_path`].
+    fn candidates(&self, families: &[HashSet<i64>]) -> Result<Candidates> {
+        let path = self.match_path(families)?;
+        self.read_contexts(path.access, &path.links, path.check)
+    }
+
+    /// Read contexts by `access`. From the links of the family `check[0]`:
+    /// [`QueryEngine::results_of`] them, and [`QueryEngine::contexts_of`]
+    /// those; they all meet `check[0]`, so it is not checked again.
+    fn read_contexts(
+        &self,
+        access: ContextAccess,
+        links: &[RowId],
+        mut check: Vec<usize>,
+    ) -> Result<Candidates> {
+        let contexts = match access {
+            ContextAccess::Scan => self.context_scan()?,
+            ContextAccess::Postings => {
+                check.remove(0);
+                self.contexts_of(&self.results_of(links)?)?
+            }
+        };
+        Ok(Candidates {
+            access,
+            contexts,
+            check,
+        })
+    }
+
+    /// The distinct results (ascending) of `links`, one link row each.
+    fn results_of(&self, links: &[RowId]) -> Result<Vec<i64>> {
+        let db = self.store.db();
+        let table = self.store.schema().result_has_focus;
+        let mut results = links
+            .iter()
+            .map(|&rid| Ok(db.get(table, rid)?[col::result_has_focus::RESULT_ID].as_int()?))
+            .collect::<Result<Vec<i64>>>()?;
         results.sort_unstable();
         results.dedup();
         Ok(results)
@@ -397,7 +400,7 @@ impl<'s> QueryEngine<'s> {
 
     /// Live counts: how many results each family matches alone, and how
     /// many match the whole filter (§3.2's query-size feedback). Each
-    /// family's matches are the results its postings lead to, and the
+    /// family's matches are the results its links lead to, and the
     /// whole filter's are their intersection — unless the match stage's
     /// cost rule picks the scan for any family (or there is none): then
     /// one scan counts them all.
@@ -406,19 +409,19 @@ impl<'s> QueryEngine<'s> {
         // before any of the others' postings are read.
         let mut order: Vec<usize> = (0..families.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(families[i].len()));
-        let mut postings = vec![Vec::new(); families.len()];
+        let mut links = vec![Vec::new(); families.len()];
         for &i in &order {
-            postings[i] = self.postings(&families[i])?;
-            if ContextAccess::choose(self.store, postings[i].len() as u64)? == ContextAccess::Scan {
-                return self.count_by_scan(families);
+            match self.fan_out(&families[i])? {
+                Some(l) => links[i] = l,
+                None => return self.count_by_scan(families),
             }
         }
         let Some(&smallest) = order.last() else {
             return self.count_by_scan(families);
         };
-        let matched = postings
+        let matched = links
             .iter()
-            .map(|p| self.results_of(p))
+            .map(|l| self.results_of(l))
             .collect::<Result<Vec<_>>>()?;
         let mut whole = matched[smallest].clone();
         for m in &matched {
@@ -627,36 +630,48 @@ impl<'s> QueryEngine<'s> {
         self.fetch_rows_with(rows, contexts)
     }
 
-    /// Context resource ids of the given results: a batched `focus_result`
-    /// probe, then a batched `fhr_focus` probe, each context sorted and
-    /// deduplicated. Like the scan of every context, it has an entry for
-    /// every result with at least one focus (empty when the foci name no
-    /// resource) and none for the others.
+    /// Context resource ids of the given results: a batched `rhf_result`
+    /// probe for their links, then one batched `fhr_focus` probe for the
+    /// distinct foci those name, each context sorted and deduplicated.
+    /// Like the scan of every context, it has an entry for every result
+    /// with at least one focus (empty when the foci name no resource) and
+    /// none for the others.
     pub fn contexts_of(&self, result_ids: &[i64]) -> Result<HashMap<i64, Vec<i64>>> {
         let db = self.store.db();
         let schema = self.store.schema();
-        let keys = int_keys(result_ids);
-        let mut out: HashMap<i64, Vec<i64>> = HashMap::with_capacity(result_ids.len());
-        let mut foci: Vec<(i64, i64)> = Vec::new();
+        let mut links: Vec<(i64, i64)> = Vec::new();
         for (&result, rids) in result_ids
             .iter()
-            .zip(db.index_lookup_many(db.index_id("focus_result")?, &keys)?)
+            .zip(db.index_lookup_many(db.index_id("rhf_result")?, &int_keys(result_ids))?)
         {
             for rid in rids {
-                let row = db.get(schema.focus, rid)?;
-                foci.push((row[col::focus::ID].as_int()?, result));
-                out.entry(result).or_default();
+                let link = db.get(schema.result_has_focus, rid)?;
+                links.push((result, link[col::result_has_focus::FOCUS_ID].as_int()?));
             }
         }
-        let keys: Vec<Vec<Value>> = foci.iter().map(|&(f, _)| vec![Value::Int(f)]).collect();
-        for (&(_, result), rids) in foci
+        let mut foci: Vec<i64> = links.iter().map(|&(_, f)| f).collect();
+        foci.sort_unstable();
+        foci.dedup();
+        let mut by_focus: HashMap<i64, Vec<i64>> = HashMap::with_capacity(foci.len());
+        for (&focus, rids) in foci
             .iter()
-            .zip(db.index_lookup_many(db.index_id("fhr_focus")?, &keys)?)
+            .zip(db.index_lookup_many(db.index_id("fhr_focus")?, &int_keys(&foci))?)
         {
+            let resources = rids
+                .into_iter()
+                .map(|rid| {
+                    Ok(db.get(schema.focus_has_resource, rid)?
+                        [col::focus_has_resource::RESOURCE_ID]
+                        .as_int()?)
+                })
+                .collect::<Result<Vec<i64>>>()?;
+            by_focus.insert(focus, resources);
+        }
+        let mut out: HashMap<i64, Vec<i64>> = HashMap::with_capacity(result_ids.len());
+        for (result, focus) in links {
             let context = out.entry(result).or_default();
-            for rid in rids {
-                let row = db.get(schema.focus_has_resource, rid)?;
-                context.push(row[col::focus_has_resource::RESOURCE_ID].as_int()?);
+            if let Some(resources) = by_focus.get(&focus) {
+                context.extend_from_slice(resources);
             }
         }
         for v in out.values_mut() {
@@ -1029,8 +1044,9 @@ mod tests {
     #[test]
     fn pr_filter_probes_each_index_once_per_batch() {
         // Family expansion walks rha_resource and rhd_resource once each;
-        // matching walks fhr_resource for the postings, focus_id for their
-        // results, and focus_result and fhr_focus for those contexts: six
+        // matching walks fhr_resource for the postings, rhf_focus for the
+        // links their foci fan out to, and rhf_result and fhr_focus for
+        // the contexts of the results linked: six
         // batched probes, however many seeds or ids are in flight. Fetch
         // adds one walk of performance_result_id for every matched id when
         // it probes, and none when it scans a table that small. The only
@@ -1134,9 +1150,11 @@ mod tests {
             let families: Vec<_> = filters.iter().map(|f| q.family(f).unwrap()).collect();
             let mut order: Vec<usize> = (0..families.len()).collect();
             order.sort_by_key(|&i| families[i].len());
-            let postings = q.postings(&families[order[0]]).unwrap();
+            let links = q
+                .links_of(&q.postings(&families[order[0]]).unwrap())
+                .unwrap();
             let by_postings = q
-                .read_contexts(ContextAccess::Postings, &postings, order.clone())
+                .read_contexts(ContextAccess::Postings, &links, order.clone())
                 .unwrap();
             let by_scan = q.read_contexts(ContextAccess::Scan, &[], order).unwrap();
             let ids = by_scan.matching(&families);

@@ -16,9 +16,13 @@
 //!   closure-ablation bench's measurement of that choice).
 //! * `metric`, `performance_tool` — interned names.
 //! * `performance_result` — the measured values.
-//! * `focus` — one row per resource set of a result, with its role
-//!   (`primary`, `parent`, `child`, `sender`, `receiver`).
-//! * `focus_has_resource` — the resources in each focus.
+//! * `focus` — one row per distinct resource list: a focus is a value,
+//!   stored once however many results share it.
+//! * `focus_has_resource` — the resources of each focus, in the order the
+//!   PTdf first gave them.
+//! * `result_has_focus` — one row per resource set of a result, linking it
+//!   to its focus with the set's role (`primary`, `parent`, `child`,
+//!   `sender`, `receiver`), written in PTdf order.
 //! * `load_manifest` — bulk-load bookkeeping: one row per PTdf file ever
 //!   loaded, carrying its content hash and batch watermark so interrupted
 //!   loads can resume idempotently (`pt load --resume`; see
@@ -56,6 +60,24 @@ fn ensure_index(
     }
 }
 
+/// Refuse a store in the layout where every result wrote a private copy
+/// of each focus (`focus.result_id`): its contexts cannot be read through
+/// `result_has_focus`. The check runs before any DDL, so the old store is
+/// left exactly as it was for the migration the error names.
+fn refuse_per_result_foci(db: &Database) -> StoreResult<()> {
+    match db.table_id("focus") {
+        Ok(focus) if db.column_index(focus, "result_id").is_ok() => {
+            Err(StoreError::SchemaMismatch(
+                "this store keeps one focus per result (focus.result_id), a layout this \
+                 version cannot read; migrate it with `pt export <old-store> <file.ptdf>` \
+                 and `pt load <new-store> <file.ptdf>`"
+                    .into(),
+            ))
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Resolved table ids for the PerfTrack schema.
 #[derive(Debug, Clone, Copy)]
 pub struct Schema {
@@ -72,6 +94,7 @@ pub struct Schema {
     pub performance_result: TableId,
     pub focus: TableId,
     pub focus_has_resource: TableId,
+    pub result_has_focus: TableId,
     pub load_manifest: TableId,
     pub load_token: TableId,
 }
@@ -146,16 +169,20 @@ pub mod col {
         pub const VALUE: usize = 4;
         pub const UNITS: usize = 5;
     }
-    /// `focus(id, result_id, focus_type)`
+    /// `focus(id)`
     pub mod focus {
         pub const ID: usize = 0;
-        pub const RESULT_ID: usize = 1;
-        pub const FOCUS_TYPE: usize = 2;
     }
     /// `focus_has_resource(focus_id, resource_id)`
     pub mod focus_has_resource {
         pub const FOCUS_ID: usize = 0;
         pub const RESOURCE_ID: usize = 1;
+    }
+    /// `result_has_focus(result_id, focus_id, focus_type)`
+    pub mod result_has_focus {
+        pub const RESULT_ID: usize = 0;
+        pub const FOCUS_ID: usize = 1;
+        pub const FOCUS_TYPE: usize = 2;
     }
     /// `load_manifest(path, content_hash, watermark, done)`
     pub mod load_manifest {
@@ -182,6 +209,7 @@ pub mod col {
 impl Schema {
     /// Create all tables and indexes on a fresh database.
     pub fn create(db: &Database) -> StoreResult<Schema> {
+        refuse_per_result_foci(db)?;
         let application = ensure_table(
             db,
             "application",
@@ -222,7 +250,6 @@ impl Schema {
         )?;
         ensure_index(db, "execution_id", execution, &["id"], true)?;
         ensure_index(db, "execution_name", execution, &["name"], true)?;
-        ensure_index(db, "execution_app", execution, &["application_id"], false)?;
 
         let resource_item = ensure_table(
             db,
@@ -285,20 +312,6 @@ impl Schema {
                 Column::new("resource2_id", ColumnType::Int),
                 Column::new("name", ColumnType::Text),
             ],
-        )?;
-        ensure_index(
-            db,
-            "resource_constraint_r1",
-            resource_constraint,
-            &["resource1_id"],
-            false,
-        )?;
-        ensure_index(
-            db,
-            "resource_constraint_r2",
-            resource_constraint,
-            &["resource2_id"],
-            false,
         )?;
 
         let resource_has_ancestor = ensure_table(
@@ -394,25 +407,9 @@ impl Schema {
             &["execution_id"],
             false,
         )?;
-        ensure_index(
-            db,
-            "performance_result_metric",
-            performance_result,
-            &["metric_id"],
-            false,
-        )?;
 
-        let focus = ensure_table(
-            db,
-            "focus",
-            vec![
-                Column::new("id", ColumnType::Int),
-                Column::new("result_id", ColumnType::Int),
-                Column::new("focus_type", ColumnType::Text),
-            ],
-        )?;
+        let focus = ensure_table(db, "focus", vec![Column::new("id", ColumnType::Int)])?;
         ensure_index(db, "focus_id", focus, &["id"], true)?;
-        ensure_index(db, "focus_result", focus, &["result_id"], false)?;
 
         let focus_has_resource = ensure_table(
             db,
@@ -431,6 +428,18 @@ impl Schema {
             false,
         )?;
 
+        let result_has_focus = ensure_table(
+            db,
+            "result_has_focus",
+            vec![
+                Column::new("result_id", ColumnType::Int),
+                Column::new("focus_id", ColumnType::Int),
+                Column::new("focus_type", ColumnType::Text),
+            ],
+        )?;
+        ensure_index(db, "rhf_result", result_has_focus, &["result_id"], false)?;
+        ensure_index(db, "rhf_focus", result_has_focus, &["focus_id"], false)?;
+
         let load_manifest = Self::create_manifest_table(db)?;
         let load_token = Self::create_token_table(db)?;
 
@@ -448,6 +457,7 @@ impl Schema {
             performance_result,
             focus,
             focus_has_resource,
+            result_has_focus,
             load_manifest,
             load_token,
         })
@@ -511,7 +521,7 @@ impl Schema {
 
     /// Every table in the schema, with its name (test support and the
     /// CLI's `report tables`).
-    pub fn all_tables(&self) -> [(&'static str, TableId); 15] {
+    pub fn all_tables(&self) -> [(&'static str, TableId); 16] {
         [
             ("application", self.application),
             ("focus_framework", self.focus_framework),
@@ -526,6 +536,7 @@ impl Schema {
             ("performance_result", self.performance_result),
             ("focus", self.focus),
             ("focus_has_resource", self.focus_has_resource),
+            ("result_has_focus", self.result_has_focus),
             ("load_manifest", self.load_manifest),
             ("load_token", self.load_token),
         ]
@@ -585,9 +596,14 @@ mod tests {
             db.column_index(s.performance_result, "value").unwrap(),
             col::performance_result::VALUE
         );
+        assert_eq!(db.column_index(s.focus, "id").unwrap(), col::focus::ID);
         assert_eq!(
-            db.column_index(s.focus, "focus_type").unwrap(),
-            col::focus::FOCUS_TYPE
+            db.column_index(s.result_has_focus, "focus_id").unwrap(),
+            col::result_has_focus::FOCUS_ID
+        );
+        assert_eq!(
+            db.column_index(s.result_has_focus, "focus_type").unwrap(),
+            col::result_has_focus::FOCUS_TYPE
         );
         assert_eq!(
             db.column_index(s.focus_has_resource, "resource_id")

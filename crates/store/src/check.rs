@@ -269,8 +269,9 @@ impl FsckReport {
 /// Verify every structural invariant of one page buffer.
 ///
 /// Checks, in order: magic number, type tag, slot-directory bounds,
-/// `free_end` within `[directory end, PAGE_SIZE]`, every live slot's
-/// record inside the record area, and no two live records overlapping.
+/// `free_end` within `[directory end, PAGE_SIZE]`, a zeroed free gap
+/// between them, every live slot's record inside the record area, and
+/// no two live records overlapping.
 pub fn check_page(buf: &[u8], page_no: u32) -> Vec<Finding> {
     let mut out = Vec::new();
     let p = PageRef::new(buf);
@@ -313,6 +314,25 @@ pub fn check_page(buf: &[u8], page_no: u32) -> Vec<Finding> {
             .on_page(page_no),
         );
         return out;
+    }
+    // Nothing writes between the slot directory and the record area:
+    // `format` and `compact` zero it, inserts claim it from either edge.
+    // A byte there is damage no slot or record would show.
+    if let Some(at) = buf
+        .get(dir_end..fe)
+        .and_then(|gap| gap.iter().position(|&b| b != 0))
+    {
+        out.push(
+            Finding::new(
+                "page.free-gap",
+                Severity::Error,
+                format!(
+                    "byte at offset {} of the free gap [{dir_end}, {fe}) is not zero",
+                    dir_end + at
+                ),
+            )
+            .on_page(page_no),
+        );
     }
     // Live cells: in-bounds, then pairwise non-overlapping.
     let mut live: Vec<(usize, usize, u16)> = Vec::new();
@@ -1196,6 +1216,24 @@ mod tests {
         buf[7] = 0xFF;
         let fs = check_page(&buf, 0);
         assert!(fs.iter().any(|f| f.code == "page.free-end"), "{fs:?}");
+    }
+
+    #[test]
+    fn damaged_free_gap_detected() {
+        let mut buf = fresh_page();
+        {
+            let mut p = PageMut::new(&mut buf);
+            p.insert(&[1u8; 64]).unwrap();
+            p.insert(&[2u8; 64]).unwrap();
+            p.delete(0).unwrap();
+            p.compact();
+        }
+        assert!(check_page(&buf, 0).is_empty());
+        // No slot or record covers the middle of the page.
+        buf[PAGE_SIZE / 2] ^= 0xFF;
+        let fs = check_page(&buf, 5);
+        assert!(fs.iter().any(|f| f.code == "page.free-gap"), "{fs:?}");
+        assert!(!page_is_sound(&buf));
     }
 
     #[test]

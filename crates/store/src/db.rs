@@ -258,6 +258,7 @@ impl Database {
             _dir_lock: Some(dir_lock),
         };
         db.recover()?;
+        db.reclaim_lost_allocations()?;
         db.rebuild_indexes()?;
         db.install_wal_hook();
         // Start from a clean checkpoint so the log only holds new work.
@@ -273,6 +274,32 @@ impl Database {
             )));
         }
         Ok(db)
+    }
+
+    /// Shrink the page file past trailing pages that no table owns and
+    /// that were never formatted. `DiskManager::allocate` extends the file
+    /// before the page's `AllocPage` record reaches the log, so a crash or
+    /// a failed WAL sync in between leaves such a page behind, and with
+    /// no record nothing can refer to it. Read straight from disk: the
+    /// pool holds no frame for a page nobody owns.
+    fn reclaim_lost_allocations(&self) -> Result<()> {
+        let disk = self.pool.disk();
+        let mut count = disk.page_count();
+        let mut buf = [0u8; PAGE_SIZE];
+        while let Some(last) = count.checked_sub(1) {
+            if self.catalog.read().page_owner(PageId(last)).is_some() {
+                break;
+            }
+            disk.read_page(PageId(last), &mut buf)?;
+            if PageRef::new(&buf[..]).is_formatted() {
+                break;
+            }
+            count = last;
+        }
+        if count < disk.page_count() {
+            disk.truncate_pages(count)?;
+        }
+        Ok(())
     }
 
     fn install_wal_hook(&self) {

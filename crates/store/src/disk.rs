@@ -68,6 +68,14 @@ impl DiskManager {
         Ok(PageId(id))
     }
 
+    /// Shrink the file to its first `count` pages.
+    pub fn truncate_pages(&self, count: u32) -> Result<()> {
+        let _a = self.alloc.lock();
+        self.file.truncate(u64::from(count) * PAGE_SIZE as u64)?;
+        self.page_count.store(count, Ordering::Release);
+        Ok(())
+    }
+
     /// Read page `id` into `buf`.
     pub fn read_page(&self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<()> {
         debug_assert!(id.0 < self.page_count(), "read of unallocated page {id:?}");

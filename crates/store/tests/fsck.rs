@@ -131,6 +131,38 @@ fn corrupted_page_fixture_yields_typed_findings() {
 }
 
 #[test]
+fn open_gives_back_trailing_lost_allocations() {
+    let dir = tmpdir("lost-alloc");
+    let pages = {
+        let db = Database::open(&dir).unwrap();
+        populate(&db);
+        db.checkpoint().unwrap();
+        db.page_count()
+    };
+    // Two zeroed pages past the last owned one: what an allocation whose
+    // `AllocPage` record never reached the log leaves behind.
+    let pages_path = dir.join("pages.db");
+    let mut bytes = std::fs::read(&pages_path).unwrap();
+    bytes.resize(bytes.len() + 2 * PAGE_SIZE, 0);
+    std::fs::write(&pages_path, &bytes).unwrap();
+
+    let db = Database::open(&dir).unwrap();
+    assert_eq!(db.page_count(), pages, "the lost pages are given back");
+    let report = db.verify(true).unwrap();
+    assert!(
+        report.findings.iter().all(|f| f.code != "page.orphan"),
+        "{}",
+        report.summary()
+    );
+    drop(db);
+    assert_eq!(
+        std::fs::metadata(&pages_path).unwrap().len(),
+        u64::from(pages) * PAGE_SIZE as u64
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn corrupted_record_area_fails_deep_scan() {
     let dir = tmpdir("recarea");
     {

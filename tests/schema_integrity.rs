@@ -27,6 +27,7 @@ fn all_figure1_tables_exist() {
         "performance_result",
         "focus",
         "focus_has_resource",
+        "result_has_focus",
     ] {
         assert!(names.contains(&expected), "missing table {expected}");
     }
@@ -103,9 +104,10 @@ fn referential_integrity_after_study_load() {
         assert!(metric_ids.contains(&r[2].as_int().unwrap()));
         assert!(tool_ids.contains(&r[3].as_int().unwrap()));
     }
-    // focus.result_id → performance_result.id
-    for (_, r) in db.scan(s.focus).unwrap() {
-        assert!(result_ids.contains(&r[1].as_int().unwrap()));
+    // result_has_focus → performance_result.id and focus.id
+    for (_, r) in db.scan(s.result_has_focus).unwrap() {
+        assert!(result_ids.contains(&r[0].as_int().unwrap()));
+        assert!(focus_ids.contains(&r[1].as_int().unwrap()));
     }
     // focus_has_resource FKs.
     for (_, r) in db.scan(s.focus_has_resource).unwrap() {
@@ -163,7 +165,7 @@ fn focus_types_are_valid_roles() {
     let db = store.db();
     let s = store.schema();
     let mut seen = HashSet::new();
-    for (_, r) in db.scan(s.focus).unwrap() {
+    for (_, r) in db.scan(s.result_has_focus).unwrap() {
         let role = r[2].as_text().unwrap().to_string();
         assert!(
             perftrack_model::ContextRole::parse(&role).is_some(),
@@ -173,4 +175,83 @@ fn focus_types_are_valid_roles() {
     }
     assert!(seen.contains("primary"));
     assert!(seen.contains("parent"), "mpiP loads use caller sets");
+}
+
+/// Every index of the schema.
+const INDEXES: [&str; 28] = [
+    "application_id",
+    "application_name",
+    "focus_framework_id",
+    "focus_framework_path",
+    "execution_id",
+    "execution_name",
+    "resource_item_id",
+    "resource_item_name",
+    "resource_item_base",
+    "resource_item_type",
+    "resource_attribute_rid",
+    "resource_attribute_name",
+    "rha_resource",
+    "rha_ancestor",
+    "rhd_resource",
+    "metric_id",
+    "metric_name",
+    "performance_tool_id",
+    "performance_tool_name",
+    "performance_result_id",
+    "performance_result_exec",
+    "focus_id",
+    "fhr_focus",
+    "fhr_resource",
+    "rhf_result",
+    "rhf_focus",
+    "load_manifest_path",
+    "load_token_token",
+];
+
+/// The write side's footprint, pinned exactly: one seeded SMG-UV
+/// execution (SMG2000 plus mpiP, whose results carry a `(parent)` set)
+/// stores each distinct focus once and links every result set to it. A
+/// loader that wrote a focus per result set again would store as many
+/// `focus` rows as `result_has_focus` rows, and fail here.
+#[test]
+fn focus_layout_row_and_index_counts_are_pinned() {
+    let store = PTDataStore::in_memory().unwrap();
+    let bundle = &wl::smg_uv(2005, 1)[0];
+    let ctx = adapters::ExecContext::new(&bundle.exec_name, &bundle.application);
+    store
+        .load_statements(&adapters::smg::convert(&ctx, &bundle.files[0].content).unwrap())
+        .unwrap();
+    store
+        .load_statements(&adapters::mpip::convert(&ctx, &bundle.files[1].content).unwrap())
+        .unwrap();
+
+    let db = store.db();
+    let s = store.schema();
+    let rows = |t| db.row_count(t).unwrap();
+    let counts = (
+        rows(s.performance_result),
+        rows(s.result_has_focus),
+        rows(s.focus),
+        rows(s.focus_has_resource),
+    );
+    let entries: usize = INDEXES
+        .iter()
+        .map(|name| db.index_len(db.index_id(name).unwrap()).unwrap())
+        .sum();
+    assert_eq!(
+        counts,
+        (7_101, 13_023, 644, 1_753),
+        "(results, links, foci, focus resources)"
+    );
+    assert_eq!(entries, 45_883, "index entries");
+    for unread in [
+        "performance_result_metric",
+        "execution_app",
+        "resource_constraint_r1",
+        "resource_constraint_r2",
+        "focus_result",
+    ] {
+        assert!(db.index_id(unread).is_err(), "{unread} is not maintained");
+    }
 }
