@@ -261,10 +261,9 @@ impl PTDataStore {
         // Types, ordered by depth so parents precede children.
         let mut type_rows: Vec<Row> = self
             .db
-            .scan(self.schema.focus_framework)?
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
+            .scan_iter(self.schema.focus_framework)?
+            .map(|item| item.map(|(_, r)| r))
+            .collect::<std::result::Result<_, _>>()?;
         type_rows.sort_by_key(|r| {
             r[col::focus_framework::TYPE_PATH]
                 .as_text()

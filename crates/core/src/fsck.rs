@@ -450,11 +450,11 @@ PerfResult irs-mcr-008 /MCRGrid/MCR/batch/n1(primary) IRS \"CPU time\" 42.5 seco
         // to reverse an existing pair.
         let (_rid, row) = store
             .db()
-            .scan(s.resource_has_ancestor)
+            .scan_iter(s.resource_has_ancestor)
             .unwrap()
-            .into_iter()
             .next()
-            .expect("loader materialized at least one ancestor pair");
+            .expect("loader materialized at least one ancestor pair")
+            .unwrap();
         let node = row[col::resource_has_ancestor::RESOURCE_ID]
             .as_int()
             .unwrap();
@@ -531,7 +531,12 @@ PerfResult irs-mcr-008 /MCRGrid/MCR/batch/n1(primary) IRS \"CPU time\" 42.5 seco
         let s = *store.schema();
         // A second, linked focus naming the loaded result's one resource.
         let db = store.db();
-        let (_, row) = db.scan(s.focus_has_resource).unwrap().remove(0);
+        let (_, row) = db
+            .scan_iter(s.focus_has_resource)
+            .unwrap()
+            .next()
+            .unwrap()
+            .unwrap();
         let resource = row[col::focus_has_resource::RESOURCE_ID].clone();
         let mut txn = db.begin();
         txn.insert(s.focus, vec![Value::Int(501)]).unwrap();

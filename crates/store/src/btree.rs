@@ -5,10 +5,12 @@
 //! logical entry as the composite `(key, rowid)`, which keeps every entry
 //! unique and makes deletes exact.
 //!
-//! The tree lives in memory and is built when a database is opened: one
-//! heap scan per table collects a `(key, rowid)` run for every index on
-//! that table, each run is sorted, and `BTreeIndex::from_sorted` packs
-//! it bottom-up. Durability of indexed data is the WAL + page file's job.
+//! The tree lives in memory and is built when a database is opened, in
+//! the same heap pass that verifies the rows: each table's scan collects
+//! a `(key, rowid)` run for every index on the table from the rows that
+//! pass their checks, and each run is sorted, packed bottom-up by
+//! `BTreeIndex::from_sorted` and verified before the next table is
+//! scanned. Durability of indexed data is the WAL + page file's job.
 //! This mirrors the paper's deployment where indexes are a DBMS-internal
 //! acceleration structure, and it keeps the write-ahead log purely
 //! logical.
@@ -28,10 +30,11 @@
 //! index inserts take the right edge. The split rule does not depend on
 //! the path taken.
 //!
-//! Deletion does not rebalance (underfull nodes are allowed); the tree
-//! never becomes incorrect, only — under adversarial delete patterns —
-//! shallower than optimal. The sorted build on the next open restores
-//! tightness.
+//! Deletion does not rebalance (underfull and empty nodes are allowed);
+//! the tree never becomes incorrect, only larger than it needs to be.
+//! `BTreeIndex::repack` packs a tree again from its own entries: table
+//! compaction after bulk deletes runs it, and the build on the next open
+//! packs every tree anyway.
 
 // Panic-freedom: this file is on the request path or the engine core,
 // so its non-test code returns typed errors instead of panicking.
@@ -262,6 +265,19 @@ impl Node {
             Node::Internal { children, .. } => 1 + children.first().map_or(0, Node::depth),
         }
     }
+
+    /// Move every entry of this subtree onto `out`, in order. Separators
+    /// are copies of leaf entries, so they are dropped.
+    fn drain_into(self, out: &mut Vec<Entry>) {
+        match self {
+            Node::Leaf(entries) => out.extend(entries),
+            Node::Internal { children, .. } => {
+                for child in children {
+                    child.drain_into(out);
+                }
+            }
+        }
+    }
 }
 
 /// Sizes of the fewest groups of at most `cap` items that hold `n` items,
@@ -354,6 +370,16 @@ impl BTreeIndex {
             "B+tree invariants broken by a sorted build of {len} entries"
         );
         tree
+    }
+
+    /// Rebuild the tree from its own entries as [`Self::from_sorted`]
+    /// packs them, dropping the empty and underfull nodes that removes
+    /// leave behind. The entries are already in order, so nothing is
+    /// sorted or copied; the counters carry over.
+    pub(crate) fn repack(&mut self) {
+        let mut entries = Vec::with_capacity(self.len);
+        std::mem::replace(&mut self.root, Node::Leaf(Vec::new())).drain_into(&mut entries);
+        self.root = BTreeIndex::from_sorted(entries).root;
     }
 
     /// A tree over `root`, which holds `len` entries. Verifier tests use it

@@ -30,15 +30,18 @@
 //! documented in `docs/FSCK.md`. The same checks back three surfaces: the
 //! `pt fsck` CLI subcommand, `debug_assert!`-gated hooks at mutation
 //! sites (`page.rs`, `btree.rs`, `wal.rs`), and the post-recovery
-//! verification pass in [`Database::open`](crate::db::Database::open).
+//! verification in [`Database::open`](crate::db::Database::open), which
+//! runs the per-table heap check and the per-index check in the same
+//! heap pass that builds the indexes.
 
 use crate::btree::{BTreeIndex, Entry, Node, MAX_KEYS};
-use crate::catalog::{IndexMeta, TableId, TableMeta};
+use crate::buffer::BufferPool;
+use crate::catalog::{IndexId, IndexMeta, TableId, TableMeta};
 use crate::db::Database;
 use crate::error::Result;
 use crate::metrics::Json;
 use crate::page::{PageId, PageRef, PageType, RowId, HEADER_SIZE, PAGE_SIZE, SLOT_SIZE};
-use crate::value::{decode_row, Row};
+use crate::value::{decode_row_into, Row};
 use crate::wal::Wal;
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
@@ -764,6 +767,240 @@ pub fn verify_closure(
 // Whole-database verification
 // ---------------------------------------------------------------------------
 
+/// The catalog as one verification pass sees it: tables and indexes in
+/// id order (the catalog's maps iterate in a different order on every
+/// open), and the page file's length.
+pub(crate) struct CatalogView {
+    pub(crate) tables: Vec<TableMeta>,
+    pub(crate) indexes: Vec<IndexMeta>,
+    pub(crate) page_count: u32,
+}
+
+impl CatalogView {
+    pub(crate) fn of(db: &Database) -> Self {
+        let (mut tables, mut indexes): (Vec<TableMeta>, Vec<IndexMeta>) = {
+            let cat = db.catalog_read();
+            (
+                cat.all_tables().into_iter().cloned().collect(),
+                cat.indexes.values().cloned().collect(),
+            )
+        };
+        tables.sort_by_key(|t| t.id.0);
+        indexes.sort_by_key(|m| m.id.0);
+        CatalogView {
+            tables,
+            indexes,
+            page_count: db.pool_ref().disk().page_count(),
+        }
+    }
+
+    /// Position of table `id` in [`Self::tables`].
+    pub(crate) fn table_pos(&self, id: TableId) -> Option<usize> {
+        self.tables.iter().position(|t| t.id == id)
+    }
+}
+
+/// What the heap pass over one table found.
+pub(crate) struct HeapCheck {
+    /// Page and row findings, in page and slot order.
+    findings: Vec<Finding>,
+    pages_checked: u64,
+    /// Rows that decode, whether or not they fit the schema.
+    live: usize,
+    /// Every page is in range and no page or row has an error.
+    clean: bool,
+}
+
+impl HeapCheck {
+    /// The live row count the index checks compare against, or `None`
+    /// when the heap has errors: checks derived from it would cascade.
+    pub(crate) fn live_if_clean(&self) -> Option<usize> {
+        self.clean.then_some(self.live)
+    }
+}
+
+/// Verify every catalog-owned page of table `t` and every row on it:
+/// [`check_page`], that the page is not marked Free, that each record
+/// decodes, and that each row fits the table's schema. `on_row` sees each
+/// row that decodes and fits, while its page is latched (every row is
+/// decoded into one buffer); its error ends the pass. `Database::open` builds the index runs here, in the one
+/// heap pass it makes.
+pub(crate) fn check_table_heap(
+    pool: &BufferPool,
+    t: &TableMeta,
+    page_count: u32,
+    mut on_row: impl FnMut(RowId, &Row) -> Result<()>,
+) -> Result<HeapCheck> {
+    let mut heap = HeapCheck {
+        findings: Vec::new(),
+        pages_checked: 0,
+        live: 0,
+        clean: true,
+    };
+    let mut row = Row::new();
+    for &pg in &t.pages {
+        if pg.0 >= page_count {
+            heap.clean = false;
+            continue; // reported as catalog.page-range
+        }
+        heap.pages_checked += 1;
+        let (findings, page_live) = pool.with_page(pg, |buf| -> Result<_> {
+            let mut fs = check_page(&buf[..], pg.0);
+            let p = PageRef::new(&buf[..]);
+            if fs.is_empty() && matches!(p.page_type(), Ok(PageType::Free)) {
+                fs.push(
+                    Finding::new(
+                        "page.type",
+                        Severity::Error,
+                        "catalog-owned page is marked Free".into(),
+                    )
+                    .on_page(pg.0),
+                );
+            }
+            let mut page_live = 0usize;
+            if fs.iter().all(|f| f.severity != Severity::Error) {
+                for (slot, rec) in p.iter() {
+                    match decode_row_into(rec, &mut row) {
+                        Err(e) => fs.push(
+                            Finding::new(
+                                "row.decode",
+                                Severity::Error,
+                                format!("slot {slot}: {e}"),
+                            )
+                            .on_page(pg.0),
+                        ),
+                        Ok(()) => {
+                            page_live += 1;
+                            match t.check_row(&row) {
+                                Ok(()) => on_row(RowId { page: pg, slot }, &row)?,
+                                Err(e) => fs.push(
+                                    Finding::new(
+                                        "row.schema",
+                                        Severity::Error,
+                                        format!("slot {slot}: {e}"),
+                                    )
+                                    .on_page(pg.0),
+                                ),
+                            }
+                        }
+                    }
+                }
+            }
+            Ok((fs, page_live))
+        })??;
+        heap.live += page_live;
+        for mut f in findings {
+            if f.object.is_empty() {
+                f.object = t.name.clone();
+            }
+            heap.clean &= f.severity != Severity::Error;
+            heap.findings.push(f);
+        }
+    }
+    Ok(heap)
+}
+
+/// What the checks of one index's tree found.
+pub(crate) struct IndexCheck {
+    findings: Vec<Finding>,
+    entries: u64,
+}
+
+/// Verify one index: [`verify_tree`], and, when its table's heap is clean
+/// (`live` is its live row count), one entry per live row and no key
+/// twice in a unique index. `Database::open` runs it on each tree it
+/// builds.
+pub(crate) fn check_index(tree: &BTreeIndex, im: &IndexMeta, live: Option<usize>) -> IndexCheck {
+    let mut findings = verify_tree(tree, &im.name);
+    if let Some(live) = live {
+        if tree.len() != live {
+            findings.push(
+                Finding::new(
+                    "index.count",
+                    Severity::Error,
+                    format!(
+                        "tree holds {} entries but the heap has {} live rows",
+                        tree.len(),
+                        live
+                    ),
+                )
+                .on_object(&im.name),
+            );
+        }
+        if im.unique {
+            // The previous key, copied into one reused buffer.
+            let mut prev: Option<Vec<u8>> = None;
+            tree.for_range(Bound::Unbounded, Bound::Unbounded, |key, rid| {
+                if prev.as_deref() == Some(key) {
+                    findings.push(
+                        Finding::new(
+                            "index.unique",
+                            Severity::Error,
+                            format!(
+                                "duplicate key in unique index (rowid {})",
+                                RowId::from_u64(rid)
+                            ),
+                        )
+                        .on_object(&im.name),
+                    );
+                }
+                let buf = prev.get_or_insert_with(Vec::new);
+                buf.clear();
+                buf.extend_from_slice(key);
+                true
+            });
+        }
+    }
+    IndexCheck {
+        findings,
+        entries: tree.len() as u64,
+    }
+}
+
+/// The index ↔ heap bijection (`deep` only): every entry resolves to a
+/// live row whose recomputed key matches, and every live row has its
+/// entry. `rows` are the table's rows that decode and fit its schema.
+fn check_bijection(
+    tree: &BTreeIndex,
+    im: &IndexMeta,
+    rows: &[(RowId, Row)],
+    out: &mut Vec<Finding>,
+) {
+    let by_rid: HashMap<u64, &Row> = rows.iter().map(|(rid, row)| (rid.to_u64(), row)).collect();
+    let mut row_key = Vec::new();
+    tree.for_range(Bound::Unbounded, Bound::Unbounded, |key, rid| {
+        let Some(row) = by_rid.get(&rid) else {
+            out.push(
+                Finding::new(
+                    "index.dangling",
+                    Severity::Error,
+                    format!("entry points at missing row {}", RowId::from_u64(rid)),
+                )
+                .on_object(&im.name),
+            );
+            return true;
+        };
+        row_key.clear();
+        let rid = RowId::from_u64(rid);
+        let detail = match im.encode_key(row, &mut row_key) {
+            Ok(()) if row_key == key => return true,
+            Ok(()) => format!("entry key no longer matches row {rid}"),
+            Err(e) => format!("entry key cannot be rebuilt from row {rid}: {e}"),
+        };
+        out.push(Finding::new("index.stale-key", Severity::Error, detail).on_object(&im.name));
+        true
+    });
+    for (rid, row) in rows {
+        row_key.clear();
+        let detail = match im.encode_key(row, &mut row_key) {
+            Ok(()) if tree.get_eq(&row_key).contains(&rid.to_u64()) => continue,
+            Ok(()) => format!("live row {rid} absent from the index"),
+            Err(e) => format!("live row {rid} has no index key: {e}"),
+        };
+        out.push(Finding::new("index.missing", Severity::Error, detail).on_object(&im.name));
+    }
+}
+
 /// Run every store-level check over `db`.
 ///
 /// The fast pass verifies the catalog, every catalog-owned page, every
@@ -776,21 +1013,64 @@ pub fn verify_closure(
 /// Call through [`Database::verify`](crate::db::Database::verify), which
 /// serializes against the writer so the view is quiescent.
 pub fn verify_database(db: &Database, deep: bool) -> Result<FsckReport> {
-    let mut report = FsckReport::new(deep);
-    let (mut tables, mut index_metas): (Vec<TableMeta>, Vec<IndexMeta>) = {
-        let cat = db.catalog_read();
-        (
-            cat.all_tables().into_iter().cloned().collect(),
-            cat.indexes.values().cloned().collect(),
-        )
-    };
-    tables.sort_by_key(|t| t.id.0);
-    index_metas.sort_by_key(|m| m.id.0);
-    let page_count = db.pool_ref().disk().page_count();
+    let view = CatalogView::of(db);
+    // Every row is decoded and schema-checked; only `deep`'s bijection
+    // keeps the rows, the fast pass counts them.
+    let mut heaps = Vec::with_capacity(view.tables.len());
+    let mut table_rows: Vec<Vec<(RowId, Row)>> = Vec::with_capacity(view.tables.len());
+    for t in &view.tables {
+        let mut rows = Vec::new();
+        heaps.push(check_table_heap(
+            db.pool_ref(),
+            t,
+            view.page_count,
+            |rid, row| {
+                if deep {
+                    rows.push((rid, row.clone()));
+                }
+                Ok(())
+            },
+        )?);
+        table_rows.push(rows);
+    }
+    let mut indexes = HashMap::new();
+    for im in &view.indexes {
+        let (Some(pos), Some(tree)) = (view.table_pos(im.table), db.index_tree_opt(im.id)) else {
+            continue; // reported by `assemble_report`
+        };
+        let tree = tree.read();
+        let live = heaps[pos].live_if_clean();
+        let mut check = check_index(&tree, im, live);
+        if deep && live.is_some() {
+            check_bijection(&tree, im, &table_rows[pos], &mut check.findings);
+        }
+        indexes.insert(im.id, check);
+    }
+    assemble_report(db, &view, deep, heaps, indexes)
+}
 
+/// The whole report, in one order however the heap and index checks were
+/// run: catalog and statistics, then `heaps` (one per table of `view`, in
+/// its order), the orphan sweep, `indexes` in index id order, and the
+/// WAL. [`verify_database`] and `Database::open` both end here, so an
+/// open refuses exactly the stores `pt fsck` reports errors on.
+pub(crate) fn assemble_report(
+    db: &Database,
+    view: &CatalogView,
+    deep: bool,
+    heaps: Vec<HeapCheck>,
+    mut indexes: HashMap<IndexId, IndexCheck>,
+) -> Result<FsckReport> {
+    let mut report = FsckReport::new(deep);
+    let CatalogView {
+        tables,
+        indexes: index_metas,
+        page_count,
+    } = view;
+    let page_count = *page_count;
     // Catalog: page ownership and index definitions.
     let mut owner: HashMap<PageId, TableId> = HashMap::new();
-    for t in &tables {
+    for t in tables {
         let mut seen: HashSet<PageId> = HashSet::new();
         for &pg in &t.pages {
             if pg.0 >= page_count {
@@ -829,7 +1109,7 @@ pub fn verify_database(db: &Database, deep: bool) -> Result<FsckReport> {
             }
         }
     }
-    for im in &index_metas {
+    for im in index_metas {
         match tables.iter().find(|t| t.id == im.table) {
             None => report.push(
                 Finding::new(
@@ -900,85 +1180,13 @@ pub fn verify_database(db: &Database, deep: bool) -> Result<FsckReport> {
         }
     }
 
-    // Pages and rows, per table. Every row is decoded and schema-checked;
-    // only `deep`'s bijection keeps the decoded rows, the fast pass counts
-    // them.
-    let mut table_live: HashMap<TableId, usize> = HashMap::new();
-    let mut table_rows: HashMap<TableId, Vec<(RowId, Row)>> = HashMap::new();
-    let mut table_clean: HashMap<TableId, bool> = HashMap::new();
-    for t in &tables {
-        let mut live = 0usize;
-        let mut rows: Vec<(RowId, Row)> = Vec::new();
-        let mut clean = true;
-        for &pg in &t.pages {
-            if pg.0 >= page_count {
-                clean = false;
-                continue; // already reported
-            }
-            report.pages_checked += 1;
-            let (mut findings, page_live) = db.pool_ref().with_page(pg, |buf| {
-                let mut fs = check_page(&buf[..], pg.0);
-                let p = PageRef::new(&buf[..]);
-                if fs.is_empty() && matches!(p.page_type(), Ok(PageType::Free)) {
-                    fs.push(
-                        Finding::new(
-                            "page.type",
-                            Severity::Error,
-                            "catalog-owned page is marked Free".into(),
-                        )
-                        .on_page(pg.0),
-                    );
-                }
-                let mut page_live = 0usize;
-                if fs.iter().all(|f| f.severity != Severity::Error) {
-                    for (slot, rec) in p.iter() {
-                        match decode_row(rec) {
-                            Err(e) => fs.push(
-                                Finding::new(
-                                    "row.decode",
-                                    Severity::Error,
-                                    format!("slot {slot}: {e}"),
-                                )
-                                .on_page(pg.0),
-                            ),
-                            Ok(row) => {
-                                if let Err(e) = t.check_row(&row) {
-                                    fs.push(
-                                        Finding::new(
-                                            "row.schema",
-                                            Severity::Error,
-                                            format!("slot {slot}: {e}"),
-                                        )
-                                        .on_page(pg.0),
-                                    );
-                                }
-                                page_live += 1;
-                                if deep {
-                                    rows.push((RowId { page: pg, slot }, row));
-                                }
-                            }
-                        }
-                    }
-                }
-                (fs, page_live)
-            })?;
-            report.rows_checked += page_live as u64;
-            live += page_live;
-            for f in &mut findings {
-                if f.object.is_empty() {
-                    f.object = t.name.clone();
-                }
-            }
-            if findings.iter().any(|f| f.severity == Severity::Error) {
-                clean = false;
-            }
-            for f in findings {
-                report.push(f);
-            }
+    // Pages and rows, per table.
+    for heap in heaps {
+        report.pages_checked += heap.pages_checked;
+        report.rows_checked += heap.live as u64;
+        for f in heap.findings {
+            report.push(f);
         }
-        table_live.insert(t.id, live);
-        table_rows.insert(t.id, rows);
-        table_clean.insert(t.id, clean);
     }
 
     // Orphan sweep: allocated pages no table owns.
@@ -1022,11 +1230,11 @@ pub fn verify_database(db: &Database, deep: bool) -> Result<FsckReport> {
     }
 
     // Indexes: structure, counts, uniqueness, and (deep) the bijection.
-    for im in &index_metas {
-        if !tables.iter().any(|t| t.id == im.table) {
+    for im in index_metas {
+        if view.table_pos(im.table).is_none() {
             continue; // already reported
         }
-        let Some(tree) = db.index_tree_opt(im.id) else {
+        let Some(check) = indexes.remove(&im.id) else {
             report.push(
                 Finding::new(
                     "index.missing-tree",
@@ -1037,92 +1245,9 @@ pub fn verify_database(db: &Database, deep: bool) -> Result<FsckReport> {
             );
             continue;
         };
-        let tree = tree.read();
-        report.index_entries_checked += tree.len() as u64;
-        for f in verify_tree(&tree, &im.name) {
+        report.index_entries_checked += check.entries;
+        for f in check.findings {
             report.push(f);
-        }
-        if !table_clean.get(&im.table).copied().unwrap_or(false) {
-            continue; // heap damage already reported; derived checks would cascade
-        }
-        let live = table_live[&im.table];
-        if tree.len() != live {
-            report.push(
-                Finding::new(
-                    "index.count",
-                    Severity::Error,
-                    format!(
-                        "tree holds {} entries but the heap has {} live rows",
-                        tree.len(),
-                        live
-                    ),
-                )
-                .on_object(&im.name),
-            );
-        }
-        if im.unique {
-            // The previous key, copied into one reused buffer.
-            let mut prev: Option<Vec<u8>> = None;
-            tree.for_range(Bound::Unbounded, Bound::Unbounded, |key, rid| {
-                if prev.as_deref() == Some(key) {
-                    report.push(
-                        Finding::new(
-                            "index.unique",
-                            Severity::Error,
-                            format!(
-                                "duplicate key in unique index (rowid {})",
-                                RowId::from_u64(rid)
-                            ),
-                        )
-                        .on_object(&im.name),
-                    );
-                }
-                let buf = prev.get_or_insert_with(Vec::new);
-                buf.clear();
-                buf.extend_from_slice(key);
-                true
-            });
-        }
-        if deep {
-            let rows = &table_rows[&im.table];
-            let by_rid: HashMap<u64, &Row> =
-                rows.iter().map(|(rid, row)| (rid.to_u64(), row)).collect();
-            let mut row_key = Vec::new();
-            tree.for_range(Bound::Unbounded, Bound::Unbounded, |key, rid| {
-                let Some(row) = by_rid.get(&rid) else {
-                    report.push(
-                        Finding::new(
-                            "index.dangling",
-                            Severity::Error,
-                            format!("entry points at missing row {}", RowId::from_u64(rid)),
-                        )
-                        .on_object(&im.name),
-                    );
-                    return true;
-                };
-                row_key.clear();
-                let rid = RowId::from_u64(rid);
-                let detail = match im.encode_key(row, &mut row_key) {
-                    Ok(()) if row_key == key => return true,
-                    Ok(()) => format!("entry key no longer matches row {rid}"),
-                    Err(e) => format!("entry key cannot be rebuilt from row {rid}: {e}"),
-                };
-                report.push(
-                    Finding::new("index.stale-key", Severity::Error, detail).on_object(&im.name),
-                );
-                true
-            });
-            for (rid, row) in rows {
-                row_key.clear();
-                let detail = match im.encode_key(row, &mut row_key) {
-                    Ok(()) if tree.get_eq(&row_key).contains(&rid.to_u64()) => continue,
-                    Ok(()) => format!("live row {rid} absent from the index"),
-                    Err(e) => format!("live row {rid} has no index key: {e}"),
-                };
-                report.push(
-                    Finding::new("index.missing", Severity::Error, detail).on_object(&im.name),
-                );
-            }
         }
     }
 

@@ -16,6 +16,7 @@
 use crate::btree::{BTreeIndex, Entry};
 use crate::buffer::{BufferPool, PoolStatsSnapshot};
 use crate::catalog::{Catalog, Column, IndexId, IndexMeta, TableId};
+use crate::check::{self, CatalogView, HeapCheck, IndexCheck};
 use crate::disk::DiskManager;
 use crate::error::{Result, StoreError};
 use crate::lock::DirLock;
@@ -29,7 +30,7 @@ use crate::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use crate::value::{decode_row, encode_key_vec, encode_row_vec, Row, Value};
 use crate::vfs::{StdVfs, Vfs};
 use crate::wal::{Wal, WalOp, WalPayload};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -259,14 +260,17 @@ impl Database {
         };
         db.recover()?;
         db.reclaim_lost_allocations()?;
-        db.rebuild_indexes()?;
+        // Post-recovery verification: recovery must hand back a
+        // structurally sound store. Failing the open here beats serving
+        // corrupt rows later. The heap and index halves of `verify(false)`
+        // run in the pass that builds the indexes; the rest runs after
+        // the checkpoint, as a standalone verify would.
+        let view = CatalogView::of(&db);
+        let (heaps, index_checks) = db.build_and_check_indexes(&view)?;
         db.install_wal_hook();
         // Start from a clean checkpoint so the log only holds new work.
         db.checkpoint()?;
-        // Post-recovery verification: recovery must hand back a
-        // structurally sound store. Failing the open here beats serving
-        // corrupt rows later.
-        let report = db.verify(false)?;
+        let report = check::assemble_report(&db, &view, false, heaps, index_checks)?;
         if report.error_count() > 0 {
             return Err(StoreError::Corrupt(format!(
                 "post-recovery verification failed: {}",
@@ -455,8 +459,8 @@ impl Database {
     /// Streaming scan over every live row of `table`: rows are decoded
     /// once, page by page (the page is pinned only while it is decoded),
     /// and yielded **by value** — no second materialize-then-clone pass.
-    /// This is the primitive behind [`Database::for_each_row`],
-    /// [`Database::scan`], fsck's logical pass, and the PTdf exporter.
+    /// This is the primitive behind [`Database::for_each_row`], fsck's
+    /// logical pass, and the PTdf exporter.
     pub fn scan_iter(&self, table: TableId) -> Result<ScanIter<'_>> {
         let pages = self.catalog.read().table(table)?.pages.clone();
         Ok(ScanIter {
@@ -481,11 +485,6 @@ impl Database {
             }
         }
         Ok(())
-    }
-
-    /// Materialize every row of `table`.
-    pub fn scan(&self, table: TableId) -> Result<Vec<(RowId, Row)>> {
-        self.scan_iter(table)?.collect()
     }
 
     /// Number of live rows in `table`.
@@ -594,11 +593,18 @@ impl Database {
     }
 
     /// Compact every page of `table` in place (PageMut::compact preserves
-    /// slot ids, so RowIds and indexes stay valid). Returns the number of
+    /// slot ids, so RowIds and indexes stay valid), and pack each of its
+    /// index trees again from its own entries, which drops the empty and
+    /// underfull leaves deletes leave behind. Returns the number of
     /// contiguous free bytes gained. Run after bulk deletes.
     pub fn compact_table(&self, table: TableId) -> Result<usize> {
         let _w = self.writer.lock();
-        let pages = self.catalog.read().table(table)?.pages.clone();
+        let (pages, index_ids): (Vec<PageId>, Vec<IndexId>) = {
+            let cat = self.catalog.read();
+            let pages = cat.table(table)?.pages.clone();
+            let ids = cat.indexes.values().filter(|m| m.table == table);
+            (pages, ids.map(|m| m.id).collect())
+        };
         let mut gained = 0usize;
         for page in pages {
             gained += self.pool.with_page_mut(page, |buf| {
@@ -606,6 +612,11 @@ impl Database {
                 PageMut::new(&mut buf[..]).compact();
                 PageRef::new(&buf[..]).contiguous_free() - before
             })?;
+        }
+        for id in index_ids {
+            if let Some(tree) = self.index_tree_opt(id) {
+                tree.write().repack();
+            }
         }
         Ok(gained)
     }
@@ -995,26 +1006,52 @@ impl Database {
         })?
     }
 
-    /// Rebuild every index from the heap: one scan per table, in table id
-    /// order (so the pool holds the same pages after every open), feeding
-    /// all of that table's indexes in index id order. The catalog's map
-    /// iterates in a different order on every open; sorting makes every
-    /// open do the same work in the same order.
-    fn rebuild_indexes(&self) -> Result<()> {
-        let mut by_table: BTreeMap<TableId, Vec<IndexMeta>> = BTreeMap::new();
-        for meta in self.catalog.read().indexes.values() {
+    /// Build every index from the heap and run the heap and index halves
+    /// of `verify(false)` on the way, reading each heap page once. Tables
+    /// go in table id order, so the pool holds the same pages after every
+    /// open. Each table's pages and rows are checked, the rows that pass
+    /// feed one `(key, rowid)` run per index on the table, and each run is
+    /// sorted, packed by [`BTreeIndex::from_sorted`] and checked before
+    /// the next table is scanned. The trees are installed; the findings
+    /// are returned for [`check::assemble_report`].
+    ///
+    /// All of it runs on the opening thread. Packing on a helper thread
+    /// made the open faster but the rest of the process slower: once a
+    /// process has started a thread, glibc's malloc leaves its
+    /// single-threaded fast path for good, and the allocation-heavy work
+    /// after the open (the core's runtime state, a query, freeing the
+    /// trees on close) lost more than the open gained (docs/PERF.md,
+    /// "Open: one heap pass").
+    fn build_and_check_indexes(
+        &self,
+        view: &CatalogView,
+    ) -> Result<(Vec<HeapCheck>, HashMap<IndexId, IndexCheck>)> {
+        let mut by_table: HashMap<TableId, Vec<IndexMeta>> = HashMap::new();
+        for meta in &view.indexes {
             by_table.entry(meta.table).or_default().push(meta.clone());
         }
-        let mut map = HashMap::new();
-        for (table, mut metas) in by_table {
-            metas.sort_by_key(|m| m.id);
-            let trees = self.build_trees(table, &metas, false)?;
-            for (meta, tree) in metas.into_iter().zip(trees) {
-                map.insert(meta.id, Arc::new(RwLock::new(tree)));
+        let mut heaps = Vec::with_capacity(view.tables.len());
+        let mut trees = HashMap::with_capacity(view.indexes.len());
+        let mut checks = HashMap::with_capacity(view.indexes.len());
+        let mut key = Vec::new();
+        for t in &view.tables {
+            let metas = by_table.remove(&t.id).unwrap_or_default();
+            let mut runs: Vec<Vec<Entry>> = metas.iter().map(|_| Vec::new()).collect();
+            let heap = check::check_table_heap(&self.pool, t, view.page_count, |rowid, row| {
+                push_keys(&metas, &mut runs, &mut key, rowid, row)
+            })?;
+            let live = heap.live_if_clean();
+            heaps.push(heap);
+            for (meta, mut run) in metas.iter().zip(runs) {
+                // Tuple order is the tree's composite (key, rowid) order.
+                run.sort_unstable();
+                let tree = BTreeIndex::from_sorted(run);
+                checks.insert(meta.id, check::check_index(&tree, meta, live));
+                trees.insert(meta.id, Arc::new(RwLock::new(tree)));
             }
         }
-        *self.indexes.write() = map;
-        Ok(())
+        *self.indexes.write() = trees;
+        Ok((heaps, checks))
     }
 
     /// Build a tree for each of `metas` (all indexes on `table`) from one
@@ -1022,7 +1059,7 @@ impl Database {
     /// that index's `(key, rowid)` run, and each run is sorted and packed
     /// by [`BTreeIndex::from_sorted`]. With `check_unique`, two equal keys
     /// side by side in a unique index's sorted run fail the build (CREATE
-    /// INDEX); a rebuild on open leaves that to fsck.
+    /// INDEX); the open reports them as `index.unique` instead.
     fn build_trees(
         &self,
         table: TableId,
@@ -1033,11 +1070,7 @@ impl Database {
         let mut key = Vec::new();
         for item in self.scan_iter(table)? {
             let (rowid, row) = item?;
-            for (meta, run) in metas.iter().zip(&mut runs) {
-                key.clear();
-                meta.encode_key(&row, &mut key)?;
-                run.push((key.as_slice().into(), rowid.to_u64()));
-            }
+            push_keys(metas, &mut runs, &mut key, rowid, &row)?;
         }
         metas
             .iter()
@@ -1055,6 +1088,23 @@ impl Database {
             })
             .collect()
     }
+}
+
+/// Append `row`'s key in each of `metas` to that index's run, encoding
+/// through the reused buffer `key`.
+fn push_keys(
+    metas: &[IndexMeta],
+    runs: &mut [Vec<Entry>],
+    key: &mut Vec<u8>,
+    rowid: RowId,
+    row: &[Value],
+) -> Result<()> {
+    for (meta, run) in metas.iter().zip(runs) {
+        key.clear();
+        meta.encode_key(row, key)?;
+        run.push((key.as_slice().into(), rowid.to_u64()));
+    }
+    Ok(())
 }
 
 /// Decode every live row of `page` in one pin: the page is latched for
@@ -1649,6 +1699,72 @@ mod tests {
         assert_eq!(rids.len(), 10);
     }
 
+    /// Every `(key, rowid)` entry of `tree`, in tree order.
+    fn entries(tree: &BTreeIndex) -> Vec<(Vec<u8>, u64)> {
+        let mut out = Vec::new();
+        tree.for_range(Bound::Unbounded, Bound::Unbounded, |key, rid| {
+            out.push((key.to_vec(), rid));
+            true
+        });
+        out
+    }
+
+    /// The trees the open's one checked heap pass installs equal what
+    /// CREATE INDEX's build over the same heap gives, and the reopened
+    /// store verifies clean. Small enough for Miri.
+    #[test]
+    fn open_builds_the_trees_a_serial_build_does() {
+        let dir = std::env::temp_dir().join(format!("ptdb-one-pass-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let db = Database::open(&dir).unwrap();
+            for name in ["a", "b", "c"] {
+                let t = db.create_table(name, people_schema()).unwrap();
+                db.create_index(&format!("{name}_id"), t, &["id"], true)
+                    .unwrap();
+                db.create_index(&format!("{name}_name"), t, &["name"], false)
+                    .unwrap();
+                db.create_index(&format!("{name}_score"), t, &["score"], false)
+                    .unwrap();
+                let mut txn = db.begin();
+                let rids: Vec<RowId> = (0..24)
+                    .map(|i| {
+                        let score = (i % 3 != 0).then_some((i % 5) as f64);
+                        txn.insert(t, row(i, &format!("{name}{}", i % 4), score))
+                            .unwrap()
+                    })
+                    .collect();
+                for rid in rids.iter().step_by(5) {
+                    txn.delete(t, *rid).unwrap();
+                }
+                txn.commit().unwrap();
+            }
+        }
+        let db = Database::open(&dir).unwrap();
+        let mut checked = 0;
+        for (t, _) in db.tables() {
+            let mut metas: Vec<IndexMeta> = db
+                .catalog_read()
+                .indexes
+                .values()
+                .filter(|m| m.table == t)
+                .cloned()
+                .collect();
+            metas.sort_by_key(|m| m.id);
+            let serial = db.build_trees(t, &metas, false).unwrap();
+            for (meta, tree) in metas.iter().zip(&serial) {
+                let opened = db.index_tree(meta.id).unwrap();
+                assert_eq!(entries(&opened.read()), entries(tree), "{}", meta.name);
+                assert_eq!(opened.read().len(), 19, "{}", meta.name);
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 9);
+        assert!(db.verify(true).unwrap().is_clean());
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn persistence_clean_shutdown() {
         let dir = std::env::temp_dir().join(format!("ptdb-clean-{}", std::process::id()));
@@ -1898,8 +2014,19 @@ mod tests {
             }
         }
         txn.commit().unwrap();
+        let fill = |db: &Database| {
+            let report = db.verify(true).unwrap();
+            assert_eq!(report.error_count(), 0, "{}", report.render_table());
+            report
+                .findings
+                .iter()
+                .filter(|f| f.code == "tree.fill")
+                .count()
+        };
+        assert!(fill(&db) > 0, "deletes leave leaves below half fill");
         let gained = db.compact_table(t).unwrap();
         assert!(gained > 0, "fragmented space reclaimed");
+        assert_eq!(fill(&db), 0, "compaction repacks the table's trees");
         // Surviving rows unchanged, RowIds still valid.
         assert_eq!(db.row_count(t).unwrap(), 1000);
         for (i, rid) in rids.iter().enumerate() {

@@ -259,9 +259,19 @@ pub fn encode_row_vec(row: &[Value]) -> Vec<u8> {
 
 /// Decode a row previously produced by [`encode_row`].
 pub fn decode_row(bytes: &[u8]) -> Result<Row> {
+    let mut row = Vec::new();
+    decode_row_into(bytes, &mut row)?;
+    Ok(row)
+}
+
+/// [`decode_row`] into `row`, replacing what it held and keeping its
+/// allocation, so a pass that looks at each row once and keeps none
+/// decodes a whole table into one buffer.
+pub(crate) fn decode_row_into(bytes: &[u8], row: &mut Row) -> Result<()> {
+    row.clear();
     let mut cur = Cursor { bytes, pos: 0 };
     let n = cur.read_u16()? as usize;
-    let mut row = Vec::with_capacity(n);
+    row.reserve(n);
     for _ in 0..n {
         let tag = cur.read_u8()?;
         let v = match tag {
@@ -288,7 +298,7 @@ pub fn decode_row(bytes: &[u8]) -> Result<Row> {
             bytes.len() - cur.pos
         )));
     }
-    Ok(row)
+    Ok(())
 }
 
 struct Cursor<'a> {

@@ -111,6 +111,6 @@ fn eight_readers_with_live_stats_snapshots() {
         "traffic spreads over multiple shards"
     );
     // The data survived: a final scan still sees every row.
-    assert_eq!(db.scan(table).unwrap().len(), ROWS as usize);
+    assert_eq!(db.scan_iter(table).unwrap().count(), ROWS as usize);
     assert!(db.verify(true).unwrap().error_count() == 0);
 }

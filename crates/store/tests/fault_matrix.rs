@@ -203,7 +203,7 @@ fn run_case(case: &Case) {
                     assert_eq!(db.is_degraded(), want, "{}: degraded flag", case.name);
                     if want {
                         // Reads keep working; writes are rejected.
-                        assert_eq!(db.scan(t).unwrap().len() as i64, BASELINE_ROWS);
+                        assert_eq!(db.scan_iter(t).unwrap().count() as i64, BASELINE_ROWS);
                         let mut txn = db.begin();
                         assert!(matches!(
                             txn.insert(t, vec![Value::Int(999)]),
@@ -242,7 +242,7 @@ fn run_case(case: &Case) {
     let db = Database::open_with_vfs(&dir, no_sleep_opts(), inner.as_ref()).unwrap();
     let t = db.table_id("m").unwrap();
     assert_eq!(
-        db.scan(t).unwrap().len() as i64,
+        db.scan_iter(t).unwrap().count() as i64,
         committed_rows,
         "{}: committed rows after recovery",
         case.name

@@ -207,6 +207,63 @@ fn corrupted_record_area_fails_deep_scan() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Build a populated store in `dir`, close it, and overwrite the first
+/// value tag of the first live record on its first heap page with `tag`.
+fn store_with_retagged_row(dir: &std::path::Path, tag: u8) {
+    {
+        let db = Database::open(dir).unwrap();
+        populate(&db);
+        db.checkpoint().unwrap();
+    }
+    let pages_path = dir.join("pages.db");
+    let mut bytes = std::fs::read(&pages_path).unwrap();
+    let page = (0..bytes.len() / PAGE_SIZE)
+        .map(|p| p * PAGE_SIZE)
+        .find(|&off| {
+            u16::from_be_bytes([bytes[off], bytes[off + 1]]) == 0x5054 && bytes[off + 2] == 1
+        })
+        .expect("fixture contains a heap page");
+    let slots = usize::from(u16::from_be_bytes([bytes[page + 4], bytes[page + 5]]));
+    let record = (0..slots)
+        .map(|s| page + HEADER_SIZE + s * 4)
+        .map(|slot| usize::from(u16::from_be_bytes([bytes[slot], bytes[slot + 1]])))
+        .find(|&off| off != 0)
+        .expect("the heap page holds a live record");
+    // A record is a u16 value count, then each value's tag and payload.
+    let at = page + record + 2;
+    assert_eq!(bytes[at], 1, "the first column is an Int");
+    bytes[at] = tag;
+    std::fs::write(&pages_path, &bytes).unwrap();
+}
+
+/// The open refuses `dir` with a `Corrupt` error naming `code` first.
+fn assert_open_refused_with(dir: &std::path::Path, code: &str) {
+    match Database::open(dir) {
+        Ok(_) => panic!("a store with a damaged row must not open"),
+        Err(StoreError::Corrupt(msg)) => {
+            assert!(msg.contains(&format!("first: {code}")), "{msg}");
+        }
+        Err(e) => panic!("expected a Corrupt error, got: {e}"),
+    }
+}
+
+#[test]
+fn row_that_does_not_decode_is_refused_through_the_report() {
+    let dir = tmpdir("row-decode");
+    store_with_retagged_row(&dir, 0xEE);
+    assert_open_refused_with(&dir, "row.decode");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn row_that_breaks_its_schema_is_refused_through_the_report() {
+    let dir = tmpdir("row-schema");
+    // Tag 2 is Real: the same eight payload bytes decode, as the wrong type.
+    store_with_retagged_row(&dir, 2);
+    assert_open_refused_with(&dir, "row.schema");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn wal_fixture_with_lsn_regression_and_torn_tail_is_reported() {
     let dir = tmpdir("wal");

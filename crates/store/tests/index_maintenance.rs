@@ -164,7 +164,8 @@ fn rebuild_reproduces_indexes_maintained_by_writes() {
 
 /// A committed WAL insert whose row is shorter than its table's schema,
 /// with an index on the missing column: open used to panic while
-/// rebuilding that index; now it reports corruption.
+/// rebuilding that index; now its heap pass reports the row as a schema
+/// error before any key is built from it, and the open refuses the store.
 #[test]
 fn open_rejects_committed_insert_shorter_than_schema() {
     let dir = temp_dir("short-row");
@@ -202,7 +203,10 @@ fn open_rejects_committed_insert_shorter_than_schema() {
     wal.sync().unwrap();
     drop(wal);
     match Database::open(&dir) {
-        Err(StoreError::Corrupt(msg)) => assert!(msg.contains("t_b"), "{msg}"),
+        Err(StoreError::Corrupt(msg)) => assert!(
+            msg.contains("first: row.schema") && msg.contains("table t expects 2 columns, got 1"),
+            "{msg}"
+        ),
         Err(e) => panic!("expected Corrupt, got {e}"),
         Ok(_) => panic!("a row missing its key column opened cleanly"),
     }

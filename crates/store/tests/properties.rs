@@ -335,10 +335,9 @@ fn recovery_preserves_committed_prefix() {
         let db = Database::open(&dir).unwrap();
         let t = db.table_id("t").unwrap();
         let mut found: Vec<i64> = db
-            .scan(t)
+            .scan_iter(t)
             .unwrap()
-            .into_iter()
-            .map(|(_, row)| row[0].as_int().unwrap())
+            .map(|item| item.unwrap().1[0].as_int().unwrap())
             .collect();
         found.sort_unstable();
         assert_eq!(found, expected);

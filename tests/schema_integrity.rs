@@ -77,10 +77,9 @@ fn referential_integrity_after_study_load() {
     let db = store.db();
     let s = store.schema();
     let collect_ids = |table, col: usize| -> HashSet<i64> {
-        db.scan(table)
+        db.scan_iter(table)
             .unwrap()
-            .into_iter()
-            .map(|(_, r)| r[col].as_int().unwrap())
+            .map(|item| item.unwrap().1[col].as_int().unwrap())
             .collect()
     };
     let resource_ids = collect_ids(s.resource_item, 0);
@@ -92,39 +91,59 @@ fn referential_integrity_after_study_load() {
     let type_ids = collect_ids(s.focus_framework, 0);
 
     // resource_item.focus_framework_id → focus_framework.id
-    for (_, r) in db.scan(s.resource_item).unwrap() {
+    for (_, r) in db.scan_iter(s.resource_item).unwrap().map(Result::unwrap) {
         assert!(type_ids.contains(&r[3].as_int().unwrap()));
         if let Ok(pid) = r[4].as_int() {
             assert!(resource_ids.contains(&pid), "dangling parent_id");
         }
     }
     // performance_result FKs.
-    for (_, r) in db.scan(s.performance_result).unwrap() {
+    for (_, r) in db
+        .scan_iter(s.performance_result)
+        .unwrap()
+        .map(Result::unwrap)
+    {
         assert!(exec_ids.contains(&r[1].as_int().unwrap()));
         assert!(metric_ids.contains(&r[2].as_int().unwrap()));
         assert!(tool_ids.contains(&r[3].as_int().unwrap()));
     }
     // result_has_focus → performance_result.id and focus.id
-    for (_, r) in db.scan(s.result_has_focus).unwrap() {
+    for (_, r) in db
+        .scan_iter(s.result_has_focus)
+        .unwrap()
+        .map(Result::unwrap)
+    {
         assert!(result_ids.contains(&r[0].as_int().unwrap()));
         assert!(focus_ids.contains(&r[1].as_int().unwrap()));
     }
     // focus_has_resource FKs.
-    for (_, r) in db.scan(s.focus_has_resource).unwrap() {
+    for (_, r) in db
+        .scan_iter(s.focus_has_resource)
+        .unwrap()
+        .map(Result::unwrap)
+    {
         assert!(focus_ids.contains(&r[0].as_int().unwrap()));
         assert!(resource_ids.contains(&r[1].as_int().unwrap()));
     }
     // Attributes and constraints point at real resources.
-    for (_, r) in db.scan(s.resource_attribute).unwrap() {
+    for (_, r) in db
+        .scan_iter(s.resource_attribute)
+        .unwrap()
+        .map(Result::unwrap)
+    {
         assert!(resource_ids.contains(&r[0].as_int().unwrap()));
     }
-    for (_, r) in db.scan(s.resource_constraint).unwrap() {
+    for (_, r) in db
+        .scan_iter(s.resource_constraint)
+        .unwrap()
+        .map(Result::unwrap)
+    {
         assert!(resource_ids.contains(&r[0].as_int().unwrap()));
         assert!(resource_ids.contains(&r[1].as_int().unwrap()));
     }
     // Closure tables agree with recomputed transitive closure.
     let mut parent_of = std::collections::HashMap::new();
-    for (_, r) in db.scan(s.resource_item).unwrap() {
+    for (_, r) in db.scan_iter(s.resource_item).unwrap().map(Result::unwrap) {
         parent_of.insert(r[0].as_int().unwrap(), r[4].as_int().ok());
     }
     let mut expected_pairs = HashSet::new();
@@ -136,17 +155,17 @@ fn referential_integrity_after_study_load() {
         }
     }
     let ancestor_pairs: HashSet<(i64, i64)> = db
-        .scan(s.resource_has_ancestor)
+        .scan_iter(s.resource_has_ancestor)
         .unwrap()
-        .into_iter()
-        .map(|(_, r)| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
+        .map(|item| item.unwrap().1)
+        .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
         .collect();
     assert_eq!(ancestor_pairs, expected_pairs, "rha is the exact closure");
     let descendant_pairs: HashSet<(i64, i64)> = db
-        .scan(s.resource_has_descendant)
+        .scan_iter(s.resource_has_descendant)
         .unwrap()
-        .into_iter()
-        .map(|(_, r)| (r[1].as_int().unwrap(), r[0].as_int().unwrap()))
+        .map(|item| item.unwrap().1)
+        .map(|r| (r[1].as_int().unwrap(), r[0].as_int().unwrap()))
         .collect();
     assert_eq!(
         descendant_pairs, expected_pairs,
@@ -165,7 +184,11 @@ fn focus_types_are_valid_roles() {
     let db = store.db();
     let s = store.schema();
     let mut seen = HashSet::new();
-    for (_, r) in db.scan(s.result_has_focus).unwrap() {
+    for (_, r) in db
+        .scan_iter(s.result_has_focus)
+        .unwrap()
+        .map(Result::unwrap)
+    {
         let role = r[2].as_text().unwrap().to_string();
         assert!(
             perftrack_model::ContextRole::parse(&role).is_some(),
