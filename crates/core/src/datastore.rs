@@ -12,8 +12,9 @@ use crate::schema::{col, Schema};
 use perftrack_model::{ContextRole, ModelError, PerformanceResult, ResourceName, TypeRegistry};
 use perftrack_ptdf::{AttrType, PtdfStatement};
 use perftrack_store::sync::{Mutex, RwLock};
-use perftrack_store::{Database, DbOptions, Row, Value};
+use perftrack_store::{Database, DbOptions, Row, TableId, Value};
 use std::collections::HashMap;
+use std::ops::Bound;
 use std::path::Path;
 
 /// A resource row, decoded.
@@ -328,20 +329,23 @@ impl PTDataStore {
             }
             true
         })?;
-        self.db
-            .for_each_row(self.schema.performance_result, |_, r| {
-                if let Ok(id) = r[col::performance_result::ID].as_int() {
-                    track("performance_result", id, &mut max);
-                }
-                true
-            })?;
+        // The two largest tables give their largest ids from the last
+        // entry of their id index: one descent each, not a scan.
+        if let Some(id) = self.last_id(
+            "performance_result_id",
+            self.schema.performance_result,
+            col::performance_result::ID,
+            Bound::Unbounded,
+        )? {
+            track("performance_result", id, &mut max);
+        }
         max.insert(focus_seq(true), SHARED_FOCUS_IDS - 1);
-        self.db.for_each_row(self.schema.focus, |_, r| {
-            if let Ok(id) = r[col::focus::ID].as_int() {
+        let shared = [Value::Int(SHARED_FOCUS_IDS)];
+        for hi in [Bound::Excluded(shared.as_slice()), Bound::Unbounded] {
+            if let Some(id) = self.last_id("focus_id", self.schema.focus, col::focus::ID, hi)? {
                 track(focus_seq(id >= SHARED_FOCUS_IDS), id, &mut max);
             }
-            true
-        })?;
+        }
 
         let mut ids = self.ids.lock();
         ids.next = max.into_iter().map(|(k, v)| (k, v + 1)).collect();
@@ -349,6 +353,22 @@ impl PTDataStore {
         *self.cache.write() = cache;
         *self.registry.write() = registry;
         Ok(())
+    }
+
+    /// The id in column `column` of the `table` row that holds the last
+    /// key within `hi` of `index`, a one-column index over that id; `None`
+    /// when no key is.
+    fn last_id(
+        &self,
+        index: &str,
+        table: TableId,
+        column: usize,
+        hi: Bound<&[Value]>,
+    ) -> Result<Option<i64>> {
+        match self.db.index_last(self.db.index_id(index)?, hi)? {
+            Some(rowid) => Ok(Some(self.db.get(table, rowid)?[column].as_int()?)),
+            None => Ok(None),
+        }
     }
 
     // -- accessors ----------------------------------------------------------
@@ -2060,6 +2080,89 @@ PerfResult irs-mcr-008 /irs-run(primary) IRS "wall time" 99.25 seconds
         assert_eq!(r.files_skipped, 0);
         assert_eq!(r.stats.applications, 1, "only the new app row is added");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Next `performance_result`, private focus and shared focus ids.
+    fn next_ids(store: &PTDataStore) -> [i64; 3] {
+        let ids = store.ids.lock();
+        ["performance_result", focus_seq(false), focus_seq(true)]
+            .map(|seq| ids.next.get(seq).copied().unwrap_or(1))
+    }
+
+    /// The same three ids from every `performance_result` and `focus` row.
+    fn scanned_next_ids(store: &PTDataStore) -> [i64; 3] {
+        let mut max = [0, 0, SHARED_FOCUS_IDS - 1];
+        store
+            .db
+            .for_each_row(store.schema.performance_result, |_, r| {
+                max[0] = max[0].max(r[col::performance_result::ID].as_int().unwrap());
+                true
+            })
+            .unwrap();
+        store
+            .db
+            .for_each_row(store.schema.focus, |_, r| {
+                let id = r[col::focus::ID].as_int().unwrap();
+                let seq = if id >= SHARED_FOCUS_IDS { 2 } else { 1 };
+                max[seq] = max[seq].max(id);
+                true
+            })
+            .unwrap();
+        max.map(|id| id + 1)
+    }
+
+    #[test]
+    fn reopen_takes_next_ids_from_the_id_indexes() {
+        use perftrack_adapters::{self as adapters, ExecContext};
+        use perftrack_workloads as wl;
+        let dir = std::env::temp_dir().join(format!("ptds-nextid-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // SMG-UV's mpiP (parent) sets make shared foci; IRS makes only
+        // private ones. IRS, loaded last, holds the highest result and
+        // private focus ids.
+        let uv = wl::smg_uv(5, 1).remove(0);
+        let ctx = ExecContext::new(&uv.exec_name, &uv.application);
+        let mut uv_stmts = adapters::smg::convert(&ctx, &uv.files[0].content).unwrap();
+        uv_stmts.extend(adapters::mpip::convert(&ctx, &uv.files[1].content).unwrap());
+        let irs = wl::irs_purple(5, 1).remove(0);
+        let ctx = ExecContext::new(&irs.exec_name, &irs.application);
+        let files: Vec<(String, String)> = irs
+            .files
+            .iter()
+            .map(|f| (f.name.clone(), f.content.clone()))
+            .collect();
+        let irs_stmts = adapters::irs::convert(&ctx, &files).unwrap();
+        {
+            let store = PTDataStore::open(&dir).unwrap();
+            store.load_statements(&uv_stmts).unwrap();
+            store.load_statements(&irs_stmts).unwrap();
+        }
+        let store = PTDataStore::open(&dir).unwrap();
+        let full = next_ids(&store);
+        assert_eq!(full, scanned_next_ids(&store));
+        assert!(full[2] > SHARED_FOCUS_IDS, "the load made shared foci");
+        store.delete_execution(&irs.exec_name).unwrap();
+        drop(store);
+        let store = PTDataStore::open(&dir).unwrap();
+        let next = next_ids(&store);
+        assert_eq!(next, scanned_next_ids(&store));
+        assert!(
+            next[0] < full[0] && next[1] < full[1],
+            "{next:?} vs {full:?}"
+        );
+        assert_eq!(next[2], full[2]);
+        // The SMG-UV execution takes the last shared foci with it.
+        store.delete_execution(&uv.exec_name).unwrap();
+        drop(store);
+        let store = PTDataStore::open(&dir).unwrap();
+        assert_eq!(next_ids(&store), scanned_next_ids(&store));
+        assert_eq!(
+            next_ids(&store),
+            [1, 1, SHARED_FOCUS_IDS],
+            "the store is empty"
+        );
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! logical entry as the composite `(key, rowid)`, which keeps every entry
 //! unique and makes deletes exact.
 //!
+//! An entry is 32 bytes: a 24-byte `Key` and the rowid. A key of up to
+//! 22 bytes (every one- and two-column integer key, and short text keys)
+//! is held in the entry itself, so a leaf is one allocation and a search
+//! compares keys without leaving it; a longer key is boxed. Keys order,
+//! compare and print as their bytes whichever way they are held.
+//!
 //! The tree lives in memory and is built when a database is opened, in
 //! the same heap pass that verifies the rows: each table's scan collects
 //! a `(key, rowid)` run for every index on the table from the rows that
@@ -55,8 +61,81 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Maximum entries per node before it splits.
 pub(crate) const MAX_KEYS: usize = 64;
 
-pub(crate) type Key = Box<[u8]>;
+/// Longest key held in place: what fits in a 24-byte [`Key`] beside its
+/// tag and length byte.
+const INLINE_KEY: usize = 22;
+
+/// An encoded key: held in place up to [`INLINE_KEY`] bytes, boxed above
+/// (see the module doc). `Ord`, `Eq` and `Debug` are the byte slice's,
+/// whichever form holds it.
+#[derive(Clone)]
+pub(crate) enum Key {
+    Inline { len: u8, bytes: [u8; INLINE_KEY] },
+    Heap(Box<[u8]>),
+}
+
 pub(crate) type Entry = (Key, u64);
+
+// Every leaf entry pays for a field that grows `Entry`; fail the build
+// instead of a benchmark.
+const _: () = assert!(std::mem::size_of::<Entry>() <= 32);
+
+impl From<&[u8]> for Key {
+    fn from(src: &[u8]) -> Self {
+        let mut bytes = [0u8; INLINE_KEY];
+        match (bytes.get_mut(..src.len()), u8::try_from(src.len())) {
+            (Some(dst), Ok(len)) => {
+                dst.copy_from_slice(src);
+                Key::Inline { len, bytes }
+            }
+            _ => Key::Heap(src.into()),
+        }
+    }
+}
+
+impl std::ops::Deref for Key {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            // `len <= INLINE_KEY` by construction, so `get` never misses.
+            Key::Inline { len, bytes } => bytes.get(..usize::from(*len)).unwrap_or_default(),
+            Key::Heap(bytes) => bytes,
+        }
+    }
+}
+
+impl AsRef<[u8]> for Key {
+    fn as_ref(&self) -> &[u8] {
+        self
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+impl std::fmt::Debug for Key {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
 
 pub(crate) enum Node {
     Leaf(Vec<Entry>),
@@ -259,6 +338,38 @@ impl Node {
         }
     }
 
+    /// The rowid of the last entry whose key is within `hi`. Children are
+    /// tried right to left from the last one whose span can hold such a
+    /// key, so a search that meets an empty leaf falls back to the child
+    /// before it.
+    fn last_within(&self, hi: Bound<&[u8]>, reads: &mut u64) -> Option<u64> {
+        *reads += 1;
+        match self {
+            Node::Leaf(entries) => {
+                let end = match hi {
+                    Bound::Unbounded => entries.len(),
+                    Bound::Included(k) => entries.partition_point(|e| e.0.as_ref() <= k),
+                    Bound::Excluded(k) => entries.partition_point(|e| e.0.as_ref() < k),
+                };
+                end.checked_sub(1).and_then(|i| entries.get(i)).map(|e| e.1)
+            }
+            Node::Internal { seps, children } => {
+                // Child idx > 0 starts at seps[idx-1]; it can hold a key
+                // within hi only if that separator's key is.
+                let end = match hi {
+                    Bound::Unbounded => seps.len(),
+                    Bound::Included(k) => seps.partition_point(|s| s.0.as_ref() <= k),
+                    Bound::Excluded(k) => seps.partition_point(|s| s.0.as_ref() < k),
+                };
+                children
+                    .iter()
+                    .take(end + 1)
+                    .rev()
+                    .find_map(|child| child.last_within(hi, reads))
+            }
+        }
+    }
+
     fn depth(&self) -> usize {
         match self {
             Node::Leaf(_) => 1,
@@ -443,7 +554,7 @@ impl BTreeIndex {
     /// stored once is not guaranteed — callers (the table layer) never
     /// insert the same pair twice.
     pub fn insert(&mut self, key: &[u8], rid: u64) {
-        if let Some((sep, right)) = self.root.insert(key.into(), rid, &mut self.splits) {
+        if let Some((sep, right)) = self.root.insert(Key::from(key), rid, &mut self.splits) {
             let old_root = std::mem::replace(&mut self.root, Node::Leaf(Vec::new()));
             self.root = Node::Internal {
                 seps: vec![sep],
@@ -545,6 +656,17 @@ impl BTreeIndex {
             true
         });
         out
+    }
+
+    /// The rowid of the last entry, in composite `(key, rowid)` order,
+    /// whose key is within `hi`: the largest key at or below the bound and
+    /// its largest rowid. `None` when no key is.
+    pub fn last_within(&self, hi: Bound<&[u8]>) -> Option<u64> {
+        self.point_probes.fetch_add(1, Ordering::Relaxed);
+        let mut reads = 0u64;
+        let last = self.root.last_within(hi, &mut reads);
+        self.node_reads.fetch_add(reads, Ordering::Relaxed);
+        last
     }
 
     /// Visit all entries whose key starts with `prefix` (contiguous under
@@ -772,6 +894,125 @@ mod tests {
         assert_eq!(t.stats().batch_probes, 0, "empty batch is free");
         assert_eq!(t.get_eq_batch(&[b"a".as_slice()]), vec![vec![7]]);
         assert_eq!(t.get_eq_batch(&[b"z".as_slice()]), vec![Vec::<u64>::new()]);
+    }
+
+    /// Keys on both sides of the inline boundary: empty, 0x00 runs, and
+    /// keys that share their first 22 bytes, in byte order.
+    fn mixed_keys() -> Vec<Vec<u8>> {
+        let shared: Vec<u8> = (0..INLINE_KEY as u8).collect();
+        let mut keys = vec![
+            vec![],
+            vec![0],
+            vec![0; 21],
+            vec![0; 22],
+            vec![0; 23],
+            vec![0, 1],
+        ];
+        for tail in [&[][..], &[0], &[0, 0], &[1], &[0xff; 18]] {
+            let mut key = shared.clone();
+            key.extend_from_slice(tail);
+            keys.push(key);
+        }
+        keys.push(shared.get(..21).unwrap().to_vec());
+        keys.push(vec![0xff; 40]);
+        keys.sort();
+        keys
+    }
+
+    #[test]
+    fn key_is_24_bytes_and_inline_up_to_22() {
+        assert_eq!(std::mem::size_of::<Key>(), 24);
+        for key in mixed_keys() {
+            let held = Key::from(key.as_slice());
+            assert_eq!(
+                matches!(held, Key::Inline { .. }),
+                key.len() <= INLINE_KEY,
+                "{} bytes",
+                key.len()
+            );
+            assert_eq!(&*held, key.as_slice());
+        }
+    }
+
+    #[test]
+    fn inline_and_heap_keys_order_as_their_bytes() {
+        let keys = mixed_keys();
+        for a in &keys {
+            for b in &keys {
+                let (ka, kb) = (Key::from(a.as_slice()), Key::from(b.as_slice()));
+                assert_eq!(ka.cmp(&kb), a.cmp(b), "{a:?} vs {b:?}");
+                assert_eq!(ka == kb, a == b);
+            }
+        }
+        // A 22-byte key held in place sorts below the 23-byte heap key
+        // that extends it, and above the 21-byte key it extends.
+        let shared: Vec<u8> = (0..INLINE_KEY as u8).collect();
+        let mut longer = shared.clone();
+        longer.push(0);
+        let (mid, high) = (Key::from(shared.as_slice()), Key::from(longer.as_slice()));
+        assert!(matches!(mid, Key::Inline { .. }) && matches!(high, Key::Heap(_)));
+        assert!(mid < high);
+        assert!(Key::from(shared.get(..21).unwrap()) < mid);
+        // Composite order breaks key ties by rowid across both forms.
+        let mut run: Vec<Entry> = vec![(high.clone(), 1), (mid.clone(), 9), (high, 0), (mid, 2)];
+        run.sort_unstable();
+        let flat: Vec<(usize, u64)> = run.iter().map(|(k, r)| (k.len(), *r)).collect();
+        assert_eq!(flat, vec![(22, 2), (22, 9), (23, 0), (23, 1)]);
+    }
+
+    #[test]
+    fn key_debug_is_the_slices() {
+        for key in mixed_keys() {
+            let held = Key::from(key.as_slice());
+            assert_eq!(format!("{held:?}"), format!("{:?}", key.as_slice()));
+            let entry: Entry = (held, 7);
+            assert_eq!(format!("{:?}", entry.0), format!("{key:?}"));
+        }
+    }
+
+    #[test]
+    fn sorted_build_and_repack_over_mixed_keys() {
+        let keys = mixed_keys();
+        let per_key = if cfg!(miri) { 12 } else { 60 };
+        let mut raw: Vec<(Vec<u8>, u64)> = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            for j in 0..per_key {
+                raw.push((key.clone(), (j * keys.len() + i) as u64));
+            }
+        }
+        raw.sort();
+        let run: Vec<Entry> = raw
+            .iter()
+            .map(|(k, r)| (Key::from(k.as_slice()), *r))
+            .collect();
+        let mut tree = BTreeIndex::from_sorted(run);
+        assert!(tree.depth() > 1, "entries span several leaves");
+        assert!(crate::check::verify_tree(&tree, "mixed").is_empty());
+        assert_eq!(entries_of(&tree), raw);
+        for key in &keys {
+            let expect: Vec<u64> = raw.iter().filter(|(k, _)| k == key).map(|e| e.1).collect();
+            assert_eq!(tree.get_eq(key), expect, "{key:?}");
+        }
+
+        // Empty the last leaves: the last entry below a bound falls back
+        // past them, before and after a repack.
+        let cut = raw.len() - 3 * MAX_KEYS / 2;
+        for (key, rid) in raw.split_off(cut) {
+            assert!(tree.remove(&key, rid));
+        }
+        let kept = raw.last().map(|e| e.1);
+        for _ in 0..2 {
+            assert_eq!(tree.last_within(Bound::Unbounded), kept);
+            for key in &keys {
+                let below = raw.iter().rev().find(|(k, _)| k < key).map(|e| e.1);
+                let at = raw.iter().rev().find(|(k, _)| k <= key).map(|e| e.1);
+                assert_eq!(tree.last_within(Bound::Excluded(key)), below, "{key:?}");
+                assert_eq!(tree.last_within(Bound::Included(key)), at, "{key:?}");
+            }
+            tree.repack();
+            assert!(crate::check::verify_tree(&tree, "mixed").is_empty());
+            assert_eq!(entries_of(&tree), raw);
+        }
     }
 
     /// Deterministic pseudo-random source for the model tests.

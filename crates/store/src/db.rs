@@ -574,6 +574,16 @@ impl Database {
         Ok(rids.into_iter().map(RowId::from_u64).collect())
     }
 
+    /// The rowid of the last entry in `index` whose key is within `hi`:
+    /// the row with the largest key at or below the bound, found by one
+    /// descent instead of a scan. `None` when no key is.
+    pub fn index_last(&self, index: IndexId, hi: Bound<&[Value]>) -> Result<Option<RowId>> {
+        let tree = self.index_tree(index)?;
+        let hi_enc = map_bound_owned(hi);
+        let last = tree.read().last_within(as_bound_ref(&hi_enc));
+        Ok(last.map(RowId::from_u64))
+    }
+
     // -- maintenance ------------------------------------------------------
 
     /// Flush dirty pages, persist the catalog, and truncate the WAL.

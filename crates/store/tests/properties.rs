@@ -127,11 +127,43 @@ fn btree_matches_btreeset_model() {
 /// random-key inserts that land inside the tree, and removes of present
 /// and absent entries. After each case every read path agrees with a
 /// `BTreeSet` oracle.
+///
+/// Key lengths run from 0 to 40 bytes, across the 22 bytes a tree holds
+/// in place, so one leaf mixes keys held in place with keys on the heap:
+/// appended key `n` is its group `n / 4` as a length byte and big-endian
+/// digits, padded with 0x00 to a length below 22, one of exactly 22 and
+/// one above it (the last two share their first 22 bytes), and random
+/// inserts draw keys of 0 to 40 bytes over {0x00, 0x01, 0x02}.
 #[test]
 fn btree_appends_inserts_and_removes_match_oracle() {
     use std::collections::BTreeSet;
     use std::ops::Bound;
-    let key = |n: u64| format!("k{n:08}").into_bytes();
+    let key = |n: u64| {
+        let digits: Vec<u8> = (n / 4)
+            .to_be_bytes()
+            .into_iter()
+            .skip_while(|&b| b == 0)
+            .collect();
+        let mut k = vec![digits.len() as u8];
+        k.extend(digits);
+        let (a, spread) = (
+            k.len(),
+            (n.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize,
+        );
+        let len = match n % 4 {
+            0 => a,
+            1 => a + 1 + spread % (21 - a),
+            2 => 22,
+            _ => 23 + spread % 18,
+        };
+        k.resize(len, 0);
+        k
+    };
+    let arb_key = |rng: &mut Rng| -> Vec<u8> {
+        (0..rng.gen_range(0..41))
+            .map(|_| rng.gen_range(0..3u8))
+            .collect()
+    };
     check_cases(0x5707_0900, 32, |rng| {
         let mut tree = BTreeIndex::new();
         let mut model = BTreeSet::<(Vec<u8>, u64)>::new();
@@ -157,13 +189,16 @@ fn btree_appends_inserts_and_removes_match_oracle() {
                         next_key += rng.gen_range(1..3);
                     }
                 }
-                // Random keys below the right edge, random rowids.
+                // Random keys below the right edge or of random bytes,
+                // random rowids.
                 2 => {
                     for _ in 0..rng.gen_range(1..60) {
-                        let entry = (
-                            key(rng.gen_range(0..next_key + 1)),
-                            rng.gen_range(0..next_rid + 1),
-                        );
+                        let k = if rng.gen_bool(0.5) {
+                            key(rng.gen_range(0..next_key + 1))
+                        } else {
+                            arb_key(rng)
+                        };
+                        let entry = (k, rng.gen_range(0..next_rid + 1));
                         if model.insert(entry.clone()) {
                             tree.insert(&entry.0, entry.1);
                         }
@@ -194,11 +229,13 @@ fn btree_appends_inserts_and_removes_match_oracle() {
             flat.iter().eq(model.iter()),
             "full scan differs from the oracle"
         );
-        // Probe keys: every key ever used, one past the end, and a few
-        // that sort between two generated keys.
+        // Probe keys: every appended key, one past the end, every key
+        // in the tree, and a few random ones.
         let mut probes: Vec<Vec<u8>> = (0..next_key + 2).map(key).collect();
-        probes.push(b"k".to_vec());
-        probes.push(b"k00000000x".to_vec());
+        probes.extend(model.iter().map(|(k, _)| k.clone()));
+        probes.extend((0..8).map(|_| arb_key(rng)));
+        probes.sort_unstable();
+        probes.dedup();
         let expect_eq = |k: &[u8]| -> Vec<u64> {
             let span = (k.to_vec(), 0)..=(k.to_vec(), u64::MAX);
             model.range(span).map(|&(_, r)| r).collect()
@@ -223,8 +260,19 @@ fn btree_appends_inserts_and_removes_match_oracle() {
             ranged.push((k.to_vec(), r));
             true
         });
-        let expect: Vec<(Vec<u8>, u64)> = model.range((lo, 0)..(hi, 0)).cloned().collect();
+        let expect: Vec<(Vec<u8>, u64)> = model.range((lo, 0)..(hi.clone(), 0)).cloned().collect();
         assert_eq!(ranged, expect);
+        // The last entry within an upper bound.
+        let last = |r: Option<&(Vec<u8>, u64)>| r.map(|&(_, rid)| rid);
+        assert_eq!(tree.last_within(Bound::Unbounded), last(model.last()));
+        assert_eq!(
+            tree.last_within(Bound::Excluded(&hi)),
+            last(model.range(..(hi.clone(), 0)).next_back())
+        );
+        assert_eq!(
+            tree.last_within(Bound::Included(&hi)),
+            last(model.range(..=(hi, u64::MAX)).next_back())
+        );
     });
 }
 
