@@ -105,12 +105,6 @@ impl std::ops::Deref for Key {
     }
 }
 
-impl AsRef<[u8]> for Key {
-    fn as_ref(&self) -> &[u8] {
-        self
-    }
-}
-
 impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         **self == **other
