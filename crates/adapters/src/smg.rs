@@ -167,8 +167,8 @@ mod tests {
         // PMAPI results are attributed to the PMAPI tool.
         let engine = perftrack::QueryEngine::new(&store);
         let rows = engine.run(&[]).unwrap();
-        assert!(rows.iter().any(|r| r.tool == "PMAPI"));
-        assert!(rows.iter().any(|r| r.tool == "SMG2000"));
+        assert!(rows.iter().any(|r| &*r.tool == "PMAPI"));
+        assert!(rows.iter().any(|r| &*r.tool == "SMG2000"));
     }
 
     #[test]

@@ -53,7 +53,7 @@ fn main() {
         let exec = format!("irs-mcr-np{np:03}");
         let get = |metric: &str| {
             rows.iter()
-                .find(|r| r.execution == exec && r.metric == metric)
+                .find(|r| *r.execution == *exec && &*r.metric == metric)
                 .map(|r| r.value)
         };
         let (Some(min), Some(max)) = (get("CPU_time (min)"), get("CPU_time (max)")) else {
@@ -89,7 +89,7 @@ fn main() {
     let mem_rows = engine.run(&[]).unwrap();
     let mem_rows: Vec<_> = mem_rows
         .into_iter()
-        .filter(|r| r.metric == "memory high water")
+        .filter(|r| &*r.metric == "memory high water")
         .collect();
     let compare = Compare::new(&store);
     println!("load-balance operator over per-process memory results:");

@@ -20,13 +20,13 @@
 //!   over one execution's per-process values.
 #![deny(missing_docs)]
 
-use crate::datastore::{PTDataStore, ResourceRecord};
+use crate::datastore::PTDataStore;
 use crate::error::{PtError, Result};
-use crate::query::{QueryEngine, ResultRow};
+use crate::query::{QueryEngine, ResourceMemo, ResultRow};
 use perftrack_store::metrics::Json;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Geometric mean over the positive values of an iterator of ratios.
 fn geo_mean(ratios: impl Iterator<Item = f64>) -> Option<f64> {
@@ -436,32 +436,6 @@ pub struct Compare<'s> {
     store: &'s PTDataStore,
 }
 
-/// Per-call memo of [`PTDataStore::resource_by_id`]: every resource on a
-/// structural chain is probed and decoded once per compare, however many
-/// results name it.
-struct ResourceMemo<'s> {
-    store: &'s PTDataStore,
-    records: HashMap<i64, Option<Rc<ResourceRecord>>>,
-}
-
-impl<'s> ResourceMemo<'s> {
-    fn new(store: &'s PTDataStore) -> Self {
-        ResourceMemo {
-            store,
-            records: HashMap::new(),
-        }
-    }
-
-    fn get(&mut self, id: i64) -> Result<Option<Rc<ResourceRecord>>> {
-        if let Some(rec) = self.records.get(&id) {
-            return Ok(rec.clone());
-        }
-        let rec = self.store.resource_by_id(id)?.map(Rc::new);
-        self.records.insert(id, rec.clone());
-        Ok(rec)
-    }
-}
-
 impl<'s> Compare<'s> {
     /// Bind to a store.
     pub fn new(store: &'s PTDataStore) -> Self {
@@ -550,7 +524,7 @@ impl<'s> Compare<'s> {
             type_path: String,
             parent: Option<String>,
             present: Vec<bool>,
-            metrics: BTreeMap<String, Vec<Option<Cell>>>,
+            metrics: BTreeMap<Arc<str>, Vec<Option<Cell>>>,
         }
         let mut nodes: BTreeMap<String, NodeAcc> = BTreeMap::new();
 
@@ -559,10 +533,10 @@ impl<'s> Compare<'s> {
         // the context resources themselves (not their ancestors, which
         // would multiply-count shared cost).
         for row in &rows {
-            let Some(slots) = exec_index.get(row.execution.as_str()) else {
+            let Some(slots) = exec_index.get(&*row.execution) else {
                 continue;
             };
-            for &rid in &row.context {
+            for &rid in row.context.iter() {
                 let mut cursor = Some(rid);
                 let mut at_context = true;
                 while let Some(cur) = cursor {
@@ -631,7 +605,7 @@ impl<'s> Compare<'s> {
                 values
                     .entry(name.clone())
                     .or_default()
-                    .insert(metric.clone(), row);
+                    .insert(String::from(&**metric), row);
             }
         }
         if opts.normalization == Normalization::Share {
@@ -770,7 +744,7 @@ impl<'s> Compare<'s> {
     /// one metric, typically one function) by execution and report
     /// min/max/mean across the group — e.g. across a run's processors.
     pub fn load_balance(&self, rows: &[ResultRow]) -> Vec<LoadBalanceRow> {
-        let mut groups: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+        let mut groups: BTreeMap<Arc<str>, Vec<f64>> = BTreeMap::new();
         for r in rows {
             groups.entry(r.execution.clone()).or_default().push(r.value);
         }
@@ -782,7 +756,7 @@ impl<'s> Compare<'s> {
                 let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 let mean = values.iter().sum::<f64>() / n as f64;
                 LoadBalanceRow {
-                    label,
+                    label: String::from(&*label),
                     n,
                     min,
                     max,

@@ -1907,7 +1907,7 @@ PerfResult irs-mcr-008 /irs-run(primary) IRS "wall time" 99.25 seconds
         let engine = crate::query::QueryEngine::new(&store);
         let rows = engine.run(&[]).unwrap();
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].execution, "irs-mcr-009");
+        assert_eq!(&*rows[0].execution, "irs-mcr-009");
         // Deleting again errors.
         assert!(store.delete_execution("irs-mcr-008").is_err());
         // The intern map forgot the deleted focus: loading it again writes

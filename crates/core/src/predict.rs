@@ -144,7 +144,7 @@ impl<'s> Predictor<'s> {
         for exec in executions {
             let rows: Vec<&ResultRow> = all
                 .iter()
-                .filter(|r| r.execution == *exec && r.metric == metric)
+                .filter(|r| &*r.execution == *exec && &*r.metric == metric)
                 .collect();
             if rows.is_empty() {
                 return Err(PtError::NotFound(format!("{metric} for execution {exec}")));
@@ -158,7 +158,7 @@ impl<'s> Predictor<'s> {
     }
 
     fn processes_of(&self, row: &ResultRow) -> Result<usize> {
-        for &res in &row.context {
+        for &res in row.context.iter() {
             let attrs = self.store.attributes_of(res)?;
             for (name, value, _) in attrs {
                 if name == "processes" || name == "process count" {

@@ -3,28 +3,33 @@
 //! performance results, live match counts, and *free resource* discovery
 //! for the GUI's two-step column selection.
 
-use crate::datastore::{decode_resource, int_keys, PTDataStore};
+use crate::datastore::{decode_resource, int_keys, PTDataStore, ResourceRecord};
 use crate::error::{PtError, Result};
 use crate::planner::{explain_filters, plan_filters, table_rows, ContextAccess};
 use crate::schema::col;
 use perftrack_model::{AttrPredicate, Relatives, ResourceFilter, Selector};
 use perftrack_store::metrics::{OperatorProfile, QueryProfile};
 use perftrack_store::planner::{ExplainPlan, COST_FETCH_ROW, COST_PROBE, COST_SCAN_ROW};
-use perftrack_store::{Row, RowId, StatsState, Value};
+use perftrack_store::{Row, RowId, StatsState, TableId, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Instant;
 
-/// One matched performance result, denormalized for display.
+/// One matched performance result, denormalized for display. One query's
+/// rows share one allocation per distinct name, and results linking the
+/// same single focus share one context.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultRow {
     pub result_id: i64,
-    pub execution: String,
-    pub metric: String,
+    pub execution: Arc<str>,
+    pub metric: Arc<str>,
     pub value: f64,
-    pub units: String,
-    pub tool: String,
-    /// Resource ids in the result's context (union of its foci).
-    pub context: Vec<i64>,
+    pub units: Arc<str>,
+    pub tool: Arc<str>,
+    /// Resource ids in the result's context (union of its foci), sorted
+    /// and deduplicated.
+    pub context: Arc<[i64]>,
 }
 
 /// A candidate "Add Columns" entry: a free resource type whose values vary
@@ -50,30 +55,238 @@ pub struct QueryEngine<'s> {
     store: &'s PTDataStore,
 }
 
+/// Results' contexts as one run sorted by result id. Each distinct
+/// focus's resource list is sorted and deduplicated once, and every
+/// result linking only that focus shares it; a result with several foci
+/// holds their merged list. A result has an entry when it has at least
+/// one focus, empty when its foci name no resource.
+pub(crate) struct Contexts(Vec<(i64, Arc<[i64]>)>);
+
+impl Contexts {
+    /// Group `(result, focus)` links, in any order, by result, taking
+    /// each focus's resources from `by_focus`.
+    fn group(mut links: Vec<(i64, i64)>, by_focus: HashMap<i64, Vec<i64>>) -> Contexts {
+        links.sort_unstable();
+        links.dedup();
+        let empty: Arc<[i64]> = Arc::new([]);
+        let shared: HashMap<i64, Arc<[i64]>> = by_focus
+            .into_iter()
+            .map(|(focus, mut resources)| {
+                resources.sort_unstable();
+                resources.dedup();
+                (focus, resources.into())
+            })
+            .collect();
+        let list = |focus: i64| shared.get(&focus).unwrap_or(&empty);
+        let run = links
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|group| {
+                let context = match group {
+                    [(_, focus)] => list(*focus).clone(),
+                    _ => {
+                        let mut merged: Vec<i64> = group
+                            .iter()
+                            .flat_map(|&(_, focus)| list(focus).iter().copied())
+                            .collect();
+                        merged.sort_unstable();
+                        merged.dedup();
+                        merged.into()
+                    }
+                };
+                (group[0].0, context)
+            })
+            .collect();
+        Contexts(run)
+    }
+
+    /// The context of `result`, if it has a focus.
+    pub(crate) fn get(&self, result: i64) -> Option<&Arc<[i64]>> {
+        self.seek(result, &mut 0)
+    }
+
+    /// [`Contexts::get`] through `cursor`, for lookups in result order.
+    fn seek(&self, result: i64, cursor: &mut usize) -> Option<&Arc<[i64]>> {
+        let at = seek(&self.0, result, |(id, _)| *id, cursor)?;
+        Some(&self.0[at].1)
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Runs of consecutive results sharing one context allocation: a
+    /// check of the run's first context holds for all of it.
+    fn runs(&self) -> impl Iterator<Item = &[(i64, Arc<[i64]>)]> {
+        self.0.chunk_by(|a, b| Arc::ptr_eq(&a.1, &b.1))
+    }
+}
+
+/// Where `key` is in `run`, sorted by `key_of`: at `*cursor` when lookups
+/// come in key order, else found by binary search. A hit moves the
+/// cursor past it.
+fn seek<T>(run: &[T], key: i64, key_of: impl Fn(&T) -> i64, cursor: &mut usize) -> Option<usize> {
+    let at = match run.get(*cursor) {
+        Some(next) if key_of(next) == key => *cursor,
+        _ => run.binary_search_by_key(&key, key_of).ok()?,
+    };
+    *cursor = at + 1;
+    Some(at)
+}
+
+/// True when `items` never decrease.
+fn ascending<T: Ord>(items: &[T]) -> bool {
+    items.windows(2).all(|w| w[0] <= w[1])
+}
+
+/// True when `context` names a member of every family in `check`.
+fn meets(context: &[i64], families: &[HashSet<i64>], check: &[usize]) -> bool {
+    check
+        .iter()
+        .all(|&i| context.iter().any(|r| families[i].contains(r)))
+}
+
 /// The contexts the match stage read, how, and the families still to
 /// check them against, smallest first — the planner's match-order rule,
 /// with exact sizes since the families are built.
 struct Candidates {
     access: ContextAccess,
-    contexts: HashMap<i64, Vec<i64>>,
+    contexts: Contexts,
     check: Vec<usize>,
 }
 
 impl Candidates {
-    /// Ids (ascending) of the candidates meeting every family in `check`.
+    /// Ids (ascending) of the candidates meeting every family in `check`,
+    /// each shared context checked once per run.
     fn matching(&self, families: &[HashSet<i64>]) -> Vec<i64> {
-        let mut ids: Vec<i64> = self
-            .contexts
-            .iter()
-            .filter(|(_, ctx)| {
-                self.check
-                    .iter()
-                    .all(|&i| ctx.iter().any(|r| families[i].contains(r)))
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        ids.sort_unstable();
+        let mut ids = Vec::new();
+        for run in self.contexts.runs() {
+            if meets(&run[0].1, families, &self.check) {
+                ids.extend(run.iter().map(|(id, _)| *id));
+            }
+        }
         ids
+    }
+}
+
+/// The execution, metric and tool names of one query's rows, each run
+/// sorted by id, and the units seen so far: each distinct name is one
+/// allocation, shared by every row naming it.
+struct Names {
+    executions: Vec<(i64, Arc<str>)>,
+    metrics: Vec<(i64, Arc<str>)>,
+    tools: Vec<(i64, Arc<str>)>,
+    units: HashSet<Arc<str>>,
+    unknown: Arc<str>,
+}
+
+impl Names {
+    fn read(store: &PTDataStore) -> Result<Names> {
+        let schema = store.schema();
+        Ok(Names {
+            executions: store
+                .executions()
+                .into_iter()
+                .map(|(id, name)| (id, name.into()))
+                .collect(),
+            metrics: names_by_id(store, schema.metric, col::metric::ID, col::metric::NAME)?,
+            tools: names_by_id(
+                store,
+                schema.performance_tool,
+                col::performance_tool::ID,
+                col::performance_tool::NAME,
+            )?,
+            units: HashSet::new(),
+            unknown: Arc::from(""),
+        })
+    }
+
+    fn name(&self, names: &[(i64, Arc<str>)], row: &Row, column: usize) -> Result<Arc<str>> {
+        let id = row[column].as_int()?;
+        Ok(match names.binary_search_by_key(&id, |(i, _)| *i) {
+            Ok(at) => names[at].1.clone(),
+            Err(_) => self.unknown.clone(),
+        })
+    }
+
+    /// The display row of one `performance_result` row with `context`.
+    fn row(&mut self, row: &Row, context: Arc<[i64]>) -> Result<ResultRow> {
+        use col::performance_result as c;
+        let units = row[c::UNITS].as_text()?;
+        let units = match self.units.get(units) {
+            Some(shared) => shared.clone(),
+            None => {
+                let shared: Arc<str> = units.into();
+                self.units.insert(shared.clone());
+                shared
+            }
+        };
+        Ok(ResultRow {
+            result_id: row[c::ID].as_int()?,
+            execution: self.name(&self.executions, row, c::EXECUTION_ID)?,
+            metric: self.name(&self.metrics, row, c::METRIC_ID)?,
+            value: row[c::VALUE].as_real()?,
+            units,
+            tool: self.name(&self.tools, row, c::TOOL_ID)?,
+            context,
+        })
+    }
+}
+
+/// `(id_col, name_col)` of every row of `table`, sorted by id.
+fn names_by_id(
+    store: &PTDataStore,
+    table: TableId,
+    id_col: usize,
+    name_col: usize,
+) -> Result<Vec<(i64, Arc<str>)>> {
+    let mut out = Vec::new();
+    store.db().for_each_row(table, |_, row| {
+        if let (Ok(id), Ok(name)) = (row[id_col].as_int(), row[name_col].as_text()) {
+            out.push((id, name.into()));
+        }
+        true
+    })?;
+    out.sort_unstable_by_key(|(id, _)| *id);
+    Ok(out)
+}
+
+/// Per-call memo of [`PTDataStore::resource_by_id`] and
+/// [`PTDataStore::attributes_of`]: each resource is probed and decoded
+/// once per call, however many results name it.
+pub(crate) struct ResourceMemo<'s> {
+    store: &'s PTDataStore,
+    records: HashMap<i64, Option<Rc<ResourceRecord>>>,
+    attributes: HashMap<i64, Attributes>,
+}
+
+/// A resource's `(name, value, attr_type)` attributes.
+type Attributes = Rc<[(String, String, String)]>;
+
+impl<'s> ResourceMemo<'s> {
+    pub(crate) fn new(store: &'s PTDataStore) -> Self {
+        ResourceMemo {
+            store,
+            records: HashMap::new(),
+            attributes: HashMap::new(),
+        }
+    }
+
+    pub(crate) fn get(&mut self, id: i64) -> Result<Option<Rc<ResourceRecord>>> {
+        if let Some(rec) = self.records.get(&id) {
+            return Ok(rec.clone());
+        }
+        let rec = self.store.resource_by_id(id)?.map(Rc::new);
+        self.records.insert(id, rec.clone());
+        Ok(rec)
+    }
+
+    fn attributes(&mut self, id: i64) -> Result<Attributes> {
+        if let Some(attrs) = self.attributes.get(&id) {
+            return Ok(attrs.clone());
+        }
+        let attrs: Attributes = self.store.attributes_of(id)?.into();
+        self.attributes.insert(id, attrs.clone());
+        Ok(attrs)
     }
 }
 
@@ -258,30 +471,20 @@ impl<'s> QueryEngine<'s> {
 
     /// Every result with a focus → its context resource ids:
     /// [`PTDataStore::focus_lists`] reads each distinct focus once, and one
-    /// pass over `result_has_focus` fans them out to the results linking
-    /// them.
-    fn context_scan(&self) -> Result<HashMap<i64, Vec<i64>>> {
+    /// pass over `result_has_focus` links them to their results.
+    fn context_scan(&self) -> Result<Contexts> {
         let db = self.store.db();
-        let schema = self.store.schema();
+        let table = self.store.schema().result_has_focus;
         let by_focus = self.store.focus_lists()?;
-        // A context is the union of its result's foci, empty when they
-        // name nothing.
-        let mut out: HashMap<i64, Vec<i64>> =
-            HashMap::with_capacity(table_rows(self.store, "performance_result_id")? as usize);
-        for item in db.scan_iter(schema.result_has_focus)? {
+        let mut links = Vec::with_capacity(table_rows(self.store, "rhf_focus")? as usize);
+        for item in db.scan_iter(table)? {
             let (_, row) = item?;
-            let context = out
-                .entry(row[col::result_has_focus::RESULT_ID].as_int()?)
-                .or_default();
-            if let Some(resources) = by_focus.get(&row[col::result_has_focus::FOCUS_ID].as_int()?) {
-                context.extend_from_slice(resources);
-            }
+            links.push((
+                row[col::result_has_focus::RESULT_ID].as_int()?,
+                row[col::result_has_focus::FOCUS_ID].as_int()?,
+            ));
         }
-        for v in out.values_mut() {
-            v.sort_unstable();
-            v.dedup();
-        }
-        Ok(out)
+        Ok(Contexts::group(links, by_focus))
     }
 
     /// The `focus_has_resource` rows naming a member of `family` — its
@@ -433,21 +636,22 @@ impl<'s> QueryEngine<'s> {
         })
     }
 
-    /// [`QueryEngine::match_counts`] in one pass over every context.
+    /// [`QueryEngine::match_counts`] in one pass over every context, each
+    /// shared context checked once per run.
     fn count_by_scan(&self, families: &[HashSet<i64>]) -> Result<MatchCounts> {
         let mut per_family = vec![0usize; families.len()];
         let mut whole = 0usize;
-        for ctx in self.context_scan()?.values() {
+        for run in self.context_scan()?.runs() {
             let mut all = true;
             for (i, fam) in families.iter().enumerate() {
-                if ctx.iter().any(|r| fam.contains(r)) {
-                    per_family[i] += 1;
+                if run[0].1.iter().any(|r| fam.contains(r)) {
+                    per_family[i] += run.len();
                 } else {
                     all = false;
                 }
             }
             if all {
-                whole += 1;
+                whole += run.len();
             }
         }
         Ok(MatchCounts { per_family, whole })
@@ -536,7 +740,7 @@ impl<'s> QueryEngine<'s> {
         );
 
         let stage = Instant::now();
-        let rows = self.fetch(&ids, candidates.contexts)?;
+        let rows = self.fetch(&ids, &candidates.contexts)?;
         profile.push(
             OperatorProfile::new(
                 "fetch",
@@ -551,10 +755,12 @@ impl<'s> QueryEngine<'s> {
         Ok((rows, profile, families))
     }
 
-    /// Denormalize result rows by id, in the order given; the ids name
-    /// distinct results, and unknown ones are skipped. Their contexts come
-    /// through the indexes at `COST_FETCH_ROW` per focus and resource row,
-    /// or from one scan when the ids are a quarter or more of all results.
+    /// Denormalize result rows by id, in the order given; unknown ids
+    /// are skipped, and the rest must name distinct results. Contexts come
+    /// through the `rhf_result` and `fhr_focus` indexes when the ids are
+    /// under a quarter of all results, from one scan of every context
+    /// otherwise; rows through `performance_result_id` when the ids are at
+    /// most a twelfth of all results, from one scan otherwise.
     pub fn fetch_rows(&self, ids: &[i64]) -> Result<Vec<ResultRow>> {
         let results = table_rows(self.store, "performance_result_id")?;
         let contexts = if ids.len() as f64 * COST_FETCH_ROW >= results as f64 * COST_SCAN_ROW {
@@ -562,48 +768,69 @@ impl<'s> QueryEngine<'s> {
         } else {
             self.contexts_of(ids)?
         };
-        self.fetch(ids, contexts)
+        self.fetch(ids, &contexts)
     }
 
-    /// The fetch stage: the rows of `ids`, in order, each taking its
-    /// context out of `contexts`. Rows come from one batched
-    /// `performance_result_id` probe, or one scan when that costs less.
-    fn fetch(&self, ids: &[i64], contexts: HashMap<i64, Vec<i64>>) -> Result<Vec<ResultRow>> {
+    /// The fetch stage: the rows of `ids`, in order, each with its context
+    /// from `contexts`. Rows come from one batched `performance_result_id`
+    /// probe, or, when that costs more, from one scan merge-joined
+    /// against the ids in id order.
+    fn fetch(&self, ids: &[i64], contexts: &Contexts) -> Result<Vec<ResultRow>> {
         let db = self.store.db();
         let table = self.store.schema().performance_result;
         let results = table_rows(self.store, "performance_result_id")?;
-        let rows = if ids.len() as f64 * (COST_PROBE + COST_FETCH_ROW)
-            > results as f64 * COST_SCAN_ROW
-        {
-            let mut by_id: HashMap<i64, Option<Row>> = ids.iter().map(|&id| (id, None)).collect();
-            for item in db.scan_iter(table)? {
-                let (_, row) = item?;
-                if let Some(slot) = by_id.get_mut(&row[col::performance_result::ID].as_int()?) {
-                    *slot = Some(row);
+        let mut names = Names::read(self.store)?;
+        let mut near = 0;
+        let mut context = |id| {
+            contexts
+                .seek(id, &mut near)
+                .cloned()
+                .unwrap_or_else(|| Arc::new([]))
+        };
+        if ids.len() as f64 * (COST_PROBE + COST_FETCH_ROW) <= results as f64 * COST_SCAN_ROW {
+            let idx = db.index_id("performance_result_id")?;
+            let mut out = Vec::with_capacity(ids.len());
+            for (&id, rids) in ids.iter().zip(db.index_lookup_many(idx, &int_keys(ids))?) {
+                if let Some(&rid) = rids.first() {
+                    out.push(names.row(&db.get(table, rid)?, context(id))?);
                 }
             }
-            ids.iter()
-                .filter_map(|id| by_id.get_mut(id)?.take())
-                .collect()
-        } else {
-            let idx = db.index_id("performance_result_id")?;
-            db.index_lookup_many(idx, &int_keys(ids))?
-                .into_iter()
-                .filter_map(|rids| rids.first().copied())
-                .map(|rid| Ok(db.get(table, rid)?))
-                .collect::<Result<Vec<Row>>>()?
-        };
-        self.fetch_rows_with(rows, contexts)
+            return Ok(out);
+        }
+        // (id, caller position), in id order.
+        let mut wanted: Vec<(i64, usize)> = ids.iter().copied().zip(0..).collect();
+        if !ascending(ids) {
+            wanted.sort_unstable();
+        }
+        let mut out = Vec::with_capacity(ids.len());
+        let mut positions = Vec::with_capacity(ids.len());
+        let mut cursor = 0;
+        for item in db.scan_iter(table)? {
+            let (_, row) = item?;
+            let id = row[col::performance_result::ID].as_int()?;
+            // The heap is in id order until a delete frees space that a
+            // later load refills; then the cursor misses and searches.
+            if let Some(at) = seek(&wanted, id, |&(w, _)| w, &mut cursor) {
+                out.push(names.row(&row, context(id))?);
+                positions.push(wanted[at].1);
+            }
+        }
+        if !ascending(&positions) {
+            let mut placed: Vec<(usize, ResultRow)> = positions.into_iter().zip(out).collect();
+            placed.sort_unstable_by_key(|(position, _)| *position);
+            out = placed.into_iter().map(|(_, row)| row).collect();
+        }
+        Ok(out)
     }
 
     /// Every result of the executions with ids `exec_ids`, in ascending
     /// result id — exactly the rows `run(&[])` returns for them.
     ///
     /// Only the named executions are read: one batched probe of
-    /// `performance_result_exec`, one decode per result row, and
-    /// [`QueryEngine::contexts_of`] for their contexts. The cost scales
-    /// with the executions' results, not with the store. Repeated ids
-    /// count once.
+    /// `performance_result_exec`, one decode per result row, and batched
+    /// `rhf_result` and `fhr_focus` probes for their contexts. The cost
+    /// scales with the executions' results, not with the store. Repeated
+    /// ids count once.
     pub fn rows_of_executions(&self, exec_ids: &[i64]) -> Result<Vec<ResultRow>> {
         let db = self.store.db();
         let mut execs = exec_ids.to_vec();
@@ -620,23 +847,20 @@ impl<'s> QueryEngine<'s> {
         rows.sort_unstable_by_key(|(id, _)| *id);
         let ids: Vec<i64> = rows.iter().map(|(id, _)| *id).collect();
         let contexts = self.contexts_of(&ids)?;
+        let mut names = Names::read(self.store)?;
         // `run(&[])` matches over every context, which only results with
         // at least one focus have; keep the same set.
-        let rows = rows
-            .into_iter()
-            .filter(|(id, _)| contexts.contains_key(id))
-            .map(|(_, row)| row)
-            .collect();
-        self.fetch_rows_with(rows, contexts)
+        rows.iter()
+            .filter_map(|(id, row)| Some(names.row(row, contexts.get(*id)?.clone())))
+            .collect()
     }
 
-    /// Context resource ids of the given results: a batched `rhf_result`
-    /// probe for their links, then one batched `fhr_focus` probe for the
-    /// distinct foci those name, each context sorted and deduplicated.
-    /// Like the scan of every context, it has an entry for every result
-    /// with at least one focus (empty when the foci name no resource) and
-    /// none for the others.
-    pub fn contexts_of(&self, result_ids: &[i64]) -> Result<HashMap<i64, Vec<i64>>> {
+    /// The contexts of the given results, as [`Contexts`]: a batched
+    /// `rhf_result` probe for their links, then one batched `fhr_focus`
+    /// probe for the distinct foci those name. Like the scan of every
+    /// context, it has an entry for every result with at least one focus
+    /// and none for the others.
+    pub(crate) fn contexts_of(&self, result_ids: &[i64]) -> Result<Contexts> {
         let db = self.store.db();
         let schema = self.store.schema();
         let mut links: Vec<(i64, i64)> = Vec::new();
@@ -667,75 +891,7 @@ impl<'s> QueryEngine<'s> {
                 .collect::<Result<Vec<i64>>>()?;
             by_focus.insert(focus, resources);
         }
-        let mut out: HashMap<i64, Vec<i64>> = HashMap::with_capacity(result_ids.len());
-        for (result, focus) in links {
-            let context = out.entry(result).or_default();
-            if let Some(resources) = by_focus.get(&focus) {
-                context.extend_from_slice(resources);
-            }
-        }
-        for v in out.values_mut() {
-            v.sort_unstable();
-            v.dedup();
-        }
-        Ok(out)
-    }
-
-    /// Denormalize `performance_result` rows, in order, taking each
-    /// result's context out of `contexts`: the shared tail of
-    /// [`QueryEngine::fetch_rows`] and [`QueryEngine::rows_of_executions`].
-    fn fetch_rows_with(
-        &self,
-        rows: Vec<Row>,
-        mut contexts: HashMap<i64, Vec<i64>>,
-    ) -> Result<Vec<ResultRow>> {
-        let db = self.store.db();
-        let schema = self.store.schema();
-        // Reverse maps for names.
-        let exec_by_id: HashMap<i64, String> = self.store.executions().into_iter().collect();
-        let mut metric_by_id: HashMap<i64, String> = HashMap::new();
-        db.for_each_row(schema.metric, |_, row| {
-            if let (Ok(id), Ok(name)) = (
-                row[col::metric::ID].as_int(),
-                row[col::metric::NAME].as_text(),
-            ) {
-                metric_by_id.insert(id, name.to_string());
-            }
-            true
-        })?;
-        let mut tool_by_id: HashMap<i64, String> = HashMap::new();
-        db.for_each_row(schema.performance_tool, |_, row| {
-            if let (Ok(id), Ok(name)) = (
-                row[col::performance_tool::ID].as_int(),
-                row[col::performance_tool::NAME].as_text(),
-            ) {
-                tool_by_id.insert(id, name.to_string());
-            }
-            true
-        })?;
-        let mut out = Vec::with_capacity(rows.len());
-        for row in rows {
-            let id = row[col::performance_result::ID].as_int()?;
-            out.push(ResultRow {
-                result_id: id,
-                execution: exec_by_id
-                    .get(&row[col::performance_result::EXECUTION_ID].as_int()?)
-                    .cloned()
-                    .unwrap_or_default(),
-                metric: metric_by_id
-                    .get(&row[col::performance_result::METRIC_ID].as_int()?)
-                    .cloned()
-                    .unwrap_or_default(),
-                value: row[col::performance_result::VALUE].as_real()?,
-                units: row[col::performance_result::UNITS].as_text()?.to_string(),
-                tool: tool_by_id
-                    .get(&row[col::performance_result::TOOL_ID].as_int()?)
-                    .cloned()
-                    .unwrap_or_default(),
-                context: contexts.remove(&id).unwrap_or_default(),
-            });
-        }
-        Ok(out)
+        Ok(Contexts::group(links, by_focus))
     }
 
     // -- free resources ("Add Columns", §3.2) ---------------------------------
@@ -743,32 +899,35 @@ impl<'s> QueryEngine<'s> {
     /// Free resource types for a displayed result set: context resources
     /// the query did not pin, grouped by type, *excluding* types whose
     /// resource names are identical across all results (the GUI hides
-    /// those as uninformative).
+    /// those as uninformative). Each distinct resource is resolved once.
     pub fn free_resource_types(
         &self,
         rows: &[ResultRow],
         fixed: &[HashSet<i64>],
     ) -> Result<Vec<FreeResourceColumn>> {
         let type_by_id = self.type_path_by_id()?;
-        // type path -> set of resource names observed (per result).
+        let mut free: Vec<i64> = shared_contexts(rows)
+            .flat_map(|run| run[0].context.iter().copied())
+            .filter(|id| !fixed.iter().any(|f| f.contains(id)))
+            .collect();
+        free.sort_unstable();
+        free.dedup();
+        let mut memo = ResourceMemo::new(self.store);
+        // type path -> set of resource names observed.
         let mut per_type_values: BTreeMap<String, HashSet<String>> = BTreeMap::new();
         let mut per_type_attrs: BTreeMap<String, HashSet<String>> = BTreeMap::new();
-        for row in rows {
-            for &res_id in &row.context {
-                if fixed.iter().any(|f| f.contains(&res_id)) {
-                    continue; // user pinned this resource; not "free"
-                }
-                let Some(rec) = self.store.resource_by_id(res_id)? else {
-                    continue;
-                };
-                let tp = type_by_id.get(&rec.type_id).cloned().unwrap_or_default();
-                per_type_values
-                    .entry(tp.clone())
-                    .or_default()
-                    .insert(rec.name.clone());
-                for (attr, _, _) in self.store.attributes_of(res_id)? {
-                    per_type_attrs.entry(tp.clone()).or_default().insert(attr);
-                }
+        for res_id in free {
+            let Some(rec) = memo.get(res_id)? else {
+                continue;
+            };
+            let tp = type_by_id.get(&rec.type_id).cloned().unwrap_or_default();
+            per_type_values
+                .entry(tp.clone())
+                .or_default()
+                .insert(rec.name.clone());
+            let attrs = per_type_attrs.entry(tp).or_default();
+            for (attr, _, _) in memo.attributes(res_id)?.iter() {
+                attrs.insert(attr.clone());
             }
         }
         let mut out = Vec::new();
@@ -797,28 +956,20 @@ impl<'s> QueryEngine<'s> {
         rows: &[ResultRow],
         type_path: &str,
     ) -> Result<Vec<Option<String>>> {
-        let type_id = self
-            .store
-            .type_id(type_path)
-            .ok_or_else(|| PtError::NotFound(format!("type {type_path}")))?;
-        let mut out = Vec::with_capacity(rows.len());
-        for row in rows {
+        let type_id = self.type_id_of(type_path)?;
+        let mut memo = ResourceMemo::new(self.store);
+        per_shared_context(rows, |context| {
             let mut names = Vec::new();
-            for &res_id in &row.context {
-                if let Some(rec) = self.store.resource_by_id(res_id)? {
+            for &res_id in context {
+                if let Some(rec) = memo.get(res_id)? {
                     if rec.type_id == type_id {
-                        names.push(rec.base_name);
+                        names.push(rec.base_name.clone());
                     }
                 }
             }
             names.sort();
-            out.push(if names.is_empty() {
-                None
-            } else {
-                Some(names.join("+"))
-            });
-        }
-        Ok(out)
+            Ok((!names.is_empty()).then(|| names.join("+")))
+        })
     }
 
     /// Values for an added *attribute* column: per result, the attribute
@@ -829,33 +980,29 @@ impl<'s> QueryEngine<'s> {
         type_path: &str,
         attr: &str,
     ) -> Result<Vec<Option<String>>> {
-        let type_id = self
-            .store
-            .type_id(type_path)
-            .ok_or_else(|| PtError::NotFound(format!("type {type_path}")))?;
-        let mut out = Vec::with_capacity(rows.len());
-        for row in rows {
+        let type_id = self.type_id_of(type_path)?;
+        let mut memo = ResourceMemo::new(self.store);
+        per_shared_context(rows, |context| {
             let mut values = Vec::new();
-            for &res_id in &row.context {
-                if let Some(rec) = self.store.resource_by_id(res_id)? {
-                    if rec.type_id == type_id {
-                        for (name, value, _) in self.store.attributes_of(res_id)? {
-                            if name == attr {
-                                values.push(value);
-                            }
+            for &res_id in context {
+                if memo.get(res_id)?.is_some_and(|rec| rec.type_id == type_id) {
+                    for (name, value, _) in memo.attributes(res_id)?.iter() {
+                        if name == attr {
+                            values.push(value.clone());
                         }
                     }
                 }
             }
             values.sort();
             values.dedup();
-            out.push(if values.is_empty() {
-                None
-            } else {
-                Some(values.join("+"))
-            });
-        }
-        Ok(out)
+            Ok((!values.is_empty()).then(|| values.join("+")))
+        })
+    }
+
+    fn type_id_of(&self, type_path: &str) -> Result<i64> {
+        self.store
+            .type_id(type_path)
+            .ok_or_else(|| PtError::NotFound(format!("type {type_path}")))
     }
 
     /// type id → type path map.
@@ -874,6 +1021,24 @@ impl<'s> QueryEngine<'s> {
         })?;
         Ok(out)
     }
+}
+
+/// Runs of consecutive rows sharing one context allocation.
+fn shared_contexts(rows: &[ResultRow]) -> impl Iterator<Item = &[ResultRow]> {
+    rows.chunk_by(|a, b| Arc::ptr_eq(&a.context, &b.context))
+}
+
+/// `value` of each row's context, computed once per run of rows sharing
+/// one context allocation.
+fn per_shared_context<T: Clone>(
+    rows: &[ResultRow],
+    mut value: impl FnMut(&[i64]) -> Result<T>,
+) -> Result<Vec<T>> {
+    let mut out = Vec::with_capacity(rows.len());
+    for run in shared_contexts(rows) {
+        out.extend(std::iter::repeat(value(&run[0].context)?).take(run.len()));
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -906,21 +1071,28 @@ mod tests {
                 }
             }
             ptdf.push_str(&format!("Resource /IRS-{machine} application\n"));
-            ptdf.push_str(&format!("Execution irs-{machine} IRS\n"));
-            for n in 0..2 {
-                for p in 0..2 {
-                    ptdf.push_str(&format!(
-                        "PerfResult irs-{machine} \"/IRS-{machine},/{grid}/{machine}/batch/node{n}/p{p}(primary)\" IRS \"CPU time\" {}.0 seconds\n",
-                        n * 2 + p
-                    ));
-                }
-            }
-            ptdf.push_str(&format!(
-                "PerfResult irs-{machine} \"/IRS-{machine},/{grid}/{machine}(primary)\" IRS \"wall time\" 99.0 seconds\n"
-            ));
+            ptdf.push_str(&machine_results(grid, machine));
         }
         store.load_ptdf_str(&ptdf).unwrap();
         store
+    }
+
+    /// The execution `irs-{machine}` and its four processor-level and one
+    /// machine-level result.
+    fn machine_results(grid: &str, machine: &str) -> String {
+        let mut ptdf = format!("Execution irs-{machine} IRS\n");
+        for n in 0..2 {
+            for p in 0..2 {
+                ptdf.push_str(&format!(
+                    "PerfResult irs-{machine} \"/IRS-{machine},/{grid}/{machine}/batch/node{n}/p{p}(primary)\" IRS \"CPU time\" {}.0 seconds\n",
+                    n * 2 + p
+                ));
+            }
+        }
+        ptdf.push_str(&format!(
+            "PerfResult irs-{machine} \"/IRS-{machine},/{grid}/{machine}(primary)\" IRS \"wall time\" 99.0 seconds\n"
+        ));
+        ptdf
     }
 
     /// [`setup`] plus `n` results of a third execution whose one focus
@@ -995,7 +1167,7 @@ mod tests {
         ];
         let rows = q.run(&filters).unwrap();
         assert_eq!(rows.len(), 5);
-        assert!(rows.iter().all(|r| r.execution == "irs-Frost"));
+        assert!(rows.iter().all(|r| &*r.execution == "irs-Frost"));
         // Counts.
         let families: Vec<_> = filters.iter().map(|f| q.family(f).unwrap()).collect();
         let counts = q.match_counts(&families).unwrap();
@@ -1161,7 +1333,8 @@ mod tests {
             assert_eq!(by_postings.matching(&families), ids, "{filters:?}");
             for id in &ids {
                 assert_eq!(
-                    by_postings.contexts[id], by_scan.contexts[id],
+                    by_postings.contexts.get(*id),
+                    by_scan.contexts.get(*id),
                     "result {id}"
                 );
             }
@@ -1172,8 +1345,9 @@ mod tests {
                 .map(|f| {
                     by_scan
                         .contexts
-                        .values()
-                        .filter(|ctx| ctx.iter().any(|r| f.contains(r)))
+                        .0
+                        .iter()
+                        .filter(|(_, ctx)| ctx.iter().any(|r| f.contains(r)))
                         .count()
                 })
                 .collect();
@@ -1182,9 +1356,98 @@ mod tests {
             let rows = q.fetch_rows(&ids).unwrap();
             assert_eq!(rows.len(), ids.len());
             for row in rows {
-                assert_eq!(row.context, by_scan.contexts[&row.result_id]);
+                assert_eq!(Some(&row.context), by_scan.contexts.get(row.result_id));
             }
         });
+    }
+
+    #[test]
+    fn results_sharing_a_focus_share_its_context() {
+        let store = PTDataStore::in_memory().unwrap();
+        store
+            .load_ptdf_str(
+                "Application App\nResource /app application\nResource /build build\n\
+                 Resource /build/a.c build/module\nExecution e App\n\
+                 PerfResult e \"/build/a.c,/app(primary)\" T m1 1.0 s\n\
+                 PerfResult e \"/build/a.c,/app(primary)\" T m2 2.0 s\n\
+                 PerfResult e \"/build/a.c(primary):/app,/build(parent)\" T m3 3.0 s\n",
+            )
+            .unwrap();
+        let id = |name| store.resource_by_name(name).unwrap().unwrap().id;
+        let (app, build, module) = (id("/app"), id("/build"), id("/build/a.c"));
+        let mut one = [app, module];
+        one.sort_unstable();
+        let mut union = [app, build, module];
+        union.sort_unstable();
+        let q = QueryEngine::new(&store);
+        let rows = q.run(&[]).unwrap();
+        let ids: Vec<i64> = rows.iter().map(|r| r.result_id).collect();
+        assert_eq!(ids.len(), 3);
+        assert!(Arc::ptr_eq(&rows[0].context, &rows[1].context));
+        let families = [q
+            .family(&ResourceFilter::by_name("/app").relatives(Relatives::Neither))
+            .unwrap()];
+        let links = q.links_of(&q.postings(&families[0]).unwrap()).unwrap();
+        for access in [ContextAccess::Postings, ContextAccess::Scan] {
+            let contexts = q.read_contexts(access, &links, vec![0]).unwrap().contexts;
+            let [first, second, merged] = [0, 1, 2].map(|i| contexts.get(ids[i]).unwrap());
+            assert!(
+                Arc::ptr_eq(first, second),
+                "{access:?}: one focus, one allocation"
+            );
+            assert_eq!(**first, one[..], "{access:?}");
+            assert_eq!(
+                **merged,
+                union[..],
+                "{access:?}: two foci, their sorted union"
+            );
+        }
+    }
+
+    #[test]
+    fn fetch_rows_keeps_caller_order_and_skips_unknown_ids() {
+        // Deleting the first execution frees heap space that reloading it
+        // refills, so heap order is no longer id order.
+        let reloaded = setup_with_unrelated(60);
+        reloaded.delete_execution("irs-Frost").unwrap();
+        reloaded
+            .load_ptdf_str(&machine_results("GFrost", "Frost"))
+            .unwrap();
+        let mut heap = Vec::new();
+        reloaded
+            .db()
+            .for_each_row(reloaded.schema().performance_result, |_, row| {
+                heap.push(row[col::performance_result::ID].as_int().unwrap());
+                true
+            })
+            .unwrap();
+        assert!(!ascending(&heap), "{heap:?}");
+        let mut rng = perftrack_workloads::Rng::seed_from_u64(0x9057_0300);
+        let mut branches = HashSet::new();
+        for store in [setup_with_unrelated(60), reloaded] {
+            let q = QueryEngine::new(&store);
+            let known: Vec<i64> = q.run(&[]).unwrap().iter().map(|r| r.result_id).collect();
+            let results = table_rows(&store, "performance_result_id").unwrap();
+            // Under and over a twelfth of the results: probe and scan.
+            for take in [2, 12, known.len()] {
+                let mut ids: Vec<i64> = known[..take].to_vec();
+                ids.extend([-1, 0, i64::MAX]);
+                for i in (1..ids.len()).rev() {
+                    ids.swap(i, rng.gen_range(0..i + 1));
+                }
+                let one_at_a_time: Vec<ResultRow> = ids
+                    .iter()
+                    .flat_map(|&id| q.fetch_rows(&[id]).unwrap())
+                    .collect();
+                assert_eq!(one_at_a_time.len(), take);
+                assert_eq!(q.fetch_rows(&ids).unwrap(), one_at_a_time, "{ids:?}");
+                branches.insert(
+                    ids.len() as f64 * (COST_PROBE + COST_FETCH_ROW)
+                        > results as f64 * COST_SCAN_ROW,
+                );
+            }
+        }
+        assert_eq!(branches.len(), 2, "both fetch branches ran");
     }
 
     #[test]
@@ -1234,7 +1497,7 @@ mod tests {
             )])
             .unwrap();
         assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| r.metric == "wall time"));
+        assert!(rows.iter().all(|r| &*r.metric == "wall time"));
     }
 
     #[test]
@@ -1246,9 +1509,9 @@ mod tests {
             .unwrap();
         assert_eq!(rows.len(), 2);
         for r in &rows {
-            assert_eq!(r.tool, "IRS");
-            assert_eq!(r.units, "seconds");
-            assert_eq!(r.metric, "CPU time");
+            assert_eq!(&*r.tool, "IRS");
+            assert_eq!(&*r.units, "seconds");
+            assert_eq!(&*r.metric, "CPU time");
             assert!(!r.context.is_empty());
         }
     }

@@ -74,7 +74,7 @@ impl<'s> Reports<'s> {
         let rows = engine.run(&[])?;
         let mut results_by_tool: BTreeMap<String, usize> = BTreeMap::new();
         for r in &rows {
-            *results_by_tool.entry(r.tool.clone()).or_insert(0) += 1;
+            *results_by_tool.entry(String::from(&*r.tool)).or_insert(0) += 1;
         }
         let types = engine.type_path_by_id()?;
         let mut resources_by_root_type: BTreeMap<String, usize> = BTreeMap::new();
@@ -123,18 +123,20 @@ impl<'s> Reports<'s> {
         let mut metrics: BTreeMap<String, MetricSummary> = BTreeMap::new();
         let mut tools: Vec<String> = Vec::new();
         for r in &rows {
-            let m = metrics.entry(r.metric.clone()).or_insert(MetricSummary {
-                count: 0,
-                min: f64::INFINITY,
-                max: f64::NEG_INFINITY,
-                mean: 0.0,
-            });
+            let m = metrics
+                .entry(String::from(&*r.metric))
+                .or_insert(MetricSummary {
+                    count: 0,
+                    min: f64::INFINITY,
+                    max: f64::NEG_INFINITY,
+                    mean: 0.0,
+                });
             m.count += 1;
             m.min = m.min.min(r.value);
             m.max = m.max.max(r.value);
             m.mean += r.value;
-            if !tools.contains(&r.tool) {
-                tools.push(r.tool.clone());
+            if !tools.iter().any(|t| *t == *r.tool) {
+                tools.push(String::from(&*r.tool));
             }
         }
         for m in metrics.values_mut() {

@@ -338,11 +338,11 @@ impl<'s> ResultTable<'s> {
                 continue;
             }
             let mut row = vec![
-                r.execution.clone(),
-                r.metric.clone(),
+                String::from(&*r.execution),
+                String::from(&*r.metric),
                 format!("{}", r.value),
-                r.units.clone(),
-                r.tool.clone(),
+                String::from(&*r.units),
+                String::from(&*r.tool),
             ];
             for vals in &extra_values {
                 row.push(vals[i].clone().unwrap_or_default());
@@ -403,7 +403,7 @@ impl<'s> ResultTable<'s> {
     /// filters).
     pub fn filter_metric(&mut self, metric: &str) {
         for r in &self.base_rows {
-            if r.metric != metric {
+            if &*r.metric != metric {
                 self.hidden.insert(r.result_id);
             }
         }
@@ -412,7 +412,7 @@ impl<'s> ResultTable<'s> {
     /// Hide rows whose execution is not `execution`.
     pub fn filter_execution(&mut self, execution: &str) {
         for r in &self.base_rows {
-            if r.execution != execution {
+            if &*r.execution != execution {
                 self.hidden.insert(r.result_id);
             }
         }
@@ -452,7 +452,7 @@ impl<'s> ResultTable<'s> {
             .base_rows
             .iter()
             .find(|r| !self.hidden.contains(&r.result_id))
-            .map(|r| r.units.clone())
+            .map(|r| String::from(&*r.units))
             .unwrap_or_default();
         let mut series = Vec::new();
         for name in &series_names {
@@ -702,6 +702,54 @@ mod tests {
         }
         store.load_ptdf_str(&ptdf).unwrap();
         store
+    }
+
+    #[test]
+    fn addable_columns_resolve_each_resource_once() {
+        let store = PTDataStore::in_memory().unwrap();
+        store
+            .load_ptdf_str(
+                "Application App\nResource /app application\nResource /grid grid\n\
+                 Resource /grid/m1 grid/machine\nResource /grid/m2 grid/machine\n\
+                 ResourceAttribute /grid/m1 os AIX string\n",
+            )
+            .unwrap();
+        // Each execution's results name the same resources.
+        let execution = |e: usize| {
+            let mut ptdf = format!("Execution e{e} App\n");
+            for m in ["m1", "m2"] {
+                for metric in ["time", "calls"] {
+                    ptdf.push_str(&format!(
+                        "PerfResult e{e} \"/app,/grid/{m}(primary)\" T {metric} 1.0 s\n"
+                    ));
+                }
+            }
+            ptdf
+        };
+        let addable = |store: &PTDataStore| {
+            let mut d = SelectionDialog::new(store);
+            d.add_name("/app", Relatives::Neither);
+            let table = d.retrieve().unwrap();
+            let before = store.db().metrics().btree.point_probes;
+            let columns = table.addable_columns().unwrap();
+            let probes = store.db().metrics().btree.point_probes - before;
+            (table.len(), columns, probes)
+        };
+        store.load_ptdf_str(&execution(0)).unwrap();
+        let (rows, columns, probes) = addable(&store);
+        assert_eq!(rows, 4);
+        assert_eq!(
+            columns,
+            vec![FreeResourceColumn {
+                type_path: "grid/machine".into(),
+                distinct_values: 2,
+                attributes: vec!["os".into()],
+            }]
+        );
+        for e in 1..4 {
+            store.load_ptdf_str(&execution(e)).unwrap();
+        }
+        assert_eq!(addable(&store), (16, columns, probes));
     }
 
     #[test]

@@ -320,7 +320,7 @@ fn narrow_query_work_is_independent_of_unrelated_executions() {
     }
     let (rows, pages, node_reads) = &seen[0];
     assert_eq!(rows.len(), 8, "x's results in m0.c's four functions");
-    assert!(rows.iter().all(|r| r.execution == "x"));
+    assert!(rows.iter().all(|r| &*r.execution == "x"));
     let (rows_10, pages_10, node_reads_10) = &seen[1];
     assert_eq!(rows_10, rows, "the answer changed");
     assert_eq!(pages_10, pages, "page requests grew with the store");
@@ -389,7 +389,7 @@ fn rows_of_executions_equal_the_filtered_full_scan() {
             .collect();
         let expected: Vec<_> = all
             .iter()
-            .filter(|r| names.contains(r.execution.as_str()))
+            .filter(|r| names.contains(&*r.execution))
             .cloned()
             .collect();
         assert_eq!(engine.rows_of_executions(&ids).unwrap(), expected);
@@ -410,9 +410,11 @@ fn self_compare_sums_each_result_once() {
         let mut expected: BTreeMap<(String, String), f64> = BTreeMap::new();
         let x = store.execution_id("x").unwrap();
         for row in QueryEngine::new(&store).rows_of_executions(&[x]).unwrap() {
-            for &rid in &row.context {
+            for &rid in row.context.iter() {
                 let name = store.resource_by_id(rid).unwrap().unwrap().name;
-                *expected.entry((name, row.metric.clone())).or_insert(0.0) += row.value;
+                *expected
+                    .entry((name, String::from(&*row.metric)))
+                    .or_insert(0.0) += row.value;
             }
         }
         let t = Compare::new(&store)

@@ -122,7 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .relatives(Relatives::Neither)])?;
     let max_rows: Vec<_> = rows
         .into_iter()
-        .filter(|r| r.metric == "CPU_time (max)")
+        .filter(|r| &*r.metric == "CPU_time (max)")
         .collect();
     let lb = compare.load_balance(&max_rows);
     println!("\nper-execution MatrixSolveCG max-CPU-time summary:");

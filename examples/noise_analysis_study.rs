@@ -60,7 +60,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spread = |prefix: &str| -> (usize, f64) {
         let vals: Vec<f64> = all
             .iter()
-            .filter(|r| r.execution.starts_with(prefix) && r.metric == "SMG Solve wall clock time")
+            .filter(|r| {
+                r.execution.starts_with(prefix) && &*r.metric == "SMG Solve wall clock time"
+            })
             .map(|r| r.value)
             .collect();
         let min = vals.iter().copied().fold(f64::INFINITY, f64::min);
@@ -83,9 +85,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rows = engine.run(&[ResourceFilter::by_name("/SMG2000-code")])?;
     use std::collections::BTreeMap;
     let mut by_caller: BTreeMap<String, (f64, usize)> = BTreeMap::new();
-    for r in rows.iter().filter(|r| r.metric == "Callsite Mean") {
+    for r in rows.iter().filter(|r| &*r.metric == "Callsite Mean") {
         // The caller is the build-hierarchy function in the context.
-        for &res in &r.context {
+        for &res in r.context.iter() {
             if let Some(rec) = store.resource_by_id(res)? {
                 if rec.name.contains("-code/") && rec.name.matches('/').count() == 3 {
                     let e = by_caller.entry(rec.base_name.clone()).or_insert((0.0, 0));
@@ -106,7 +108,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // PMAPI counters per process, tied to the execution hierarchy.
     let uv_exec = "smg-uv-0000";
     let rows = engine.run(&[ResourceFilter::by_name(&format!("/{uv_exec}-run"))])?;
-    let pmapi = rows.iter().filter(|r| r.tool == "PMAPI").count();
+    let pmapi = rows.iter().filter(|r| &*r.tool == "PMAPI").count();
     println!("\n{uv_exec}: {pmapi} PMAPI counter results attached to processes");
     Ok(())
 }

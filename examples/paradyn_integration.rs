@@ -84,14 +84,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\n{} results for module irs_mod_00.c; metrics: {:?}",
         rows.len(),
         rows.iter()
-            .map(|r| r.metric.as_str())
+            .map(|r| &*r.metric)
             .collect::<std::collections::BTreeSet<_>>()
     );
 
     // Time bins: each result's context includes a time/interval resource
     // with start/end attributes.
     if let Some(row) = rows.first() {
-        for &res in &row.context {
+        for &res in row.context.iter() {
             let rec = store.resource_by_id(res)?.unwrap();
             let attrs = store.attributes_of(res)?;
             let attr_str: Vec<String> = attrs.iter().map(|(n, v, _)| format!("{n}={v}")).collect();
@@ -102,8 +102,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Counts vary per execution (dynamic instrumentation timing).
     let mut per_exec: std::collections::BTreeMap<String, usize> = Default::default();
     for r in engine.run(&[])? {
-        if r.tool == "Paradyn" {
-            *per_exec.entry(r.execution).or_default() += 1;
+        if &*r.tool == "Paradyn" {
+            *per_exec.entry(String::from(&*r.execution)).or_default() += 1;
         }
     }
     println!("\nParadyn results per execution (varies, as in the paper):");

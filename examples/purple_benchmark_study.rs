@@ -95,11 +95,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut maxs = Vec::new();
     for np in nps {
         let exec = format!("irs-mcr-np{np:03}");
-        let per_exec: Vec<_> = rows.iter().filter(|r| r.execution == exec).collect();
+        let per_exec: Vec<_> = rows.iter().filter(|r| *r.execution == *exec).collect();
         let value_of = |metric: &str| -> Option<f64> {
             per_exec
                 .iter()
-                .find(|r| r.metric == metric)
+                .find(|r| &*r.metric == metric)
                 .map(|r| r.value)
         };
         if let (Some(min), Some(max)) = (value_of("CPU_time (min)"), value_of("CPU_time (max)")) {

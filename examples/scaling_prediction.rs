@@ -88,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.execution, r.metric, r.value, r.units, r.tool
         );
     }
-    assert_eq!(rows[0].tool, "PerfTrackModel");
+    assert_eq!(&*rows[0].tool, "PerfTrackModel");
 
     // Efficiency outlook from the model.
     println!("\npredicted parallel efficiency:");

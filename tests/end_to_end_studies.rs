@@ -104,7 +104,7 @@ fn noise_study_pipeline_and_multiset_results() {
     for i in 0..3 {
         let exec = format!("smg-bgl-{i:04}");
         assert_eq!(
-            all.iter().filter(|r| r.execution == exec).count(),
+            all.iter().filter(|r| *r.execution == *exec).count(),
             8,
             "{exec}"
         );
@@ -115,7 +115,7 @@ fn noise_study_pipeline_and_multiset_results() {
         .run(&[ResourceFilter::by_name("/SMG2000-code")])
         .unwrap();
     assert!(!rows.is_empty());
-    assert!(rows.iter().all(|r| r.tool == "mpiP"));
+    assert!(rows.iter().all(|r| &*r.tool == "mpiP"));
 }
 
 #[test]
@@ -154,7 +154,7 @@ fn combined_store_single_analysis_session() {
     load_paradyn(&store, 10, 1);
     let engine = QueryEngine::new(&store);
     let all = engine.run(&[]).unwrap();
-    let tools: std::collections::BTreeSet<_> = all.iter().map(|r| r.tool.as_str()).collect();
+    let tools: std::collections::BTreeSet<_> = all.iter().map(|r| &*r.tool).collect();
     assert!(tools.contains("IRS"));
     assert!(tools.contains("SMG2000"));
     assert!(tools.contains("PMAPI"));

@@ -168,7 +168,7 @@ fn results_join_code_machine_and_time() {
     let mut saw_process_focus = false;
     for row in &rows {
         let mut roots = std::collections::BTreeSet::new();
-        for &rid in &row.context {
+        for &rid in row.context.iter() {
             let rec = store.resource_by_id(rid).unwrap().unwrap();
             let tp = &type_by_id[&rec.type_id];
             roots.insert(tp.split('/').next().unwrap().to_string());

@@ -190,5 +190,5 @@ fn machine_level_only_queries_via_bare_type() {
     dialog.add_type(&TypePath::new("grid/machine").unwrap());
     let table = dialog.retrieve().unwrap();
     assert_eq!(table.len(), 1);
-    assert_eq!(table.rows()[0].metric, "machine check");
+    assert_eq!(&*table.rows()[0].metric, "machine check");
 }
