@@ -200,7 +200,7 @@ impl PTDataStore {
     }
 
     fn from_db(db: Database) -> Result<Self> {
-        let schema = Schema::create_or_resolve(&db)?;
+        let schema = Schema::create(&db)?;
         let store = PTDataStore {
             db,
             schema,
@@ -277,7 +277,8 @@ impl PTDataStore {
             cache.types.insert(path.to_string(), id);
             track("focus_framework", id, &mut max);
         }
-        self.db.for_each_row(self.schema.application, |_, r| {
+        for item in self.db.scan_iter(self.schema.application)? {
+            let (_, r) = item?;
             if let (Ok(id), Ok(name)) = (
                 r[col::application::ID].as_int(),
                 r[col::application::NAME].as_text(),
@@ -285,9 +286,9 @@ impl PTDataStore {
                 cache.applications.insert(name.to_string(), id);
                 track("application", id, &mut max);
             }
-            true
-        })?;
-        self.db.for_each_row(self.schema.execution, |_, r| {
+        }
+        for item in self.db.scan_iter(self.schema.execution)? {
+            let (_, r) = item?;
             if let (Ok(id), Ok(name)) = (
                 r[col::execution::ID].as_int(),
                 r[col::execution::NAME].as_text(),
@@ -295,9 +296,9 @@ impl PTDataStore {
                 cache.executions.insert(name.to_string(), id);
                 track("execution", id, &mut max);
             }
-            true
-        })?;
-        self.db.for_each_row(self.schema.resource_item, |_, r| {
+        }
+        for item in self.db.scan_iter(self.schema.resource_item)? {
+            let (_, r) = item?;
             if let (Ok(id), Ok(name), Ok(type_id)) = (
                 r[col::resource_item::ID].as_int(),
                 r[col::resource_item::NAME].as_text(),
@@ -308,18 +309,18 @@ impl PTDataStore {
                 cache.resource_meta.insert(id, (parent, type_id));
                 track("resource_item", id, &mut max);
             }
-            true
-        })?;
-        self.db.for_each_row(self.schema.metric, |_, r| {
+        }
+        for item in self.db.scan_iter(self.schema.metric)? {
+            let (_, r) = item?;
             if let (Ok(id), Ok(name)) =
                 (r[col::metric::ID].as_int(), r[col::metric::NAME].as_text())
             {
                 cache.metrics.insert(name.to_string(), id);
                 track("metric", id, &mut max);
             }
-            true
-        })?;
-        self.db.for_each_row(self.schema.performance_tool, |_, r| {
+        }
+        for item in self.db.scan_iter(self.schema.performance_tool)? {
+            let (_, r) = item?;
             if let (Ok(id), Ok(name)) = (
                 r[col::performance_tool::ID].as_int(),
                 r[col::performance_tool::NAME].as_text(),
@@ -327,8 +328,7 @@ impl PTDataStore {
                 cache.tools.insert(name.to_string(), id);
                 track("performance_tool", id, &mut max);
             }
-            true
-        })?;
+        }
         // The two largest tables give their largest ids from the last
         // entry of their id index: one descent each, not a scan.
         if let Some(id) = self.last_id(
@@ -607,10 +607,10 @@ impl PTDataStore {
     /// and tests).
     pub fn manifest(&self) -> Result<Vec<ManifestEntry>> {
         let mut out = Vec::new();
-        self.db.for_each_row(self.schema.load_manifest, |_, r| {
-            out.push(decode_manifest(r));
-            true
-        })?;
+        for item in self.db.scan_iter(self.schema.load_manifest)? {
+            let (_, r) = item?;
+            out.push(decode_manifest(&r));
+        }
         out.sort_by(|a, b| a.path.cmp(&b.path));
         Ok(out)
     }
@@ -641,7 +641,8 @@ impl PTDataStore {
         drop(registry);
         // Applications.
         let mut apps: Vec<(i64, String)> = Vec::new();
-        self.db.for_each_row(self.schema.application, |_, r| {
+        for item in self.db.scan_iter(self.schema.application)? {
+            let (_, r) = item?;
             apps.push((
                 r[col::application::ID].as_int().unwrap_or(0),
                 r[col::application::NAME]
@@ -649,8 +650,7 @@ impl PTDataStore {
                     .unwrap_or("")
                     .to_string(),
             ));
-            true
-        })?;
+        }
         apps.sort();
         let app_by_id: HashMap<i64, String> = apps.iter().cloned().collect();
         for (_, name) in &apps {
@@ -658,14 +658,14 @@ impl PTDataStore {
         }
         // Executions.
         let mut execs: Vec<(i64, String, i64)> = Vec::new();
-        self.db.for_each_row(self.schema.execution, |_, r| {
+        for item in self.db.scan_iter(self.schema.execution)? {
+            let (_, r) = item?;
             execs.push((
                 r[col::execution::ID].as_int().unwrap_or(0),
                 r[col::execution::NAME].as_text().unwrap_or("").to_string(),
                 r[col::execution::APPLICATION_ID].as_int().unwrap_or(0),
             ));
-            true
-        })?;
+        }
         execs.sort();
         let exec_by_id: HashMap<i64, String> =
             execs.iter().map(|(i, n, _)| (*i, n.clone())).collect();
@@ -677,10 +677,10 @@ impl PTDataStore {
         }
         // Resources, parents before children (sort by name depth then name).
         let mut resources: Vec<ResourceRecord> = Vec::new();
-        self.db.for_each_row(self.schema.resource_item, |_, r| {
-            resources.push(decode_resource(r));
-            true
-        })?;
+        for item in self.db.scan_iter(self.schema.resource_item)? {
+            let (_, r) = item?;
+            resources.push(decode_resource(&r));
+        }
         resources.sort_by(|a, b| {
             a.name
                 .matches('/')
@@ -702,44 +702,42 @@ impl PTDataStore {
             });
         }
         // Attributes.
-        self.db
-            .for_each_row(self.schema.resource_attribute, |_, r| {
-                let rid = r[col::resource_attribute::RESOURCE_ID]
-                    .as_int()
-                    .unwrap_or(0);
-                if let Some(name) = res_by_id.get(&rid) {
-                    out.push(PtdfStatement::ResourceAttribute {
-                        resource: name.clone(),
-                        attribute: r[col::resource_attribute::NAME]
-                            .as_text()
-                            .unwrap_or("")
-                            .to_string(),
-                        value: r[col::resource_attribute::VALUE]
-                            .as_text()
-                            .unwrap_or("")
-                            .to_string(),
-                        attr_type: AttrType::String,
-                    });
-                }
-                true
-            })?;
+        for item in self.db.scan_iter(self.schema.resource_attribute)? {
+            let (_, r) = item?;
+            let rid = r[col::resource_attribute::RESOURCE_ID]
+                .as_int()
+                .unwrap_or(0);
+            if let Some(name) = res_by_id.get(&rid) {
+                out.push(PtdfStatement::ResourceAttribute {
+                    resource: name.clone(),
+                    attribute: r[col::resource_attribute::NAME]
+                        .as_text()
+                        .unwrap_or("")
+                        .to_string(),
+                    value: r[col::resource_attribute::VALUE]
+                        .as_text()
+                        .unwrap_or("")
+                        .to_string(),
+                    attr_type: AttrType::String,
+                });
+            }
+        }
         // Constraints.
-        self.db
-            .for_each_row(self.schema.resource_constraint, |_, r| {
-                let a = r[col::resource_constraint::RESOURCE1_ID]
-                    .as_int()
-                    .unwrap_or(0);
-                let b = r[col::resource_constraint::RESOURCE2_ID]
-                    .as_int()
-                    .unwrap_or(0);
-                if let (Some(an), Some(bn)) = (res_by_id.get(&a), res_by_id.get(&b)) {
-                    out.push(PtdfStatement::ResourceConstraint {
-                        first: an.clone(),
-                        second: bn.clone(),
-                    });
-                }
-                true
-            })?;
+        for item in self.db.scan_iter(self.schema.resource_constraint)? {
+            let (_, r) = item?;
+            let a = r[col::resource_constraint::RESOURCE1_ID]
+                .as_int()
+                .unwrap_or(0);
+            let b = r[col::resource_constraint::RESOURCE2_ID]
+                .as_int()
+                .unwrap_or(0);
+            if let (Some(an), Some(bn)) = (res_by_id.get(&a), res_by_id.get(&b)) {
+                out.push(PtdfStatement::ResourceConstraint {
+                    first: an.clone(),
+                    second: bn.clone(),
+                });
+            }
+        }
         // Performance results with their foci.
         let metric_by_id: HashMap<i64, String> = {
             let cache = self.cache.read();
@@ -1258,7 +1256,7 @@ impl<'s> Loader<'s> {
     }
 
     /// Create (or return) a resource, enforcing the model rules and
-    /// maintaining the ancestor/descendant closure tables.
+    /// maintaining the `resource_has_ancestor` closure table.
     pub fn ensure_resource(&mut self, name: &str, type_path: &str) -> Result<i64> {
         if let Some(id) = self.lookup(|c| c.resources.get(name).copied()) {
             // Type agreement check for idempotent re-adds.
@@ -1333,20 +1331,14 @@ impl<'s> Loader<'s> {
                 parent_id.map_or(Value::Null, Value::Int),
             ],
         )?;
-        // Closure-table maintenance: walk the parent chain through caches.
-        let mut ancestors = Vec::new();
+        // Closure-table maintenance: walk the parent chain through caches,
+        // one `resource_has_ancestor` row per ancestor.
+        let rha = self.store.schema.resource_has_ancestor;
         let mut cur = parent_id;
         while let Some(a) = cur {
-            ancestors.push(a);
+            self.txn()
+                .insert(rha, vec![Value::Int(id), Value::Int(a)])?;
             cur = self.lookup_meta(a).and_then(|(p, _)| p);
-        }
-        let rha = self.store.schema.resource_has_ancestor;
-        let rhd = self.store.schema.resource_has_descendant;
-        for a in &ancestors {
-            self.txn()
-                .insert(rha, vec![Value::Int(id), Value::Int(*a)])?;
-            self.txn()
-                .insert(rhd, vec![Value::Int(*a), Value::Int(id)])?;
         }
         self.overlay.resources.insert(name.to_string(), id);
         self.overlay.resource_meta.insert(id, (parent_id, type_id));
@@ -1696,9 +1688,10 @@ PerfResult irs-mcr-008 /irs-run(primary) IRS "wall time" 99.25 seconds
         let idx = store.db().index_id("rha_resource").unwrap();
         let rows = store.db().index_lookup(idx, &[Value::Int(p0.id)]).unwrap();
         assert_eq!(rows.len(), 4);
-        // The grid has 4 descendants (machine, partition, node, p0).
+        // The grid has 4 descendants (machine, partition, node, p0), read
+        // by ancestor from the same table.
         let grid = store.resource_by_name("/MCRGrid").unwrap().unwrap();
-        let idx = store.db().index_id("rhd_resource").unwrap();
+        let idx = store.db().index_id("rha_ancestor").unwrap();
         let rows = store
             .db()
             .index_lookup(idx, &[Value::Int(grid.id)])
@@ -2091,23 +2084,18 @@ PerfResult irs-mcr-008 /irs-run(primary) IRS "wall time" 99.25 seconds
 
     /// The same three ids from every `performance_result` and `focus` row.
     fn scanned_next_ids(store: &PTDataStore) -> [i64; 3] {
+        let ids = |table, column: usize| {
+            let rows = store.db.scan_iter(table).unwrap();
+            rows.map(move |item| item.unwrap().1[column].as_int().unwrap())
+        };
         let mut max = [0, 0, SHARED_FOCUS_IDS - 1];
-        store
-            .db
-            .for_each_row(store.schema.performance_result, |_, r| {
-                max[0] = max[0].max(r[col::performance_result::ID].as_int().unwrap());
-                true
-            })
-            .unwrap();
-        store
-            .db
-            .for_each_row(store.schema.focus, |_, r| {
-                let id = r[col::focus::ID].as_int().unwrap();
-                let seq = if id >= SHARED_FOCUS_IDS { 2 } else { 1 };
-                max[seq] = max[seq].max(id);
-                true
-            })
-            .unwrap();
+        for id in ids(store.schema.performance_result, col::performance_result::ID) {
+            max[0] = max[0].max(id);
+        }
+        for id in ids(store.schema.focus, col::focus::ID) {
+            let seq = if id >= SHARED_FOCUS_IDS { 2 } else { 1 };
+            max[seq] = max[seq].max(id);
+        }
         max.map(|id| id + 1)
     }
 

@@ -7,11 +7,9 @@
 //! [`FsckReport`], so `pt fsck`
 //! emits one unified report:
 //!
-//! * **Closure tables** — `resource_has_ancestor` must equal the
+//! * **Closure table** — `resource_has_ancestor` must equal the
 //!   transitive closure of `resource_item.parent_id` (excluding
-//!   self-pairs), and `resource_has_descendant` must mirror it exactly.
-//!   Delegated to [`perftrack_store::check::verify_closure`] (codes
-//!   `closure.*`).
+//!   self-pairs); `verify_closure` recomputes it (codes `closure.*`).
 //! * **Referential integrity** — every foreign key in the schema must
 //!   resolve to a live row (`ref.dangling`), and key columns must hold
 //!   integers, with `NULL` allowed only where the schema says a root is
@@ -27,7 +25,6 @@ use crate::error::Result;
 use crate::schema::col;
 pub use perftrack_store::check::{Finding, FsckReport, Severity};
 
-use perftrack_store::check::verify_closure;
 use perftrack_store::{RowId, ScanIter, TableId, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -74,7 +71,7 @@ fn key_of(
 
 /// Rebuild the expected resource hierarchy closure from
 /// `resource_item.parent_id` and diff it against the materialized
-/// `resource_has_ancestor` / `resource_has_descendant` tables.
+/// `resource_has_ancestor` table.
 fn check_closure(store: &PTDataStore, report: &mut FsckReport) -> Result<()> {
     let db = store.db();
     let s = store.schema();
@@ -103,26 +100,102 @@ fn check_closure(store: &PTDataStore, report: &mut FsckReport) -> Result<()> {
         nodes.push((id, parent));
     }
 
-    let pairs =
-        |table: TableId, object: &str, report: &mut FsckReport| -> Result<Vec<(i64, i64)>> {
-            let mut out = Vec::new();
-            for item in db.scan_iter(table)? {
-                let (rid, row) = item?;
-                let a = key_of(report, object, rid, &row[0], false);
-                let b = key_of(report, object, rid, &row[1], false);
-                if let (Ok(Some(a)), Ok(Some(b))) = (a, b) {
-                    out.push((a, b));
-                }
-            }
-            Ok(out)
-        };
-    let ancestors = pairs(s.resource_has_ancestor, "resource_has_ancestor", report)?;
-    let descendants = pairs(s.resource_has_descendant, "resource_has_descendant", report)?;
-
-    for f in verify_closure(&nodes, &ancestors, &descendants) {
-        report.push(f);
+    use col::resource_has_ancestor::{ANCESTOR_ID, RESOURCE_ID};
+    let mut ancestors = Vec::new();
+    for item in db.scan_iter(s.resource_has_ancestor)? {
+        let (rid, row) = item?;
+        let [node, ancestor] = [RESOURCE_ID, ANCESTOR_ID]
+            .map(|c| key_of(report, "resource_has_ancestor", rid, &row[c], false));
+        if let (Ok(Some(node)), Ok(Some(ancestor))) = (node, ancestor) {
+            ancestors.push((node, ancestor));
+        }
     }
+
+    verify_closure(&nodes, &ancestors, report);
     Ok(())
+}
+
+/// Pairs listed per `closure.missing` / `closure.extra` code; one more
+/// finding counts the rest.
+const CLOSURE_DIFF_CAP: usize = 10;
+
+fn closure_finding(code: &'static str, severity: Severity, detail: String) -> Finding {
+    Finding::external(code, severity, "closure", detail)
+}
+
+fn push_pair_diffs(
+    report: &mut FsckReport,
+    code: &'static str,
+    mut pairs: Vec<(i64, i64)>,
+    what: &str,
+) {
+    pairs.sort_unstable();
+    for (node, anc) in pairs.iter().take(CLOSURE_DIFF_CAP) {
+        let detail = format!("{what}: ({node}, {anc})");
+        report.push(closure_finding(code, Severity::Error, detail));
+    }
+    if pairs.len() > CLOSURE_DIFF_CAP {
+        let omitted = pairs.len() - CLOSURE_DIFF_CAP;
+        let detail = format!("{what}: {omitted} further pair(s) omitted");
+        report.push(closure_finding(code, Severity::Error, detail));
+    }
+}
+
+/// Verify a parent-pointer hierarchy against its materialized closure.
+///
+/// `nodes` is the base relation `(id, parent_id)`; `ancestors` holds
+/// `(node, ancestor)` pairs, excluding self-pairs (the convention the
+/// loader maintains). The expected closure is recomputed by walking parent
+/// chains; cycles and dangling parents are findings of their own.
+fn verify_closure(nodes: &[(i64, Option<i64>)], ancestors: &[(i64, i64)], report: &mut FsckReport) {
+    let parent: HashMap<i64, Option<i64>> = nodes.iter().copied().collect();
+    if parent.len() != nodes.len() {
+        let detail = format!(
+            "{} duplicate node id(s) in the base relation",
+            nodes.len() - parent.len()
+        );
+        report.push(closure_finding("closure.node-dup", Severity::Error, detail));
+    }
+    let mut expected: HashSet<(i64, i64)> = HashSet::new();
+    for &(id, p) in nodes {
+        let mut cur = p;
+        let mut steps = 0usize;
+        while let Some(a) = cur {
+            let Some(&next) = parent.get(&a) else {
+                let detail = format!("node {id}: ancestor chain reaches unknown node {a}");
+                report.push(closure_finding("closure.parent", Severity::Error, detail));
+                break;
+            };
+            expected.insert((id, a));
+            steps += 1;
+            if steps > nodes.len() {
+                let detail = format!("node {id}: parent chain does not terminate (cycle)");
+                report.push(closure_finding("closure.cycle", Severity::Error, detail));
+                break;
+            }
+            cur = next;
+        }
+    }
+    let actual: HashSet<(i64, i64)> = ancestors.iter().copied().collect();
+    if actual.len() != ancestors.len() {
+        let detail = format!(
+            "{} duplicate ancestor pair(s)",
+            ancestors.len() - actual.len()
+        );
+        report.push(closure_finding("closure.dup", Severity::Warning, detail));
+    }
+    push_pair_diffs(
+        report,
+        "closure.missing",
+        expected.difference(&actual).copied().collect(),
+        "pair derivable from parents but absent from resource_has_ancestor",
+    );
+    push_pair_diffs(
+        report,
+        "closure.extra",
+        actual.difference(&expected).copied().collect(),
+        "resource_has_ancestor pair not derivable from parents",
+    );
 }
 
 /// One foreign-key constraint of the Figure 1 schema.
@@ -235,20 +308,6 @@ fn check_references(store: &PTDataStore, report: &mut FsckReport) -> Result<()> 
             object: "resource_has_ancestor.ancestor_id",
             table: s.resource_has_ancestor,
             column: col::resource_has_ancestor::ANCESTOR_ID,
-            nullable: false,
-            parent: RES,
-        },
-        FkCheck {
-            object: "resource_has_descendant.resource_id",
-            table: s.resource_has_descendant,
-            column: col::resource_has_descendant::RESOURCE_ID,
-            nullable: false,
-            parent: RES,
-        },
-        FkCheck {
-            object: "resource_has_descendant.descendant_id",
-            table: s.resource_has_descendant,
-            column: col::resource_has_descendant::DESCENDANT_ID,
             nullable: false,
             parent: RES,
         },
@@ -474,8 +533,28 @@ PerfResult irs-mcr-008 /MCRGrid/MCR/batch/n1(primary) IRS \"CPU time\" 42.5 seco
             .findings
             .iter()
             .any(|f| f.code == "closure.extra" || f.code == "closure.cycle"));
-        // The forged pair also breaks the ancestor/descendant mirror.
-        assert!(report.findings.iter().any(|f| f.code == "closure.mirror"));
+    }
+
+    #[test]
+    fn closure_consistency_checks() {
+        let codes = |nodes: &[(i64, Option<i64>)], anc: &[(i64, i64)]| {
+            let mut report = FsckReport::new(false);
+            verify_closure(nodes, anc, &mut report);
+            report.findings.iter().map(|f| f.code).collect::<Vec<_>>()
+        };
+        // 1 → 2 → 3 chain (3's parent is 2, 2's parent is 1).
+        let nodes = [(1, None), (2, Some(1)), (3, Some(2))];
+        assert!(codes(&nodes, &[(2, 1), (3, 2), (3, 1)]).is_empty());
+        // Missing pair (3, 1).
+        assert_eq!(codes(&nodes, &[(2, 1), (3, 2)]), ["closure.missing"]);
+        // Extra pair (1, 3): 3 is not an ancestor of 1.
+        let extra = codes(&nodes, &[(2, 1), (3, 2), (3, 1), (1, 3)]);
+        assert_eq!(extra, ["closure.extra"]);
+        // Cycle: 1's parent is 3.
+        let cyc = [(1, Some(3)), (2, Some(1)), (3, Some(2))];
+        assert!(codes(&cyc, &[]).contains(&"closure.cycle"));
+        // Dangling parent id.
+        assert_eq!(codes(&[(1, Some(99))], &[]), ["closure.parent"]);
     }
 
     fn findings_with<'r>(report: &'r FsckReport, code: &str) -> Vec<&'r Finding> {

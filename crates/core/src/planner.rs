@@ -220,7 +220,7 @@ fn plan_one(store: &PTDataStore, filter: &ResourceFilter) -> FilterPlan {
             total += s as f64 * closure_fanout(store, "rha_resource").unwrap_or(0.0);
         }
         if matches!(filter.relatives, Relatives::Descendants | Relatives::Both) {
-            total += s as f64 * closure_fanout(store, "rhd_resource").unwrap_or(0.0);
+            total += s as f64 * closure_fanout(store, "rha_ancestor").unwrap_or(0.0);
         }
         total.round() as u64
     });

@@ -240,12 +240,12 @@ fn names_by_id(
     name_col: usize,
 ) -> Result<Vec<(i64, Arc<str>)>> {
     let mut out = Vec::new();
-    store.db().for_each_row(table, |_, row| {
+    for item in store.db().scan_iter(table)? {
+        let (_, row) = item?;
         if let (Ok(id), Ok(name)) = (row[id_col].as_int(), row[name_col].as_text()) {
             out.push((id, name.into()));
         }
-        true
-    })?;
+    }
     out.sort_unstable_by_key(|(id, _)| *id);
     Ok(out)
 }
@@ -300,7 +300,7 @@ struct MatchPath {
 }
 
 impl<'s> QueryEngine<'s> {
-    /// Engine over `store`; families expand through the closure tables.
+    /// Engine over `store`; families expand through the closure table.
     pub fn new(store: &'s PTDataStore) -> Self {
         QueryEngine { store }
     }
@@ -351,23 +351,22 @@ impl<'s> QueryEngine<'s> {
             }
             Selector::ByAttrs(preds) => self.resources_matching_attrs(preds)?,
         };
+        use col::resource_has_ancestor::{ANCESTOR_ID, RESOURCE_ID};
         let mut family: HashSet<i64> = seed.iter().copied().collect();
         if matches!(filter.relatives, Relatives::Ancestors | Relatives::Both) {
             self.expand_closure_batch(
                 "rha_resource",
-                schema.resource_has_ancestor,
-                col::resource_has_ancestor::RESOURCE_ID,
-                col::resource_has_ancestor::ANCESTOR_ID,
+                RESOURCE_ID,
+                ANCESTOR_ID,
                 &seed,
                 &mut family,
             )?;
         }
         if matches!(filter.relatives, Relatives::Descendants | Relatives::Both) {
             self.expand_closure_batch(
-                "rhd_resource",
-                schema.resource_has_descendant,
-                col::resource_has_descendant::RESOURCE_ID,
-                col::resource_has_descendant::DESCENDANT_ID,
+                "rha_ancestor",
+                ANCESTOR_ID,
+                RESOURCE_ID,
                 &seed,
                 &mut family,
             )?;
@@ -409,18 +408,20 @@ impl<'s> QueryEngine<'s> {
         Ok(out)
     }
 
-    /// Closure-table expansion for a whole seed set at once.
+    /// Closure-table expansion for a whole seed set at once: every
+    /// `resource_has_ancestor` row whose `seed_col` is a seed adds its
+    /// `relative_col` to `into`. Ancestors read the table by resource
+    /// (`rha_resource`), descendants by ancestor (`rha_ancestor`).
     ///
     /// With fresh statistics, the expansion is itself planned: a batched
     /// B+tree probe costs `seeds × (probe + fanout × fetch)`, a scan of
     /// the closure table costs one unit per row. Large seed sets over
-    /// small closure tables take the scan; everything else (including
+    /// a small closure table take the scan; everything else (including
     /// every un-ANALYZEd store) takes the batched probe, exactly as
     /// before the planner existed.
     fn expand_closure_batch(
         &self,
         index_name: &str,
-        table: perftrack_store::TableId,
         seed_col: usize,
         relative_col: usize,
         seeds: &[i64],
@@ -430,6 +431,7 @@ impl<'s> QueryEngine<'s> {
             return Ok(());
         }
         let db = self.store.db();
+        let table = self.store.schema().resource_has_ancestor;
         let idx = db.index_id(index_name)?;
         if let (StatsState::Fresh(rows), Some(fanout)) =
             (db.table_stats_state(table), db.index_avg_fanout(idx))
@@ -437,25 +439,14 @@ impl<'s> QueryEngine<'s> {
             let probe_cost = seeds.len() as f64 * (COST_PROBE + fanout * COST_FETCH_ROW);
             if rows as f64 * COST_SCAN_ROW < probe_cost {
                 let seed_set: HashSet<i64> = seeds.iter().copied().collect();
-                let mut bad = None;
-                db.for_each_row(table, |_, row| {
-                    match (row[seed_col].as_int(), row[relative_col].as_int()) {
-                        (Ok(rid), Ok(rel)) => {
-                            if seed_set.contains(&rid) {
-                                into.insert(rel);
-                            }
-                            true
-                        }
-                        (Err(e), _) | (_, Err(e)) => {
-                            bad = Some(e);
-                            false
-                        }
+                for item in db.scan_iter(table)? {
+                    let (_, row) = item?;
+                    let (rid, rel) = (row[seed_col].as_int()?, row[relative_col].as_int()?);
+                    if seed_set.contains(&rid) {
+                        into.insert(rel);
                     }
-                })?;
-                return match bad {
-                    Some(e) => Err(e.into()),
-                    None => Ok(()),
-                };
+                }
+                return Ok(());
             }
         }
         for rids in db.index_lookup_many(idx, &int_keys(seeds))? {
@@ -1010,15 +1001,15 @@ impl<'s> QueryEngine<'s> {
         let db = self.store.db();
         let schema = self.store.schema();
         let mut out = HashMap::new();
-        db.for_each_row(schema.focus_framework, |_, row| {
+        for item in db.scan_iter(schema.focus_framework)? {
+            let (_, row) = item?;
             if let (Ok(id), Ok(path)) = (
                 row[col::focus_framework::ID].as_int(),
                 row[col::focus_framework::TYPE_PATH].as_text(),
             ) {
                 out.insert(id, path.to_string());
             }
-            true
-        })?;
+        }
         Ok(out)
     }
 }
@@ -1215,7 +1206,7 @@ mod tests {
 
     #[test]
     fn pr_filter_probes_each_index_once_per_batch() {
-        // Family expansion walks rha_resource and rhd_resource once each;
+        // Family expansion walks rha_resource and rha_ancestor once each;
         // matching walks fhr_resource for the postings, rhf_focus for the
         // links their foci fan out to, and rhf_result and fhr_focus for
         // the contexts of the results linked: six
@@ -1413,14 +1404,16 @@ mod tests {
         reloaded
             .load_ptdf_str(&machine_results("GFrost", "Frost"))
             .unwrap();
-        let mut heap = Vec::new();
-        reloaded
+        let heap: Vec<i64> = reloaded
             .db()
-            .for_each_row(reloaded.schema().performance_result, |_, row| {
-                heap.push(row[col::performance_result::ID].as_int().unwrap());
-                true
+            .scan_iter(reloaded.schema().performance_result)
+            .unwrap()
+            .map(|item| {
+                item.unwrap().1[col::performance_result::ID]
+                    .as_int()
+                    .unwrap()
             })
-            .unwrap();
+            .collect();
         assert!(!ascending(&heap), "{heap:?}");
         let mut rng = perftrack_workloads::Rng::seed_from_u64(0x9057_0300);
         let mut branches = HashSet::new();

@@ -78,27 +78,26 @@ impl<'s> Reports<'s> {
         }
         let types = engine.type_path_by_id()?;
         let mut resources_by_root_type: BTreeMap<String, usize> = BTreeMap::new();
-        self.store
+        for item in self
+            .store
             .db()
-            .for_each_row(self.store.schema().resource_item, |_, row| {
-                if let Ok(tid) = row[crate::schema::col::resource_item::FOCUS_FRAMEWORK_ID].as_int()
-                {
-                    if let Some(tp) = types.get(&tid) {
-                        let root = tp.split('/').next().unwrap_or(tp).to_string();
-                        *resources_by_root_type.entry(root).or_insert(0) += 1;
-                    }
+            .scan_iter(self.store.schema().resource_item)?
+        {
+            let (_, row) = item?;
+            if let Ok(tid) = row[crate::schema::col::resource_item::FOCUS_FRAMEWORK_ID].as_int() {
+                if let Some(tp) = types.get(&tid) {
+                    let root = tp.split('/').next().unwrap_or(tp).to_string();
+                    *resources_by_root_type.entry(root).or_insert(0) += 1;
                 }
-                true
-            })?;
+            }
+        }
         let mut applications: Vec<String> = Vec::new();
-        self.store
-            .db()
-            .for_each_row(self.store.schema().application, |_, row| {
-                if let Ok(n) = row[crate::schema::col::application::NAME].as_text() {
-                    applications.push(n.to_string());
-                }
-                true
-            })?;
+        for item in self.store.db().scan_iter(self.store.schema().application)? {
+            let (_, row) = item?;
+            if let Ok(n) = row[crate::schema::col::application::NAME].as_text() {
+                applications.push(n.to_string());
+            }
+        }
         applications.sort();
         Ok(StoreSummary {
             applications,
@@ -147,27 +146,23 @@ impl<'s> Reports<'s> {
         let application = {
             let db = self.store.db();
             let schema = self.store.schema();
+            use crate::schema::col::{application as a, execution as e};
             let mut app = String::new();
-            db.for_each_row(schema.execution, |_, row| {
-                if row[crate::schema::col::execution::NAME].as_text().ok() == Some(name) {
-                    let app_id = row[crate::schema::col::execution::APPLICATION_ID]
-                        .as_int()
-                        .unwrap_or(0);
-                    db.for_each_row(schema.application, |_, arow| {
-                        if arow[crate::schema::col::application::ID].as_int().ok() == Some(app_id) {
-                            app = arow[crate::schema::col::application::NAME]
-                                .as_text()
-                                .unwrap_or("")
-                                .to_string();
-                            return false;
-                        }
-                        true
-                    })
-                    .ok();
-                    return false;
+            for item in db.scan_iter(schema.execution)? {
+                let (_, row) = item?;
+                if row[e::NAME].as_text().ok() != Some(name) {
+                    continue;
                 }
-                true
-            })?;
+                let app_id = row[e::APPLICATION_ID].as_int().unwrap_or(0);
+                for item in db.scan_iter(schema.application)? {
+                    let (_, arow) = item?;
+                    if arow[a::ID].as_int().ok() == Some(app_id) {
+                        app = arow[a::NAME].as_text().unwrap_or("").to_string();
+                        break;
+                    }
+                }
+                break;
+            }
             app
         };
         // Run-resource attributes (both `-run` and bare-name conventions).
@@ -203,18 +198,20 @@ impl<'s> Reports<'s> {
         let types = engine.type_path_by_id()?;
         // Children: resources whose parent_id is this id.
         let mut children = 0usize;
-        self.store
+        for item in self
+            .store
             .db()
-            .for_each_row(self.store.schema().resource_item, |_, row| {
-                if row[crate::schema::col::resource_item::PARENT_ID]
-                    .as_int()
-                    .ok()
-                    == Some(rec.id)
-                {
-                    children += 1;
-                }
-                true
-            })?;
+            .scan_iter(self.store.schema().resource_item)?
+        {
+            let (_, row) = item?;
+            if row[crate::schema::col::resource_item::PARENT_ID]
+                .as_int()
+                .ok()
+                == Some(rec.id)
+            {
+                children += 1;
+            }
+        }
         // Results whose context contains this resource: the matches of
         // the one-resource family.
         let results_in_context = engine

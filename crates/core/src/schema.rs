@@ -10,10 +10,14 @@
 //!   parent.
 //! * `resource_attribute` — string attributes of resources.
 //! * `resource_constraint` — resource-valued attributes (resource pairs).
-//! * `resource_has_ancestor` / `resource_has_descendant` — transitive
-//!   closure of the parent relation, maintained on insert; the paper adds
-//!   these "for performance reasons" (EXPERIMENTS.md keeps the retired
-//!   closure-ablation bench's measurement of that choice).
+//! * `resource_has_ancestor` — transitive closure of the parent relation,
+//!   one `(resource, ancestor)` row per pair, maintained on insert; the
+//!   paper adds it "for performance reasons" (EXPERIMENTS.md keeps the
+//!   retired closure-ablation bench's measurement of that choice).
+//!   `rha_resource` reads it upward and `rha_ancestor` downward, so
+//!   Figure 1's descendant table is this one read by ancestor, not a
+//!   second copy (DESIGN.md §2.4). Stores written while that copy was
+//!   kept still hold it; nothing reads or writes it.
 //! * `metric`, `performance_tool` — interned names.
 //! * `performance_result` — the measured values.
 //! * `focus` — one row per distinct resource list: a focus is a value,
@@ -88,7 +92,6 @@ pub struct Schema {
     pub resource_attribute: TableId,
     pub resource_constraint: TableId,
     pub resource_has_ancestor: TableId,
-    pub resource_has_descendant: TableId,
     pub metric: TableId,
     pub performance_tool: TableId,
     pub performance_result: TableId,
@@ -144,11 +147,6 @@ pub mod col {
     pub mod resource_has_ancestor {
         pub const RESOURCE_ID: usize = 0;
         pub const ANCESTOR_ID: usize = 1;
-    }
-    /// `resource_has_descendant(resource_id, descendant_id)`
-    pub mod resource_has_descendant {
-        pub const RESOURCE_ID: usize = 0;
-        pub const DESCENDANT_ID: usize = 1;
     }
     /// `metric(id, name)`
     pub mod metric {
@@ -207,7 +205,11 @@ pub mod col {
 }
 
 impl Schema {
-    /// Create all tables and indexes on a fresh database.
+    /// Create every missing table and index and resolve the ids of all of
+    /// them. Each step is idempotent, so the one walk bootstraps a fresh
+    /// database, opens an existing store, finishes a bootstrap a crash cut
+    /// short between DDL statements, and adds tables a store predates
+    /// (`load_manifest`, `load_token`).
     pub fn create(db: &Database) -> StoreResult<Schema> {
         refuse_per_result_foci(db)?;
         let application = ensure_table(
@@ -337,22 +339,6 @@ impl Schema {
             false,
         )?;
 
-        let resource_has_descendant = ensure_table(
-            db,
-            "resource_has_descendant",
-            vec![
-                Column::new("resource_id", ColumnType::Int),
-                Column::new("descendant_id", ColumnType::Int),
-            ],
-        )?;
-        ensure_index(
-            db,
-            "rhd_resource",
-            resource_has_descendant,
-            &["resource_id"],
-            false,
-        )?;
-
         let metric = ensure_table(
             db,
             "metric",
@@ -440,33 +426,6 @@ impl Schema {
         ensure_index(db, "rhf_result", result_has_focus, &["result_id"], false)?;
         ensure_index(db, "rhf_focus", result_has_focus, &["focus_id"], false)?;
 
-        let load_manifest = Self::create_manifest_table(db)?;
-        let load_token = Self::create_token_table(db)?;
-
-        Ok(Schema {
-            application,
-            focus_framework,
-            execution,
-            resource_item,
-            resource_attribute,
-            resource_constraint,
-            resource_has_ancestor,
-            resource_has_descendant,
-            metric,
-            performance_tool,
-            performance_result,
-            focus,
-            focus_has_resource,
-            result_has_focus,
-            load_manifest,
-            load_token,
-        })
-    }
-
-    /// Create the `load_manifest` bookkeeping table (split out so
-    /// [`Schema::resolve`] can add it to stores created before it
-    /// existed).
-    fn create_manifest_table(db: &Database) -> StoreResult<TableId> {
         let load_manifest = ensure_table(
             db,
             "load_manifest",
@@ -478,13 +437,7 @@ impl Schema {
             ],
         )?;
         ensure_index(db, "load_manifest_path", load_manifest, &["path"], true)?;
-        Ok(load_manifest)
-    }
 
-    /// Create the `load_token` idempotency table (split out like
-    /// `load_manifest` so [`Schema::resolve`] can add it to stores
-    /// created before it existed).
-    fn create_token_table(db: &Database) -> StoreResult<TableId> {
         let load_token = ensure_table(
             db,
             "load_token",
@@ -501,27 +454,29 @@ impl Schema {
             ],
         )?;
         ensure_index(db, "load_token_token", load_token, &["token"], true)?;
-        Ok(load_token)
-    }
 
-    /// Resolve table ids on a database where the schema already exists.
-    /// Any table still missing is created: that covers both stores from
-    /// before a table existed (`load_manifest` is an additive migration)
-    /// and stores whose bootstrap was killed between DDL statements — a
-    /// crashed `create` and a `resolve` are the same idempotent walk.
-    pub fn resolve(db: &Database) -> StoreResult<Schema> {
-        Self::create(db)
-    }
-
-    /// Create the schema if absent, otherwise resolve it. (Both paths
-    /// run the same idempotent ensure-walk; the names document intent.)
-    pub fn create_or_resolve(db: &Database) -> StoreResult<Schema> {
-        Schema::create(db)
+        Ok(Schema {
+            application,
+            focus_framework,
+            execution,
+            resource_item,
+            resource_attribute,
+            resource_constraint,
+            resource_has_ancestor,
+            metric,
+            performance_tool,
+            performance_result,
+            focus,
+            focus_has_resource,
+            result_has_focus,
+            load_manifest,
+            load_token,
+        })
     }
 
     /// Every table in the schema, with its name (test support and the
     /// CLI's `report tables`).
-    pub fn all_tables(&self) -> [(&'static str, TableId); 16] {
+    pub fn all_tables(&self) -> [(&'static str, TableId); 15] {
         [
             ("application", self.application),
             ("focus_framework", self.focus_framework),
@@ -530,7 +485,6 @@ impl Schema {
             ("resource_attribute", self.resource_attribute),
             ("resource_constraint", self.resource_constraint),
             ("resource_has_ancestor", self.resource_has_ancestor),
-            ("resource_has_descendant", self.resource_has_descendant),
             ("metric", self.metric),
             ("performance_tool", self.performance_tool),
             ("performance_result", self.performance_result),
@@ -548,23 +502,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn create_and_resolve_roundtrip() {
+    fn create_is_idempotent() {
         let db = Database::in_memory();
         let s1 = Schema::create(&db).unwrap();
-        let s2 = Schema::resolve(&db).unwrap();
-        for ((n1, t1), (n2, t2)) in s1.all_tables().iter().zip(s2.all_tables().iter()) {
-            assert_eq!(n1, n2);
-            assert_eq!(t1, t2);
-        }
-    }
-
-    #[test]
-    fn create_or_resolve_is_idempotent() {
-        let db = Database::in_memory();
-        let s1 = Schema::create_or_resolve(&db).unwrap();
-        let s2 = Schema::create_or_resolve(&db).unwrap();
-        assert_eq!(s1.application, s2.application);
-        assert_eq!(s1.focus_has_resource, s2.focus_has_resource);
+        let s2 = Schema::create(&db).unwrap();
+        assert_eq!(s1.all_tables(), s2.all_tables());
+        assert_eq!(db.tables().len(), s1.all_tables().len());
     }
 
     #[test]

@@ -69,13 +69,13 @@ impl<'s> SelectionDialog<'s> {
         let db = self.store.db();
         let schema = self.store.schema();
         let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-        db.for_each_row(schema.resource_item, |_, row| {
-            let rec = crate::datastore::decode_resource(row);
+        for item in db.scan_iter(schema.resource_item)? {
+            let (_, row) = item?;
+            let rec = crate::datastore::decode_resource(&row);
             if rec.type_id == type_id {
                 *counts.entry(rec.base_name).or_insert(0) += 1;
             }
-            true
-        })?;
+        }
         Ok(counts.into_iter().collect())
     }
 
@@ -89,13 +89,13 @@ impl<'s> SelectionDialog<'s> {
         let db = self.store.db();
         let schema = self.store.schema();
         let mut ids = Vec::new();
-        db.for_each_row(schema.resource_item, |_, row| {
-            let rec = crate::datastore::decode_resource(row);
+        for item in db.scan_iter(schema.resource_item)? {
+            let (_, row) = item?;
+            let rec = crate::datastore::decode_resource(&row);
             if rec.type_id == type_id {
                 ids.push(rec.id);
             }
-            true
-        })?;
+        }
         let mut attrs: BTreeSet<String> = BTreeSet::new();
         for id in ids {
             for (name, _, _) in self.store.attributes_of(id)? {
@@ -115,8 +115,9 @@ impl<'s> SelectionDialog<'s> {
         let mut counts: BTreeMap<String, usize> = BTreeMap::new();
         let db = self.store.db();
         let schema = self.store.schema();
-        db.for_each_row(schema.resource_item, |_, row| {
-            let rec = crate::datastore::decode_resource(row);
+        for item in db.scan_iter(schema.resource_item)? {
+            let (_, row) = item?;
+            let rec = crate::datastore::decode_resource(&row);
             if let Some(pid) = rec.parent_id {
                 if fam.contains(&pid) {
                     *counts
@@ -124,8 +125,7 @@ impl<'s> SelectionDialog<'s> {
                         .or_insert(0) += 1;
                 }
             }
-            true
-        })?;
+        }
         Ok(counts.into_iter().collect())
     }
 

@@ -57,7 +57,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default upper bound on the number of shards; tiny pools get one shard
+/// Upper bound on the number of shards; tiny pools get one shard
 /// per frame instead.
 pub const DEFAULT_POOL_SHARDS: usize = 8;
 
@@ -162,24 +162,12 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// Create a pool of `capacity` frames over `disk`, with the default
-    /// shard count (`min(capacity, DEFAULT_POOL_SHARDS)`).
+    /// Create a pool of `capacity` frames over `disk`, split into
+    /// `min(capacity, DEFAULT_POOL_SHARDS)` shards so every shard owns at
+    /// least one frame.
     pub fn new(disk: Arc<DiskManager>, capacity: usize) -> Self {
-        Self::with_shards(disk, capacity, 0)
-    }
-
-    /// Create a pool of `capacity` frames split into `shards` independent
-    /// shards (0 = auto). The shard count is clamped so every shard owns
-    /// at least one frame.
-    pub fn with_shards(disk: Arc<DiskManager>, capacity: usize, shards: usize) -> Self {
         assert!(capacity > 0, "buffer pool needs at least one frame");
-        let n = if shards == 0 {
-            DEFAULT_POOL_SHARDS
-        } else {
-            shards
-        }
-        .min(capacity)
-        .max(1);
+        let n = DEFAULT_POOL_SHARDS.min(capacity);
         let frames = (0..capacity)
             .map(|_| Frame {
                 data: RwLock::new(Box::new([0u8; PAGE_SIZE])),
@@ -246,7 +234,7 @@ impl BufferPool {
     #[inline]
     #[expect(
         clippy::indexing_slicing,
-        reason = "modulo keeps the index in range; with_shards guarantees >= 1 shard"
+        reason = "modulo keeps the index in range; new guarantees >= 1 shard"
     )]
     fn shard_of(&self, id: PageId) -> &Shard {
         &self.shards[id.0 as usize % self.shards.len()]
@@ -254,7 +242,7 @@ impl BufferPool {
 
     /// The frame at global index `idx`. Single chokepoint for frame
     /// addressing: every caller computes `shard.base + local` with
-    /// `local` below the shard's capacity, which `with_shards` sized the
+    /// `local` below the shard's capacity, which `new` sized the
     /// frame vector to cover exactly.
     #[inline]
     #[expect(
@@ -563,11 +551,13 @@ mod tests {
         assert_eq!(pool(1).shard_count(), 1);
         assert_eq!(pool(3).shard_count(), 3);
         assert_eq!(pool(4096).shard_count(), DEFAULT_POOL_SHARDS);
-        let p = BufferPool::with_shards(Arc::new(DiskManager::in_memory()), 64, 16);
-        assert_eq!(p.shard_count(), 16);
-        // Every frame is owned by exactly one shard.
-        let frames: usize = p.shard_stats().iter().map(|s| s.frames).sum();
-        assert_eq!(frames, 64);
+        // Every frame is owned by exactly one shard, including the
+        // remainder when the capacity does not divide evenly.
+        let p = pool(67);
+        assert_eq!(p.shard_count(), DEFAULT_POOL_SHARDS);
+        let frames: Vec<usize> = p.shard_stats().iter().map(|s| s.frames).collect();
+        assert_eq!(frames.iter().sum::<usize>(), 67);
+        assert_eq!(frames, [9, 9, 9, 8, 8, 8, 8, 8]);
     }
 
     #[test]

@@ -22,9 +22,6 @@
 //!   ownership (in-range, no duplicates, no cross-table sharing), index
 //!   definitions that resolve, and — in `deep` mode — a full bijection
 //!   check between index entries and live heap rows.
-//! * **Closure tables** ([`verify_closure`]) — the ancestor/descendant
-//!   transitive closure equals the one recomputed from the parent
-//!   relation, and the two tables mirror each other exactly.
 //!
 //! Every invariant, finding code, and the JSON report schema are
 //! documented in `docs/FSCK.md`. The same checks back three surfaces: the
@@ -625,142 +622,6 @@ pub fn verify_wal(wal: &Wal) -> Result<(Vec<Finding>, u64)> {
         );
     }
     Ok((out, scan.records.len() as u64))
-}
-
-// ---------------------------------------------------------------------------
-// Closure-table transitive consistency
-// ---------------------------------------------------------------------------
-
-const CLOSURE_DIFF_CAP: usize = 10;
-
-fn push_pair_diffs(
-    out: &mut Vec<Finding>,
-    code: &'static str,
-    mut pairs: Vec<(i64, i64)>,
-    what: &str,
-) {
-    if pairs.is_empty() {
-        return;
-    }
-    pairs.sort_unstable();
-    let total = pairs.len();
-    for (node, anc) in pairs.into_iter().take(CLOSURE_DIFF_CAP) {
-        out.push(
-            Finding::new(code, Severity::Error, format!("{what}: ({node}, {anc})"))
-                .on_object("closure"),
-        );
-    }
-    if total > CLOSURE_DIFF_CAP {
-        out.push(
-            Finding::new(
-                code,
-                Severity::Error,
-                format!(
-                    "{what}: {} further pair(s) omitted",
-                    total - CLOSURE_DIFF_CAP
-                ),
-            )
-            .on_object("closure"),
-        );
-    }
-}
-
-/// Verify a parent-pointer hierarchy against its materialized closure
-/// tables.
-///
-/// `nodes` is the base relation `(id, parent_id)`; `ancestors` holds
-/// `(node, ancestor)` pairs and `descendants` holds `(node, descendant)`
-/// pairs, both excluding self-pairs (the convention the PerfTrack loader
-/// maintains). The expected closure is recomputed by walking parent
-/// chains; cycles and dangling parents are findings of their own.
-pub fn verify_closure(
-    nodes: &[(i64, Option<i64>)],
-    ancestors: &[(i64, i64)],
-    descendants: &[(i64, i64)],
-) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let parent: HashMap<i64, Option<i64>> = nodes.iter().copied().collect();
-    if parent.len() != nodes.len() {
-        out.push(
-            Finding::new(
-                "closure.node-dup",
-                Severity::Error,
-                format!(
-                    "{} duplicate node id(s) in the base relation",
-                    nodes.len() - parent.len()
-                ),
-            )
-            .on_object("closure"),
-        );
-    }
-    let mut expected: HashSet<(i64, i64)> = HashSet::new();
-    for &(id, p) in nodes {
-        let mut cur = p;
-        let mut steps = 0usize;
-        while let Some(a) = cur {
-            if !parent.contains_key(&a) {
-                out.push(
-                    Finding::new(
-                        "closure.parent",
-                        Severity::Error,
-                        format!("node {id}: ancestor chain reaches unknown node {a}"),
-                    )
-                    .on_object("closure"),
-                );
-                break;
-            }
-            expected.insert((id, a));
-            steps += 1;
-            if steps > nodes.len() {
-                out.push(
-                    Finding::new(
-                        "closure.cycle",
-                        Severity::Error,
-                        format!("node {id}: parent chain does not terminate (cycle)"),
-                    )
-                    .on_object("closure"),
-                );
-                break;
-            }
-            cur = parent[&a];
-        }
-    }
-    let actual: HashSet<(i64, i64)> = ancestors.iter().copied().collect();
-    if actual.len() != ancestors.len() {
-        out.push(
-            Finding::new(
-                "closure.dup",
-                Severity::Warning,
-                format!(
-                    "{} duplicate ancestor pair(s)",
-                    ancestors.len() - actual.len()
-                ),
-            )
-            .on_object("closure"),
-        );
-    }
-    push_pair_diffs(
-        &mut out,
-        "closure.missing",
-        expected.difference(&actual).copied().collect(),
-        "pair derivable from parents but absent from resource_has_ancestor",
-    );
-    push_pair_diffs(
-        &mut out,
-        "closure.extra",
-        actual.difference(&expected).copied().collect(),
-        "resource_has_ancestor pair not derivable from parents",
-    );
-    // resource_has_descendant must be the exact mirror of the ancestor
-    // table: row (a, d) exists iff (d, a) is an ancestor pair.
-    let mirrored: HashSet<(i64, i64)> = descendants.iter().map(|&(a, d)| (d, a)).collect();
-    push_pair_diffs(
-        &mut out,
-        "closure.mirror",
-        mirrored.symmetric_difference(&actual).copied().collect(),
-        "ancestor/descendant tables disagree (pair present on one side only)",
-    );
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1492,35 +1353,6 @@ mod tests {
             .iter()
             .any(|f| f.code == "wal.torn" && f.severity == Severity::Warning));
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn closure_consistency_checks() {
-        // 1 → 2 → 3 chain (3's parent is 2, 2's parent is 1).
-        let nodes = vec![(1, None), (2, Some(1)), (3, Some(2))];
-        let anc = vec![(2, 1), (3, 2), (3, 1)];
-        let desc = vec![(1, 2), (2, 3), (1, 3)];
-        assert!(verify_closure(&nodes, &anc, &desc).is_empty());
-
-        // Missing pair (3, 1).
-        let fs = verify_closure(&nodes, &[(2, 1), (3, 2)], &[(1, 2), (2, 3)]);
-        assert!(fs.iter().any(|f| f.code == "closure.missing"), "{fs:?}");
-        // Extra pair (1, 3): 3 is not an ancestor of 1.
-        let mut anc2 = anc;
-        anc2.push((1, 3));
-        let fs = verify_closure(&nodes, &anc2, &desc);
-        assert!(fs.iter().any(|f| f.code == "closure.extra"));
-        assert!(
-            fs.iter().any(|f| f.code == "closure.mirror"),
-            "descendants no longer mirror"
-        );
-        // Cycle: 1's parent is 3.
-        let cyc = vec![(1, Some(3)), (2, Some(1)), (3, Some(2))];
-        let fs = verify_closure(&cyc, &[], &[]);
-        assert!(fs.iter().any(|f| f.code == "closure.cycle"));
-        // Dangling parent id.
-        let fs = verify_closure(&[(1, Some(99))], &[], &[]);
-        assert!(fs.iter().any(|f| f.code == "closure.parent"));
     }
 
     #[test]

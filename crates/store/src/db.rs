@@ -42,10 +42,6 @@ use std::time::Duration;
 pub struct DbOptions {
     /// Buffer pool capacity in frames (frames are [`PAGE_SIZE`] bytes).
     pub pool_frames: usize,
-    /// Number of independent buffer-pool shards (page table + eviction
-    /// state partitions). `0` picks the default
-    /// (`min(pool_frames, DEFAULT_POOL_SHARDS)`); see [`BufferPool`].
-    pub pool_shards: usize,
     /// Checkpoint automatically when the WAL exceeds this many bytes.
     pub checkpoint_wal_bytes: u64,
     /// Clock injection point: how a retry waits out its backoff. A plain
@@ -58,7 +54,6 @@ impl Default for DbOptions {
     fn default() -> Self {
         DbOptions {
             pool_frames: 4096, // 32 MiB of cache
-            pool_shards: 0,    // auto
             checkpoint_wal_bytes: 64 << 20,
             sleep: std::thread::sleep,
         }
@@ -173,11 +168,7 @@ impl Database {
     /// In-memory database with explicit options.
     pub fn in_memory_with(opts: DbOptions) -> Self {
         let disk = Arc::new(DiskManager::in_memory());
-        let pool = Arc::new(BufferPool::with_shards(
-            disk,
-            opts.pool_frames,
-            opts.pool_shards,
-        ));
+        let pool = Arc::new(BufferPool::new(disk, opts.pool_frames));
         let wal = Arc::new(Wal::in_memory());
         let db = Database {
             pool,
@@ -228,11 +219,7 @@ impl Database {
         // into their own buffer pool and clobber each other's pages.
         let dir_lock = DirLock::acquire(dir)?;
         let disk = Arc::new(DiskManager::open_with_vfs(vfs, &dir.join(PAGES_FILE))?);
-        let pool = Arc::new(BufferPool::with_shards(
-            disk,
-            opts.pool_frames,
-            opts.pool_shards,
-        ));
+        let pool = Arc::new(BufferPool::new(disk, opts.pool_frames));
         let wal = Arc::new(Wal::open_with_vfs(vfs, &dir.join(WAL_FILE))?);
         let catalog_path = dir.join(CATALOG_FILE);
         let catalog = if catalog_path.exists() {
@@ -459,8 +446,9 @@ impl Database {
     /// Streaming scan over every live row of `table`: rows are decoded
     /// once, page by page (the page is pinned only while it is decoded),
     /// and yielded **by value** — no second materialize-then-clone pass.
-    /// This is the primitive behind [`Database::for_each_row`], fsck's
-    /// logical pass, and the PTdf exporter.
+    /// This is the one table-scan primitive: every full read of a table —
+    /// the core layer's caches and reports, fsck's logical pass, the PTdf
+    /// exporter — loops over it.
     pub fn scan_iter(&self, table: TableId) -> Result<ScanIter<'_>> {
         let pages = self.catalog.read().table(table)?.pages.clone();
         Ok(ScanIter {
@@ -469,22 +457,6 @@ impl Database {
             next_page: 0,
             current: Vec::new().into_iter(),
         })
-    }
-
-    /// Visit every live row of `table`; the callback returns `false` to
-    /// stop early.
-    pub fn for_each_row(
-        &self,
-        table: TableId,
-        mut f: impl FnMut(RowId, &Row) -> bool,
-    ) -> Result<()> {
-        for item in self.scan_iter(table)? {
-            let (rid, row) = item?;
-            if !f(rid, &row) {
-                return Ok(());
-            }
-        }
-        Ok(())
     }
 
     /// Number of live rows in `table`.

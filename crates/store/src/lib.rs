@@ -38,8 +38,8 @@
 //!   per-operator query profiles, and the JSON codec that serializes them
 //!   (schema documented in `docs/METRICS.md`).
 //! * [`check`] — structural verification ("fsck"): page, B+tree, WAL,
-//!   catalog, and closure-table invariants as typed findings (invariants
-//!   and report schema documented in `docs/FSCK.md`).
+//!   and catalog invariants as typed findings (invariants and report
+//!   schema documented in `docs/FSCK.md`).
 //!
 //! ## Quick example
 //!

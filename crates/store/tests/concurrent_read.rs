@@ -7,6 +7,7 @@
 //! counterpart to the per-interleaving model checker in
 //! `loom_buffer.rs`.
 
+use perftrack_store::buffer::DEFAULT_POOL_SHARDS;
 use perftrack_store::{Column, ColumnType, Database, DbOptions, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -18,7 +19,6 @@ const OPS_PER_READER: usize = 3_000;
 fn eight_readers_with_live_stats_snapshots() {
     let db = Database::in_memory_with(DbOptions {
         pool_frames: 32,
-        pool_shards: 4,
         ..DbOptions::default()
     });
     let table = db
@@ -93,7 +93,11 @@ fn eight_readers_with_live_stats_snapshots() {
     });
 
     let snap = db.metrics();
-    assert_eq!(snap.pool_shards.len(), 4, "configured shard count");
+    assert_eq!(
+        snap.pool_shards.len(),
+        DEFAULT_POOL_SHARDS,
+        "32 frames take the default shard count"
+    );
     assert!(
         snap.pool.hits + snap.pool.misses >= (READERS * OPS_PER_READER) as u64,
         "every op touched the pool at least once"

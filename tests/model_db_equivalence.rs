@@ -115,6 +115,8 @@ fn filters_under_test(reg: &TypeRegistry) -> Vec<ResourceFilter> {
         }])
         .relatives(Relatives::Descendants),
         ResourceFilter::by_name("/nonexistent").relatives(Relatives::Neither),
+        ResourceFilter::by_type(reg.get("grid/machine/partition/node").unwrap())
+            .relatives(Relatives::Descendants),
     ]
 }
 
@@ -172,6 +174,32 @@ fn check_store(
         assert_eq!(model_counts.per_family, db_counts.per_family);
         assert_eq!(model_counts.whole, db_counts.whole);
     }
+}
+
+/// Descendants of every node expand by one batched `rha_ancestor` probe
+/// unanalysed, and by one scan of `resource_has_ancestor` once fresh
+/// statistics price that scan below the probes. `filters_under_test`
+/// checks the family itself on both sides.
+#[test]
+fn node_descendants_take_the_closure_scan_once_analyzed() {
+    let w = World {
+        machines: 2,
+        nodes: 3,
+        procs: 2,
+        results_per_proc: 1,
+    };
+    let (reg, ..) = build_model(&w);
+    let store = build_db(&w);
+    let node = reg.get("grid/machine/partition/node").unwrap();
+    let filter = ResourceFilter::by_type(node).relatives(Relatives::Descendants);
+    let batch_probes = || {
+        let before = store.db().metrics().btree.batch_probes;
+        QueryEngine::new(&store).family(&filter).unwrap();
+        store.db().metrics().btree.batch_probes - before
+    };
+    assert_eq!(batch_probes(), 1, "unanalysed: one batched probe");
+    store.db().analyze().unwrap();
+    assert_eq!(batch_probes(), 0, "analysed: one closure scan");
 }
 
 #[test]

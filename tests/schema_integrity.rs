@@ -21,7 +21,6 @@ fn all_figure1_tables_exist() {
         "resource_attribute",
         "resource_constraint",
         "resource_has_ancestor",
-        "resource_has_descendant",
         "metric",
         "performance_tool",
         "performance_result",
@@ -161,16 +160,6 @@ fn referential_integrity_after_study_load() {
         .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
         .collect();
     assert_eq!(ancestor_pairs, expected_pairs, "rha is the exact closure");
-    let descendant_pairs: HashSet<(i64, i64)> = db
-        .scan_iter(s.resource_has_descendant)
-        .unwrap()
-        .map(|item| item.unwrap().1)
-        .map(|r| (r[1].as_int().unwrap(), r[0].as_int().unwrap()))
-        .collect();
-    assert_eq!(
-        descendant_pairs, expected_pairs,
-        "rhd is the inverse closure"
-    );
 }
 
 #[test]
@@ -200,8 +189,14 @@ fn focus_types_are_valid_roles() {
     assert!(seen.contains("parent"), "mpiP loads use caller sets");
 }
 
+/// Figure 1's descendant table and its index. Descendants are read from
+/// `resource_has_ancestor` by ancestor, so a fresh store has neither; a
+/// store written while the mirror was kept still holds both, unused.
+const MIRROR_TABLE: &str = "resource_has_descendant";
+const MIRROR_INDEX: &str = "rhd_resource";
+
 /// Every index of the schema.
-const INDEXES: [&str; 28] = [
+const INDEXES: [&str; 27] = [
     "application_id",
     "application_name",
     "focus_framework_id",
@@ -216,7 +211,6 @@ const INDEXES: [&str; 28] = [
     "resource_attribute_name",
     "rha_resource",
     "rha_ancestor",
-    "rhd_resource",
     "metric_id",
     "metric_name",
     "performance_tool_id",
@@ -267,14 +261,101 @@ fn focus_layout_row_and_index_counts_are_pinned() {
         (7_101, 13_023, 644, 1_753),
         "(results, links, foci, focus resources)"
     );
-    assert_eq!(entries, 45_883, "index entries");
+    // Each closure pair is one row with two index entries.
+    assert_eq!(rows(s.resource_has_ancestor), 205, "closure pairs");
+    assert_eq!(entries, 45_678, "index entries");
     for unread in [
         "performance_result_metric",
         "execution_app",
         "resource_constraint_r1",
         "resource_constraint_r2",
         "focus_result",
+        MIRROR_INDEX,
     ] {
         assert!(db.index_id(unread).is_err(), "{unread} is not maintained");
     }
+    // Descendants read `resource_has_ancestor` by ancestor; no mirror
+    // table holds the closure pairs a second time.
+    for table in db.tables().into_iter().map(|(_, name)| name) {
+        assert_ne!(table, MIRROR_TABLE, "{table} is not maintained");
+    }
+}
+
+/// A store written while every closure pair was also kept transposed in
+/// [`MIRROR_TABLE`] opens and loads without migration: descendants come
+/// from `resource_has_ancestor`, the leftover mirror is neither read nor
+/// written, and deep fsck stays clean.
+#[test]
+fn store_with_descendant_mirror_opens_and_loads() {
+    use perftrack::{fsck::verify_store, schema::col::resource_item as ri, QueryEngine};
+    use perftrack_model::{Relatives, ResourceFilter};
+    use perftrack_store::{Column, ColumnType};
+
+    let dir = std::env::temp_dir().join(format!("pt-old-mirror-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let chain = "Resource /G grid\nResource /G/M grid/machine\n\
+                 Resource /G/M/batch grid/machine/partition\n";
+    PTDataStore::open(&dir)
+        .unwrap()
+        .load_ptdf_str(chain)
+        .unwrap();
+    {
+        let db = Database::open(&dir).unwrap();
+        let rha = db.table_id("resource_has_ancestor").unwrap();
+        let columns = vec![
+            Column::new("resource_id", ColumnType::Int),
+            Column::new("descendant_id", ColumnType::Int),
+        ];
+        let mirror = db.create_table(MIRROR_TABLE, columns).unwrap();
+        db.create_index(MIRROR_INDEX, mirror, &["resource_id"], false)
+            .unwrap();
+        let pairs: Vec<_> = db.scan_iter(rha).unwrap().map(|i| i.unwrap().1).collect();
+        let mut txn = db.begin();
+        for row in pairs {
+            txn.insert(mirror, vec![row[1].clone(), row[0].clone()])
+                .unwrap();
+        }
+        txn.commit().unwrap();
+    }
+
+    let store = PTDataStore::open(&dir).unwrap();
+    let more = "Resource /G/M/batch/n0 grid/machine/partition/node\nResource /H grid\n";
+    store.load_ptdf_str(more).unwrap();
+    let db = store.db();
+    let mirror = db.table_id(MIRROR_TABLE).unwrap();
+    assert_eq!(
+        db.row_count(mirror).unwrap(),
+        3,
+        "the mirror is not written"
+    );
+    let parent_of: std::collections::HashMap<i64, Option<i64>> = db
+        .scan_iter(store.schema().resource_item)
+        .unwrap()
+        .map(|item| {
+            let row = item.unwrap().1;
+            (
+                row[ri::ID].as_int().unwrap(),
+                row[ri::PARENT_ID].as_int().ok(),
+            )
+        })
+        .collect();
+    let mut descendants: std::collections::HashMap<i64, HashSet<i64>> = Default::default();
+    for &d in parent_of.keys() {
+        let mut cur = Some(d);
+        while let Some(a) = cur {
+            descendants.entry(a).or_default().insert(d);
+            cur = parent_of[&a];
+        }
+    }
+    let engine = QueryEngine::new(&store);
+    for (id, expected) in descendants {
+        let name = store.resource_by_id(id).unwrap().unwrap().name;
+        let filter = ResourceFilter::by_name(&name).relatives(Relatives::Descendants);
+        assert_eq!(engine.family(&filter).unwrap(), expected, "{name}");
+    }
+
+    let report = verify_store(&store, true).unwrap();
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
