@@ -501,8 +501,22 @@ impl Schema {
 mod tests {
     use super::*;
 
+    /// A second `create` on an existing database resolves the tables
+    /// the first one made, name for name.
     #[test]
-    fn create_is_idempotent() {
+    fn create_and_resolve_roundtrip() {
+        let db = Database::in_memory();
+        let s1 = Schema::create(&db).unwrap();
+        let s2 = Schema::create(&db).unwrap();
+        for ((n1, t1), (n2, t2)) in s1.all_tables().iter().zip(s2.all_tables().iter()) {
+            assert_eq!(n1, n2);
+            assert_eq!(t1, t2);
+        }
+    }
+
+    /// Repeated `create` calls add no tables.
+    #[test]
+    fn create_or_resolve_is_idempotent() {
         let db = Database::in_memory();
         let s1 = Schema::create(&db).unwrap();
         let s2 = Schema::create(&db).unwrap();
