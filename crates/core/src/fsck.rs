@@ -115,10 +115,6 @@ fn check_closure(store: &PTDataStore, report: &mut FsckReport) -> Result<()> {
     Ok(())
 }
 
-/// Pairs listed per `closure.missing` / `closure.extra` code; one more
-/// finding counts the rest.
-const CLOSURE_DIFF_CAP: usize = 10;
-
 fn closure_finding(code: &'static str, severity: Severity, detail: String) -> Finding {
     Finding::external(code, severity, "closure", detail)
 }
@@ -130,13 +126,8 @@ fn push_pair_diffs(
     what: &str,
 ) {
     pairs.sort_unstable();
-    for (node, anc) in pairs.iter().take(CLOSURE_DIFF_CAP) {
+    for (node, anc) in pairs {
         let detail = format!("{what}: ({node}, {anc})");
-        report.push(closure_finding(code, Severity::Error, detail));
-    }
-    if pairs.len() > CLOSURE_DIFF_CAP {
-        let omitted = pairs.len() - CLOSURE_DIFF_CAP;
-        let detail = format!("{what}: {omitted} further pair(s) omitted");
         report.push(closure_finding(code, Severity::Error, detail));
     }
 }
@@ -555,6 +546,19 @@ PerfResult irs-mcr-008 /MCRGrid/MCR/batch/n1(primary) IRS \"CPU time\" 42.5 seco
         assert!(codes(&cyc, &[]).contains(&"closure.cycle"));
         // Dangling parent id.
         assert_eq!(codes(&[(1, Some(99))], &[]), ["closure.parent"]);
+    }
+
+    #[test]
+    fn closure_diffs_count_every_pair() {
+        // Thirty children of node 0 and no materialized pairs: thirty
+        // pairs are missing, and each is one error.
+        let nodes: Vec<(i64, Option<i64>)> = std::iter::once((0, None))
+            .chain((1..=30).map(|i| (i, Some(0))))
+            .collect();
+        let mut report = FsckReport::new(false);
+        verify_closure(&nodes, &[], &mut report);
+        assert_eq!(report.error_count(), 30);
+        assert_eq!(findings_with(&report, "closure.missing").len(), 30);
     }
 
     fn findings_with<'r>(report: &'r FsckReport, code: &str) -> Vec<&'r Finding> {

@@ -1,7 +1,7 @@
 //! Static lock-order checking.
 //!
 //! Deadlock freedom in the engine rests on a global acquisition order
-//! over a handful of locks (buffer-pool shard mutexes, frame rwlocks,
+//! over a handful of locks (the buffer-pool latch, frame rwlocks,
 //! the writer gate, the WAL mutex, catalog/index rwlocks). That order
 //! lives in `tools/lock-order.toml` as an explicit allowlist of edges,
 //! each with a reason. This check re-derives the *observed* acquisition
@@ -33,7 +33,7 @@
 //! * Function summaries propagate to call sites: calling a function
 //!   that (transitively) acquires lock `B` while holding `A` records
 //!   the edge `A -> B`, and a call that *returns* a guard (`fn
-//!   lock_shard(..) -> MutexGuard<..>`) counts as acquiring the lock at
+//!   lock_state(..) -> MutexGuard<..>`) counts as acquiring the lock at
 //!   the call site. Summaries are matched by bare function name across
 //!   the scanned files; ubiquitous names (`get`, `push`, ...) are
 //!   excluded from summary matching to avoid false edges.
@@ -422,7 +422,7 @@ fn walk_function(
                     record_edges(&held, lock, &f.file, t.line, edges);
                 }
                 // A call that returns a guard keeps its single lock held
-                // at the call site (the `lock_shard` pattern).
+                // at the call site (the `lock_state` pattern).
                 if acquired.len() == 1 && returns_guard.get(&t.text).copied().unwrap_or(false) {
                     if let Some(lock) = acquired.iter().next() {
                         let close = matching_paren(toks, i + 1);

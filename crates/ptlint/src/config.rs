@@ -18,7 +18,7 @@
 /// One modelled lock: a short name plus the `file::field` that owns it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LockDef {
-    /// Short name used in edges and findings (e.g. `pool.shard`).
+    /// Short name used in edges and findings (e.g. `pool.latch`).
     pub name: String,
     /// Workspace-relative file that declares the lock field.
     pub file: String,
@@ -155,22 +155,22 @@ mod tests {
     const SAMPLE: &str = r#"
 # The committed contract.
 [locks]
-"pool.shard" = "crates/store/src/buffer.rs::state"
+"pool.latch" = "crates/store/src/buffer.rs::state"
 "wal.inner" = "crates/store/src/wal.rs::inner"
 
 [edges]
-"pool.shard -> wal.inner" = "flush takes the WAL under the shard"
+"pool.latch -> wal.inner" = "flush takes the WAL under the pool latch"
 "#;
 
     #[test]
     fn parses_locks_and_edges() {
         let cfg = LockOrderConfig::parse(SAMPLE).unwrap();
         assert_eq!(cfg.locks.len(), 2);
-        assert_eq!(cfg.locks[0].name, "pool.shard");
+        assert_eq!(cfg.locks[0].name, "pool.latch");
         assert_eq!(cfg.locks[0].file, "crates/store/src/buffer.rs");
         assert_eq!(cfg.locks[0].field, "state");
-        assert!(cfg.allows("pool.shard", "wal.inner"));
-        assert!(!cfg.allows("wal.inner", "pool.shard"));
+        assert!(cfg.allows("pool.latch", "wal.inner"));
+        assert!(!cfg.allows("wal.inner", "pool.latch"));
     }
 
     #[test]

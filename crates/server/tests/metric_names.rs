@@ -3,7 +3,7 @@
 //! looks each name up in the doc.
 //!
 //! A doc name matches a rendered name segment by segment, where a
-//! `<...>` placeholder matches any segment (`pool.shard.<i>.hits`), a
+//! `<...>` placeholder matches any segment (`server.op.<label>.count`), a
 //! trailing `*` matches any longer name under its prefix
 //! (`server.op.<label>.*`), and a histogram's name also covers its
 //! derived `.count`/`.mean`/`.p99`/`.max`/`.sum` lines
@@ -72,14 +72,14 @@ fn assert_documented(names: &[&str]) {
 #[test]
 fn doc_matching_rules() {
     let doc = documented_names(
-        "| `wal.sync_latency` | histogram | and `pool.shard.<i>.hits` plus `server.op.<label>.*` |",
+        "| `wal.sync_latency` | histogram | and `table.<name>.rows` plus `server.op.<label>.*` |",
     );
     assert!(is_documented("wal.sync_latency.mean", &doc));
     assert!(is_documented("wal.sync_latency.p99", &doc));
     assert!(!is_documented("wal.sync_latency.surprise", &doc));
     assert!(!is_documented("wal", &doc));
-    assert!(is_documented("pool.shard.3.hits", &doc));
-    assert!(!is_documented("pool.shard.3.misses", &doc));
+    assert!(is_documented("table.result.rows", &doc));
+    assert!(!is_documented("table.result.pages", &doc));
     assert!(is_documented("server.op.query.count", &doc));
     assert!(!is_documented("client.op.query.count", &doc));
 }
@@ -88,7 +88,7 @@ fn doc_matching_rules() {
 fn store_metric_names_are_documented() {
     let table = Database::in_memory().metrics().render_table();
     let names = rendered_names(&table);
-    assert!(names.contains(&"pool.shard.0.hits"), "{table}");
+    assert!(names.contains(&"buffer_pool.contended"), "{table}");
     assert!(names.contains(&"wal.sync_latency.p99"), "{table}");
     assert_documented(&names);
 }

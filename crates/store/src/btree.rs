@@ -685,6 +685,7 @@ impl BTreeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perftrack_workloads::rng::Rng;
 
     fn k(s: &str) -> Vec<u8> {
         s.as_bytes().to_vec()
@@ -1009,17 +1010,6 @@ mod tests {
         }
     }
 
-    /// Deterministic pseudo-random source for the model tests.
-    fn lcg(seed: u64) -> impl FnMut() -> u64 {
-        let mut state = seed;
-        move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        }
-    }
-
     fn entries_of(tree: &BTreeIndex) -> Vec<(Vec<u8>, u64)> {
         let mut out = Vec::new();
         tree.for_range(Bound::Unbounded, Bound::Unbounded, |key, rid| {
@@ -1031,13 +1021,13 @@ mod tests {
 
     /// Random inserts and removes on `tree`, mirrored on a set that starts
     /// with the tree's entries; the two must agree after every op.
-    fn check_against_model(tree: &mut BTreeIndex, ops: usize, next: &mut impl FnMut() -> u64) {
+    fn check_against_model(tree: &mut BTreeIndex, ops: usize, rng: &mut Rng) {
         use std::collections::BTreeSet;
         let mut model: BTreeSet<(Vec<u8>, u64)> = entries_of(tree).into_iter().collect();
         for _ in 0..ops {
-            let key = format!("k{:03}", next() % 100).into_bytes();
-            let rid = next() % 50;
-            if next().is_multiple_of(3) {
+            let key = format!("k{:03}", rng.gen_range(0..100)).into_bytes();
+            let rid = rng.gen_range(0..50);
+            if rng.gen_range(0..3) == 0 {
                 let a = tree.remove(&key, rid);
                 let b = model.remove(&(key.clone(), rid));
                 assert_eq!(a, b);
@@ -1053,7 +1043,7 @@ mod tests {
     #[test]
     fn matches_std_btreemap_model() {
         let mut tree = BTreeIndex::new();
-        check_against_model(&mut tree, 5000, &mut lcg(0x1234_5678));
+        check_against_model(&mut tree, 5000, &mut Rng::seed_from_u64(0x1234_5678));
     }
 
     #[test]
@@ -1065,12 +1055,12 @@ mod tests {
             sizes.extend([(m + 1) * (m + 1) - 1, (m + 1) * (m + 1) + 1]);
         }
         for n in sizes {
-            let mut next = lcg(n as u64 + 7);
+            let mut rng = Rng::seed_from_u64(n as u64 + 7);
             // About three entries per key, so duplicate keys straddle
             // leaves; rowids are distinct, so every pair is.
             let distinct = n as u64 / 3 + 1;
             let raw: Vec<(Vec<u8>, u64)> = (0..n as u64)
-                .map(|rid| (format!("k{:05}", next() % distinct).into_bytes(), rid))
+                .map(|rid| (format!("k{:05}", rng.gen_range(0..distinct)).into(), rid))
                 .collect();
             let mut inserted = BTreeIndex::new();
             for (key, rid) in &raw {
@@ -1105,11 +1095,11 @@ mod tests {
             // Remove about a third of the built entries, then mix random
             // inserts and removes.
             for (key, rid) in &raw {
-                if next().is_multiple_of(3) {
+                if rng.gen_range(0..3) == 0 {
                     assert!(bulk.remove(key, *rid), "n={n}");
                 }
             }
-            check_against_model(&mut bulk, if cfg!(miri) { 300 } else { 3000 }, &mut next);
+            check_against_model(&mut bulk, if cfg!(miri) { 300 } else { 3000 }, &mut rng);
             assert!(crate::check::tree_is_sound(&bulk), "n={n}");
         }
     }

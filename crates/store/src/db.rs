@@ -14,7 +14,7 @@
 //! log.
 
 use crate::btree::{BTreeIndex, Entry};
-use crate::buffer::{BufferPool, PoolStatsSnapshot};
+use crate::buffer::BufferPool;
 use crate::catalog::{Catalog, Column, IndexId, IndexMeta, TableId};
 use crate::check::{self, CatalogView, HeapCheck, IndexCheck};
 use crate::disk::DiskManager;
@@ -612,11 +612,6 @@ impl Database {
         Ok(pages + wal + cat)
     }
 
-    /// Buffer pool statistics.
-    pub fn pool_stats(&self) -> PoolStatsSnapshot {
-        self.pool.stats()
-    }
-
     /// Point-in-time snapshot of every engine metric: buffer pool, WAL,
     /// B+tree (aggregated over all indexes), and transaction counters.
     /// See `docs/METRICS.md` for the meaning and JSON schema of each field.
@@ -631,21 +626,8 @@ impl Database {
             btree.point_probes += s.point_probes;
             btree.batch_probes += s.batch_probes;
         }
-        // One pass over the shard counters; the aggregate is derived from
-        // the same reads so `pool` always equals the sum of `pool_shards`,
-        // even while readers are mutating the counters concurrently.
-        let pool_shards = self.pool.shard_stats();
-        let mut pool = PoolStatsSnapshot::default();
-        for s in &pool_shards {
-            pool.hits += s.hits;
-            pool.misses += s.misses;
-            pool.evictions += s.evictions;
-            pool.writebacks += s.writebacks;
-            pool.contended += s.contended;
-        }
         MetricsSnapshot {
-            pool,
-            pool_shards,
+            pool: self.pool.stats(),
             wal: self.wal.stats(),
             btree,
             txn: TxnStatsSnapshot {
@@ -1850,7 +1832,7 @@ mod tests {
         }
         txn.commit().unwrap();
         assert_eq!(db.row_count(t).unwrap(), 2000);
-        assert!(db.pool_stats().evictions > 0);
+        assert!(db.metrics().pool.evictions > 0);
     }
 
     #[test]

@@ -806,10 +806,8 @@ pub struct PlannerStatsSnapshot {
 /// [`crate::db::Database::metrics`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Buffer pool counters (summed across shards).
+    /// Buffer pool counters.
     pub pool: crate::buffer::PoolStatsSnapshot,
-    /// Per-shard buffer pool counters (`pool.shard.*`), in shard order.
-    pub pool_shards: Vec<crate::buffer::PoolShardSnapshot>,
     /// Write-ahead log counters.
     pub wal: WalStatsSnapshot,
     /// B+tree counters aggregated over all indexes.
@@ -836,25 +834,6 @@ impl MetricsSnapshot {
                     ("writebacks".into(), Json::UInt(self.pool.writebacks)),
                     ("contended".into(), Json::UInt(self.pool.contended)),
                     ("hit_rate".into(), Json::Num(self.pool.hit_rate())),
-                    (
-                        "shards".into(),
-                        Json::Arr(
-                            self.pool_shards
-                                .iter()
-                                .map(|s| {
-                                    Json::Obj(vec![
-                                        ("shard".into(), Json::UInt(s.shard as u64)),
-                                        ("frames".into(), Json::UInt(s.frames as u64)),
-                                        ("hits".into(), Json::UInt(s.hits)),
-                                        ("misses".into(), Json::UInt(s.misses)),
-                                        ("evictions".into(), Json::UInt(s.evictions)),
-                                        ("writebacks".into(), Json::UInt(s.writebacks)),
-                                        ("contended".into(), Json::UInt(s.contended)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
                 ]),
             ),
             (
@@ -928,17 +907,6 @@ impl MetricsSnapshot {
             "buffer_pool.hit_rate",
             format!("{:.4}", self.pool.hit_rate()),
         );
-        for s in &self.pool_shards {
-            line(&format!("pool.shard.{}.hits", s.shard), s.hits.to_string());
-            line(
-                &format!("pool.shard.{}.misses", s.shard),
-                s.misses.to_string(),
-            );
-            line(
-                &format!("pool.shard.{}.contended", s.shard),
-                s.contended.to_string(),
-            );
-        }
         line("wal.appends", self.wal.appends.to_string());
         line("wal.append_bytes", self.wal.append_bytes.to_string());
         line("wal.syncs", self.wal.syncs.to_string());

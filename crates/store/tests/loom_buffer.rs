@@ -8,7 +8,9 @@
 //! interleaving, asserting safety invariants in every reachable state
 //! and flagging deadlocks (states where nobody can move).
 //!
-//! The modeled protocol mirrors `buffer::BufferPool`:
+//! The modeled protocol is `buffer::BufferPool`'s, step for step; the
+//! pool has one latch over its page table and clock hand, exactly as
+//! modeled here:
 //!
 //! 1. acquire the pool latch;
 //! 2. choose a frame — a free one, or evict an **unpinned** victim;
