@@ -7,7 +7,7 @@
 use crate::args::{parse, CliError};
 use crate::commands::exit;
 use perftrack::PTDataStore;
-use perftrack_server::{AdmissionConfig, Client, Request, Response, Server, ServerConfig};
+use perftrack_server::{Client, Request, Response, Server, ServerConfig};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -43,24 +43,14 @@ fn install_signal_handlers() {
 fn install_signal_handlers() {}
 
 /// `pt serve <store-dir> [--bind ADDR] [--port N] [--workers N]
-/// [--queue N] [--deadline-ms N] [--idle-ms N] [--capacity N]
-/// [--admission-queue N]` — serve the store over TCP until a signal or
-/// a remote shutdown request. `--capacity` sets the admission
-/// controller's concurrent cost budget and `--admission-queue` bounds
-/// how many cheap requests may wait for capacity.
+/// [--queue N] [--deadline-ms N] [--idle-ms N]` — serve the store over
+/// TCP until a signal or a remote shutdown request. At most one
+/// expensive request (export, compare, fsck) runs at a time; cheap ones
+/// are bounded by `--workers` alone.
 pub fn serve(argv: &[String]) -> Result<()> {
     let a = parse(
         argv,
-        &[
-            "bind",
-            "port",
-            "workers",
-            "queue",
-            "deadline-ms",
-            "idle-ms",
-            "capacity",
-            "admission-queue",
-        ],
+        &["bind", "port", "workers", "queue", "deadline-ms", "idle-ms"],
         &[],
     )?;
     let dir = a.positional(0, "store directory")?;
@@ -80,11 +70,6 @@ pub fn serve(argv: &[String]) -> Result<()> {
         idle_timeout: Duration::from_millis(
             a.get_num("idle-ms", defaults.idle_timeout.as_millis() as u64)?,
         ),
-        admission: AdmissionConfig {
-            capacity: a.get_num("capacity", defaults.admission.capacity)?,
-            queue_depth: a.get_num("admission-queue", defaults.admission.queue_depth)?,
-            ..defaults.admission
-        },
         transport: None,
     };
     // Opening the store also takes the directory lock, so a second

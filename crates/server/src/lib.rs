@@ -15,13 +15,12 @@
 //!   function per request kind, free of socket, gate and admission, so
 //!   the server and `pt` on a local store answer from the same code.
 //! * [`server`] — thread-per-connection server with a bounded accept
-//!   queue, single-writer/multi-reader scheduling, per-request
-//!   deadlines, idle reaping, and graceful drain.
+//!   queue, one expensive-request slot (admission: a second export,
+//!   compare or fsck is shed with a retry hint), single-writer/
+//!   multi-reader scheduling, per-request deadlines, idle reaping, and
+//!   graceful drain.
 //! * [`client`] — blocking client with jittered-backoff retry keyed off
 //!   the server-reported error category and request idempotency.
-//! * [`admission`] — opcode-cost admission control: a bounded queue in
-//!   front of the worker pool that sheds expensive ops first and tells
-//!   clients when to retry.
 //! * [`transport`] — byte-stream seam over [`std::net::TcpStream`] with
 //!   a deterministic network-fault injector ([`transport::ChaosInjector`])
 //!   for delay, partial writes, corruption, disconnects, and blackholes.
@@ -35,7 +34,6 @@
 // I/O confinement: no `std::fs` outside the Vfs seam (lists in clippy.toml).
 #![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 
-pub mod admission;
 pub mod client;
 pub mod metrics;
 pub mod ops;
@@ -44,13 +42,12 @@ pub mod server;
 pub mod transport;
 pub mod wire;
 
-pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionPermit};
 pub use client::{Client, ClientConfig, ClientError};
 pub use metrics::ServerMetrics;
 pub use ops::execute;
 pub use proto::{
     ErrorCategory, NameFilter, QuerySpec, Request, RequestHeader, Response, WireFreeColumn,
-    WireLoadStats, EXPENSIVE_COST, WIRE_VERSION,
+    WireLoadStats, WIRE_VERSION,
 };
 pub use server::{categorize, Server, ServerConfig, ServerHandle};
 pub use transport::{

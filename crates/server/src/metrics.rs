@@ -40,13 +40,6 @@ impl Gauge {
             });
     }
 
-    /// Overwrite the value (used when mirroring an externally tracked
-    /// quantity, like admission-queue occupancy).
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
@@ -89,14 +82,12 @@ pub struct ServerMetrics {
     pub in_flight: Gauge,
     /// Connections accepted but not yet claimed by a worker.
     pub queue_depth: Gauge,
-    /// Requests admitted by the cost-aware admission controller.
+    /// Requests admitted past admission (every request but `Shutdown`
+    /// and the shed ones).
     pub admission_admitted: Counter,
-    /// Requests shed with a typed `Overloaded` response.
+    /// Expensive requests shed with a typed `Overloaded` response because
+    /// another expensive request held the slot.
     pub admission_shed: Counter,
-    /// Cheap requests currently waiting in the admission queue.
-    pub admission_queued: Gauge,
-    /// Summed opcode cost of requests currently executing.
-    pub admission_in_flight_cost: Gauge,
     /// Per-opcode request latency, indexed like [`OP_LABELS`].
     pub op_latency: [LatencyHistogram; OP_LABELS.len()],
 }
@@ -153,11 +144,6 @@ impl ServerMetrics {
                 Json::Obj(vec![
                     ("admitted".into(), Json::UInt(self.admission_admitted.get())),
                     ("shed".into(), Json::UInt(self.admission_shed.get())),
-                    ("queued".into(), Json::UInt(self.admission_queued.get())),
-                    (
-                        "in_flight_cost".into(),
-                        Json::UInt(self.admission_in_flight_cost.get()),
-                    ),
                 ]),
             ),
         ];
@@ -204,14 +190,6 @@ impl ServerMetrics {
         line(
             "server.admission.shed",
             self.admission_shed.get().to_string(),
-        );
-        line(
-            "server.admission.queued",
-            self.admission_queued.get().to_string(),
-        );
-        line(
-            "server.admission.in_flight_cost",
-            self.admission_in_flight_cost.get().to_string(),
         );
         for (label, h) in OP_LABELS.iter().zip(self.op_latency.iter()) {
             let s = h.snapshot();
@@ -305,7 +283,7 @@ mod tests {
         m.connections_accepted.inc();
         m.record_request("ping", Duration::from_micros(3), false);
         m.admission_admitted.inc();
-        m.admission_in_flight_cost.set(16);
+        m.admission_shed.inc();
         let json = m.to_json();
         assert_eq!(
             json.get("connections_accepted").and_then(Json::as_u64),
@@ -314,11 +292,7 @@ mod tests {
         assert_eq!(json.get("requests").and_then(Json::as_u64), Some(1));
         let admission = json.get("admission").unwrap();
         assert_eq!(admission.get("admitted").and_then(Json::as_u64), Some(1));
-        assert_eq!(admission.get("shed").and_then(Json::as_u64), Some(0));
-        assert_eq!(
-            admission.get("in_flight_cost").and_then(Json::as_u64),
-            Some(16)
-        );
+        assert_eq!(admission.get("shed").and_then(Json::as_u64), Some(1));
         let ops = json.get("op_latency").unwrap();
         assert!(ops.get("ping").is_some());
         assert!(ops.get("load").is_none(), "empty histograms are omitted");

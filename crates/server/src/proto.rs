@@ -57,10 +57,6 @@ mod op {
     pub const R_ERR: u8 = 0xFF;
 }
 
-/// Admission cost at or above which a request counts as *expensive* and
-/// is shed first under overload (`docs/SERVER.md` §admission).
-pub const EXPENSIVE_COST: u32 = 32;
-
 /// The per-request header every v2 request payload starts with.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RequestHeader {
@@ -222,27 +218,20 @@ impl Request {
         !matches!(self, Request::LoadPtdf { .. })
     }
 
-    /// Admission-control cost, in abstract capacity units (the
-    /// per-opcode cost table; see `docs/SERVER.md` §admission). Costs
-    /// at or above [`EXPENSIVE_COST`] mark a request as expensive:
-    /// shed first under overload, never queued.
-    pub fn cost(&self) -> u32 {
-        match self {
-            Request::Ping => 1,
-            Request::Stats => 1,
-            Request::Shutdown => 1,
-            Request::Query(_) => 4,
-            Request::FreeResources(_) => 4,
-            Request::LoadPtdf { .. } => 16,
-            Request::Export => 32,
-            Request::Compare { .. } => 32,
-            Request::Fsck { .. } => 64,
-        }
-    }
-
-    /// Whether this request sheds before cheap ones under overload.
+    /// True for the requests that need the server's one expensive-request
+    /// slot (`docs/SERVER.md` §4): whole-store export and fsck and the
+    /// server-side comparison. No `_` arm, so a new opcode must pick a
+    /// class to compile.
     pub fn is_expensive(&self) -> bool {
-        self.cost() >= EXPENSIVE_COST
+        match self {
+            Request::Export | Request::Compare { .. } | Request::Fsck { .. } => true,
+            Request::Ping
+            | Request::LoadPtdf { .. }
+            | Request::Query(_)
+            | Request::FreeResources(_)
+            | Request::Stats
+            | Request::Shutdown => false,
+        }
     }
 
     /// Encode to a complete frame (length prefix included) with no
@@ -522,9 +511,9 @@ pub enum Response {
     /// Reply to [`Request::Shutdown`]: the server stops accepting and
     /// drains in-flight connections.
     ShuttingDown,
-    /// Admission control shed the request before execution: the server
-    /// is saturated (or reserving headroom for cheap requests) and this
-    /// request's cost did not fit. Nothing ran; retry after the hint.
+    /// Admission shed the request before execution: it is expensive and
+    /// another expensive request holds the server's one slot. Nothing
+    /// ran; retry after the hint.
     Overloaded {
         /// Server-suggested minimum backoff before retrying.
         retry_after_ms: u32,
@@ -912,38 +901,30 @@ mod tests {
     }
 
     #[test]
-    fn cost_table_orders_expensive_ops_last() {
-        assert_eq!(Request::Ping.cost(), 1);
-        assert_eq!(Request::Stats.cost(), 1);
-        assert_eq!(Request::Shutdown.cost(), 1);
-        assert_eq!(Request::Query(QuerySpec::default()).cost(), 4);
-        assert_eq!(Request::FreeResources(QuerySpec::default()).cost(), 4);
-        assert_eq!(
-            Request::LoadPtdf {
-                text: String::new(),
-                token: String::new(),
-            }
-            .cost(),
-            16
-        );
-        assert!(!Request::LoadPtdf {
+    fn only_export_compare_and_fsck_are_expensive() {
+        let load = Request::LoadPtdf {
             text: String::new(),
             token: String::new(),
+        };
+        let compare = Request::Compare {
+            executions: vec!["a".into(), "b".into()],
+            top: 10,
+            threshold_pct: 25,
+        };
+        let table = [
+            (Request::Ping, false),
+            (load, false),
+            (Request::Query(QuerySpec::default()), false),
+            (Request::FreeResources(QuerySpec::default()), false),
+            (Request::Export, true),
+            (Request::Stats, false),
+            (Request::Fsck { deep: true }, true),
+            (compare, true),
+            (Request::Shutdown, false),
+        ];
+        for (req, expensive) in &table {
+            assert_eq!(req.is_expensive(), *expensive, "{}", req.label());
         }
-        .is_expensive());
-        for expensive in [
-            Request::Export,
-            Request::Compare {
-                executions: vec!["a".into(), "b".into()],
-                top: 10,
-                threshold_pct: 25,
-            },
-            Request::Fsck { deep: true },
-        ] {
-            assert!(expensive.cost() >= EXPENSIVE_COST);
-            assert!(expensive.is_expensive());
-        }
-        assert!(!Request::Ping.is_expensive());
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! channel is full — a slow store must surface as back-pressure the
 //! client can retry, not as an unbounded backlog.
 //!
-//! Past the accept queue, every request passes the cost-aware
-//! [`AdmissionController`]: expensive ops (export, compare, fsck) are
-//! shed with a typed `Overloaded { retry_after_ms }` response when the
-//! server is saturated, cheap ops may briefly queue, and `Shutdown`
+//! Past the accept queue, admission is one expensive-request slot: an
+//! expensive request ([`Request::is_expensive`]: export, compare, fsck)
+//! runs only while no other one does, and is otherwise shed at once with
+//! a typed `Overloaded { retry_after_ms }` response. Cheap requests are
+//! bounded by the worker count alone and never wait, and `Shutdown`
 //! bypasses admission so a drain is always possible. All socket I/O
 //! goes through the [`Transport`] seam so tests can splice the
 //! [`crate::transport::ChaosInjector`] into either side of the wire.
@@ -53,7 +54,6 @@
     clippy::indexing_slicing
 )]
 
-use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
 use crate::metrics::ServerMetrics;
 use crate::ops::{self, execute};
 use crate::proto::{ErrorCategory, Request, RequestHeader, Response};
@@ -89,8 +89,6 @@ pub struct ServerConfig {
     pub request_deadline: Duration,
     /// Close connections with no complete request for this long.
     pub idle_timeout: Duration,
-    /// Cost-aware admission control knobs (see [`AdmissionConfig`]).
-    pub admission: AdmissionConfig,
     /// Optional transport wrapper applied to every accepted connection;
     /// `None` means plain TCP. Tests splice in a chaos injector here.
     pub transport: Option<TransportFactory>,
@@ -104,7 +102,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("queue_depth", &self.queue_depth)
             .field("request_deadline", &self.request_deadline)
             .field("idle_timeout", &self.idle_timeout)
-            .field("admission", &self.admission)
             .field("transport", &self.transport.as_ref().map(|_| "<factory>"))
             .finish()
     }
@@ -118,7 +115,6 @@ impl Default for ServerConfig {
             queue_depth: 16,
             request_deadline: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(30),
-            admission: AdmissionConfig::default(),
             transport: None,
         }
     }
@@ -128,6 +124,10 @@ impl Default for ServerConfig {
 /// to re-check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
+/// Backoff hint of every `Overloaded` answer: an expensive request shed
+/// because another one holds the slot.
+const RETRY_AFTER_MS: u32 = 100;
+
 /// State shared between the acceptor, the workers, and the handle.
 struct Shared {
     store: Arc<PTDataStore>,
@@ -135,8 +135,29 @@ struct Shared {
     shutdown: AtomicBool,
     /// Single-writer/multi-reader request gate (see module docs).
     write_gate: RwLock<()>,
-    admission: Arc<AdmissionController>,
+    /// Set while an expensive request runs (see [`ExpensiveSlot`]).
+    expensive_running: AtomicBool,
     cfg: ServerConfig,
+}
+
+/// The server's one expensive-request slot, held while the request runs.
+/// Dropping it frees the slot, also when the request panics.
+struct ExpensiveSlot<'a>(&'a AtomicBool);
+
+impl<'a> ExpensiveSlot<'a> {
+    /// The slot if no expensive request holds it, `None` otherwise.
+    fn try_take(running: &'a AtomicBool) -> Option<Self> {
+        running
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .ok()
+            .map(|_| ExpensiveSlot(running))
+    }
+}
+
+impl Drop for ExpensiveSlot<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
 }
 
 /// The server type; construct a running instance with [`Server::start`].
@@ -160,7 +181,7 @@ impl Server {
             metrics: Arc::new(ServerMetrics::new()),
             shutdown: AtomicBool::new(false),
             write_gate: RwLock::new(()),
-            admission: AdmissionController::new(cfg.admission.clone()),
+            expensive_running: AtomicBool::new(false),
             cfg: cfg.clone(),
         });
         let (tx, rx) = sync_channel::<TcpStream>(cfg.queue_depth.max(1));
@@ -230,17 +251,23 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, tx: SyncSender<TcpStream
             return;
         }
         match listener.accept() {
-            Ok((stream, _peer)) => match tx.try_send(stream) {
-                Ok(()) => {
-                    shared.metrics.connections_accepted.inc();
-                    shared.metrics.queue_depth.inc();
+            Ok((stream, _peer)) => {
+                // Counted before the send: a worker may claim the stream
+                // and `dec` before `try_send` even returns.
+                shared.metrics.queue_depth.inc();
+                match tx.try_send(stream) {
+                    Ok(()) => shared.metrics.connections_accepted.inc(),
+                    Err(TrySendError::Full(stream)) => {
+                        shared.metrics.queue_depth.dec();
+                        shared.metrics.connections_rejected.inc();
+                        reject_busy(shared, stream);
+                    }
+                    Err(TrySendError::Disconnected(_)) => {
+                        shared.metrics.queue_depth.dec();
+                        return;
+                    }
                 }
-                Err(TrySendError::Full(stream)) => {
-                    shared.metrics.connections_rejected.inc();
-                    reject_busy(shared, stream);
-                }
-                Err(TrySendError::Disconnected(_)) => return,
-            },
+            }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(POLL_INTERVAL);
             }
@@ -362,36 +389,31 @@ fn handle_frame(
     if header.deadline_ms > 0 {
         deadline = deadline.min(Duration::from_millis(u64::from(header.deadline_ms)));
     }
-    // Cost-aware admission; `Shutdown` bypasses it so a drain is always
-    // possible no matter how saturated the server is.
-    let _permit = if matches!(req, Request::Shutdown) {
-        None
+    // Admission: an expensive request needs the one slot and is shed
+    // when another holds it. Cheap requests never wait, and `Shutdown`
+    // bypasses admission so a drain is always possible.
+    let slot = if req.is_expensive() {
+        let Some(slot) = ExpensiveSlot::try_take(&shared.expensive_running) else {
+            shared.metrics.admission_shed.inc();
+            let shed = Response::Overloaded {
+                retry_after_ms: RETRY_AFTER_MS,
+            };
+            return (shed, false);
+        };
+        Some(slot)
     } else {
-        let max_wait = shared.cfg.admission.max_queue_wait.min(deadline);
-        match shared
-            .admission
-            .admit(req.cost(), req.is_expensive(), max_wait)
-        {
-            AdmissionDecision::Admitted(permit) => {
-                shared.metrics.admission_admitted.inc();
-                Some(permit)
-            }
-            AdmissionDecision::Shed { retry_after_ms } => {
-                shared.metrics.admission_shed.inc();
-                sync_admission_gauges(shared);
-                return (Response::Overloaded { retry_after_ms }, false);
-            }
-        }
+        None
     };
-    sync_admission_gauges(shared);
+    if !matches!(req, Request::Shutdown) {
+        shared.metrics.admission_admitted.inc();
+    }
     let label = req.label();
     shared.metrics.in_flight.inc();
     let start = Instant::now();
     let mut resp = execute_gated(shared, &req);
     let elapsed = start.elapsed();
     shared.metrics.in_flight.dec();
-    drop(_permit);
-    sync_admission_gauges(shared);
+    drop(slot);
     // Post-hoc deadline: the work happened, but the client asked for a
     // bounded response time and gets a typed error it can act on.
     if elapsed > deadline && !matches!(resp, Response::Err { .. }) {
@@ -412,18 +434,6 @@ fn handle_frame(
         shared.shutdown.store(true, Ordering::SeqCst);
     }
     (resp, stop)
-}
-
-/// Mirror the admission controller's occupancy into the metrics gauges.
-fn sync_admission_gauges(shared: &Shared) {
-    shared
-        .metrics
-        .admission_queued
-        .set(shared.admission.queued());
-    shared
-        .metrics
-        .admission_in_flight_cost
-        .set(shared.admission.in_flight_cost());
 }
 
 /// Run a request under the scheduling gate, taken once and keyed on
@@ -741,19 +751,16 @@ mod tests {
         shutdown_and_join(handle);
     }
 
-    /// Build a `Shared` directly so tests can hold admission permits and
-    /// observe shedding without racing real request timing.
-    fn test_shared(admission: AdmissionConfig) -> Arc<Shared> {
+    /// Build a `Shared` directly so tests can hold the expensive-request
+    /// slot and observe shedding without racing real request timing.
+    fn test_shared() -> Arc<Shared> {
         Arc::new(Shared {
             store: Arc::new(PTDataStore::in_memory().unwrap()),
             metrics: Arc::new(ServerMetrics::new()),
             shutdown: AtomicBool::new(false),
             write_gate: RwLock::new(()),
-            admission: AdmissionController::new(admission.clone()),
-            cfg: ServerConfig {
-                admission,
-                ..ServerConfig::default()
-            },
+            expensive_running: AtomicBool::new(false),
+            cfg: ServerConfig::default(),
         })
     }
 
@@ -761,54 +768,143 @@ mod tests {
         (req, RequestHeader::default())
     }
 
+    fn compare_e1_e2() -> Request {
+        Request::Compare {
+            executions: vec!["e1".into(), "e2".into()],
+            top: 10,
+            threshold_pct: 25,
+        }
+    }
+
+    fn shared_with_two_executions() -> Arc<Shared> {
+        let shared = test_shared();
+        shared
+            .store
+            .load_ptdf_str(
+                "Application A\n\
+                 Resource /f application\n\
+                 Execution e1 A\nExecution e2 A\n\
+                 PerfResult e1 /f(primary) T time 2.0 s\n\
+                 PerfResult e2 /f(primary) T time 8.0 s\n",
+            )
+            .unwrap();
+        shared
+    }
+
     #[test]
-    fn expensive_ops_shed_while_cheap_ops_keep_succeeding() {
-        let shared = test_shared(AdmissionConfig {
-            capacity: 64,
-            queue_depth: 8,
-            max_queue_wait: Duration::from_millis(10),
-            retry_base_ms: 100,
-        });
-        // Simulate a busy server: hold 40 cost units of cheap work.
-        let held = match shared.admission.admit(40, false, Duration::ZERO) {
-            AdmissionDecision::Admitted(p) => p,
-            other => panic!("{other:?}"),
-        };
-        // Expensive op (fsck, cost 64) is shed with a typed retry hint...
-        match handle_frame(&shared, Ok(decoded(Request::Fsck { deep: false }))) {
-            (Response::Overloaded { retry_after_ms }, false) => assert!(retry_after_ms > 0),
+    fn admission_sheds_a_second_expensive_request() {
+        let shared = shared_with_two_executions();
+        let held = ExpensiveSlot::try_take(&shared.expensive_running).unwrap();
+        match handle_frame(&shared, Ok(decoded(compare_e1_e2()))) {
+            (Response::Overloaded { retry_after_ms }, false) => assert_eq!(retry_after_ms, 100),
             other => panic!("expected overloaded, got {other:?}"),
         }
         assert_eq!(shared.metrics.admission_shed.get(), 1);
-        // ...while a cheap op still goes straight through.
+        assert_eq!(shared.metrics.admission_admitted.get(), 0);
+        assert_eq!(
+            shared.metrics.requests.get(),
+            0,
+            "a shed request never runs"
+        );
+        drop(held);
+        match handle_frame(&shared, Ok(decoded(compare_e1_e2()))) {
+            (Response::CompareDone { .. }, false) => {}
+            other => panic!("expected a comparison, got {other:?}"),
+        }
+        assert_eq!(shared.metrics.admission_admitted.get(), 1);
+        assert!(!shared.expensive_running.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn admission_lets_cheap_requests_run_beside_an_expensive_one() {
+        let shared = test_shared();
+        let _held = ExpensiveSlot::try_take(&shared.expensive_running).unwrap();
+        let load = Request::LoadPtdf {
+            text: GOOD_PTDF.into(),
+            token: "load-beside-export".into(),
+        };
+        let query = Request::Query(QuerySpec {
+            names: vec![NameFilter {
+                pattern: "/r".into(),
+                relatives: 'N',
+            }],
+            ..QuerySpec::default()
+        });
+        let start = Instant::now();
+        match handle_frame(&shared, Ok(decoded(load))) {
+            (Response::Loaded { stats, .. }, false) => assert_eq!(stats.results, 1),
+            other => panic!("expected a load, got {other:?}"),
+        }
+        match handle_frame(&shared, Ok(decoded(query))) {
+            (Response::Table { rows, .. }, false) => assert_eq!(rows.len(), 1),
+            other => panic!("expected a table, got {other:?}"),
+        }
         match handle_frame(&shared, Ok(decoded(Request::Ping))) {
             (Response::Pong { .. }, false) => {}
             other => panic!("expected pong, got {other:?}"),
         }
+        // Cheap requests never wait for the slot.
+        assert!(start.elapsed() < Duration::from_millis(200));
+        assert_eq!(shared.metrics.admission_admitted.get(), 3);
+        assert_eq!(shared.metrics.admission_shed.get(), 0);
+    }
+
+    #[test]
+    fn admission_slot_is_released_when_its_holder_panics() {
+        let shared = test_shared();
+        let holder = Arc::clone(&shared);
+        let panicked = std::thread::spawn(move || {
+            let _slot = ExpensiveSlot::try_take(&holder.expensive_running).unwrap();
+            panic!("worker dies holding the expensive-request slot");
+        })
+        .join();
+        assert!(panicked.is_err());
+        match handle_frame(&shared, Ok(decoded(Request::Fsck { deep: false }))) {
+            (Response::FsckDone { .. }, false) => {}
+            other => panic!("expected fsck result, got {other:?}"),
+        }
+        assert_eq!(shared.metrics.admission_shed.get(), 0);
+    }
+
+    #[test]
+    fn expensive_ops_shed_while_cheap_ops_keep_succeeding() {
+        let shared = test_shared();
+        let held = ExpensiveSlot::try_take(&shared.expensive_running).unwrap();
+        // Every expensive op is shed with the typed retry hint...
+        for req in [
+            Request::Export,
+            Request::Fsck { deep: true },
+            compare_e1_e2(),
+        ] {
+            match handle_frame(&shared, Ok(decoded(req))) {
+                (Response::Overloaded { retry_after_ms }, false) => {
+                    assert_eq!(retry_after_ms, RETRY_AFTER_MS);
+                }
+                other => panic!("expected overloaded, got {other:?}"),
+            }
+        }
+        assert_eq!(shared.metrics.admission_shed.get(), 3);
+        // ...while a cheap op still goes straight through.
+        match handle_frame(&shared, Ok(decoded(Request::Stats))) {
+            (Response::Stats { .. }, false) => {}
+            other => panic!("expected stats, got {other:?}"),
+        }
         assert_eq!(shared.metrics.admission_admitted.get(), 1);
-        // Once load clears, the same expensive op is admitted.
+        // Once the slot is free, the same expensive op is admitted.
         drop(held);
         match handle_frame(&shared, Ok(decoded(Request::Fsck { deep: false }))) {
             (Response::FsckDone { .. }, false) => {}
             other => panic!("expected fsck result, got {other:?}"),
         }
-        assert_eq!(shared.metrics.admission_in_flight_cost.get(), 0);
+        assert!(!shared.expensive_running.load(Ordering::SeqCst));
     }
 
     #[test]
-    fn shutdown_bypasses_admission_under_full_load() {
-        let shared = test_shared(AdmissionConfig {
-            capacity: 4,
-            queue_depth: 0,
-            max_queue_wait: Duration::ZERO,
-            retry_base_ms: 100,
-        });
-        let _held = match shared.admission.admit(4, false, Duration::ZERO) {
-            AdmissionDecision::Admitted(p) => p,
-            other => panic!("{other:?}"),
-        };
-        // A cheap op sheds (queue_depth 0, capacity full)...
-        match handle_frame(&shared, Ok(decoded(Request::Ping))) {
+    fn admission_is_bypassed_by_shutdown() {
+        let shared = test_shared();
+        let _held = ExpensiveSlot::try_take(&shared.expensive_running).unwrap();
+        // An expensive op sheds (the slot is held)...
+        match handle_frame(&shared, Ok(decoded(Request::Export))) {
             (Response::Overloaded { .. }, false) => {}
             other => panic!("expected overloaded, got {other:?}"),
         }
@@ -818,11 +914,12 @@ mod tests {
             other => panic!("expected shutdown, got {other:?}"),
         }
         assert!(shared.shutdown.load(Ordering::SeqCst));
+        assert_eq!(shared.metrics.admission_admitted.get(), 0);
     }
 
     #[test]
     fn client_deadline_header_tightens_server_deadline() {
-        let shared = test_shared(AdmissionConfig::default());
+        let shared = test_shared();
         // Server deadline is 10s; the client asks for 1ms via the header.
         match handle_frame(
             &shared,
@@ -958,5 +1055,27 @@ mod tests {
         drop(held);
         // All four are back on the receiver; each must observe the drain.
         shutdown_and_join(handle);
+    }
+
+    #[test]
+    fn queue_depth_reads_zero_once_sequential_connections_drain() {
+        let cfg = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let (handle, _store) = start_test_server(cfg);
+        let addr = handle.local_addr();
+        // The one worker is parked on the receiver for each connection, so
+        // it can claim the stream before the acceptor's `try_send` returns.
+        for _ in 0..40 {
+            assert!(matches!(
+                call_raw(addr, &Request::Ping),
+                Response::Pong { .. }
+            ));
+        }
+        let metrics = handle.metrics();
+        shutdown_and_join(handle);
+        assert_eq!(metrics.connections_accepted.get(), 40);
+        assert_eq!(metrics.queue_depth.get(), 0);
     }
 }

@@ -1,6 +1,7 @@
 //! Every metric name `pt stats` renders is documented in
 //! `docs/METRICS.md`: one test per metrics crate renders its table and
-//! looks each name up in the doc.
+//! looks each name up in the doc. For `server.*` the check also runs the
+//! other way: every concrete name the doc lists must be rendered.
 //!
 //! A doc name matches a rendered name segment by segment, where a
 //! `<...>` placeholder matches any segment (`server.op.<label>.count`), a
@@ -109,4 +110,17 @@ fn server_metric_names_are_documented() {
         );
     }
     assert_documented(&names);
+    // The other way round: every concrete `server.*` name in the doc is
+    // rendered, so a row left behind by a deleted metric fails here.
+    let stale: Vec<String> = documented_names(METRICS_DOC)
+        .into_iter()
+        .filter(|segs| segs.first() == Some(&"server"))
+        .filter(|segs| segs.iter().all(|s| !s.contains('<') && !s.contains('*')))
+        .map(|segs| segs.join("."))
+        .filter(|name| !names.contains(&name.as_str()))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "in docs/METRICS.md but not rendered: {stale:?}"
+    );
 }

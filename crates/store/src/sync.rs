@@ -1,7 +1,7 @@
-//! The workspace's lock types: [`Mutex`], [`RwLock`] and [`Condvar`] over
-//! `std::sync`, with `lock()`/`read()`/`write()` returning the guard
-//! directly. `perftrack` (core) and `perftrack-server` import them from
-//! here; nothing else in the workspace names a `std::sync` lock.
+//! The workspace's lock types: [`Mutex`] and [`RwLock`] over `std::sync`,
+//! with `lock()`/`read()`/`write()` returning the guard directly.
+//! `perftrack` (core) and `perftrack-server` import them from here;
+//! nothing else in the workspace names a `std::sync` lock.
 //!
 //! # Poison policy
 //!
@@ -13,11 +13,11 @@
 //! sound here because no invariant of the engine rests on a lock having
 //! been released normally: pages and the catalog are made consistent by
 //! the WAL (a failed write flips the store to degraded mode and recovery
-//! replays a committed prefix on reopen), the structures under the pool,
-//! WAL and admission locks are updated by steps that each leave them
-//! valid, and the clippy panic-freedom header (`#![deny(..)]` in
-//! `buffer.rs` and `wal.rs`) keeps panicking calls out of the code that
-//! runs under the pool and WAL locks.
+//! replays a committed prefix on reopen), the structures under the pool
+//! and WAL locks are updated by steps that each leave them valid, and
+//! the clippy panic-freedom header (`#![deny(..)]` in `buffer.rs` and
+//! `wal.rs`) keeps panicking calls out of the code that runs under the
+//! pool and WAL locks.
 //!
 //! These are types, not call-site idiom, on purpose: `ptlint`'s
 //! lock-order pass binds a guard for `let g = x.lock();` and treats a
@@ -25,7 +25,6 @@
 //! call site would hide the lock from `tools/lock-order.toml`.
 
 use std::sync::{self, PoisonError, TryLockError};
-use std::time::Duration;
 
 pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
@@ -72,42 +71,6 @@ impl<T> RwLock<T> {
     /// Block until exclusive access is held.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Condition variable for a [`Mutex`] guard.
-#[derive(Debug)]
-pub struct Condvar(sync::Condvar);
-
-impl Condvar {
-    /// A new condition variable with no waiters.
-    pub const fn new() -> Self {
-        Condvar(sync::Condvar::new())
-    }
-
-    /// Release `guard`, wait for a notification or for `timeout` to pass
-    /// (spurious wakeups are possible; callers re-check their condition
-    /// against their own deadline), and re-acquire the lock.
-    pub fn wait_timeout<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        timeout: Duration,
-    ) -> MutexGuard<'a, T> {
-        self.0
-            .wait_timeout(guard, timeout)
-            .unwrap_or_else(PoisonError::into_inner)
-            .0
-    }
-
-    /// Wake every thread waiting on this condition variable.
-    pub fn notify_all(&self) {
-        self.0.notify_all();
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
