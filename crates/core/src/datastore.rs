@@ -11,7 +11,7 @@ use crate::error::{PtError, Result};
 use crate::schema::{col, Schema};
 use perftrack_model::{ContextRole, ModelError, PerformanceResult, ResourceName, TypeRegistry};
 use perftrack_ptdf::{AttrType, PtdfStatement};
-use perftrack_store::sync::{Mutex, RwLock};
+use perftrack_store::sync::{Level, Mutex, RwLock};
 use perftrack_store::{Database, DbOptions, Row, TableId, Value};
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -140,6 +140,7 @@ fn focus_seq(shared: bool) -> &'static str {
     }
 }
 
+#[derive(Default)]
 struct IdGen {
     next: HashMap<&'static str, i64>,
 }
@@ -204,11 +205,9 @@ impl PTDataStore {
         let store = PTDataStore {
             db,
             schema,
-            registry: RwLock::new(TypeRegistry::empty()),
-            cache: RwLock::new(NameCache::default()),
-            ids: Mutex::new(IdGen {
-                next: HashMap::new(),
-            }),
+            registry: RwLock::new(Level::TypeRegistry, TypeRegistry::empty()),
+            cache: RwLock::new(Level::NameCache, NameCache::default()),
+            ids: Mutex::new(Level::IdGen, IdGen::default()),
         };
         // Seed the Figure 2 base types if absent. The freshness signal is
         // the row count, not table existence: a crash between the schema

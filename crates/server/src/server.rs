@@ -65,7 +65,7 @@ use perftrack::{PTDataStore, PtError};
 use crate::proto::{QuerySpec, WIRE_VERSION};
 #[cfg(test)]
 use perftrack_store::metrics::Json;
-use perftrack_store::sync::{Mutex, RwLock};
+use perftrack_store::sync::{Level, Mutex, RwLock};
 use perftrack_store::StoreError;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -140,6 +140,19 @@ struct Shared {
     cfg: ServerConfig,
 }
 
+impl Shared {
+    fn new(store: Arc<PTDataStore>, cfg: ServerConfig) -> Arc<Self> {
+        Arc::new(Shared {
+            store,
+            metrics: Arc::new(ServerMetrics::new()),
+            shutdown: AtomicBool::new(false),
+            write_gate: RwLock::new(Level::WriteGate, ()),
+            expensive_running: AtomicBool::new(false),
+            cfg,
+        })
+    }
+}
+
 /// The server's one expensive-request slot, held while the request runs.
 /// Dropping it frees the slot, also when the request panics.
 struct ExpensiveSlot<'a>(&'a AtomicBool);
@@ -176,18 +189,11 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            store,
-            metrics: Arc::new(ServerMetrics::new()),
-            shutdown: AtomicBool::new(false),
-            write_gate: RwLock::new(()),
-            expensive_running: AtomicBool::new(false),
-            cfg: cfg.clone(),
-        });
+        let shared = Shared::new(store, cfg.clone());
         let (tx, rx) = sync_channel::<TcpStream>(cfg.queue_depth.max(1));
         // One connection per message, so the lock around the shared
         // receiver is taken per connection, not per request.
-        let rx = Arc::new(Mutex::new(rx));
+        let rx = Arc::new(Mutex::new(Level::AcceptQueue, rx));
 
         let mut threads = Vec::with_capacity(cfg.workers + 1);
         for _ in 0..cfg.workers.max(1) {
@@ -754,14 +760,10 @@ mod tests {
     /// Build a `Shared` directly so tests can hold the expensive-request
     /// slot and observe shedding without racing real request timing.
     fn test_shared() -> Arc<Shared> {
-        Arc::new(Shared {
-            store: Arc::new(PTDataStore::in_memory().unwrap()),
-            metrics: Arc::new(ServerMetrics::new()),
-            shutdown: AtomicBool::new(false),
-            write_gate: RwLock::new(()),
-            expensive_running: AtomicBool::new(false),
-            cfg: ServerConfig::default(),
-        })
+        Shared::new(
+            Arc::new(PTDataStore::in_memory().unwrap()),
+            ServerConfig::default(),
+        )
     }
 
     fn decoded(req: Request) -> (Request, RequestHeader) {

@@ -22,7 +22,7 @@
 //! or OS randomness is involved anywhere, so a failing seed replays
 //! exactly.
 
-use perftrack_store::sync::Mutex;
+use perftrack_store::sync::{Level, Mutex};
 use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -134,7 +134,7 @@ impl ChaosInjector {
     /// offset stream (and nothing else).
     pub fn new(seed: u64) -> Arc<ChaosInjector> {
         Arc::new(ChaosInjector {
-            rules: Mutex::new(Vec::new()),
+            rules: Mutex::new(Level::TransportRules, Vec::new()),
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             faults_fired: AtomicU64::new(0),

@@ -26,7 +26,7 @@ use crate::metrics::{
 use crate::page::{PageId, PageMut, PageRef, PageType, RowId, MAX_RECORD, PAGE_SIZE};
 use crate::planner::StatsState;
 use crate::stats::{build_histogram, drifted, IndexStats, StatsCatalog, TableStats};
-use crate::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use crate::sync::{Level, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use crate::value::{decode_row, encode_key_vec, encode_row_vec, Row, Value};
 use crate::vfs::{StdVfs, Vfs};
 use crate::wal::{Wal, WalOp, WalPayload};
@@ -170,26 +170,39 @@ impl Database {
         let disk = Arc::new(DiskManager::in_memory());
         let pool = Arc::new(BufferPool::new(disk, opts.pool_frames));
         let wal = Arc::new(Wal::in_memory());
-        let db = Database {
+        let db = Self::from_parts(pool, wal, Catalog::new(), opts, None);
+        db.install_wal_hook();
+        db
+    }
+
+    /// A database over its parts, with every lock at its level and no
+    /// writeback hook installed yet.
+    fn from_parts(
+        pool: Arc<BufferPool>,
+        wal: Arc<Wal>,
+        catalog: Catalog,
+        opts: DbOptions,
+        dir: Option<(PathBuf, DirLock)>,
+    ) -> Self {
+        let (dir, dir_lock) = dir.unzip();
+        Database {
             pool,
             wal,
-            catalog: RwLock::new(Catalog::new()),
-            indexes: RwLock::new(HashMap::new()),
-            writer: Mutex::new(()),
+            catalog: RwLock::new(Level::Catalog, catalog),
+            indexes: RwLock::new(Level::Indexes, HashMap::new()),
+            writer: Mutex::new(Level::Writer, ()),
             next_txn: AtomicU64::new(1),
-            dir: None,
+            dir,
             opts,
             commits: Counter::new(),
             rollbacks: Counter::new(),
             degraded: Arc::new(AtomicBool::new(false)),
             io: Arc::new(IoStats::default()),
             planner: PlannerStats::default(),
-            mutations: RwLock::new(HashMap::new()),
-            stats_epoch: RwLock::new(HashMap::new()),
-            _dir_lock: None,
-        };
-        db.install_wal_hook();
-        db
+            mutations: RwLock::new(Level::Mutations, HashMap::new()),
+            stats_epoch: RwLock::new(Level::StatsEpoch, HashMap::new()),
+            _dir_lock: dir_lock,
+        }
     }
 
     /// Open (or create) a persistent database in directory `dir`, running
@@ -227,24 +240,13 @@ impl Database {
         } else {
             Catalog::new()
         };
-        let db = Database {
+        let db = Self::from_parts(
             pool,
             wal,
-            catalog: RwLock::new(catalog),
-            indexes: RwLock::new(HashMap::new()),
-            writer: Mutex::new(()),
-            next_txn: AtomicU64::new(1),
-            dir: Some(dir.to_path_buf()),
+            catalog,
             opts,
-            commits: Counter::new(),
-            rollbacks: Counter::new(),
-            degraded: Arc::new(AtomicBool::new(false)),
-            io: Arc::new(IoStats::default()),
-            planner: PlannerStats::default(),
-            mutations: RwLock::new(HashMap::new()),
-            stats_epoch: RwLock::new(HashMap::new()),
-            _dir_lock: Some(dir_lock),
-        };
+            Some((dir.to_path_buf(), dir_lock)),
+        );
         db.recover()?;
         db.reclaim_lost_allocations()?;
         // Post-recovery verification: recovery must hand back a
@@ -372,7 +374,9 @@ impl Database {
                 return Err(e);
             }
         };
-        self.indexes.write().insert(id, Arc::new(RwLock::new(tree)));
+        self.indexes
+            .write()
+            .insert(id, Arc::new(RwLock::new(Level::IndexTree, tree)));
         self.checkpoint_locked()?;
         Ok(id)
     }
@@ -1011,7 +1015,7 @@ impl Database {
                 run.sort_unstable();
                 let tree = BTreeIndex::from_sorted(run);
                 checks.insert(meta.id, check::check_index(&tree, meta, live));
-                trees.insert(meta.id, Arc::new(RwLock::new(tree)));
+                trees.insert(meta.id, Arc::new(RwLock::new(Level::IndexTree, tree)));
             }
         }
         *self.indexes.write() = trees;
@@ -1759,27 +1763,31 @@ mod tests {
     fn crash_recovery_replays_committed_only() {
         let dir = std::env::temp_dir().join(format!("ptdb-crash-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        {
-            let db = Database::open(&dir).unwrap();
-            let t = setup(&db);
-            let mut txn = db.begin();
-            for i in 0..50 {
-                txn.insert(t, row(i, &format!("committed-{i}"), None))
-                    .unwrap();
-            }
-            txn.commit().unwrap();
-            // Second transaction never commits; simulate a crash by leaking
-            // the Txn (no rollback) and forgetting the Database (no
-            // checkpoint, pages never flushed).
-            let mut txn2 = db.begin();
-            for i in 100..120 {
-                txn2.insert(t, row(i, &format!("uncommitted-{i}"), None))
-                    .unwrap();
-            }
-            // Crash: neither txn2 rollback nor db checkpoint runs.
-            std::mem::forget(txn2);
-            std::mem::forget(db);
-        }
+        // The crashing process runs on its own thread: the leaked Txn's
+        // writer level stays held there, not on the thread that reopens.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let db = Database::open(&dir).unwrap();
+                let t = setup(&db);
+                let mut txn = db.begin();
+                for i in 0..50 {
+                    txn.insert(t, row(i, &format!("committed-{i}"), None))
+                        .unwrap();
+                }
+                txn.commit().unwrap();
+                // Second transaction never commits; simulate a crash by
+                // leaking the Txn (no rollback) and forgetting the Database
+                // (no checkpoint, pages never flushed).
+                let mut txn2 = db.begin();
+                for i in 100..120 {
+                    txn2.insert(t, row(i, &format!("uncommitted-{i}"), None))
+                        .unwrap();
+                }
+                // Crash: neither txn2 rollback nor db checkpoint runs.
+                std::mem::forget(txn2);
+                std::mem::forget(db);
+            });
+        });
         let db = Database::open(&dir).unwrap();
         let t = db.table_id("people").unwrap();
         assert_eq!(db.row_count(t).unwrap(), 50, "only committed rows survive");

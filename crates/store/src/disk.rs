@@ -8,7 +8,7 @@
 
 use crate::error::Result;
 use crate::page::{PageId, PAGE_SIZE};
-use crate::sync::Mutex;
+use crate::sync::{Level, Mutex};
 use crate::vfs::{MemVfs, StdVfs, Vfs, VfsFile};
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -48,7 +48,7 @@ impl DiskManager {
         Ok(DiskManager {
             file,
             page_count: AtomicU32::new((len / PAGE_SIZE as u64) as u32),
-            alloc: Mutex::new(()),
+            alloc: Mutex::new(Level::DiskAlloc, ()),
         })
     }
 

@@ -32,8 +32,9 @@
 //! * [`planner`] — the shared cost constants and statistics view the core
 //!   pr-filter planner reads, plus the versioned EXPLAIN tree (documented
 //!   in `docs/PLANNER.md`).
-//! * [`sync`] — the workspace's `Mutex`/`RwLock` over `std::sync`
-//!   and the one statement of the poison policy.
+//! * [`sync`] — the workspace's `Mutex`/`RwLock` over `std::sync`,
+//!   each at its lock-order `Level` (checked in debug builds), and the
+//!   one statement of the poison policy.
 //! * [`metrics`] — observability: counters, latency histograms,
 //!   per-operator query profiles, and the JSON codec that serializes them
 //!   (schema documented in `docs/METRICS.md`).

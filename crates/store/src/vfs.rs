@@ -21,14 +21,14 @@
 
 #![allow(
     clippy::disallowed_methods,
-    clippy::disallowed_types,
     reason = "this file is the Vfs seam: the one place engine code touches std::fs"
 )]
+// The std::fs types are exempt item by item (`StdFile`, `StdVfs::open`),
+// so a std lock here still fails clippy.
 
 use crate::error::{Result, StoreError};
-use crate::sync::Mutex;
+use crate::sync::{Level, Mutex};
 use std::collections::HashMap;
-use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -77,6 +77,10 @@ pub trait Vfs: Send + Sync {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StdVfs;
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the real-filesystem Vfs holds a std::fs::File"
+)]
 struct StdFile {
     path: PathBuf,
     file: Mutex<std::fs::File>,
@@ -89,8 +93,12 @@ impl StdFile {
 }
 
 impl Vfs for StdVfs {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the real-filesystem Vfs opens std::fs files"
+    )]
     fn open(&self, path: &Path) -> Result<Arc<dyn VfsFile>> {
-        let file = OpenOptions::new()
+        let file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
@@ -99,7 +107,7 @@ impl Vfs for StdVfs {
             .map_err(|e| StoreError::io_at(path, e))?;
         Ok(Arc::new(StdFile {
             path: path.to_path_buf(),
-            file: Mutex::new(file),
+            file: Mutex::new(Level::FileData, file),
         }))
     }
 }
@@ -138,7 +146,7 @@ impl VfsFile for StdFile {
 /// so "reopening" a path observes whatever an earlier handle persisted —
 /// the property crash-simulation tests rely on. Cloning the `MemVfs`
 /// shares the namespace; contents vanish when the last clone drops.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct MemVfs {
     files: Arc<Mutex<HashMap<PathBuf, Arc<MemFile>>>>,
 }
@@ -146,11 +154,18 @@ pub struct MemVfs {
 impl MemVfs {
     /// An empty in-memory namespace.
     pub fn new() -> Self {
-        Self::default()
+        MemVfs {
+            files: Arc::new(Mutex::new(Level::MemVfsFiles, HashMap::new())),
+        }
     }
 }
 
-#[derive(Default)]
+impl Default for MemVfs {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 struct MemFile {
     data: Mutex<Vec<u8>>,
 }
@@ -158,7 +173,11 @@ struct MemFile {
 impl Vfs for MemVfs {
     fn open(&self, path: &Path) -> Result<Arc<dyn VfsFile>> {
         let mut files = self.files.lock();
-        let file = files.entry(path.to_path_buf()).or_default();
+        let file = files.entry(path.to_path_buf()).or_insert_with(|| {
+            Arc::new(MemFile {
+                data: Mutex::new(Level::FileData, Vec::new()),
+            })
+        });
         Ok(Arc::clone(file) as Arc<dyn VfsFile>)
     }
 }
@@ -288,7 +307,6 @@ struct RuleSlot {
     fired: bool,
 }
 
-#[derive(Default)]
 struct FaultState {
     ops: AtomicU64,
     reads: AtomicU64,
@@ -310,6 +328,20 @@ enum OpClass {
 }
 
 impl FaultState {
+    fn new() -> Self {
+        FaultState {
+            ops: AtomicU64::new(0),
+            reads: AtomicU64::new(0),
+            writes: AtomicU64::new(0),
+            syncs: AtomicU64::new(0),
+            truncates: AtomicU64::new(0),
+            bytes_written: AtomicU64::new(0),
+            injected: AtomicU64::new(0),
+            crashed: AtomicBool::new(false),
+            rules: Mutex::new(Level::FaultRules, Vec::new()),
+        }
+    }
+
     /// Record one operation and return the fault to inject, if any.
     fn step(&self, class: OpClass, write_len: usize) -> Option<FaultKind> {
         let op = self.ops.fetch_add(1, Ordering::SeqCst);
@@ -368,7 +400,7 @@ impl FaultVfs {
     pub fn new(inner: Arc<dyn Vfs>) -> Self {
         FaultVfs {
             inner,
-            state: Arc::new(FaultState::default()),
+            state: Arc::new(FaultState::new()),
         }
     }
 
@@ -459,7 +491,7 @@ impl Vfs for FaultVfs {
         }
         Ok(Arc::new(FaultFile {
             inner,
-            image: Mutex::new(image),
+            image: Mutex::new(Level::FaultImage, image),
             state: Arc::clone(&self.state),
         }))
     }

@@ -32,7 +32,7 @@
 use crate::error::{Result, StoreError};
 use crate::metrics::{Counter, LatencyHistogram, WalStatsSnapshot};
 use crate::page::RowId;
-use crate::sync::Mutex;
+use crate::sync::{Level, Mutex};
 use crate::vfs::{MemVfs, StdVfs, Vfs, VfsFile};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -352,11 +352,14 @@ impl Wal {
         let file = vfs.open(path)?;
         let durable_len = file.len()?;
         let wal = Wal {
-            inner: Mutex::new(WalInner {
-                file,
-                pending: Vec::new(),
-                durable_len,
-            }),
+            inner: Mutex::new(
+                Level::Wal,
+                WalInner {
+                    file,
+                    pending: Vec::new(),
+                    durable_len,
+                },
+            ),
             next_lsn: AtomicU64::new(1),
             stats: WalStats::default(),
         };

@@ -27,19 +27,6 @@
 //! protocol never deadlocks. Two deliberately broken protocol variants
 //! (eviction ignoring pins, write-back skipping the WAL sync) prove the
 //! harness actually detects violations.
-//!
-//! CI runs this once normally and once with `RUSTFLAGS="--cfg loom"`,
-//! which switches to a larger configuration (more threads than frames,
-//! forcing eviction under contention).
-
-#![allow(
-    unknown_lints,
-    reason = "toolchains that predate check-cfg do not know `unexpected_cfgs`"
-)]
-#![allow(
-    unexpected_cfgs,
-    reason = "`--cfg loom` selects the larger model-checking configuration"
-)]
 
 use std::collections::HashSet;
 
@@ -287,12 +274,9 @@ fn explore(init: State, proto: Protocol) -> Result<usize, String> {
     Ok(seen.len())
 }
 
-// Base configuration: 2 threads contending over 2 frames. Under
-// `--cfg loom` CI widens to 3 threads on 2 frames (guaranteed eviction
-// pressure) — a noticeably larger but still exhaustive state space.
-#[cfg(not(loom))]
-const N_THREADS: usize = 2;
-#[cfg(loom)]
+// 3 threads contending over 2 frames: more threads than frames, so
+// eviction runs under contention, and the state space stays small enough
+// to explore exhaustively in a debug test run.
 const N_THREADS: usize = 3;
 const N_FRAMES: usize = 2;
 
@@ -312,8 +296,8 @@ fn pin_evict_protocol_holds_under_all_interleavings() {
 fn harness_detects_eviction_of_pinned_frames() {
     // With >1 distinct page and eviction ignoring pins, some interleaving
     // steals a pinned thread's frame; the checker must find it.
-    let pages: Vec<u32> = (0..N_THREADS.max(2) as u32).collect();
-    let err = explore(initial(N_THREADS.max(2), 1, &pages), Protocol::EvictPinned)
+    let pages: Vec<u32> = (0..N_THREADS as u32).collect();
+    let err = explore(initial(N_THREADS, 1, &pages), Protocol::EvictPinned)
         .expect_err("broken protocol must be caught");
     assert!(err.contains("pinned mapping unstable"), "{err}");
 }

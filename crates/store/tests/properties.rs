@@ -353,33 +353,37 @@ fn recovery_preserves_committed_prefix() {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let mut expected: Vec<i64> = Vec::new();
-        {
-            let db = Database::open(&dir).unwrap();
-            let t = db.create_table("t", schema()).unwrap();
-            db.create_index("t_k", t, &["k"], true).unwrap();
-            let mut next_key = 0i64;
-            for batch in &batches {
+        // The crash runs on its own thread, so the leaked Txn's writer
+        // level dies with it instead of staying held on this one.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let db = Database::open(&dir).unwrap();
+                let t = db.create_table("t", schema()).unwrap();
+                db.create_index("t_k", t, &["k"], true).unwrap();
+                let mut next_key = 0i64;
+                for batch in &batches {
+                    let mut txn = db.begin();
+                    for _ in 0..*batch {
+                        txn.insert(
+                            t,
+                            vec![Value::Int(next_key), Value::Text(format!("v{next_key}"))],
+                        )
+                        .unwrap();
+                        expected.push(next_key);
+                        next_key += 1;
+                    }
+                    txn.commit().unwrap();
+                }
                 let mut txn = db.begin();
-                for _ in 0..*batch {
-                    txn.insert(
-                        t,
-                        vec![Value::Int(next_key), Value::Text(format!("v{next_key}"))],
-                    )
-                    .unwrap();
-                    expected.push(next_key);
+                for _ in 0..uncommitted {
+                    txn.insert(t, vec![Value::Int(next_key), Value::Text("phantom".into())])
+                        .unwrap();
                     next_key += 1;
                 }
-                txn.commit().unwrap();
-            }
-            let mut txn = db.begin();
-            for _ in 0..uncommitted {
-                txn.insert(t, vec![Value::Int(next_key), Value::Text("phantom".into())])
-                    .unwrap();
-                next_key += 1;
-            }
-            std::mem::forget(txn);
-            std::mem::forget(db);
-        }
+                std::mem::forget(txn);
+                std::mem::forget(db);
+            });
+        });
         let db = Database::open(&dir).unwrap();
         let t = db.table_id("t").unwrap();
         let mut found: Vec<i64> = db

@@ -101,21 +101,29 @@ fn crash_between_loads_preserves_committed_studies() {
     let dir = std::env::temp_dir().join(format!("pt-e2e-crash-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let texts = irs_ptdf_texts(51, 2);
-    let committed;
-    {
-        let store = PTDataStore::open(&dir).unwrap();
-        store.load_ptdf_str(&texts[0]).unwrap();
-        committed = store.result_count().unwrap();
-        // Second load starts but "crashes" before commit: simulate by
-        // building a loader, applying statements, and leaking everything.
-        let stmts = perftrack_ptdf::parse_str(&texts[1]).unwrap();
-        let mut loader = store.begin_load();
-        for s in stmts.iter().take(500) {
-            loader.apply(s).unwrap();
-        }
-        std::mem::forget(loader);
-        std::mem::forget(store);
-    }
+    // The crashing process runs on its own thread: the leaked loader's
+    // writer level stays held there, not on the thread that reopens.
+    let committed = std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let store = PTDataStore::open(&dir).unwrap();
+                store.load_ptdf_str(&texts[0]).unwrap();
+                let committed = store.result_count().unwrap();
+                // Second load starts but "crashes" before commit: simulate
+                // by building a loader, applying statements, and leaking
+                // everything.
+                let stmts = perftrack_ptdf::parse_str(&texts[1]).unwrap();
+                let mut loader = store.begin_load();
+                for s in stmts.iter().take(500) {
+                    loader.apply(s).unwrap();
+                }
+                std::mem::forget(loader);
+                std::mem::forget(store);
+                committed
+            })
+            .join()
+            .unwrap()
+    });
     let store = PTDataStore::open(&dir).unwrap();
     assert_eq!(
         store.result_count().unwrap(),
