@@ -17,8 +17,7 @@
 //! * [`server`] — thread-per-connection server with a bounded accept
 //!   queue, one expensive-request slot (admission: a second export,
 //!   compare or fsck is shed with a retry hint), single-writer/
-//!   multi-reader scheduling, per-request deadlines, idle reaping, and
-//!   graceful drain.
+//!   multi-reader scheduling, idle reaping, and graceful drain.
 //! * [`client`] — blocking client with jittered-backoff retry keyed off
 //!   the server-reported error category and request idempotency.
 //! * [`transport`] — byte-stream seam over [`std::net::TcpStream`] with
@@ -46,8 +45,8 @@ pub use client::{Client, ClientConfig, ClientError};
 pub use metrics::ServerMetrics;
 pub use ops::execute;
 pub use proto::{
-    ErrorCategory, NameFilter, QuerySpec, Request, RequestHeader, Response, WireFreeColumn,
-    WireLoadStats, WIRE_VERSION,
+    ErrorCategory, NameFilter, QuerySpec, Request, Response, WireFreeColumn, WireLoadStats,
+    WIRE_VERSION,
 };
 pub use server::{categorize, Server, ServerConfig, ServerHandle};
 pub use transport::{

@@ -76,8 +76,6 @@ pub struct ServerMetrics {
     pub requests: Counter,
     /// Requests that produced an error response.
     pub errors: Counter,
-    /// Requests whose handling exceeded the per-request deadline.
-    pub deadline_expired: Counter,
     /// Requests currently executing against the store.
     pub in_flight: Gauge,
     /// Connections accepted but not yet claimed by a worker.
@@ -133,10 +131,6 @@ impl ServerMetrics {
             ),
             ("requests".into(), Json::UInt(self.requests.get())),
             ("errors".into(), Json::UInt(self.errors.get())),
-            (
-                "deadline_expired".into(),
-                Json::UInt(self.deadline_expired.get()),
-            ),
             ("in_flight".into(), Json::UInt(self.in_flight.get())),
             ("queue_depth".into(), Json::UInt(self.queue_depth.get())),
             (
@@ -177,10 +171,6 @@ impl ServerMetrics {
         );
         line("server.requests", self.requests.get().to_string());
         line("server.errors", self.errors.get().to_string());
-        line(
-            "server.deadline_expired",
-            self.deadline_expired.get().to_string(),
-        );
         line("server.in_flight", self.in_flight.get().to_string());
         line("server.queue_depth", self.queue_depth.get().to_string());
         line(

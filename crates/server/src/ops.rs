@@ -1,7 +1,7 @@
 //! The store side of every request: [`execute`] answers one [`Request`]
 //! from a [`PTDataStore`] with no socket, gate or admission, through one
 //! function per request kind. The server wraps it with admission,
-//! deadlines, metrics and its read/write gate; `pt` calls the same
+//! metrics and its read/write gate; `pt` calls the same
 //! functions in-process on a local store, so a command prints the same
 //! answer with or without `--connect`.
 

@@ -23,15 +23,17 @@ use crate::wire::{
     encode_frame, put_bool, put_str, put_str_list, put_u32, put_u64, put_u8, Frame, PayloadReader,
     WireError,
 };
+use perftrack_store::wal::crc32;
 
 /// Current wire-protocol version. Bump whenever a frame layout or opcode
 /// meaning changes; servers reject frames from other versions with
 /// [`WireError::BadVersion`].
 ///
-/// v2: every request payload starts with a 4-byte request header
-/// (`deadline_ms`), `LOAD_PTDF` carries an idempotency token, `LOADED`
-/// carries a `replayed` flag, and `R_OVERLOADED` (0x8A) exists.
-pub const WIRE_VERSION: u8 = 2;
+/// v3: a request payload is the request's fields and a CRC-32 trailer
+/// over them (v2 prefixed a 4-byte header and had no trailer),
+/// `LOAD_PTDF` carries an idempotency token, `LOADED` carries a
+/// `replayed` flag, and `R_OVERLOADED` (0x8A) exists.
+pub const WIRE_VERSION: u8 = 3;
 
 mod op {
     pub const PING: u8 = 0x01;
@@ -57,13 +59,21 @@ mod op {
     pub const R_ERR: u8 = 0xFF;
 }
 
-/// The per-request header every v2 request payload starts with.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RequestHeader {
-    /// Client-propagated deadline in milliseconds; `0` means the client
-    /// set none and the server's own deadline applies alone. The server
-    /// enforces `min(server deadline, client deadline)`.
-    pub deadline_ms: u32,
+/// Bytes of the CRC-32 trailer that ends every request payload.
+const CRC_LEN: usize = 4;
+
+/// The fields of a request payload, once its CRC-32 trailer matches
+/// them. A request is what the server acts on, so a byte damaged in
+/// transit must fail the request, not change a field such as a load's
+/// idempotency token (which would defeat its dedup).
+fn checked_fields(payload: &[u8]) -> Result<&[u8], WireError> {
+    let (fields, trailer) = payload
+        .split_last_chunk::<CRC_LEN>()
+        .ok_or(WireError::Malformed("request checksum"))?;
+    if *trailer != crc32(fields).to_be_bytes() {
+        return Err(WireError::BadChecksum);
+    }
+    Ok(fields)
 }
 
 /// One name-pattern term of a pr-filter: a resource-name suffix plus the
@@ -234,14 +244,10 @@ impl Request {
         }
     }
 
-    /// Encode to a complete frame (length prefix included) with no
-    /// client deadline in the request header.
+    /// Encode to a complete frame (length prefix and the payload's
+    /// CRC-32 trailer included).
     pub fn encode(&self) -> Vec<u8> {
-        // The request header is written as zeroes here and patched by
-        // `encode_with_deadline`; it sits at a fixed offset, so the
-        // variant match below stays the single encoding source.
         let mut p = Vec::new();
-        put_u32(&mut p, 0); // RequestHeader.deadline_ms
         match self {
             Request::Ping | Request::Export | Request::Stats | Request::Shutdown => {}
             Request::LoadPtdf { text, token } => {
@@ -260,28 +266,19 @@ impl Request {
                 put_u32(&mut p, *threshold_pct);
             }
         }
+        let crc = crc32(&p);
+        put_u32(&mut p, crc);
         encode_frame(WIRE_VERSION, self.opcode(), &p)
     }
 
-    /// Encode with a client-propagated deadline in the request header.
-    pub fn encode_with_deadline(&self, deadline_ms: u32) -> Vec<u8> {
-        let mut frame = self.encode();
-        // Payload starts after [len:4][ver:1][op:1]; the header's
-        // deadline is its first field.
-        if let Some(slot) = frame.get_mut(6..10) {
-            slot.copy_from_slice(&deadline_ms.to_be_bytes());
-        }
-        frame
-    }
-
-    /// Decode from a frame, returning the request and its header.
-    /// Rejects frames from other protocol versions.
-    pub fn decode(frame: &Frame) -> Result<(Request, RequestHeader), WireError> {
+    /// Decode from a frame. Rejects frames from other protocol versions
+    /// and payloads whose checksum does not match.
+    pub fn decode(frame: &Frame) -> Result<Request, WireError> {
         if frame.version != WIRE_VERSION {
             return Err(WireError::BadVersion(frame.version));
         }
-        // Reject unknown opcodes before touching the payload so a
-        // garbage frame reports BadOpcode, not a truncated header.
+        // Reject unknown opcodes before the checksum so a garbage frame
+        // reports BadOpcode, not a checksum mismatch.
         if !matches!(
             frame.opcode,
             op::PING
@@ -296,10 +293,7 @@ impl Request {
         ) {
             return Err(WireError::BadOpcode(frame.opcode));
         }
-        let mut r = PayloadReader::new(&frame.payload);
-        let header = RequestHeader {
-            deadline_ms: r.u32("request deadline")?,
-        };
+        let mut r = PayloadReader::new(checked_fields(&frame.payload)?);
         let req = match frame.opcode {
             op::PING => Request::Ping,
             op::LOAD_PTDF => Request::LoadPtdf {
@@ -322,7 +316,7 @@ impl Request {
             other => return Err(WireError::BadOpcode(other)),
         };
         r.finish()?;
-        Ok((req, header))
+        Ok(req)
     }
 }
 
@@ -378,8 +372,6 @@ pub enum ErrorCategory {
     Corrupt,
     /// The store directory is locked by another process.
     Locked,
-    /// The request exceeded the server's per-request deadline.
-    Deadline,
     /// The request was malformed or referenced missing entities.
     Invalid,
     /// Any other server-side failure.
@@ -390,7 +382,8 @@ pub enum ErrorCategory {
 }
 
 impl ErrorCategory {
-    /// Wire discriminant.
+    /// Wire discriminant. Code 5 is unassigned (retired in wire v3);
+    /// a retired code is never reused.
     pub fn to_u8(self) -> u8 {
         match self {
             ErrorCategory::Transient => 0,
@@ -398,7 +391,6 @@ impl ErrorCategory {
             ErrorCategory::ReadOnly => 2,
             ErrorCategory::Corrupt => 3,
             ErrorCategory::Locked => 4,
-            ErrorCategory::Deadline => 5,
             ErrorCategory::Invalid => 6,
             ErrorCategory::Internal => 7,
             ErrorCategory::Overloaded => 8,
@@ -413,7 +405,6 @@ impl ErrorCategory {
             2 => ErrorCategory::ReadOnly,
             3 => ErrorCategory::Corrupt,
             4 => ErrorCategory::Locked,
-            5 => ErrorCategory::Deadline,
             6 => ErrorCategory::Invalid,
             7 => ErrorCategory::Internal,
             8 => ErrorCategory::Overloaded,
@@ -438,7 +429,6 @@ impl std::fmt::Display for ErrorCategory {
             ErrorCategory::ReadOnly => "read-only",
             ErrorCategory::Corrupt => "corrupt",
             ErrorCategory::Locked => "locked",
-            ErrorCategory::Deadline => "deadline",
             ErrorCategory::Invalid => "invalid",
             ErrorCategory::Internal => "internal",
             ErrorCategory::Overloaded => "overloaded",
@@ -709,9 +699,7 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.extend(&req.encode());
         let frame = dec.next_frame().unwrap().unwrap();
-        let (decoded, header) = Request::decode(&frame).unwrap();
-        assert_eq!(&decoded, req);
-        assert_eq!(header, RequestHeader::default());
+        assert_eq!(&Request::decode(&frame).unwrap(), req);
     }
 
     fn roundtrip_resp(resp: &Response) {
@@ -827,6 +815,47 @@ mod tests {
         );
     }
 
+    /// `fields` followed by their CRC-32 trailer: a request payload.
+    fn with_crc(fields: &[u8]) -> Vec<u8> {
+        let mut p = fields.to_vec();
+        p.extend_from_slice(&crc32(fields).to_be_bytes());
+        p
+    }
+
+    #[test]
+    fn damaged_request_payload_fails_its_checksum() {
+        let req = Request::LoadPtdf {
+            text: "Application A\n".into(),
+            token: "load-0001".into(),
+        };
+        let frame = req.encode();
+        // Every byte after the 6-byte frame header, trailer included.
+        for i in 6..frame.len() {
+            let mut bytes = frame.clone();
+            bytes[i] ^= 0x20;
+            let mut dec = FrameDecoder::new();
+            dec.extend(&bytes);
+            let damaged = dec.next_frame().unwrap().unwrap();
+            assert_eq!(
+                Request::decode(&damaged),
+                Err(WireError::BadChecksum),
+                "byte {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn v2_frames_are_rejected() {
+        // A v2 client still prefixes every payload with a 4-byte header;
+        // the version byte turns it away before any field is read.
+        let frame = Frame {
+            version: 2,
+            opcode: 0x01,
+            payload: vec![0, 0, 0, 0],
+        };
+        assert_eq!(Request::decode(&frame), Err(WireError::BadVersion(2)));
+    }
+
     #[test]
     fn unknown_opcode_rejected() {
         let frame = Frame {
@@ -842,8 +871,8 @@ mod tests {
     fn trailing_payload_rejected() {
         let frame = Frame {
             version: WIRE_VERSION,
-            opcode: 0x01, // Ping takes only the 4-byte request header
-            payload: vec![0, 0, 0, 0, 9, 9],
+            opcode: 0x01, // Ping has no fields
+            payload: with_crc(&[9, 9]),
         };
         assert!(matches!(
             Request::decode(&frame),
@@ -852,13 +881,16 @@ mod tests {
     }
 
     #[test]
-    fn truncated_request_header_rejected() {
+    fn truncated_request_payload_rejected() {
         let frame = Frame {
             version: WIRE_VERSION,
-            opcode: 0x01,
-            payload: vec![0, 0],
+            opcode: 0x02, // LoadPtdf: cut inside the text's length prefix
+            payload: with_crc(&[0, 0]),
         };
-        assert!(Request::decode(&frame).is_err());
+        assert_eq!(
+            Request::decode(&frame),
+            Err(WireError::Malformed("ptdf text"))
+        );
     }
 
     #[test]
@@ -869,35 +901,20 @@ mod tests {
             ErrorCategory::ReadOnly,
             ErrorCategory::Corrupt,
             ErrorCategory::Locked,
-            ErrorCategory::Deadline,
             ErrorCategory::Invalid,
             ErrorCategory::Internal,
             ErrorCategory::Overloaded,
         ] {
             assert_eq!(ErrorCategory::from_u8(cat.to_u8()), Some(cat));
         }
+        // Code 5 (a retired category) stays unassigned; 9 is past the end.
+        assert_eq!(ErrorCategory::from_u8(5), None);
         assert_eq!(ErrorCategory::from_u8(9), None);
         assert!(ErrorCategory::Transient.is_retryable());
         assert!(ErrorCategory::Busy.is_retryable());
         assert!(ErrorCategory::Overloaded.is_retryable());
         assert!(!ErrorCategory::ReadOnly.is_retryable());
         assert!(!ErrorCategory::Corrupt.is_retryable());
-    }
-
-    #[test]
-    fn deadline_header_roundtrips() {
-        let req = Request::Fsck { deep: true };
-        let mut dec = FrameDecoder::new();
-        dec.extend(&req.encode_with_deadline(7500));
-        let frame = dec.next_frame().unwrap().unwrap();
-        let (decoded, header) = Request::decode(&frame).unwrap();
-        assert_eq!(decoded, req);
-        assert_eq!(header.deadline_ms, 7500);
-        // A plain encode() leaves the deadline unset.
-        let mut dec = FrameDecoder::new();
-        dec.extend(&req.encode());
-        let frame = dec.next_frame().unwrap().unwrap();
-        assert_eq!(Request::decode(&frame).unwrap().1.deadline_ms, 0);
     }
 
     #[test]

@@ -31,11 +31,11 @@
 //! (the engine's own latching makes this safe; the gate makes it
 //! *scheduled* — a bulk load cannot starve between individual readers).
 //!
-//! Per-request deadlines are enforced post-hoc: the store's operations
-//! are not cancellable mid-flight, so a request that overruns the
-//! deadline completes internally but the client receives a `Deadline`
-//! error (and `server.deadline_expired` increments). Idle connections
-//! are reaped after `idle_timeout` without a complete request.
+//! A request, once admitted, runs to completion and its answer is
+//! sent: the store's operations are not cancellable mid-flight, so a
+//! caller that will not wait bounds its own wait (the client's
+//! `read_timeout`). Idle connections are reaped after `idle_timeout`
+//! without a complete request.
 //!
 //! Shutdown (via [`ServerHandle::shutdown`], a `Shutdown` request, or a
 //! signal handler in the CLI) is a graceful drain: the acceptor stops
@@ -56,7 +56,7 @@
 
 use crate::metrics::ServerMetrics;
 use crate::ops::{self, execute};
-use crate::proto::{ErrorCategory, Request, RequestHeader, Response};
+use crate::proto::{ErrorCategory, Request, Response};
 use crate::transport::{wrap_stream, Transport, TransportFactory};
 use crate::wire::{FrameDecoder, WireError};
 use perftrack::{PTDataStore, PtError};
@@ -84,9 +84,6 @@ pub struct ServerConfig {
     /// Accepted-but-unclaimed connection queue bound; beyond it new
     /// connections are rejected with a `Busy` error frame.
     pub queue_depth: usize,
-    /// Per-request wall-clock deadline (post-hoc enforced). A shorter
-    /// client-propagated deadline in the request header wins.
-    pub request_deadline: Duration,
     /// Close connections with no complete request for this long.
     pub idle_timeout: Duration,
     /// Optional transport wrapper applied to every accepted connection;
@@ -100,7 +97,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("addr", &self.addr)
             .field("workers", &self.workers)
             .field("queue_depth", &self.queue_depth)
-            .field("request_deadline", &self.request_deadline)
             .field("idle_timeout", &self.idle_timeout)
             .field("transport", &self.transport.as_ref().map(|_| "<factory>"))
             .finish()
@@ -113,7 +109,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
             queue_depth: 16,
-            request_deadline: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(30),
             transport: None,
         }
@@ -372,12 +367,9 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
 
 /// Execute one decoded (or undecodable) request and build the response.
 /// The boolean asks the connection loop to stop (shutdown was requested).
-fn handle_frame(
-    shared: &Shared,
-    decoded: Result<(Request, RequestHeader), WireError>,
-) -> (Response, bool) {
-    let (req, header) = match decoded {
-        Ok(pair) => pair,
+fn handle_frame(shared: &Shared, decoded: Result<Request, WireError>) -> (Response, bool) {
+    let req = match decoded {
+        Ok(req) => req,
         Err(e) => {
             shared.metrics.errors.inc();
             return (
@@ -389,12 +381,6 @@ fn handle_frame(
             );
         }
     };
-    // The client-propagated deadline tightens (never loosens) the
-    // server's own per-request deadline.
-    let mut deadline = shared.cfg.request_deadline;
-    if header.deadline_ms > 0 {
-        deadline = deadline.min(Duration::from_millis(u64::from(header.deadline_ms)));
-    }
     // Admission: an expensive request needs the one slot and is shed
     // when another holds it. Cheap requests never wait, and `Shutdown`
     // bypasses admission so a drain is always possible.
@@ -416,23 +402,10 @@ fn handle_frame(
     let label = req.label();
     shared.metrics.in_flight.inc();
     let start = Instant::now();
-    let mut resp = execute_gated(shared, &req);
+    let resp = execute_gated(shared, &req);
     let elapsed = start.elapsed();
     shared.metrics.in_flight.dec();
     drop(slot);
-    // Post-hoc deadline: the work happened, but the client asked for a
-    // bounded response time and gets a typed error it can act on.
-    if elapsed > deadline && !matches!(resp, Response::Err { .. }) {
-        shared.metrics.deadline_expired.inc();
-        resp = Response::Err {
-            category: ErrorCategory::Deadline,
-            message: format!(
-                "request exceeded the {}ms deadline (took {}ms)",
-                deadline.as_millis(),
-                elapsed.as_millis()
-            ),
-        };
-    }
     let is_error = matches!(resp, Response::Err { .. });
     shared.metrics.record_request(label, elapsed, is_error);
     let stop = matches!(req, Request::Shutdown);
@@ -701,9 +674,10 @@ mod tests {
         let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
         // Opcode 0x03 (QUERY, docs/SERVER.md) expects a structured
         // QuerySpec payload; feed it a string length prefix pointing far
-        // past the payload's end.
-        let frame =
-            crate::wire::encode_frame(crate::proto::WIRE_VERSION, 0x03, &u32::MAX.to_be_bytes());
+        // past the payload's end, under a checksum that matches.
+        let mut payload = u32::MAX.to_be_bytes().to_vec();
+        payload.extend_from_slice(&perftrack_store::wal::crc32(&payload).to_be_bytes());
+        let frame = crate::wire::encode_frame(crate::proto::WIRE_VERSION, 0x03, &payload);
         stream.write_all(&frame).unwrap();
         match read_response(&mut stream) {
             Response::Err { category, .. } => assert_eq!(category, ErrorCategory::Invalid),
@@ -742,21 +716,6 @@ mod tests {
         shutdown_and_join(handle);
     }
 
-    #[test]
-    fn deadline_overrun_yields_deadline_error() {
-        let cfg = ServerConfig {
-            request_deadline: Duration::from_nanos(1),
-            ..ServerConfig::default()
-        };
-        let (handle, _store) = start_test_server(cfg);
-        match call_raw(handle.local_addr(), &Request::Stats) {
-            Response::Err { category, .. } => assert_eq!(category, ErrorCategory::Deadline),
-            other => panic!("unexpected response {other:?}"),
-        }
-        assert_eq!(handle.metrics().deadline_expired.get(), 1);
-        shutdown_and_join(handle);
-    }
-
     /// Build a `Shared` directly so tests can hold the expensive-request
     /// slot and observe shedding without racing real request timing.
     fn test_shared() -> Arc<Shared> {
@@ -764,10 +723,6 @@ mod tests {
             Arc::new(PTDataStore::in_memory().unwrap()),
             ServerConfig::default(),
         )
-    }
-
-    fn decoded(req: Request) -> (Request, RequestHeader) {
-        (req, RequestHeader::default())
     }
 
     fn compare_e1_e2() -> Request {
@@ -797,7 +752,7 @@ mod tests {
     fn admission_sheds_a_second_expensive_request() {
         let shared = shared_with_two_executions();
         let held = ExpensiveSlot::try_take(&shared.expensive_running).unwrap();
-        match handle_frame(&shared, Ok(decoded(compare_e1_e2()))) {
+        match handle_frame(&shared, Ok(compare_e1_e2())) {
             (Response::Overloaded { retry_after_ms }, false) => assert_eq!(retry_after_ms, 100),
             other => panic!("expected overloaded, got {other:?}"),
         }
@@ -809,7 +764,7 @@ mod tests {
             "a shed request never runs"
         );
         drop(held);
-        match handle_frame(&shared, Ok(decoded(compare_e1_e2()))) {
+        match handle_frame(&shared, Ok(compare_e1_e2())) {
             (Response::CompareDone { .. }, false) => {}
             other => panic!("expected a comparison, got {other:?}"),
         }
@@ -833,15 +788,15 @@ mod tests {
             ..QuerySpec::default()
         });
         let start = Instant::now();
-        match handle_frame(&shared, Ok(decoded(load))) {
+        match handle_frame(&shared, Ok(load)) {
             (Response::Loaded { stats, .. }, false) => assert_eq!(stats.results, 1),
             other => panic!("expected a load, got {other:?}"),
         }
-        match handle_frame(&shared, Ok(decoded(query))) {
+        match handle_frame(&shared, Ok(query)) {
             (Response::Table { rows, .. }, false) => assert_eq!(rows.len(), 1),
             other => panic!("expected a table, got {other:?}"),
         }
-        match handle_frame(&shared, Ok(decoded(Request::Ping))) {
+        match handle_frame(&shared, Ok(Request::Ping)) {
             (Response::Pong { .. }, false) => {}
             other => panic!("expected pong, got {other:?}"),
         }
@@ -861,7 +816,7 @@ mod tests {
         })
         .join();
         assert!(panicked.is_err());
-        match handle_frame(&shared, Ok(decoded(Request::Fsck { deep: false }))) {
+        match handle_frame(&shared, Ok(Request::Fsck { deep: false })) {
             (Response::FsckDone { .. }, false) => {}
             other => panic!("expected fsck result, got {other:?}"),
         }
@@ -878,7 +833,7 @@ mod tests {
             Request::Fsck { deep: true },
             compare_e1_e2(),
         ] {
-            match handle_frame(&shared, Ok(decoded(req))) {
+            match handle_frame(&shared, Ok(req)) {
                 (Response::Overloaded { retry_after_ms }, false) => {
                     assert_eq!(retry_after_ms, RETRY_AFTER_MS);
                 }
@@ -887,14 +842,14 @@ mod tests {
         }
         assert_eq!(shared.metrics.admission_shed.get(), 3);
         // ...while a cheap op still goes straight through.
-        match handle_frame(&shared, Ok(decoded(Request::Stats))) {
+        match handle_frame(&shared, Ok(Request::Stats)) {
             (Response::Stats { .. }, false) => {}
             other => panic!("expected stats, got {other:?}"),
         }
         assert_eq!(shared.metrics.admission_admitted.get(), 1);
         // Once the slot is free, the same expensive op is admitted.
         drop(held);
-        match handle_frame(&shared, Ok(decoded(Request::Fsck { deep: false }))) {
+        match handle_frame(&shared, Ok(Request::Fsck { deep: false })) {
             (Response::FsckDone { .. }, false) => {}
             other => panic!("expected fsck result, got {other:?}"),
         }
@@ -906,39 +861,17 @@ mod tests {
         let shared = test_shared();
         let _held = ExpensiveSlot::try_take(&shared.expensive_running).unwrap();
         // An expensive op sheds (the slot is held)...
-        match handle_frame(&shared, Ok(decoded(Request::Export))) {
+        match handle_frame(&shared, Ok(Request::Export)) {
             (Response::Overloaded { .. }, false) => {}
             other => panic!("expected overloaded, got {other:?}"),
         }
         // ...but shutdown still drains the server.
-        match handle_frame(&shared, Ok(decoded(Request::Shutdown))) {
+        match handle_frame(&shared, Ok(Request::Shutdown)) {
             (Response::ShuttingDown, true) => {}
             other => panic!("expected shutdown, got {other:?}"),
         }
         assert!(shared.shutdown.load(Ordering::SeqCst));
         assert_eq!(shared.metrics.admission_admitted.get(), 0);
-    }
-
-    #[test]
-    fn client_deadline_header_tightens_server_deadline() {
-        let shared = test_shared();
-        // Server deadline is 10s; the client asks for 1ms via the header.
-        match handle_frame(
-            &shared,
-            Ok((Request::Stats, RequestHeader { deadline_ms: 1 })),
-        ) {
-            (
-                Response::Err {
-                    category: ErrorCategory::Deadline,
-                    ..
-                },
-                false,
-            ) => {}
-            // Sub-millisecond stats are possible on a fast machine; the
-            // contract is only "no looser than the header".
-            (Response::Stats { .. }, false) => {}
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

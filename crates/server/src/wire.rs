@@ -59,6 +59,9 @@ pub enum WireError {
         /// Length the prefix claimed.
         len: u32,
     },
+    /// A request's CRC-32 trailer does not match its fields: the
+    /// payload was damaged in transit.
+    BadChecksum,
     /// The peer speaks a different protocol version.
     BadVersion(u8),
     /// Unknown opcode byte.
@@ -82,6 +85,7 @@ impl fmt::Display for WireError {
             WireError::FrameTooShort { len } => {
                 write!(f, "frame of {len} bytes is too short for a header")
             }
+            WireError::BadChecksum => f.write_str("request checksum mismatch"),
             WireError::BadVersion(v) => write!(f, "unsupported protocol version {v}"),
             WireError::BadOpcode(op) => write!(f, "unknown opcode 0x{op:02x}"),
             WireError::Malformed(what) => write!(f, "malformed payload: {what}"),

@@ -65,6 +65,18 @@ fn arb_request(rng: &mut Rng) -> Request {
     }
 }
 
+/// Every error category with a wire code (code 5 is unassigned).
+const CATEGORIES: [ErrorCategory; 8] = [
+    ErrorCategory::Transient,
+    ErrorCategory::Busy,
+    ErrorCategory::ReadOnly,
+    ErrorCategory::Corrupt,
+    ErrorCategory::Locked,
+    ErrorCategory::Invalid,
+    ErrorCategory::Internal,
+    ErrorCategory::Overloaded,
+];
+
 fn arb_response(rng: &mut Rng) -> Response {
     match rng.gen_range(0..9) {
         0 => Response::Pong {
@@ -114,7 +126,7 @@ fn arb_response(rng: &mut Rng) -> Response {
         },
         7 => Response::ShuttingDown,
         _ => Response::Err {
-            category: ErrorCategory::from_u8(rng.gen_range(0u8..9)).unwrap(),
+            category: CATEGORIES[rng.gen_range(0..CATEGORIES.len())],
             message: arb_text(rng, 100),
         },
     }
@@ -131,7 +143,7 @@ fn one_frame(bytes: &[u8]) -> Frame {
 fn requests_roundtrip() {
     check_cases(0xc0de_0100, 256, |rng| {
         let req = arb_request(rng);
-        assert_eq!(Request::decode(&one_frame(&req.encode())).unwrap().0, req);
+        assert_eq!(Request::decode(&one_frame(&req.encode())).unwrap(), req);
     });
 }
 
@@ -154,7 +166,7 @@ fn request_streams_split_at_any_chunking() {
         for piece in stream.chunks(chunk) {
             dec.extend(piece);
             while let Some(frame) = dec.next_frame().unwrap() {
-                out.push(Request::decode(&frame).unwrap().0);
+                out.push(Request::decode(&frame).unwrap());
             }
         }
         assert_eq!(out, reqs);
@@ -279,8 +291,8 @@ fn sample_responses() -> Vec<Response> {
             retry_after_ms: 250,
         },
         Response::Err {
-            category: ErrorCategory::Deadline,
-            message: "too slow".into(),
+            category: ErrorCategory::Locked,
+            message: "store directory is locked".into(),
         },
     ]
 }
@@ -361,7 +373,7 @@ fn truncated_valid_frames_park_then_complete() {
             );
             dec.extend(&bytes[cut..]);
             let frame = dec.next_frame().unwrap().unwrap();
-            assert_eq!(Request::decode(&frame).unwrap().0, req);
+            assert_eq!(Request::decode(&frame).unwrap(), req);
         }
     }
 }
@@ -421,7 +433,7 @@ fn request_labels_are_op_labels() {
 #[test]
 fn every_sample_message_roundtrips() {
     for req in sample_requests() {
-        assert_eq!(Request::decode(&one_frame(&req.encode())).unwrap().0, req);
+        assert_eq!(Request::decode(&one_frame(&req.encode())).unwrap(), req);
     }
     for resp in sample_responses() {
         assert_eq!(Response::decode(&one_frame(&resp.encode())).unwrap(), resp);
@@ -441,7 +453,7 @@ fn concatenated_message_stream_splits_cleanly() {
     for chunk in stream.chunks(7) {
         dec.extend(chunk);
         while let Ok(Some(frame)) = dec.next_frame() {
-            decoded.push(Request::decode(&frame).unwrap().0);
+            decoded.push(Request::decode(&frame).unwrap());
         }
     }
     assert_eq!(decoded, reqs);
@@ -451,8 +463,9 @@ fn concatenated_message_stream_splits_cleanly() {
 #[test]
 fn truncated_payload_inside_valid_frame_is_malformed_not_panic() {
     // A structurally valid frame whose payload is cut short for its
-    // opcode: Fsck (0x07) with the request header but no `deep` flag.
-    let frame_bytes = perftrack_server::wire::encode_frame(WIRE_VERSION, 0x07, &[0, 0, 0, 0]);
+    // opcode: Fsck (0x07) without its `deep` flag, its checksum intact.
+    let crc = perftrack_store::wal::crc32(&[]).to_be_bytes();
+    let frame_bytes = perftrack_server::wire::encode_frame(WIRE_VERSION, 0x07, &crc);
     let mut dec = FrameDecoder::new();
     dec.extend(&frame_bytes);
     let frame = dec.next_frame().unwrap().unwrap();

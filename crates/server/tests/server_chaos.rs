@@ -51,7 +51,6 @@ fn chaos_client(addr: &str, injector: &Arc<ChaosInjector>) -> Client {
             backoff: Duration::from_millis(1),
             read_timeout: Duration::from_millis(300),
             transport: Some(injector.factory()),
-            ..ClientConfig::default()
         },
     )
 }
