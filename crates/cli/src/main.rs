@@ -38,8 +38,7 @@ USAGE:
   pt compare <store-dir> <exec-a> <exec-b> [exec...] [--json|--table] [--top K]
           [--threshold PCT] [--agg mean|sum|min|max] [--normalize raw|share]
   pt export <store-dir> <out-file>
-  pt serve <store-dir> [--bind ADDR | --port N] [--workers N] [--queue N]
-          [--idle-ms N]
+  pt serve <store-dir> [--bind ADDR | --port N] [--workers N] [--idle-ms N]
   pt --connect host:port <ping|load|query|stats|fsck|compare|export|shutdown> [args...]
           (args as the local command's, less <store-dir> and the local-only
           options listed in docs/SERVER.md §8)";

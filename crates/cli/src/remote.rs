@@ -43,12 +43,12 @@ fn install_signal_handlers() {
 fn install_signal_handlers() {}
 
 /// `pt serve <store-dir> [--bind ADDR] [--port N] [--workers N]
-/// [--queue N] [--idle-ms N]` — serve the store over TCP until a
+/// [--idle-ms N]` — serve the store over TCP until a
 /// signal or a remote shutdown request. At most one expensive request
 /// (export, compare, fsck) runs at a time; cheap ones are bounded by
 /// `--workers` alone.
 pub fn serve(argv: &[String]) -> Result<()> {
-    let a = parse(argv, &["bind", "port", "workers", "queue", "idle-ms"], &[])?;
+    let a = parse(argv, &["bind", "port", "workers", "idle-ms"], &[])?;
     let dir = a.positional(0, "store directory")?;
     let addr = match (a.get("bind"), a.get("port")) {
         (Some(bind), _) => bind.to_string(),
@@ -59,7 +59,6 @@ pub fn serve(argv: &[String]) -> Result<()> {
     let cfg = ServerConfig {
         addr,
         workers: a.get_num("workers", defaults.workers)?,
-        queue_depth: a.get_num("queue", defaults.queue_depth)?,
         idle_timeout: Duration::from_millis(
             a.get_num("idle-ms", defaults.idle_timeout.as_millis() as u64)?,
         ),

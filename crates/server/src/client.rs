@@ -3,9 +3,10 @@
 //! The client owns one lazily (re)established TCP connection. Retry
 //! policy, mirroring the engine's `StoreError::is_transient()` contract:
 //!
-//! * A *server-reported* `Transient` or `Busy` error is always safe to
-//!   retry — the server answered, so the request's transaction rolled
-//!   back cleanly before the error frame was sent.
+//! * A *server-reported* `Transient` error is always safe to retry — the
+//!   server answered, so the request's transaction rolled back cleanly
+//!   (or, for a request that failed its checksum, never ran) before the
+//!   error frame was sent.
 //! * A *transport* failure (connect refused, connection reset, short
 //!   read) is retried only for idempotent requests
 //!   ([`crate::proto::Request::is_idempotent`]): if the socket died
@@ -17,10 +18,10 @@
 //!   retry — the client honors the server's retry-after hint (taking
 //!   the larger of the hint and its own backoff).
 //!
-//! Each retry reconnects from scratch with *jittered* exponential
-//! backoff: attempt `n` sleeps a pseudo-random duration in
-//! `[backoff * 2^n / 2, backoff * 2^n]`, drawn from a stream seeded
-//! per client, so a fleet of clients bounced by the same overload event
+//! Each retry waits a *jittered* exponential backoff, and a retry after
+//! a transport failure reconnects from scratch: attempt `n` sleeps a
+//! pseudo-random duration in `[backoff * 2^n / 2, backoff * 2^n]`,
+//! drawn from a stream seeded per client, so a fleet of clients bounced by the same overload event
 //! does not reconnect in lockstep (no thundering herd). At most
 //! [`ClientConfig::max_retries`] retries follow the first attempt.
 //! [`Client::retries_performed`] exposes the cumulative retry count so

@@ -14,10 +14,11 @@
 //! * [`ops`] — the store side of every request: [`ops::execute`] and one
 //!   function per request kind, free of socket, gate and admission, so
 //!   the server and `pt` on a local store answer from the same code.
-//! * [`server`] — thread-per-connection server with a bounded accept
-//!   queue, one expensive-request slot (admission: a second export,
-//!   compare or fsck is shed with a retry hint), single-writer/
-//!   multi-reader scheduling, idle reaping, and graceful drain.
+//! * [`server`] — thread-per-connection server whose workers accept
+//!   from one shared listener, one expensive-request slot (admission: a
+//!   second export, compare or fsck is shed with a retry hint),
+//!   single-writer/multi-reader scheduling, idle reaping, and graceful
+//!   drain.
 //! * [`client`] — blocking client with jittered-backoff retry keyed off
 //!   the server-reported error category and request idempotency.
 //! * [`transport`] — byte-stream seam over [`std::net::TcpStream`] with

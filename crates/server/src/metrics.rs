@@ -1,5 +1,5 @@
-//! Server-side observability: connection/request counters, queue and
-//! in-flight gauges, and per-opcode latency histograms.
+//! Server-side observability: connection/request counters, an
+//! in-flight gauge, and per-opcode latency histograms.
 //!
 //! These reuse the engine's lock-free primitives
 //! ([`perftrack_store::metrics::Counter`] and
@@ -12,8 +12,8 @@ use perftrack_store::metrics::{Counter, Json, LatencyHistogram};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// A gauge: a value that can rise and fall (in-flight requests, queued
-/// connections). Relaxed atomics, mirroring [`Counter`].
+/// A gauge: a value that can rise and fall (in-flight requests).
+/// Relaxed atomics, mirroring [`Counter`].
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
 
@@ -66,10 +66,8 @@ pub const OP_LABELS: [&str; 9] = [
 /// thread.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
-    /// Connections accepted and dispatched to a worker.
+    /// Connections a worker accepted from the listener.
     pub connections_accepted: Counter,
-    /// Connections rejected because the dispatch queue was full.
-    pub connections_rejected: Counter,
     /// Connections closed by the idle-timeout reaper.
     pub connections_reaped: Counter,
     /// Requests executed (any opcode, any outcome).
@@ -78,8 +76,6 @@ pub struct ServerMetrics {
     pub errors: Counter,
     /// Requests currently executing against the store.
     pub in_flight: Gauge,
-    /// Connections accepted but not yet claimed by a worker.
-    pub queue_depth: Gauge,
     /// Requests admitted past admission (every request but `Shutdown`
     /// and the shed ones).
     pub admission_admitted: Counter,
@@ -122,17 +118,12 @@ impl ServerMetrics {
                 Json::UInt(self.connections_accepted.get()),
             ),
             (
-                "connections_rejected".into(),
-                Json::UInt(self.connections_rejected.get()),
-            ),
-            (
                 "connections_reaped".into(),
                 Json::UInt(self.connections_reaped.get()),
             ),
             ("requests".into(), Json::UInt(self.requests.get())),
             ("errors".into(), Json::UInt(self.errors.get())),
             ("in_flight".into(), Json::UInt(self.in_flight.get())),
-            ("queue_depth".into(), Json::UInt(self.queue_depth.get())),
             (
                 "admission".into(),
                 Json::Obj(vec![
@@ -162,17 +153,12 @@ impl ServerMetrics {
             self.connections_accepted.get().to_string(),
         );
         line(
-            "server.connections_rejected",
-            self.connections_rejected.get().to_string(),
-        );
-        line(
             "server.connections_reaped",
             self.connections_reaped.get().to_string(),
         );
         line("server.requests", self.requests.get().to_string());
         line("server.errors", self.errors.get().to_string());
         line("server.in_flight", self.in_flight.get().to_string());
-        line("server.queue_depth", self.queue_depth.get().to_string());
         line(
             "server.admission.admitted",
             self.admission_admitted.get().to_string(),

@@ -33,7 +33,10 @@ use perftrack_store::wal::crc32;
 /// over them (v2 prefixed a 4-byte header and had no trailer),
 /// `LOAD_PTDF` carries an idempotency token, `LOADED` carries a
 /// `replayed` flag, and `R_OVERLOADED` (0x8A) exists.
-pub const WIRE_VERSION: u8 = 3;
+///
+/// v4: error category 1 (a full accept queue) is retired; a v3 server
+/// could still send it.
+pub const WIRE_VERSION: u8 = 4;
 
 mod op {
     pub const PING: u8 = 0x01;
@@ -360,11 +363,9 @@ pub struct WireFreeColumn {
 /// errors is documented in `docs/SERVER.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCategory {
-    /// Plausibly temporary (maps from `StoreError::is_transient()`);
-    /// retry with backoff.
+    /// Plausibly temporary (maps from `StoreError::is_transient()`, or
+    /// a request that failed its checksum); retry with backoff.
     Transient,
-    /// The server's accept queue is full; retry with backoff.
-    Busy,
     /// The store is in read-only degraded mode; writes will keep failing
     /// until an operator intervenes, reads still work.
     ReadOnly,
@@ -382,12 +383,11 @@ pub enum ErrorCategory {
 }
 
 impl ErrorCategory {
-    /// Wire discriminant. Code 5 is unassigned (retired in wire v3);
-    /// a retired code is never reused.
+    /// Wire discriminant. Codes 1 (retired in wire v4) and 5 (retired
+    /// in wire v3) are unassigned; a retired code is never reused.
     pub fn to_u8(self) -> u8 {
         match self {
             ErrorCategory::Transient => 0,
-            ErrorCategory::Busy => 1,
             ErrorCategory::ReadOnly => 2,
             ErrorCategory::Corrupt => 3,
             ErrorCategory::Locked => 4,
@@ -401,7 +401,6 @@ impl ErrorCategory {
     pub fn from_u8(v: u8) -> Option<ErrorCategory> {
         Some(match v {
             0 => ErrorCategory::Transient,
-            1 => ErrorCategory::Busy,
             2 => ErrorCategory::ReadOnly,
             3 => ErrorCategory::Corrupt,
             4 => ErrorCategory::Locked,
@@ -414,10 +413,7 @@ impl ErrorCategory {
 
     /// True for categories a client should retry with backoff.
     pub fn is_retryable(self) -> bool {
-        matches!(
-            self,
-            ErrorCategory::Transient | ErrorCategory::Busy | ErrorCategory::Overloaded
-        )
+        matches!(self, ErrorCategory::Transient | ErrorCategory::Overloaded)
     }
 }
 
@@ -425,7 +421,6 @@ impl std::fmt::Display for ErrorCategory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
             ErrorCategory::Transient => "transient",
-            ErrorCategory::Busy => "busy",
             ErrorCategory::ReadOnly => "read-only",
             ErrorCategory::Corrupt => "corrupt",
             ErrorCategory::Locked => "locked",
@@ -846,14 +841,23 @@ mod tests {
 
     #[test]
     fn v2_frames_are_rejected() {
-        // A v2 client still prefixes every payload with a 4-byte header;
-        // the version byte turns it away before any field is read.
-        let frame = Frame {
-            version: 2,
-            opcode: 0x01,
-            payload: vec![0, 0, 0, 0],
+        // A v2 client still prefixes every payload with a 4-byte header,
+        // and a v3 server can still answer with the retired category 1;
+        // the version byte turns both away before any field is read.
+        for version in [2, 3] {
+            let frame = Frame {
+                version,
+                opcode: 0x01,
+                payload: vec![0, 0, 0, 0],
+            };
+            assert_eq!(Request::decode(&frame), Err(WireError::BadVersion(version)));
+        }
+        let v3_code_1 = Frame {
+            version: 3,
+            opcode: 0xFF,
+            payload: vec![1, 0, 0, 0, 0],
         };
-        assert_eq!(Request::decode(&frame), Err(WireError::BadVersion(2)));
+        assert_eq!(Response::decode(&v3_code_1), Err(WireError::BadVersion(3)));
     }
 
     #[test]
@@ -897,7 +901,6 @@ mod tests {
     fn error_category_codes_are_stable() {
         for cat in [
             ErrorCategory::Transient,
-            ErrorCategory::Busy,
             ErrorCategory::ReadOnly,
             ErrorCategory::Corrupt,
             ErrorCategory::Locked,
@@ -907,11 +910,12 @@ mod tests {
         ] {
             assert_eq!(ErrorCategory::from_u8(cat.to_u8()), Some(cat));
         }
-        // Code 5 (a retired category) stays unassigned; 9 is past the end.
+        // Codes 1 and 5 (retired categories) stay unassigned; 9 is past
+        // the end.
+        assert_eq!(ErrorCategory::from_u8(1), None);
         assert_eq!(ErrorCategory::from_u8(5), None);
         assert_eq!(ErrorCategory::from_u8(9), None);
         assert!(ErrorCategory::Transient.is_retryable());
-        assert!(ErrorCategory::Busy.is_retryable());
         assert!(ErrorCategory::Overloaded.is_retryable());
         assert!(!ErrorCategory::ReadOnly.is_retryable());
         assert!(!ErrorCategory::Corrupt.is_retryable());

@@ -3,18 +3,17 @@
 //! Architecture:
 //!
 //! ```text
-//! acceptor thread ──► bounded `mpsc::sync_channel` ──► N worker threads
-//!    (nonblocking           (queue_depth)              (one connection
-//!     accept loop)                                      each, to completion)
+//! shared nonblocking listener ──► N worker threads, each accepting
+//!                                 (one connection at a time, to completion)
 //! ```
 //!
-//! The acceptor never blocks indefinitely: it polls a nonblocking
-//! listener so it can observe the shutdown flag, and it *rejects* (with a
-//! best-effort `Busy` error frame) rather than queues when the dispatch
-//! channel is full — a slow store must surface as back-pressure the
-//! client can retry, not as an unbounded backlog.
+//! Every worker polls the one listener itself, so it can observe the
+//! shutdown flag between accepts. A connection that arrives while every
+//! worker is busy waits in the kernel's listen backlog and is served
+//! when a worker frees; a client that will not wait bounds its own wait
+//! (the client's `read_timeout`).
 //!
-//! Past the accept queue, admission is one expensive-request slot: an
+//! Past accept, admission is one expensive-request slot: an
 //! expensive request ([`Request::is_expensive`]: export, compare, fsck)
 //! runs only while no other one does, and is otherwise shed at once with
 //! a typed `Overloaded { retry_after_ms }` response. Cheap requests are
@@ -38,9 +37,10 @@
 //! without a complete request.
 //!
 //! Shutdown (via [`ServerHandle::shutdown`], a `Shutdown` request, or a
-//! signal handler in the CLI) is a graceful drain: the acceptor stops
-//! and drops the channel, workers finish the request in flight, answer
-//! nothing further, and exit once the queue is empty.
+//! signal handler in the CLI) is a graceful drain: workers finish the
+//! request in flight, answer nothing further, and exit. The listener
+//! drops with the last worker, before [`ServerHandle::join`] returns, so
+//! a connection never accepted is closed and the port can be rebound.
 
 // Panic-freedom: this file is on the request path or the engine core,
 // so its non-test code returns typed errors instead of panicking.
@@ -65,11 +65,10 @@ use perftrack::{PTDataStore, PtError};
 use crate::proto::{QuerySpec, WIRE_VERSION};
 #[cfg(test)]
 use perftrack_store::metrics::Json;
-use perftrack_store::sync::{Level, Mutex, RwLock};
+use perftrack_store::sync::{Level, RwLock};
 use perftrack_store::StoreError;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -81,9 +80,6 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads (= maximum concurrently served connections).
     pub workers: usize,
-    /// Accepted-but-unclaimed connection queue bound; beyond it new
-    /// connections are rejected with a `Busy` error frame.
-    pub queue_depth: usize,
     /// Close connections with no complete request for this long.
     pub idle_timeout: Duration,
     /// Optional transport wrapper applied to every accepted connection;
@@ -96,7 +92,6 @@ impl std::fmt::Debug for ServerConfig {
         f.debug_struct("ServerConfig")
             .field("addr", &self.addr)
             .field("workers", &self.workers)
-            .field("queue_depth", &self.queue_depth)
             .field("idle_timeout", &self.idle_timeout)
             .field("transport", &self.transport.as_ref().map(|_| "<factory>"))
             .finish()
@@ -108,22 +103,21 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
-            queue_depth: 16,
             idle_timeout: Duration::from_secs(30),
             transport: None,
         }
     }
 }
 
-/// How often blocked loops (accept poll, channel recv, socket read) wake
-/// to re-check the shutdown flag.
+/// How often blocked loops (accept poll, socket read) wake to re-check
+/// the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Backoff hint of every `Overloaded` answer: an expensive request shed
 /// because another one holds the slot.
 const RETRY_AFTER_MS: u32 = 100;
 
-/// State shared between the acceptor, the workers, and the handle.
+/// State shared between the workers and the handle.
 struct Shared {
     store: Arc<PTDataStore>,
     metrics: Arc<ServerMetrics>,
@@ -179,30 +173,20 @@ pub struct ServerHandle {
 }
 
 impl Server {
-    /// Bind, spawn the acceptor and worker threads, and return a handle.
+    /// Bind, spawn the worker threads, and return a handle.
     pub fn start(store: Arc<PTDataStore>, cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let shared = Shared::new(store, cfg.clone());
-        let (tx, rx) = sync_channel::<TcpStream>(cfg.queue_depth.max(1));
-        // One connection per message, so the lock around the shared
-        // receiver is taken per connection, not per request.
-        let rx = Arc::new(Mutex::new(Level::AcceptQueue, rx));
-
-        let mut threads = Vec::with_capacity(cfg.workers + 1);
-        for _ in 0..cfg.workers.max(1) {
-            let rx = Arc::clone(&rx);
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || worker_loop(&shared, &rx)));
-        }
-        drop(rx);
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || {
-                accept_loop(&shared, &listener, tx);
-            }));
-        }
+        let listener = Arc::new(listener);
+        let shared = Shared::new(store, cfg);
+        let threads = (0..shared.cfg.workers.max(1))
+            .map(|_| {
+                let listener = Arc::clone(&listener);
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || worker_loop(&shared, &listener))
+            })
+            .collect();
         Ok(ServerHandle {
             local_addr,
             shared,
@@ -233,7 +217,7 @@ impl ServerHandle {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Block until the acceptor and every worker thread has exited.
+    /// Block until every worker thread has exited.
     /// Call [`ServerHandle::shutdown`] first (or send a `Shutdown`
     /// request) or this will wait forever.
     pub fn join(self) {
@@ -243,65 +227,18 @@ impl ServerHandle {
     }
 }
 
-fn accept_loop(shared: &Shared, listener: &TcpListener, tx: SyncSender<TcpStream>) {
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // Dropping the only Sender lets workers drain the queue and
-            // then observe disconnection.
-            drop(tx);
-            return;
-        }
+/// Accept and serve connections, one at a time, until shutdown.
+fn worker_loop(shared: &Shared, listener: &TcpListener) {
+    while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                // Counted before the send: a worker may claim the stream
-                // and `dec` before `try_send` even returns.
-                shared.metrics.queue_depth.inc();
-                match tx.try_send(stream) {
-                    Ok(()) => shared.metrics.connections_accepted.inc(),
-                    Err(TrySendError::Full(stream)) => {
-                        shared.metrics.queue_depth.dec();
-                        shared.metrics.connections_rejected.inc();
-                        reject_busy(shared, stream);
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        shared.metrics.queue_depth.dec();
-                        return;
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-    }
-}
-
-/// Best-effort `Busy` error frame to a connection we will not serve.
-fn reject_busy(shared: &Shared, stream: TcpStream) {
-    let mut transport = wrap_stream(shared.cfg.transport.as_ref(), stream);
-    let resp = Response::Err {
-        category: ErrorCategory::Busy,
-        message: "server accept queue is full; retry with backoff".into(),
-    };
-    let _ = transport.write_all(&resp.encode());
-}
-
-fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<TcpStream>>) {
-    loop {
-        // The guard is a temporary of this statement: the receiver is
-        // free again before the connection is served.
-        let next = rx.lock().recv_timeout(POLL_INTERVAL);
-        match next {
-            Ok(stream) => {
-                shared.metrics.queue_depth.dec();
+                shared.metrics.connections_accepted.inc();
                 serve_connection(shared, stream);
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            // The acceptor dropped the sender and the queue is empty:
-            // the drain is complete.
-            Err(RecvTimeoutError::Disconnected) => return,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            // `WouldBlock` (nothing waiting) or a transient accept
+            // failure: poll again after a pause.
+            Err(_) => std::thread::sleep(POLL_INTERVAL),
         }
     }
 }
@@ -366,19 +303,22 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
 }
 
 /// Execute one decoded (or undecodable) request and build the response.
-/// The boolean asks the connection loop to stop (shutdown was requested).
+/// The boolean asks the connection loop to stop: shutdown was requested,
+/// or the frame's payload was malformed.
 fn handle_frame(shared: &Shared, decoded: Result<Request, WireError>) -> (Response, bool) {
     let req = match decoded {
         Ok(req) => req,
         Err(e) => {
             shared.metrics.errors.inc();
-            return (
-                Response::Err {
-                    category: ErrorCategory::Invalid,
-                    message: format!("protocol error: {e}"),
-                },
-                true,
-            );
+            // A payload that failed only its checksum was never executed
+            // and its frame boundary is intact: the client may resend it
+            // on this connection. Any other malformation ends it.
+            let (category, stop) = match e {
+                WireError::BadChecksum => (ErrorCategory::Transient, false),
+                _ => (ErrorCategory::Invalid, true),
+            };
+            let message = format!("protocol error: {e}");
+            return (Response::Err { category, message }, stop);
         }
     };
     // Admission: an expensive request needs the one slot and is shed
@@ -943,65 +883,61 @@ mod tests {
     }
 
     #[test]
-    fn full_accept_queue_answers_busy_and_shutdown_drains_it() {
+    fn a_connection_beyond_the_workers_waits_for_one() {
         let cfg = ServerConfig {
             workers: 1,
-            queue_depth: 1,
             ..ServerConfig::default()
         };
         let (handle, _store) = start_test_server(cfg);
         let addr = handle.local_addr();
-        // The answered ping proves the only worker has taken `serving`
-        // off the queue; `queued` then fills the queue's one place.
-        let _serving = held_connection(addr);
-        let mut queued = TcpStream::connect(addr).unwrap();
-        let mut refused = TcpStream::connect(addr).unwrap();
-        match read_response(&mut refused) {
-            Response::Err { category, .. } => assert_eq!(category, ErrorCategory::Busy),
-            other => panic!("expected a busy reject, got {other:?}"),
-        }
+        // The answered ping proves the only worker is serving `first`;
+        // `second` waits in the listen backlog until it is dropped.
+        let first = held_connection(addr);
+        let mut second = TcpStream::connect(addr).unwrap();
+        second.write_all(&Request::Ping.encode()).unwrap();
+        drop(first);
+        assert!(matches!(read_response(&mut second), Response::Pong { .. }));
         assert_eq!(handle.metrics().connections_accepted.get(), 2);
-        assert_eq!(handle.metrics().connections_rejected.get(), 1);
-        // Drain with one connection in service and one still queued: the
-        // worker leaves the first, takes and drops the second, then sees
-        // the closed queue — `join` returning is the assertion.
+        // Drain with one connection in service and one never accepted:
+        // `join` returning is the assertion, and the waiting connection
+        // is closed with the listener.
+        let mut third = TcpStream::connect(addr).unwrap();
         shutdown_and_join(handle);
-        let mut buf = [0u8; 16];
-        assert_eq!(
-            queued.read(&mut buf).unwrap(),
-            0,
-            "queued connection closed"
-        );
+        third
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        match third.read(&mut [0u8; 16]) {
+            Ok(0) => {}
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset),
+            Ok(n) => panic!("a never-accepted connection read {n} bytes"),
+        }
     }
 
     #[test]
-    fn every_worker_takes_connections_from_the_shared_receiver() {
+    fn every_worker_accepts_from_the_listener() {
         let cfg = ServerConfig {
             workers: 4,
-            queue_depth: 4,
             ..ServerConfig::default()
         };
         let (handle, _store) = start_test_server(cfg);
         let addr = handle.local_addr();
         // A worker serves its connection to completion, so four held
         // connections are all answered only if four different workers
-        // each got one while the rest waited on the receiver's lock.
+        // each accepted one.
         let held: Vec<TcpStream> = (0..4).map(|_| held_connection(addr)).collect();
         drop(held);
-        // All four are back on the receiver; each must observe the drain.
+        // All four are back at the listener; each must observe the drain.
         shutdown_and_join(handle);
     }
 
     #[test]
-    fn queue_depth_reads_zero_once_sequential_connections_drain() {
+    fn sequential_connections_are_each_accepted_once() {
         let cfg = ServerConfig {
             workers: 1,
             ..ServerConfig::default()
         };
         let (handle, _store) = start_test_server(cfg);
         let addr = handle.local_addr();
-        // The one worker is parked on the receiver for each connection, so
-        // it can claim the stream before the acceptor's `try_send` returns.
         for _ in 0..40 {
             assert!(matches!(
                 call_raw(addr, &Request::Ping),
@@ -1011,6 +947,33 @@ mod tests {
         let metrics = handle.metrics();
         shutdown_and_join(handle);
         assert_eq!(metrics.connections_accepted.get(), 40);
-        assert_eq!(metrics.queue_depth.get(), 0);
+    }
+
+    #[test]
+    fn a_checksum_failure_is_transient_and_keeps_the_connection() {
+        let (handle, store) = start_test_server(ServerConfig::default());
+        let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+        let frame = Request::LoadPtdf {
+            text: GOOD_PTDF.into(),
+            token: "flipped-once".into(),
+        }
+        .encode();
+        // Past the 6-byte frame header, inside the payload.
+        let mut damaged = frame.clone();
+        damaged[12] ^= 0x20;
+        stream.write_all(&damaged).unwrap();
+        match read_response(&mut stream) {
+            Response::Err { category, .. } => assert_eq!(category, ErrorCategory::Transient),
+            other => panic!("expected a transient error, got {other:?}"),
+        }
+        // The damaged request never ran; the intact one, resent on the
+        // same connection, loads once.
+        stream.write_all(&frame).unwrap();
+        match read_response(&mut stream) {
+            Response::Loaded { replayed, .. } => assert!(!replayed),
+            other => panic!("expected a load, got {other:?}"),
+        }
+        assert_eq!(store.result_count().unwrap(), 1);
+        shutdown_and_join(handle);
     }
 }

@@ -65,10 +65,9 @@ fn arb_request(rng: &mut Rng) -> Request {
     }
 }
 
-/// Every error category with a wire code (code 5 is unassigned).
-const CATEGORIES: [ErrorCategory; 8] = [
+/// Every error category with a wire code (codes 1 and 5 are unassigned).
+const CATEGORIES: [ErrorCategory; 7] = [
     ErrorCategory::Transient,
-    ErrorCategory::Busy,
     ErrorCategory::ReadOnly,
     ErrorCategory::Corrupt,
     ErrorCategory::Locked,

@@ -104,8 +104,6 @@ levels! {
     FileData,
     /// An in-memory file namespace (`MemVfs::files`).
     MemVfsFiles,
-    /// `pt serve`'s accept queue (`rx` in `Server::start`); never nests.
-    AcceptQueue,
     /// A chaos injector's armed rules (`ChaosInjector::rules`); never nests.
     TransportRules,
 }
