@@ -1100,6 +1100,16 @@ pub(crate) fn decode_resource(row: &Row) -> ResourceRecord {
 // Loader
 // ---------------------------------------------------------------------------
 
+/// The scalar fields of one performance result, borrowed from a
+/// [`PerformanceResult`] or a `PerfResult` statement.
+struct ResultFields<'a> {
+    execution: &'a str,
+    metric: &'a str,
+    tool: &'a str,
+    value: f64,
+    units: &'a str,
+}
+
 /// Bulk loader holding one write transaction. Name→id caches added during
 /// the load live in an overlay that is merged into the store's global
 /// cache only on commit, so a rolled-back load leaves no stale entries.
@@ -1158,30 +1168,23 @@ impl<'s> Loader<'s> {
                 value,
                 units,
             } => {
-                let sets = resource_sets
-                    .iter()
-                    .map(|s| {
-                        Ok(perftrack_model::ResourceSet {
-                            role: ContextRole::parse(&s.set_type).ok_or_else(|| {
-                                PtError::Invalid(format!("bad resource set type {:?}", s.set_type))
-                            })?,
-                            resources: s
-                                .resources
-                                .iter()
-                                .map(|r| ResourceName::new(r).map_err(PtError::Model))
-                                .collect::<Result<Vec<_>>>()?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                let pr = PerformanceResult {
-                    execution: execution.clone(),
-                    metric: metric.clone(),
+                let mut unknown = None;
+                let mut sets = Vec::with_capacity(resource_sets.len());
+                for set in resource_sets {
+                    let role = ContextRole::parse(&set.set_type).ok_or_else(|| {
+                        PtError::Invalid(format!("bad resource set type {:?}", set.set_type))
+                    })?;
+                    let names = set.resources.iter().map(String::as_str);
+                    sets.push((role, self.resource_ids(names, &mut unknown)?));
+                }
+                let fields = ResultFields {
+                    execution,
+                    metric,
+                    tool,
                     value: *value,
-                    units: units.clone(),
-                    tool: tool.clone(),
-                    resource_sets: sets,
+                    units,
                 };
-                self.add_performance_result(&pr)?;
+                self.insert_result(&fields, sets, unknown)?;
             }
             PtdfStatement::ResourceConstraint { first, second } => {
                 self.add_constraint(first, second)?;
@@ -1426,31 +1429,70 @@ impl<'s> Loader<'s> {
     /// Store one performance result (execution and all context resources
     /// must already exist).
     pub fn add_performance_result(&mut self, result: &PerformanceResult) -> Result<i64> {
-        if result.resource_sets.is_empty() {
+        let mut unknown = None;
+        let mut sets = Vec::with_capacity(result.resource_sets.len());
+        for set in &result.resource_sets {
+            let names = set.resources.iter().map(ResourceName::as_str);
+            sets.push((set.role, self.resource_ids(names, &mut unknown)?));
+        }
+        let fields = ResultFields {
+            execution: &result.execution,
+            metric: &result.metric,
+            tool: &result.tool,
+            value: result.value,
+            units: &result.units,
+        };
+        self.insert_result(&fields, sets, unknown)
+    }
+
+    /// The cached ids of `names`, in order. A name no resource has is
+    /// checked to be well formed here, so a malformed name fails before
+    /// any other fault of its result; a cached name was checked when its
+    /// resource was created. The first such name is kept in `unknown`
+    /// and its id left out.
+    fn resource_ids<'n>(
+        &self,
+        names: impl ExactSizeIterator<Item = &'n str>,
+        unknown: &mut Option<&'n str>,
+    ) -> Result<Vec<i64>> {
+        let mut ids = Vec::with_capacity(names.len());
+        for name in names {
+            match self.lookup(|c| c.resources.get(name).copied()) {
+                Some(id) => ids.push(id),
+                None => {
+                    ResourceName::new(name).map_err(PtError::Model)?;
+                    unknown.get_or_insert(name);
+                }
+            }
+        }
+        Ok(ids)
+    }
+
+    /// Insert one result whose context resources [`Self::resource_ids`]
+    /// resolved into `sets`. Faults are reported in this order: no
+    /// resource set, an unknown execution, then the first `unknown`
+    /// resource; every resource is resolved before anything is written, so
+    /// a failure leaves no partial foci.
+    fn insert_result(
+        &mut self,
+        result: &ResultFields<'_>,
+        sets: Vec<(ContextRole, Vec<i64>)>,
+        unknown: Option<&str>,
+    ) -> Result<i64> {
+        if sets.is_empty() {
             return Err(PtError::Invalid(
                 "performance result needs at least one resource set".into(),
             ));
         }
         let exec_id = self
-            .lookup(|c| c.executions.get(&result.execution).copied())
+            .lookup(|c| c.executions.get(result.execution).copied())
             .ok_or_else(|| PtError::NotFound(format!("execution {}", result.execution)))?;
-        let metric_id = self.ensure_metric(&result.metric)?;
-        let tool_id = self.ensure_tool(&result.tool)?;
-        // Resolve every resource up front so failures leave no partial foci.
-        let mut resolved: Vec<(ContextRole, Vec<i64>)> =
-            Vec::with_capacity(result.resource_sets.len());
-        for set in &result.resource_sets {
-            let ids = set
-                .resources
-                .iter()
-                .map(|r| {
-                    self.lookup(|c| c.resources.get(r.as_str()).copied())
-                        .ok_or_else(|| {
-                            PtError::Model(ModelError::UnknownResource(r.as_str().to_string()))
-                        })
-                })
-                .collect::<Result<Vec<_>>>()?;
-            resolved.push((set.role, ids));
+        let metric_id = self.ensure_metric(result.metric)?;
+        let tool_id = self.ensure_tool(result.tool)?;
+        if let Some(name) = unknown {
+            return Err(PtError::Model(ModelError::UnknownResource(
+                name.to_string(),
+            )));
         }
         let id = self.store.ids.lock().alloc("performance_result");
         let table = self.store.schema.performance_result;
@@ -1462,11 +1504,11 @@ impl<'s> Loader<'s> {
                 Value::Int(metric_id),
                 Value::Int(tool_id),
                 Value::Real(result.value),
-                Value::Text(result.units.clone()),
+                Value::Text(result.units.to_string()),
             ],
         )?;
         let links = self.store.schema.result_has_focus;
-        for (role, rids) in resolved {
+        for (role, rids) in sets {
             let focus_id = self.intern_focus(rids, role != ContextRole::Primary)?;
             self.txn().insert(
                 links,
@@ -1754,6 +1796,40 @@ PerfResult irs-mcr-008 /irs-run(primary) IRS "wall time" 99.25 seconds
             resource_sets: vec![],
         };
         assert!(store.add_performance_result(&pr).is_err());
+    }
+
+    /// A `PerfResult` line with one or two faults fails with the error of
+    /// the fault checked first, and stores nothing.
+    #[test]
+    fn perf_result_faults_fail_in_priority_order() {
+        let store = PTDataStore::in_memory().unwrap();
+        store.add_resource("/app", "application").unwrap();
+        store.add_execution("e1", "IRS").unwrap();
+        let before = store.result_count().unwrap();
+        let fails = |line: &str| {
+            let err = store.load_ptdf_str(line).unwrap_err();
+            assert_eq!(store.result_count().unwrap(), before, "{line}");
+            err
+        };
+        let bad_name =
+            |e: &PtError| matches!(e, PtError::Model(ModelError::BadResourceName(n)) if n == "r");
+        let err = fails("PerfResult e1 /app(bogus) t m 1 s");
+        assert!(matches!(err, PtError::Invalid(_)), "{err:?}");
+        let err = fails("PerfResult e1 r(primary) t m 1 s");
+        assert!(bad_name(&err), "{err:?}");
+        let err = fails("PerfResult e1 /ghost(primary) t m 1 s");
+        assert!(
+            matches!(&err, PtError::Model(ModelError::UnknownResource(n)) if n == "/ghost"),
+            "{err:?}"
+        );
+        let err = fails("PerfResult nope /app(primary) t m 1 s");
+        assert!(matches!(err, PtError::NotFound(_)), "{err:?}");
+        let err = fails("PerfResult nope /app,r(primary) t m 1 s");
+        assert!(bad_name(&err), "{err:?}");
+        store
+            .load_ptdf_str("PerfResult e1 /app(primary) t m 1 s")
+            .unwrap();
+        assert_eq!(store.result_count().unwrap(), before + 1);
     }
 
     #[test]

@@ -9,62 +9,56 @@ use crate::PtdfError;
 
 /// Split one line into tokens. Returns an empty vector for blank/comment
 /// lines.
+///
+/// An unquoted token runs to the next whitespace character or `#` and is
+/// copied out of the line as one slice; a quoted token is read character
+/// by character to undo its escapes.
 pub fn tokenize(line: &str, line_no: usize) -> Result<Vec<String>, PtdfError> {
-    let mut tokens = Vec::new();
-    let mut chars = line.chars().peekable();
+    // Room for a `PerfResult`, the most common statement: seven tokens.
+    let mut tokens = Vec::with_capacity(8);
+    let mut rest = line;
     loop {
-        // Skip whitespace.
-        while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-            chars.next();
+        rest = rest.trim_start();
+        if rest.is_empty() || rest.starts_with('#') {
+            break; // end of line, or a comment to end of line
         }
-        match chars.peek() {
-            None => break,
-            Some('#') => break, // comment to end of line
-            Some('"') => {
-                chars.next();
-                let mut tok = String::new();
-                let mut closed = false;
-                while let Some(c) = chars.next() {
-                    match c {
-                        '\\' => match chars.next() {
-                            Some('"') => tok.push('"'),
-                            Some('\\') => tok.push('\\'),
-                            Some(other) => {
-                                return Err(PtdfError::new(
-                                    line_no,
-                                    format!("bad escape \\{other} in quoted token"),
-                                ));
-                            }
-                            None => {
-                                return Err(PtdfError::new(
-                                    line_no,
-                                    "dangling backslash in quoted token".to_string(),
-                                ));
-                            }
-                        },
-                        '"' => {
-                            closed = true;
-                            break;
+        if let Some(quoted) = rest.strip_prefix('"') {
+            let mut chars = quoted.chars();
+            let mut tok = String::new();
+            loop {
+                match chars.next() {
+                    Some('"') => break,
+                    Some('\\') => match chars.next() {
+                        Some('"') => tok.push('"'),
+                        Some('\\') => tok.push('\\'),
+                        Some(other) => {
+                            return Err(PtdfError::new(
+                                line_no,
+                                format!("bad escape \\{other} in quoted token"),
+                            ));
                         }
-                        other => tok.push(other),
+                        None => {
+                            return Err(PtdfError::new(
+                                line_no,
+                                "dangling backslash in quoted token".to_string(),
+                            ));
+                        }
+                    },
+                    Some(other) => tok.push(other),
+                    None => {
+                        return Err(PtdfError::new(line_no, "unterminated quote".to_string()));
                     }
                 }
-                if !closed {
-                    return Err(PtdfError::new(line_no, "unterminated quote".to_string()));
-                }
-                tokens.push(tok);
             }
-            Some(_) => {
-                let mut tok = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_whitespace() || c == '#' {
-                        break;
-                    }
-                    tok.push(c);
-                    chars.next();
-                }
-                tokens.push(tok);
-            }
+            tokens.push(tok);
+            rest = chars.as_str();
+        } else {
+            let end = rest
+                .find(|c: char| c.is_whitespace() || c == '#')
+                .unwrap_or(rest.len());
+            let (tok, tail) = rest.split_at(end);
+            tokens.push(tok.to_string());
+            rest = tail;
         }
     }
     Ok(tokens)
@@ -134,6 +128,21 @@ mod tests {
             .contains("line 3"));
         assert!(tokenize(r#""bad \x escape""#, 1).is_err());
         assert!(tokenize("\"dangling \\", 1).is_err());
+    }
+
+    #[test]
+    fn token_boundaries() {
+        // Unicode whitespace separates tokens, as ASCII whitespace does.
+        assert_eq!(tokenize("a\u{3000}b", 1).unwrap(), vec!["a", "b"]);
+        assert_eq!(tokenize("\u{a0}é\u{2003}ß€ ", 1).unwrap(), vec!["é", "ß€"]);
+        // A comment may start inside an unquoted token.
+        assert_eq!(tokenize("ab#c", 1).unwrap(), vec!["ab"]);
+        // A closing quote ends a token even with no space after it.
+        assert_eq!(tokenize(r#""x"y"#, 1).unwrap(), vec!["x", "y"]);
+        assert!(tokenize("ok \"open é", 7)
+            .unwrap_err()
+            .to_string()
+            .contains("line 7"));
     }
 
     #[test]

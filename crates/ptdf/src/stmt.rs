@@ -110,97 +110,82 @@ pub enum PtdfStatement {
 impl PtdfStatement {
     /// Parse one line; `Ok(None)` for blank/comment lines.
     pub fn parse_line(line: &str, line_no: usize) -> Result<Option<PtdfStatement>, PtdfError> {
-        let tokens = tokenize(line, line_no)?;
-        if tokens.is_empty() {
+        let mut tokens = tokenize(line, line_no)?;
+        let Some((keyword, fields)) = tokens.split_first_mut() else {
             return Ok(None);
-        }
+        };
+        let n = fields.len();
         let err = |msg: String| PtdfError::new(line_no, msg);
-        let expect = |n: usize| -> Result<(), PtdfError> {
-            if tokens.len() - 1 == n {
+        let expect = |want: usize| -> Result<(), PtdfError> {
+            if n == want {
                 Ok(())
             } else {
-                Err(PtdfError::new(
-                    line_no,
-                    format!(
-                        "{} expects {} fields, got {}",
-                        tokens[0],
-                        n,
-                        tokens.len() - 1
-                    ),
-                ))
+                Err(err(format!("{keyword} expects {want} fields, got {n}")))
             }
         };
-        let stmt = match tokens[0].as_str() {
+        // Each field is moved out of the token vector once.
+        let take = |fields: &mut [String], i: usize| std::mem::take(&mut fields[i]);
+        let stmt = match keyword.as_str() {
             "Application" => {
                 expect(1)?;
                 PtdfStatement::Application {
-                    name: tokens[1].clone(),
+                    name: take(fields, 0),
                 }
             }
             "ResourceType" => {
                 expect(1)?;
                 PtdfStatement::ResourceType {
-                    type_path: tokens[1].clone(),
+                    type_path: take(fields, 0),
                 }
             }
             "Execution" => {
                 expect(2)?;
                 PtdfStatement::Execution {
-                    name: tokens[1].clone(),
-                    application: tokens[2].clone(),
+                    name: take(fields, 0),
+                    application: take(fields, 1),
                 }
             }
             "Resource" => {
-                if tokens.len() == 3 {
-                    PtdfStatement::Resource {
-                        name: tokens[1].clone(),
-                        type_path: tokens[2].clone(),
-                        execution: None,
-                    }
-                } else if tokens.len() == 4 {
-                    PtdfStatement::Resource {
-                        name: tokens[1].clone(),
-                        type_path: tokens[2].clone(),
-                        execution: Some(tokens[3].clone()),
-                    }
-                } else {
-                    return Err(err(format!(
-                        "Resource expects 2 or 3 fields, got {}",
-                        tokens.len() - 1
-                    )));
+                if n != 2 && n != 3 {
+                    return Err(err(format!("Resource expects 2 or 3 fields, got {n}")));
+                }
+                PtdfStatement::Resource {
+                    name: take(fields, 0),
+                    type_path: take(fields, 1),
+                    execution: (n == 3).then(|| take(fields, 2)),
                 }
             }
             "ResourceAttribute" => {
                 expect(4)?;
-                let attr_type = AttrType::parse(&tokens[4])
-                    .ok_or_else(|| err(format!("bad attribute type {:?}", tokens[4])))?;
+                let attr_type = AttrType::parse(&fields[3])
+                    .ok_or_else(|| err(format!("bad attribute type {:?}", fields[3])))?;
                 PtdfStatement::ResourceAttribute {
-                    resource: tokens[1].clone(),
-                    attribute: tokens[2].clone(),
-                    value: tokens[3].clone(),
+                    resource: take(fields, 0),
+                    attribute: take(fields, 1),
+                    value: take(fields, 2),
                     attr_type,
                 }
             }
             "PerfResult" => {
                 expect(6)?;
-                let resource_sets = parse_resource_sets(&tokens[2], line_no)?;
-                let value: f64 = tokens[5]
+                let resource_sets = parse_resource_sets(&fields[1], line_no)?;
+                let value: f64 = fields[4]
                     .parse()
-                    .map_err(|_| err(format!("bad numeric value {:?}", tokens[5])))?;
+                    .map_err(|_| err(format!("bad numeric value {:?}", fields[4])))?;
                 PtdfStatement::PerfResult {
-                    execution: tokens[1].clone(),
+                    execution: take(fields, 0),
                     resource_sets,
-                    tool: tokens[3].clone(),
-                    metric: tokens[4].clone(),
+                    tool: take(fields, 2),
+                    metric: take(fields, 3),
                     value,
-                    units: tokens[6].clone(),
+                    units: take(fields, 5),
                 }
             }
             "ResourceConstraint" => {
                 expect(2)?;
                 PtdfStatement::ResourceConstraint {
-                    first: tokens[1].clone(),
-                    second: tokens[2].clone(),
+                    first: take(fields, 0),
+                    second: take(fields, 1),
                 }
             }
             other => return Err(err(format!("unknown statement {other:?}"))),

@@ -15,6 +15,23 @@ fn arb_printable(rng: &mut Rng, len: Range<usize>) -> String {
     rng.gen_string(&printable, len)
 }
 
+/// Printable ASCII mixed with multi-byte letters and Unicode whitespace
+/// (no-break space, em space, ideographic space), the characters a
+/// tokenizer that slices by byte offset could cut in half.
+fn arb_text(rng: &mut Rng, len: Range<usize>) -> String {
+    const WIDE: [char; 8] = ['é', 'ß', 'λ', '€', '名', '\u{a0}', '\u{2003}', '\u{3000}'];
+    let n = rng.gen_range(len);
+    (0..n)
+        .map(|_| {
+            if rng.gen_range(0..4) == 0 {
+                WIDE[rng.gen_range(0..WIDE.len())]
+            } else {
+                char::from(rng.gen_range(b' '..b'~' + 1))
+            }
+        })
+        .collect()
+}
+
 /// Free-form names (may need quoting), not blank.
 fn arb_name(rng: &mut Rng) -> String {
     loop {
@@ -117,7 +134,7 @@ fn document_roundtrip() {
 #[test]
 fn quote_tokenize_roundtrip() {
     check_cases(0x97df_0300, 256, |rng| {
-        let token = arb_printable(rng, 0..41);
+        let token = arb_text(rng, 0..41);
         let quoted = quote(&token);
         let toks = tokenize(&quoted, 1).unwrap();
         assert_eq!(toks, [token], "quoted {quoted:?}");
@@ -128,7 +145,7 @@ fn quote_tokenize_roundtrip() {
 #[test]
 fn tokenizer_total() {
     check_cases(0x97df_0400, 256, |rng| {
-        let line = arb_printable(rng, 0..81);
+        let line = arb_text(rng, 0..81);
         let line_no = rng.gen_range(1usize..1000);
         if let Err(e) = tokenize(&line, line_no) {
             assert!(e.to_string().contains(&format!("line {line_no}")));

@@ -11,6 +11,14 @@
 //! compares keys without leaving it; a longer key is boxed. Keys order,
 //! compare and print as their bytes whichever way they are held.
 //!
+//! Every key comparison in this module goes through `key_cmp`, which is
+//! byte-slice order computed eight bytes at a time: while both keys have
+//! eight bytes left it compares them as big-endian `u64` words, then the
+//! remaining bytes one by one, then the lengths. Encoded keys of one
+//! index share long prefixes (a column tag and the leading bytes of an
+//! id), so most comparisons end in the first or second word, without the
+//! library call a slice comparison makes.
+//!
 //! The tree lives in memory and is built when a database is opened, in
 //! the same heap pass that verifies the rows: each table's scan collects
 //! a `(key, rowid)` run for every index on the table from the rows that
@@ -76,6 +84,28 @@ pub(crate) enum Key {
 
 pub(crate) type Entry = (Key, u64);
 
+/// Byte-slice order (`<[u8] as Ord>::cmp`), read eight bytes at a time:
+/// big-endian words while both keys have eight bytes left, then the
+/// shorter tail byte by byte, then the lengths.
+#[inline]
+pub(crate) fn key_cmp(a: &[u8], b: &[u8]) -> std::cmp::Ordering {
+    let (mut a, mut b) = (a, b);
+    while let (Some((wa, ra)), Some((wb, rb))) =
+        (a.split_first_chunk::<8>(), b.split_first_chunk::<8>())
+    {
+        if wa != wb {
+            return u64::from_be_bytes(*wa).cmp(&u64::from_be_bytes(*wb));
+        }
+        (a, b) = (ra, rb);
+    }
+    for (x, y) in a.iter().zip(b) {
+        if x != y {
+            return x.cmp(y);
+        }
+    }
+    a.len().cmp(&b.len())
+}
+
 // Every leaf entry pays for a field that grows `Entry`; fail the build
 // instead of a benchmark.
 const _: () = assert!(std::mem::size_of::<Entry>() <= 32);
@@ -121,7 +151,7 @@ impl PartialOrd for Key {
 
 impl Ord for Key {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (**self).cmp(&**other)
+        key_cmp(self, other)
     }
 }
 
@@ -142,7 +172,7 @@ pub(crate) enum Node {
 }
 
 fn cmp_entry(a: &(Key, u64), key: &[u8], rid: u64) -> std::cmp::Ordering {
-    a.0.as_ref().cmp(key).then(a.1.cmp(&rid))
+    key_cmp(&a.0, key).then(a.1.cmp(&rid))
 }
 
 impl Node {
@@ -230,14 +260,14 @@ impl Node {
             Node::Leaf(entries) => {
                 let start = match lo {
                     Bound::Unbounded => 0,
-                    Bound::Included(k) => entries.partition_point(|e| e.0.as_ref() < k),
-                    Bound::Excluded(k) => entries.partition_point(|e| e.0.as_ref() <= k),
+                    Bound::Included(k) => entries.partition_point(|e| key_cmp(&e.0, k).is_lt()),
+                    Bound::Excluded(k) => entries.partition_point(|e| key_cmp(&e.0, k).is_le()),
                 };
                 for e in entries.iter().skip(start) {
                     let past_end = match hi {
                         Bound::Unbounded => false,
-                        Bound::Included(k) => e.0.as_ref() > k,
-                        Bound::Excluded(k) => e.0.as_ref() >= k,
+                        Bound::Included(k) => key_cmp(&e.0, k).is_gt(),
+                        Bound::Excluded(k) => key_cmp(&e.0, k).is_ge(),
                     };
                     if past_end {
                         return true; // range finished, not stopped
@@ -255,7 +285,7 @@ impl Node {
                     Bound::Included(k) | Bound::Excluded(k) => {
                         // Children before this index hold entries strictly
                         // below (k, 0), which cannot intersect the range.
-                        seps.partition_point(|s| s.0.as_ref() < k)
+                        seps.partition_point(|s| key_cmp(&s.0, k).is_lt())
                     }
                 };
                 for (idx, child) in children.iter().enumerate().skip(first) {
@@ -264,8 +294,8 @@ impl Node {
                     if idx > first {
                         let past = match (idx.checked_sub(1).and_then(|i| seps.get(i)), hi) {
                             (None, _) | (_, Bound::Unbounded) => false,
-                            (Some(sep), Bound::Included(k)) => sep.0.as_ref() > k,
-                            (Some(sep), Bound::Excluded(k)) => sep.0.as_ref() >= k,
+                            (Some(sep), Bound::Included(k)) => key_cmp(&sep.0, k).is_gt(),
+                            (Some(sep), Bound::Excluded(k)) => key_cmp(&sep.0, k).is_ge(),
                         };
                         if past {
                             break;
@@ -297,9 +327,9 @@ impl Node {
         match self {
             Node::Leaf(entries) => {
                 for &(slot, key) in keys {
-                    let start = entries.partition_point(|e| e.0.as_ref() < key);
+                    let start = entries.partition_point(|e| key_cmp(&e.0, key).is_lt());
                     for e in entries.iter().skip(start) {
-                        if e.0.as_ref() != key {
+                        if key_cmp(&e.0, key).is_ne() {
                             break;
                         }
                         if let Some(bucket) = out.get_mut(slot) {
@@ -316,11 +346,11 @@ impl Node {
                     // the last child.
                     let start = match idx.checked_sub(1).and_then(|i| seps.get(i)) {
                         None => 0,
-                        Some(lo) => keys.partition_point(|&(_, k)| k < lo.0.as_ref()),
+                        Some(lo) => keys.partition_point(|&(_, k)| key_cmp(k, &lo.0).is_lt()),
                     };
                     let end = match seps.get(idx) {
                         None => keys.len(),
-                        Some(hi) => keys.partition_point(|&(_, k)| k <= hi.0.as_ref()),
+                        Some(hi) => keys.partition_point(|&(_, k)| key_cmp(k, &hi.0).is_le()),
                     };
                     if start < end {
                         if let Some(chunk) = keys.get(start..end) {
@@ -342,8 +372,8 @@ impl Node {
             Node::Leaf(entries) => {
                 let end = match hi {
                     Bound::Unbounded => entries.len(),
-                    Bound::Included(k) => entries.partition_point(|e| e.0.as_ref() <= k),
-                    Bound::Excluded(k) => entries.partition_point(|e| e.0.as_ref() < k),
+                    Bound::Included(k) => entries.partition_point(|e| key_cmp(&e.0, k).is_le()),
+                    Bound::Excluded(k) => entries.partition_point(|e| key_cmp(&e.0, k).is_lt()),
                 };
                 end.checked_sub(1).and_then(|i| entries.get(i)).map(|e| e.1)
             }
@@ -352,8 +382,8 @@ impl Node {
                 // within hi only if that separator's key is.
                 let end = match hi {
                     Bound::Unbounded => seps.len(),
-                    Bound::Included(k) => seps.partition_point(|s| s.0.as_ref() <= k),
-                    Bound::Excluded(k) => seps.partition_point(|s| s.0.as_ref() < k),
+                    Bound::Included(k) => seps.partition_point(|s| key_cmp(&s.0, k).is_le()),
+                    Bound::Excluded(k) => seps.partition_point(|s| key_cmp(&s.0, k).is_lt()),
                 };
                 children
                     .iter()
@@ -604,7 +634,7 @@ impl BTreeIndex {
         }
         self.batch_probes.fetch_add(1, Ordering::Relaxed);
         let mut sorted: Vec<(usize, &[u8])> = keys.iter().copied().enumerate().collect();
-        sorted.sort_by(|a, b| a.1.cmp(b.1));
+        sorted.sort_by(|a, b| key_cmp(a.1, b.1));
         let mut reads = 0u64;
         self.root.visit_many(&sorted, &mut out, &mut reads);
         self.node_reads.fetch_add(reads, Ordering::Relaxed);
@@ -912,6 +942,33 @@ mod tests {
         keys.push(vec![0xff; 40]);
         keys.sort();
         keys
+    }
+
+    #[test]
+    fn key_cmp_is_byte_slice_order() {
+        let mut keys = mixed_keys();
+        // Keys of 0 to 40 bytes that agree on their first 0, 7, 8, 9 or 16
+        // bytes, so the first difference falls before, at and after a
+        // word boundary, or not at all.
+        let mut rng = Rng::seed_from_u64(0x6b65_795f_636d);
+        let base: Vec<u8> = (0..40).map(|_| rng.gen_range(0u8..4)).collect();
+        for shared in [0usize, 7, 8, 9, 16] {
+            for _ in 0..12 {
+                let len = rng.gen_range(0..41);
+                let key: Vec<u8> = (0..len)
+                    .map(|i| match base.get(i) {
+                        Some(&b) if i < shared => b,
+                        _ => rng.gen_range(0u8..4),
+                    })
+                    .collect();
+                keys.push(key);
+            }
+        }
+        for a in &keys {
+            for b in &keys {
+                assert_eq!(key_cmp(a, b), a.as_slice().cmp(b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]
