@@ -24,7 +24,7 @@ use crate::datastore::PTDataStore;
 use crate::error::{PtError, Result};
 use crate::query::{QueryEngine, ResourceMemo, ResultRow};
 use perftrack_store::metrics::Json;
-use std::collections::btree_map::Entry;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -526,12 +526,17 @@ impl<'s> Compare<'s> {
             present: Vec<bool>,
             metrics: BTreeMap<Arc<str>, Vec<Option<Cell>>>,
         }
-        let mut nodes: BTreeMap<String, NodeAcc> = BTreeMap::new();
+        // Keyed by resource id while walking: a full name names one
+        // resource, so this is the merge by name without a name clone or
+        // string compare per step.
+        let mut by_id: HashMap<i64, (String, NodeAcc)> = HashMap::new();
 
         // Pass 1: walk every result of the compared executions, mark the
         // structural ancestor chain present, and accumulate the value at
         // the context resources themselves (not their ancestors, which
-        // would multiply-count shared cost).
+        // would multiply-count shared cost). A walk stops at the first
+        // node already present for all of the row's slots: the walk that
+        // marked it marked the rest of its chain.
         for row in &rows {
             let Some(slots) = exec_index.get(&*row.execution) else {
                 continue;
@@ -548,22 +553,26 @@ impl<'s> Compare<'s> {
                     if root == "execution" || root == "time" {
                         break;
                     }
-                    let node = match nodes.entry(rec.name.clone()) {
+                    let (_, node) = match by_id.entry(cur) {
                         Entry::Occupied(node) => node.into_mut(),
                         Entry::Vacant(slot) => {
                             let parent = match rec.parent_id {
                                 Some(pid) => memo.get(pid)?.map(|p| p.name.clone()),
                                 None => None,
                             };
-                            slot.insert(NodeAcc {
-                                base_name: rec.base_name.clone(),
-                                type_path: tp.to_string(),
-                                parent,
-                                present: vec![false; n],
-                                metrics: BTreeMap::new(),
-                            })
+                            slot.insert((
+                                rec.name.clone(),
+                                NodeAcc {
+                                    base_name: rec.base_name.clone(),
+                                    type_path: tp.to_string(),
+                                    parent,
+                                    present: vec![false; n],
+                                    metrics: BTreeMap::new(),
+                                },
+                            ))
                         }
                     };
+                    let marked = slots.iter().all(|&ei| node.present[ei]);
                     for &ei in slots {
                         node.present[ei] = true;
                         if at_context {
@@ -583,11 +592,15 @@ impl<'s> Compare<'s> {
                             c.max = c.max.max(row.value);
                         }
                     }
+                    if marked {
+                        break;
+                    }
                     at_context = false;
                     cursor = rec.parent_id;
                 }
             }
         }
+        let nodes: BTreeMap<String, NodeAcc> = by_id.into_values().collect();
 
         // Pass 2: collapse cells under the chosen aggregate, then
         // normalize to per-execution metric shares if asked.
@@ -927,6 +940,35 @@ mod tests {
             .unwrap();
         assert_eq!(reverse.regressions().len(), t.improvements().len());
         assert!(reverse.improvements().is_empty());
+    }
+
+    /// A walk stops at a node already present for the row's executions;
+    /// one present for another execution only is walked through, so the
+    /// chain above it is marked for this one too.
+    #[test]
+    fn tree_compare_marks_whole_chain_per_execution() {
+        let store = PTDataStore::in_memory().unwrap();
+        store
+            .load_ptdf_str(
+                "Application A\nResource /b build\nResource /b/m build/module\nResource /b/m/f build/module/function\nResource /b/m/g build/module/function\nExecution a A\nExecution b A\nPerfResult a /b/m/f(primary) T t 1.0 s\nPerfResult a /b/m/g(primary) T t 2.0 s\nPerfResult b /b/m/g(primary) T t 4.0 s\n",
+            )
+            .unwrap();
+        let c = Compare::new(&store);
+        let opts = CompareOptions::default();
+        let t = c.tree_compare(&["a", "b"], &opts).unwrap();
+        let drift: Vec<(&str, &[bool])> = t
+            .drift
+            .iter()
+            .map(|d| (d.resource.as_str(), &d.present[..]))
+            .collect();
+        assert_eq!(drift, vec![("/b/m/f", &[true, false][..])]);
+        assert_eq!(t.roots.len(), 1);
+        assert_eq!(t.roots[0].present, vec![true, true]);
+        assert_eq!(t.roots[0].children[0].children.len(), 2);
+        assert_eq!(t.aligned_cells, 1);
+        let itself = c.tree_compare(&["a", "a"], &opts).unwrap();
+        assert!(itself.drift.is_empty());
+        assert_eq!(itself.aligned_cells, 2);
     }
 
     #[test]

@@ -399,6 +399,7 @@ impl PTDataStore {
             txn: Some(self.db.begin()),
             registry: self.registry.read().clone(),
             overlay: NameCache::default(),
+            staged: Vec::new(),
             stats: LoadStats::default(),
         }
     }
@@ -1113,17 +1114,38 @@ struct ResultFields<'a> {
 /// Bulk loader holding one write transaction. Name→id caches added during
 /// the load live in an overlay that is merged into the store's global
 /// cache only on commit, so a rolled-back load leaves no stale entries.
+///
+/// The loader resolves names and allocates ids as it applies statements,
+/// but stages the rows: each goes to its table's list, and
+/// [`Loader::commit`] writes each list with one
+/// [`insert_many`](perftrack_store::Txn::insert_many). A store error such
+/// as `UniqueViolation` or a degraded store's `ReadOnly` therefore
+/// surfaces at the commit, with the same rollback. Nothing in a load reads
+/// back the rows it staged: the overlay answers every name and id.
 pub struct Loader<'s> {
     store: &'s PTDataStore,
     txn: Option<perftrack_store::Txn<'s>>,
     registry: TypeRegistry,
     overlay: NameCache,
+    /// Rows not yet written, indexed by table id.
+    staged: Vec<Vec<Row>>,
     stats: LoadStats,
 }
 
 impl<'s> Loader<'s> {
     fn txn(&mut self) -> &mut perftrack_store::Txn<'s> {
         self.txn.as_mut().expect("loader already finished")
+    }
+
+    /// Queue `row` for `table` until [`Loader::commit`].
+    fn stage(&mut self, table: TableId, row: Row) {
+        let i = table.0 as usize;
+        if self.staged.len() <= i {
+            self.staged.resize_with(i + 1, Vec::new);
+        }
+        if let Some(rows) = self.staged.get_mut(i) {
+            rows.push(row);
+        }
     }
 
     fn lookup(&self, pick: impl Fn(&NameCache) -> Option<i64>) -> Option<i64> {
@@ -1200,8 +1222,7 @@ impl<'s> Loader<'s> {
         }
         let id = self.store.ids.lock().alloc("application");
         let table = self.store.schema.application;
-        self.txn()
-            .insert(table, vec![Value::Int(id), Value::Text(name.to_string())])?;
+        self.stage(table, vec![Value::Int(id), Value::Text(name.to_string())]);
         self.overlay.applications.insert(name.to_string(), id);
         self.stats.applications += 1;
         Ok(id)
@@ -1223,14 +1244,14 @@ impl<'s> Loader<'s> {
         };
         let id = self.store.ids.lock().alloc("focus_framework");
         let table = self.store.schema.focus_framework;
-        self.txn().insert(
+        self.stage(
             table,
             vec![
                 Value::Int(id),
                 Value::Text(path.to_string()),
                 parent_id.map_or(Value::Null, Value::Int),
             ],
-        )?;
+        );
         self.overlay.types.insert(path.to_string(), id);
         self.stats.resource_types += 1;
         Ok(id)
@@ -1244,14 +1265,14 @@ impl<'s> Loader<'s> {
         let app_id = self.ensure_application(application)?;
         let id = self.store.ids.lock().alloc("execution");
         let table = self.store.schema.execution;
-        self.txn().insert(
+        self.stage(
             table,
             vec![
                 Value::Int(id),
                 Value::Text(name.to_string()),
                 Value::Int(app_id),
             ],
-        )?;
+        );
         self.overlay.executions.insert(name.to_string(), id);
         self.stats.executions += 1;
         Ok(id)
@@ -1323,7 +1344,7 @@ impl<'s> Loader<'s> {
         };
         let id = self.store.ids.lock().alloc("resource_item");
         let table = self.store.schema.resource_item;
-        self.txn().insert(
+        self.stage(
             table,
             vec![
                 Value::Int(id),
@@ -1332,14 +1353,13 @@ impl<'s> Loader<'s> {
                 Value::Int(type_id),
                 parent_id.map_or(Value::Null, Value::Int),
             ],
-        )?;
+        );
         // Closure-table maintenance: walk the parent chain through caches,
         // one `resource_has_ancestor` row per ancestor.
         let rha = self.store.schema.resource_has_ancestor;
         let mut cur = parent_id;
         while let Some(a) = cur {
-            self.txn()
-                .insert(rha, vec![Value::Int(id), Value::Int(a)])?;
+            self.stage(rha, vec![Value::Int(id), Value::Int(a)]);
             cur = self.lookup_meta(a).and_then(|(p, _)| p);
         }
         self.overlay.resources.insert(name.to_string(), id);
@@ -1368,7 +1388,7 @@ impl<'s> Loader<'s> {
             .lookup(|c| c.resources.get(resource).copied())
             .ok_or_else(|| PtError::Model(ModelError::UnknownResource(resource.into())))?;
         let table = self.store.schema.resource_attribute;
-        self.txn().insert(
+        self.stage(
             table,
             vec![
                 Value::Int(rid),
@@ -1376,7 +1396,7 @@ impl<'s> Loader<'s> {
                 Value::Text(value.to_string()),
                 Value::Text(attr_type.keyword().to_string()),
             ],
-        )?;
+        );
         self.stats.attributes += 1;
         Ok(())
     }
@@ -1394,36 +1414,34 @@ impl<'s> Loader<'s> {
             .lookup(|c| c.resources.get(second).copied())
             .ok_or_else(|| PtError::Model(ModelError::UnknownResource(second.into())))?;
         let table = self.store.schema.resource_constraint;
-        self.txn().insert(
+        self.stage(
             table,
             vec![Value::Int(a), Value::Int(b), Value::Text(attr.to_string())],
-        )?;
+        );
         self.stats.constraints += 1;
         Ok(())
     }
 
-    fn ensure_metric(&mut self, name: &str) -> Result<i64> {
+    fn ensure_metric(&mut self, name: &str) -> i64 {
         if let Some(id) = self.lookup(|c| c.metrics.get(name).copied()) {
-            return Ok(id);
+            return id;
         }
         let id = self.store.ids.lock().alloc("metric");
         let table = self.store.schema.metric;
-        self.txn()
-            .insert(table, vec![Value::Int(id), Value::Text(name.to_string())])?;
+        self.stage(table, vec![Value::Int(id), Value::Text(name.to_string())]);
         self.overlay.metrics.insert(name.to_string(), id);
-        Ok(id)
+        id
     }
 
-    fn ensure_tool(&mut self, name: &str) -> Result<i64> {
+    fn ensure_tool(&mut self, name: &str) -> i64 {
         if let Some(id) = self.lookup(|c| c.tools.get(name).copied()) {
-            return Ok(id);
+            return id;
         }
         let id = self.store.ids.lock().alloc("performance_tool");
         let table = self.store.schema.performance_tool;
-        self.txn()
-            .insert(table, vec![Value::Int(id), Value::Text(name.to_string())])?;
+        self.stage(table, vec![Value::Int(id), Value::Text(name.to_string())]);
         self.overlay.tools.insert(name.to_string(), id);
-        Ok(id)
+        id
     }
 
     /// Store one performance result (execution and all context resources
@@ -1487,8 +1505,8 @@ impl<'s> Loader<'s> {
         let exec_id = self
             .lookup(|c| c.executions.get(result.execution).copied())
             .ok_or_else(|| PtError::NotFound(format!("execution {}", result.execution)))?;
-        let metric_id = self.ensure_metric(result.metric)?;
-        let tool_id = self.ensure_tool(result.tool)?;
+        let metric_id = self.ensure_metric(result.metric);
+        let tool_id = self.ensure_tool(result.tool);
         if let Some(name) = unknown {
             return Err(PtError::Model(ModelError::UnknownResource(
                 name.to_string(),
@@ -1496,7 +1514,7 @@ impl<'s> Loader<'s> {
         }
         let id = self.store.ids.lock().alloc("performance_result");
         let table = self.store.schema.performance_result;
-        self.txn().insert(
+        self.stage(
             table,
             vec![
                 Value::Int(id),
@@ -1506,18 +1524,18 @@ impl<'s> Loader<'s> {
                 Value::Real(result.value),
                 Value::Text(result.units.to_string()),
             ],
-        )?;
+        );
         let links = self.store.schema.result_has_focus;
         for (role, rids) in sets {
             let focus_id = self.intern_focus(rids, role != ContextRole::Primary)?;
-            self.txn().insert(
+            self.stage(
                 links,
                 vec![
                     Value::Int(id),
                     Value::Int(focus_id),
                     Value::Text(role.name().to_string()),
                 ],
-            )?;
+            );
         }
         self.stats.results += 1;
         Ok(id)
@@ -1542,10 +1560,9 @@ impl<'s> Loader<'s> {
             self.store.schema.focus,
             self.store.schema.focus_has_resource,
         );
-        self.txn().insert(focus, vec![Value::Int(focus_id)])?;
+        self.stage(focus, vec![Value::Int(focus_id)]);
         for &rid in &rids {
-            self.txn()
-                .insert(fhr, vec![Value::Int(focus_id), Value::Int(rid)])?;
+            self.stage(fhr, vec![Value::Int(focus_id), Value::Int(rid)]);
         }
         self.overlay
             .foci
@@ -1615,9 +1632,17 @@ impl<'s> Loader<'s> {
         self.stats
     }
 
-    /// Commit the load; merges caches into the store and returns stats.
+    /// Commit the load: write the staged rows, table by table in table id
+    /// order, then commit the transaction, merge the caches into the store
+    /// and return the stats. A failed write drops the transaction, which
+    /// rolls the whole load back.
     pub fn commit(mut self) -> Result<LoadStats> {
-        let txn = self.txn.take().expect("loader already finished");
+        let mut txn = self.txn.take().expect("loader already finished");
+        for (table, rows) in std::mem::take(&mut self.staged).into_iter().enumerate() {
+            if !rows.is_empty() {
+                txn.insert_many(TableId(table as u32), rows)?;
+            }
+        }
         // Publish under the cache lock taken before the commit, as
         // `delete_execution` does: the next writer sees this load's names
         // and foci, and a failed commit publishes nothing.

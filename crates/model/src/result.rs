@@ -36,16 +36,22 @@ impl ContextRole {
         }
     }
 
-    /// Parse a role name (case-insensitive).
+    /// Every role, in declaration order.
+    const ALL: [ContextRole; 5] = [
+        ContextRole::Primary,
+        ContextRole::Parent,
+        ContextRole::Child,
+        ContextRole::Sender,
+        ContextRole::Receiver,
+    ];
+
+    /// Parse a role name, ignoring ASCII case. The loader calls this once
+    /// per resource set, so it compares in place instead of lowercasing
+    /// into a new string.
     pub fn parse(s: &str) -> Option<Self> {
-        Some(match s.to_ascii_lowercase().as_str() {
-            "primary" => ContextRole::Primary,
-            "parent" => ContextRole::Parent,
-            "child" => ContextRole::Child,
-            "sender" => ContextRole::Sender,
-            "receiver" => ContextRole::Receiver,
-            _ => return None,
-        })
+        Self::ALL
+            .into_iter()
+            .find(|role| role.name().eq_ignore_ascii_case(s))
     }
 }
 
@@ -139,17 +145,23 @@ mod tests {
 
     #[test]
     fn role_names_roundtrip() {
-        for role in [
-            ContextRole::Primary,
-            ContextRole::Parent,
-            ContextRole::Child,
-            ContextRole::Sender,
-            ContextRole::Receiver,
-        ] {
+        for role in ContextRole::ALL {
             assert_eq!(ContextRole::parse(role.name()), Some(role));
             assert_eq!(ContextRole::parse(&role.name().to_uppercase()), Some(role));
         }
         assert_eq!(ContextRole::parse("bogus"), None);
+    }
+
+    #[test]
+    fn role_parse_ignores_ascii_case_only() {
+        assert_eq!(ContextRole::parse("PRIMARY"), Some(ContextRole::Primary));
+        assert_eq!(ContextRole::parse("Parent"), Some(ContextRole::Parent));
+        assert_eq!(ContextRole::parse("cHiLd"), Some(ContextRole::Child));
+        // A prefix, the empty string and a non-ASCII look-alike (dotless
+        // i, U+0131) name no role.
+        assert_eq!(ContextRole::parse("prim"), None);
+        assert_eq!(ContextRole::parse(""), None);
+        assert_eq!(ContextRole::parse("pr\u{131}mary"), None);
     }
 
     #[test]

@@ -284,11 +284,41 @@ impl<'a> PageMut<'a> {
     /// Returns the slot used, or `Err(PageFull)` if the record cannot fit
     /// even after compaction.
     pub fn insert(&mut self, record: &[u8]) -> Result<u16> {
-        let view = self.as_ref();
-        let count = view.slot_count();
-        let reuse = (0..count).find(|&s| view.slot(s).0 == 0);
-        let slot = reuse.unwrap_or(count);
-        self.insert_at(slot, record)
+        let mut used = None;
+        self.insert_each([record], |slot| used = Some(slot))?;
+        used.ok_or(StoreError::PageFull)
+    }
+
+    /// Insert `records` in order, each into the slot [`PageMut::insert`]
+    /// would give it (the lowest tombstone left, else a new slot), and
+    /// call `placed` with that slot. The slot directory is scanned for
+    /// tombstones once for the whole run: filling a tombstone never
+    /// creates a lower one. Stops, with `Ok`, at the first record that
+    /// does not fit even after compaction; the caller counts the `placed`
+    /// calls to see how far the run got.
+    pub fn insert_each<'r>(
+        &mut self,
+        records: impl IntoIterator<Item = &'r [u8]>,
+        mut placed: impl FnMut(u16),
+    ) -> Result<()> {
+        let count = self.as_ref().slot_count();
+        let mut scan = 0;
+        for record in records {
+            while scan < count && self.as_ref().slot(scan).0 != 0 {
+                scan += 1;
+            }
+            let slot = if scan < count {
+                scan
+            } else {
+                self.as_ref().slot_count()
+            };
+            match self.insert_at(slot, record) {
+                Ok(_) => placed(slot),
+                Err(StoreError::PageFull) => break,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 
     /// Insert a record at a *specific* slot (used by WAL redo so that
@@ -453,6 +483,40 @@ mod tests {
         assert_eq!(p.slot_count(), 0);
         assert_eq!(p.contiguous_free(), PAGE_SIZE - HEADER_SIZE);
         assert_eq!(p.next_page(), None);
+    }
+
+    /// `insert_each` places a run where one `insert` per record would:
+    /// into the tombstones lowest first, then new slots, stopping at the
+    /// first record that does not fit.
+    #[test]
+    fn insert_each_matches_insert_one_at_a_time() {
+        let mut buf = fresh();
+        let mut p = PageMut::new(&mut buf);
+        for i in 0..6u8 {
+            p.insert(&[i; 300]).unwrap();
+        }
+        for slot in [4, 1, 2] {
+            p.delete(slot).unwrap();
+        }
+        let mut one_by_one = buf.clone();
+        let records: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; 200 + usize::from(i)]).collect();
+        let mut slots = Vec::new();
+        PageMut::new(&mut buf)
+            .insert_each(records.iter().map(Vec::as_slice), |s| slots.push(s))
+            .unwrap();
+        let mut expected = Vec::new();
+        let mut q = PageMut::new(&mut one_by_one);
+        for record in &records {
+            match q.insert(record) {
+                Ok(slot) => expected.push(slot),
+                Err(StoreError::PageFull) => break,
+                Err(e) => panic!("{e}"),
+            }
+        }
+        assert_eq!(&slots[..4], [1, 2, 4, 6]);
+        assert!(slots.len() < records.len(), "the run fills the page");
+        assert_eq!(slots, expected);
+        assert_eq!(buf, one_by_one);
     }
 
     #[test]

@@ -180,15 +180,19 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(b);
 }
 
-fn encode_payload(lsn: u64, txn: u64, payload: &WalPayload, out: &mut Vec<u8>) {
-    out.extend_from_slice(&lsn.to_be_bytes());
-    out.extend_from_slice(&txn.to_be_bytes());
+/// The body of an `Insert` record after its LSN and transaction id.
+fn encode_insert(table: u32, rowid: RowId, row: &[u8], out: &mut Vec<u8>) {
+    out.push(K_INSERT);
+    out.extend_from_slice(&table.to_be_bytes());
+    out.extend_from_slice(&rowid.to_u64().to_be_bytes());
+    put_bytes(out, row);
+}
+
+/// The body of `payload`'s record after its LSN and transaction id.
+fn encode_payload(payload: &WalPayload, out: &mut Vec<u8>) {
     match payload {
         WalPayload::Op(WalOp::Insert { table, rowid, row }) => {
-            out.push(K_INSERT);
-            out.extend_from_slice(&table.to_be_bytes());
-            out.extend_from_slice(&rowid.to_u64().to_be_bytes());
-            put_bytes(out, row);
+            encode_insert(*table, *rowid, row, out);
         }
         WalPayload::Op(WalOp::Update {
             table,
@@ -317,6 +321,43 @@ struct WalInner {
     durable_len: u64,
 }
 
+impl WalInner {
+    /// Frame the next record in place at the end of the write buffer: the
+    /// 8-byte `len | crc32` header is reserved, the LSN and `txn` written,
+    /// `encode` writes the rest of the body, and the header is filled in
+    /// from the body. Debug builds decode the record again and compare it
+    /// with `expected()`. Returns the LSN and the body's length.
+    fn push(
+        &mut self,
+        txn: u64,
+        encode: impl FnOnce(&mut Vec<u8>),
+        expected: impl FnOnce() -> WalPayload,
+    ) -> (u64, u64) {
+        let lsn = self.next_lsn;
+        self.next_lsn += 1;
+        let pending = &mut self.pending;
+        let start = pending.len();
+        pending.extend_from_slice(&[0; 8]);
+        pending.extend_from_slice(&lsn.to_be_bytes());
+        pending.extend_from_slice(&txn.to_be_bytes());
+        encode(pending);
+        let body = pending.get(start + 8..).unwrap_or_default();
+        debug_assert!(
+            matches!(
+                decode_payload(body),
+                Ok(r) if r.lsn == lsn && r.txn == txn && r.payload == expected()
+            ),
+            "WAL encode/decode roundtrip broken for lsn {lsn}"
+        );
+        let len = body.len() as u32;
+        let header = ((u64::from(len) << 32) | u64::from(crc32(body))).to_be_bytes();
+        if let Some(dst) = pending.get_mut(start..start + 8) {
+            dst.copy_from_slice(&header);
+        }
+        (lsn, u64::from(len))
+    }
+}
+
 /// Observability counters for one [`Wal`].
 #[derive(Debug, Default)]
 struct WalStats {
@@ -392,35 +433,45 @@ impl Wal {
 
     /// Append a record; returns its LSN. The record is buffered until
     /// [`Wal::sync`].
-    ///
-    /// The record is encoded in place at the end of the write buffer: the
-    /// 8-byte `len | crc32` header is reserved, the body encoded after it,
-    /// and the header filled in from the body.
     pub fn append(&self, txn: u64, payload: &WalPayload) -> u64 {
         let mut inner = self.inner.lock();
-        let lsn = inner.next_lsn;
-        inner.next_lsn += 1;
-        let pending = &mut inner.pending;
-        let start = pending.len();
-        pending.extend_from_slice(&[0; 8]);
-        encode_payload(lsn, txn, payload, pending);
-        let body = pending.get(start + 8..).unwrap_or_default();
-        debug_assert!(
-            matches!(
-                decode_payload(body),
-                Ok(r) if r.lsn == lsn && r.txn == txn && &r.payload == payload
-            ),
-            "WAL encode/decode roundtrip broken for lsn {lsn}"
-        );
-        let len = body.len() as u32;
-        let header = ((u64::from(len) << 32) | u64::from(crc32(body))).to_be_bytes();
-        if let Some(dst) = pending.get_mut(start..start + 8) {
-            dst.copy_from_slice(&header);
-        }
+        let (lsn, len) = inner.push(txn, |out| encode_payload(payload, out), || payload.clone());
         drop(inner);
         self.stats.appends.inc();
-        self.stats.append_bytes.add(u64::from(len));
+        self.stats.append_bytes.add(len);
         lsn
+    }
+
+    /// Append one `Insert` record per `(rowid, row)` of `table`, in order,
+    /// under one lock: the records are exactly those [`Wal::append`] would
+    /// write one at a time. The table layer calls this while it still
+    /// holds the latch of the page the rows went to.
+    pub fn append_inserts<'r>(
+        &self,
+        txn: u64,
+        table: u32,
+        rows: impl IntoIterator<Item = (RowId, &'r [u8])>,
+    ) {
+        let (mut appends, mut bytes) = (0, 0);
+        let mut inner = self.inner.lock();
+        for (rowid, row) in rows {
+            let (_, len) = inner.push(
+                txn,
+                |out| encode_insert(table, rowid, row, out),
+                || {
+                    WalPayload::Op(WalOp::Insert {
+                        table,
+                        rowid,
+                        row: row.to_vec(),
+                    })
+                },
+            );
+            appends += 1;
+            bytes += len;
+        }
+        drop(inner);
+        self.stats.appends.add(appends);
+        self.stats.append_bytes.add(bytes);
     }
 
     /// Flush buffered records to the log file and fsync.

@@ -111,7 +111,9 @@ fn crash_between_loads_preserves_committed_studies() {
                 let committed = store.result_count().unwrap();
                 // Second load starts but "crashes" before commit: simulate
                 // by building a loader, applying statements, and leaking
-                // everything.
+                // everything. The leaked loader holds only staged rows,
+                // which are written at commit, so none of them reached
+                // the WAL.
                 let stmts = perftrack_ptdf::parse_str(&texts[1]).unwrap();
                 let mut loader = store.begin_load();
                 for s in stmts.iter().take(500) {

@@ -24,16 +24,60 @@ PerfResult e1 /r(primary) T m 1.5 u
 PerfResult e1 /m/n0(primary) T m2 2.5 u
 ";
 
+/// Results in `DOC`.
+const FIRST_LOAD_RESULTS: usize = 2;
+
+/// Results in the second load: enough that the `performance_result`
+/// and `result_has_focus` runs each fill their table's last page and go
+/// on in a new one, so the log holds an `AllocPage` record between two
+/// `Insert` records of one table.
+const SECOND_LOAD_RESULTS: usize = 400;
+
 /// Build a store directory whose WAL still holds live records, as after
 /// a crash: load, checkpoint, load again, then forget without dropping.
 fn crashed_fixture(dir: &Path) {
     let store = PTDataStore::open(dir).unwrap();
     store.load_ptdf_str(DOC).unwrap();
     store.checkpoint().unwrap();
-    store
-        .load_ptdf_str("Execution e2 A\nPerfResult e2 /r(primary) T m 9.5 u\n")
-        .unwrap();
+    let mut second = String::from("Execution e2 A\n");
+    for i in 0..SECOND_LOAD_RESULTS {
+        second.push_str(&format!("PerfResult e2 /r(primary) T m {i}.5 u\n"));
+    }
+    store.load_ptdf_str(&second).unwrap();
     std::mem::forget(store);
+}
+
+const K_INSERT: u8 = 1;
+const K_COMMIT: u8 = 4;
+const K_ALLOC: u8 = 7;
+
+/// The kind byte and table id of each record between `bounds`: a body
+/// is `lsn u64 | txn u64 | kind u8 | table u32 | ...` (no table for
+/// `Commit`, `Abort` and `Checkpoint`, read as 0).
+fn kinds_and_tables(wal: &[u8], bounds: &[usize]) -> Vec<(u8, u32)> {
+    let record = |w: &[usize]| {
+        let body = &wal[w[0] + 8..w[1]];
+        let table = body
+            .get(17..21)
+            .map_or(0, |b| u32::from_be_bytes(b.try_into().unwrap()));
+        (body[16], table)
+    };
+    bounds.windows(2).map(record).collect()
+}
+
+/// Indexes into `bounds` of the `AllocPage` records that sit inside one
+/// table's run of inserts: the record before and the record after are
+/// both `Insert`s into the table the page was allocated for.
+fn mid_run_allocs(wal: &[u8], bounds: &[usize]) -> Vec<usize> {
+    let kinds = kinds_and_tables(wal, bounds);
+    (1..kinds.len().saturating_sub(1))
+        .filter(|&i| {
+            let (kind, table) = kinds[i];
+            kind == K_ALLOC
+                && kinds[i - 1] == (K_INSERT, table)
+                && kinds[i + 1] == (K_INSERT, table)
+        })
+        .collect()
 }
 
 /// Parse the WAL framing (`len u32 | crc u32 | body`) into the byte
@@ -64,9 +108,11 @@ fn restore(pristine: &Path, trial: &Path, wal: &[u8]) {
     std::fs::write(trial.join("wal.log"), wal).unwrap();
 }
 
-/// Open the mutated store. Success must come with a clean deep fsck;
-/// failure must be a clean error. Returns a label for the outcome.
-fn open_and_verify(trial: &Path, what: &str) -> &'static str {
+/// Open the mutated store. Success must come with a clean deep fsck and
+/// the result count of a committed prefix: the first load's, or both
+/// loads'. Failure must be a clean error. Returns the result count when
+/// the store recovered.
+fn open_and_verify(trial: &Path, what: &str) -> Option<usize> {
     match PTDataStore::open(trial) {
         Ok(store) => {
             let report = store.fsck(true).unwrap();
@@ -76,11 +122,17 @@ fn open_and_verify(trial: &Path, what: &str) -> &'static str {
                 "{what}: recovered store fails fsck: {}",
                 report.summary()
             );
-            "recovered"
+            let results = store.result_count().unwrap();
+            assert!(
+                results == FIRST_LOAD_RESULTS
+                    || results == FIRST_LOAD_RESULTS + SECOND_LOAD_RESULTS,
+                "{what}: {results} results is no committed prefix"
+            );
+            Some(results)
         }
         Err(e) => {
             assert!(!e.to_string().is_empty(), "{what}: empty error");
-            "rejected"
+            None
         }
     }
 }
@@ -106,11 +158,31 @@ fn wal_truncation_at_every_boundary_recovers_or_rejects_cleanly() {
     }
     cuts.sort_unstable();
     cuts.dedup();
-    // Keep the run bounded: sample evenly up to 30 cuts.
+    // Keep the run bounded: sample evenly up to 30 cuts, plus every cut
+    // that ends the log inside a run: just before a mid-run page
+    // allocation, just after it, and one insert into the new page.
     let step = (cuts.len() / 30).max(1);
-    for cut in cuts.iter().step_by(step) {
+    let mut sampled: Vec<usize> = cuts.iter().step_by(step).copied().collect();
+    let allocs = mid_run_allocs(&wal, &bounds);
+    assert!(!allocs.is_empty(), "fixture must allocate a page mid-run");
+    for i in allocs {
+        sampled.extend([bounds[i], bounds[i + 1], bounds[i + 2]]);
+    }
+    sampled.sort_unstable();
+    sampled.dedup();
+    // The second load's commit is the log's last record.
+    let commit_end = *bounds.last().unwrap();
+    assert_eq!(kinds_and_tables(&wal, &bounds).last().unwrap().0, K_COMMIT);
+    for cut in &sampled {
         restore(&pristine, &trial, &wal[..*cut]);
-        if open_and_verify(&trial, &format!("truncate at {cut}")) == "recovered" {
+        let what = format!("truncate at {cut}");
+        if let Some(results) = open_and_verify(&trial, &what) {
+            let committed = *cut >= commit_end;
+            let want = FIRST_LOAD_RESULTS + if committed { SECOND_LOAD_RESULTS } else { 0 };
+            assert_eq!(
+                results, want,
+                "{what}: the second load's commit ends at {commit_end}"
+            );
             recovered += 1;
         }
     }
@@ -150,7 +222,10 @@ fn wal_bitflips_at_record_boundaries_recover_or_reject_cleanly() {
 
     // Control: the unmutated fixture recovers and passes a deep fsck.
     restore(&pristine, &trial, &wal);
-    assert_eq!(open_and_verify(&trial, "control"), "recovered");
+    assert_eq!(
+        open_and_verify(&trial, "control"),
+        Some(FIRST_LOAD_RESULTS + SECOND_LOAD_RESULTS)
+    );
     std::fs::remove_dir_all(&pristine).ok();
     std::fs::remove_dir_all(&trial).ok();
 }
