@@ -486,6 +486,7 @@ impl<'s> Compare<'s> {
     /// assert_eq!(t.regressions().len(), 1);
     /// ```
     pub fn tree_compare(&self, execs: &[&str], opts: &CompareOptions) -> Result<TreeComparison> {
+        let _committed = self.store.db().read();
         let n = execs.len();
         if n < 2 {
             return Err(PtError::Invalid(

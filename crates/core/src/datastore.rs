@@ -163,8 +163,10 @@ impl IdGen {
 /// engine's writer lock. The type is `Send + Sync` (pinned by a
 /// compile-time test in `tests/send_sync.rs`), so one store can be
 /// shared across threads behind an `Arc`: readers run concurrently,
-/// writers queue. The network service layer (`perftrack-server`) builds
-/// directly on this contract — see `docs/SERVER.md`.
+/// writers queue. Each call that answers a request (a query, `render`,
+/// `tree_compare`, export, fsck) holds [`Database::read`] while it reads,
+/// so it sees committed data; two calls may see two committed states.
+/// `perftrack-server` builds on this contract — see `docs/SERVER.md`.
 pub struct PTDataStore {
     db: Database,
     schema: Schema,
@@ -493,11 +495,13 @@ impl PTDataStore {
         if token.is_empty() {
             return Ok((self.load_ptdf_str(text)?, false));
         }
-        if let Some(stats) = self.load_token_entry(token)? {
-            return Ok((stats, true));
-        }
         let stmts = perftrack_ptdf::parse_str(text)?;
         let mut l = self.begin_load();
+        // Checked under the writer lock, so a racing duplicate replays.
+        if let Some(stats) = self.load_token_entry(token)? {
+            l.rollback()?;
+            return Ok((stats, true));
+        }
         for s in &stmts {
             l.apply(s)?;
         }
@@ -623,6 +627,7 @@ impl PTDataStore {
 
     /// Export the complete store as PTdf statements (inverse of load).
     pub fn export_ptdf(&self) -> Result<Vec<PtdfStatement>> {
+        let _committed = self.db.read();
         let mut out = Vec::new();
         // Types beyond the base set.
         let base: std::collections::HashSet<&str> = perftrack_model::types::BASE_HIERARCHIES
@@ -919,7 +924,7 @@ impl PTDataStore {
     /// (closure-table consistency, referential integrity). `deep` adds the
     /// engine's index-entry ↔ row bijection checks. See `docs/FSCK.md`.
     ///
-    /// Takes the writer lock for the structural pass — do not call while a
+    /// Holds the engine's read guard for each pass — do not call while a
     /// [`Txn`](perftrack_store::Txn) or [`Loader`] is open on this thread.
     pub fn fsck(&self, deep: bool) -> Result<crate::fsck::FsckReport> {
         crate::fsck::verify_store(self, deep)
@@ -1605,8 +1610,8 @@ impl<'s> Loader<'s> {
     /// Record this load's accumulated counters under idempotency
     /// `token` inside the load's transaction — the network-load analog
     /// of [`Loader::set_manifest`]. The unique `load_token_token` index
-    /// turns a racing duplicate into a typed `UniqueViolation` instead
-    /// of a double-apply.
+    /// turns a second write of a token into a typed `UniqueViolation`;
+    /// [`PTDataStore::load_ptdf_str_dedup`] checks first, in the same txn.
     pub fn set_load_token(&mut self, token: &str) -> Result<()> {
         let table = self.store.schema.load_token;
         let s = self.stats;
@@ -1643,10 +1648,12 @@ impl<'s> Loader<'s> {
                 txn.insert_many(TableId(table as u32), rows)?;
             }
         }
-        // Publish under the cache lock taken before the commit, as
-        // `delete_execution` does: the next writer sees this load's names
-        // and foci, and a failed commit publishes nothing.
+        // Publish under the cache and registry locks taken before the
+        // commit, as `delete_execution` does: the next writer and every
+        // reader that sees this load's rows see its names, foci and types,
+        // and a failed commit publishes nothing.
         let mut cache = self.store.cache.write();
+        let mut registry = self.store.registry.write();
         txn.commit()?;
         cache.applications.extend(self.overlay.applications.drain());
         cache.types.extend(self.overlay.types.drain());
@@ -1660,8 +1667,7 @@ impl<'s> Loader<'s> {
         if let (Some(foci), Some(new)) = (cache.foci.as_mut(), self.overlay.foci.take()) {
             foci.extend(new);
         }
-        drop(cache);
-        *self.store.registry.write() = std::mem::replace(&mut self.registry, TypeRegistry::empty());
+        *registry = std::mem::replace(&mut self.registry, TypeRegistry::empty());
         Ok(self.stats)
     }
 

@@ -36,6 +36,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 /// the closure-table size either way.
 pub fn verify_store(store: &PTDataStore, deep: bool) -> Result<FsckReport> {
     let mut report = store.db().verify(deep)?;
+    let _committed = store.db().read();
     check_closure(store, &mut report)?;
     check_references(store, &mut report)?;
     check_foci(store, &mut report)?;

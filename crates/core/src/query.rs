@@ -661,6 +661,7 @@ impl<'s> QueryEngine<'s> {
     /// [`QueryEngine::run`], with no context or result row read.
     /// Statistics supply only the estimated rows per operator.
     pub fn explain(&self, filters: &[ResourceFilter]) -> Result<ExplainPlan> {
+        let _committed = self.store.db().read();
         let plan = plan_filters(self.store, filters);
         let families = filters
             .iter()
@@ -689,6 +690,7 @@ impl<'s> QueryEngine<'s> {
         &self,
         filters: &[ResourceFilter],
     ) -> Result<(Vec<ResultRow>, QueryProfile, Vec<HashSet<i64>>)> {
+        let _committed = self.store.db().read();
         let total_start = Instant::now();
         let mut profile = QueryProfile::default();
         let plan = plan_filters(self.store, filters);

@@ -201,6 +201,7 @@ impl<'s> SelectionDialog<'s> {
     /// Live match counts for the pr-filter under construction ("lets users
     /// tailor queries to return a reasonable number of results").
     pub fn counts(&self) -> Result<MatchCounts> {
+        let _committed = self.store.db().read();
         let engine = QueryEngine::new(self.store);
         let families = self
             .selected
@@ -287,6 +288,7 @@ impl<'s> ResultTable<'s> {
     /// The "Add Columns" dialog content: free resource types whose values
     /// vary across the displayed results (§3.2's two-step design).
     pub fn addable_columns(&self) -> Result<Vec<FreeResourceColumn>> {
+        let _committed = self.store.db().read();
         let engine = QueryEngine::new(self.store);
         engine.free_resource_types(&self.base_rows, &self.fixed_families)
     }
@@ -318,6 +320,7 @@ impl<'s> ResultTable<'s> {
 
     /// Render the visible table as strings (row-major).
     pub fn render(&self) -> Result<Vec<Vec<String>>> {
+        let _committed = self.store.db().read();
         let engine = QueryEngine::new(self.store);
         // Pre-compute extra column values over all rows, then filter.
         let mut extra_values: Vec<Vec<Option<String>>> = Vec::new();

@@ -12,13 +12,12 @@
 //! * [`proto`] — typed [`proto::Request`]/[`proto::Response`] messages
 //!   and the [`proto::ErrorCategory`] taxonomy.
 //! * [`ops`] — the store side of every request: [`ops::execute`] and one
-//!   function per request kind, free of socket, gate and admission, so
-//!   the server and `pt` on a local store answer from the same code.
+//!   function per request kind, free of socket and admission, so the
+//!   server and `pt` on a local store answer from the same code.
 //! * [`server`] — thread-per-connection server whose workers accept
 //!   from one shared listener, one expensive-request slot (admission: a
-//!   second export, compare or fsck is shed with a retry hint),
-//!   single-writer/multi-reader scheduling, idle reaping, and graceful
-//!   drain.
+//!   second export, compare or fsck is shed with a retry hint), idle
+//!   reaping, and graceful drain; the engine's own gate orders writes.
 //! * [`client`] — blocking client with jittered-backoff retry keyed off
 //!   the server-reported error category and request idempotency.
 //! * [`transport`] — byte-stream seam over [`std::net::TcpStream`] with

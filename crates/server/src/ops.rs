@@ -1,9 +1,9 @@
 //! The store side of every request: [`execute`] answers one [`Request`]
-//! from a [`PTDataStore`] with no socket, gate or admission, through one
-//! function per request kind. The server wraps it with admission,
-//! metrics and its read/write gate; `pt` calls the same
-//! functions in-process on a local store, so a command prints the same
-//! answer with or without `--connect`.
+//! from a [`PTDataStore`] with no socket or admission, through one
+//! function per request kind; the store's own read/write gate orders it
+//! against loads. The server wraps it with admission and metrics; `pt`
+//! calls the same functions in-process on a local store, so a command
+//! prints the same answer with or without `--connect`.
 
 // Panic-freedom: this file is on the request path or the engine core,
 // so its non-test code returns typed errors instead of panicking.

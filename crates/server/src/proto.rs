@@ -224,13 +224,6 @@ impl Request {
         }
     }
 
-    /// False only for `LoadPtdf`, the one request that writes: the server
-    /// runs it under the write side of its gate and every other store
-    /// request under the read side.
-    pub fn is_read_only(&self) -> bool {
-        !matches!(self, Request::LoadPtdf { .. })
-    }
-
     /// True for the requests that need the server's one expensive-request
     /// slot (`docs/SERVER.md` §4): whole-store export and fsck and the
     /// server-side comparison. No `_` arm, so a new opcode must pick a

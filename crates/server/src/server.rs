@@ -23,12 +23,12 @@
 //! [`crate::transport::ChaosInjector`] into either side of the wire.
 //!
 //! Workers serve one connection at a time to completion. Requests on a
-//! connection execute ([`crate::ops::execute`]) under a server-level
-//! `RwLock<()>` gate: PTdf loads take the write side, every other store
-//! request the read side, and `Ping`/`Shutdown` neither, so the
-//! store sees at most one writer while readers proceed concurrently
-//! (the engine's own latching makes this safe; the gate makes it
-//! *scheduled* — a bulk load cannot starve between individual readers).
+//! connection execute ([`crate::ops::execute`]) with no server-level
+//! lock: the engine's read/write gate is the one gate. A load holds its
+//! write side from `begin` to commit, and each query, compare, export or
+//! fsck call holds its read side while it reads, so readers see
+//! committed data only and proceed concurrently with each other.
+//! `Ping`, `Stats` and `Shutdown` take neither side.
 //!
 //! A request, once admitted, runs to completion and its answer is
 //! sent: the store's operations are not cancellable mid-flight, so a
@@ -65,7 +65,6 @@ use perftrack::{PTDataStore, PtError};
 use crate::proto::{QuerySpec, WIRE_VERSION};
 #[cfg(test)]
 use perftrack_store::metrics::Json;
-use perftrack_store::sync::{Level, RwLock};
 use perftrack_store::StoreError;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -122,8 +121,6 @@ struct Shared {
     store: Arc<PTDataStore>,
     metrics: Arc<ServerMetrics>,
     shutdown: AtomicBool,
-    /// Single-writer/multi-reader request gate (see module docs).
-    write_gate: RwLock<()>,
     /// Set while an expensive request runs (see [`ExpensiveSlot`]).
     expensive_running: AtomicBool,
     cfg: ServerConfig,
@@ -135,7 +132,6 @@ impl Shared {
             store,
             metrics: Arc::new(ServerMetrics::new()),
             shutdown: AtomicBool::new(false),
-            write_gate: RwLock::new(Level::WriteGate, ()),
             expensive_running: AtomicBool::new(false),
             cfg,
         })
@@ -342,7 +338,7 @@ fn handle_frame(shared: &Shared, decoded: Result<Request, WireError>) -> (Respon
     let label = req.label();
     shared.metrics.in_flight.inc();
     let start = Instant::now();
-    let resp = execute_gated(shared, &req);
+    let resp = respond(shared, &req);
     let elapsed = start.elapsed();
     shared.metrics.in_flight.dec();
     drop(slot);
@@ -355,23 +351,13 @@ fn handle_frame(shared: &Shared, decoded: Result<Request, WireError>) -> (Respon
     (resp, stop)
 }
 
-/// Run a request under the scheduling gate, taken once and keyed on
-/// [`Request::is_read_only`]: the write side for writes, the read side
-/// for other store requests, and neither for `Ping`/`Shutdown`. `Stats`
+/// Run a request, with errors mapped onto the wire taxonomy. `Stats`
 /// gains the server's own section.
-fn execute_gated(shared: &Shared, req: &Request) -> Response {
+fn respond(shared: &Shared, req: &Request) -> Response {
     let store = &*shared.store;
-    let result = if matches!(req, Request::Ping | Request::Shutdown) {
-        execute(store, req)
-    } else if req.is_read_only() {
-        let _r = shared.write_gate.read();
-        match req {
-            Request::Stats => Ok(ops::stats(store, Some(&shared.metrics))),
-            _ => execute(store, req),
-        }
-    } else {
-        let _w = shared.write_gate.write();
-        execute(store, req)
+    let result = match req {
+        Request::Stats => Ok(ops::stats(store, Some(&shared.metrics))),
+        _ => execute(store, req),
     };
     result.unwrap_or_else(|e| Response::Err {
         category: categorize(&e),
@@ -840,6 +826,47 @@ mod tests {
         }
         let report = store.fsck(true).unwrap();
         assert_eq!(report.error_count(), 0);
+        shutdown_and_join(handle);
+    }
+
+    #[test]
+    fn concurrent_duplicate_tokened_loads_apply_once() {
+        let (handle, store) = start_test_server(ServerConfig::default());
+        let addr = handle.local_addr();
+        // Enough results that the first copy is still loading when the
+        // second arrives.
+        let mut text = String::from("Application A\nExecution e1 A\nResource /r application\n");
+        for i in 0..500 {
+            text.push_str(&format!("PerfResult e1 /r(primary) T m{i} 1.5 u\n"));
+        }
+        let req = Request::LoadPtdf {
+            text,
+            token: "sent-twice".into(),
+        };
+        let barrier = std::sync::Barrier::new(2);
+        let replayed: Vec<bool> = std::thread::scope(|s| {
+            let sends: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut stream = TcpStream::connect(addr).unwrap();
+                        barrier.wait();
+                        stream.write_all(&req.encode()).unwrap();
+                        match read_response(&mut stream) {
+                            Response::Loaded { stats, replayed } => {
+                                assert_eq!(stats.results, 500);
+                                replayed
+                            }
+                            other => panic!("unexpected {other:?}"),
+                        }
+                    })
+                })
+                .collect();
+            sends.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!(replayed.iter().filter(|&&r| !r).count(), 1, "{replayed:?}");
+        assert_eq!(store.result_count().unwrap(), 500);
+        let report = store.fsck(true).unwrap();
+        assert_eq!(report.error_count(), 0, "{}", report.summary());
         shutdown_and_join(handle);
     }
 

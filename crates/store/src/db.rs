@@ -1,11 +1,12 @@
 //! The `Database`: tables + indexes + transactions + recovery, tying the
 //! pager, WAL, catalog, and B+tree layers together.
 //!
-//! Concurrency model: **single writer, many readers**. [`Database::begin`]
-//! hands out the unique write token; readers (scans, index lookups) run
-//! concurrently and observe a *read-uncommitted* view of the single active
-//! transaction — the isolation level the PerfTrack workload needs (bulk
-//! load, then query).
+//! Concurrency model: **single writer, many readers**, behind one
+//! `RwLock`. A [`Txn`] (and DDL, checkpoint, ANALYZE, compaction) holds
+//! its write side; a request holds [`Database::read`] while it reads, so
+//! it sees committed data only — read-committed per guarded call, not a
+//! snapshot. Scans and probes take no guard themselves, so a `Txn`'s
+//! probes still run; unguarded, they may see an open transaction's rows.
 //!
 //! Durability: logical WAL with commit-time fsync, idempotent redo, and a
 //! guarded undo pass for transactions that never committed (including
@@ -37,7 +38,7 @@ use crate::metrics::{
 use crate::page::{PageId, PageMut, PageRef, PageType, RowId, MAX_RECORD, PAGE_SIZE};
 use crate::planner::StatsState;
 use crate::stats::{build_histogram, drifted, IndexStats, StatsCatalog, TableStats};
-use crate::sync::{Level, Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use crate::sync::{Level, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use crate::value::{decode_row, encode_key_vec, encode_row, encode_row_vec, Row, Value};
 use crate::vfs::{StdVfs, Vfs};
 use crate::wal::{Wal, WalOp, WalPayload};
@@ -104,7 +105,7 @@ pub struct Database {
     wal: Arc<Wal>,
     catalog: RwLock<Catalog>,
     indexes: RwLock<HashMap<IndexId, Arc<RwLock<BTreeIndex>>>>,
-    writer: Mutex<()>,
+    writer: RwLock<()>,
     next_txn: AtomicU64,
     dir: Option<PathBuf>,
     opts: DbOptions,
@@ -201,7 +202,7 @@ impl Database {
             wal,
             catalog: RwLock::new(Level::Catalog, catalog),
             indexes: RwLock::new(Level::Indexes, HashMap::new()),
-            writer: Mutex::new(Level::Writer, ()),
+            writer: RwLock::new(Level::Writer, ()),
             next_txn: AtomicU64::new(1),
             dir,
             opts,
@@ -343,7 +344,7 @@ impl Database {
     /// Create a table. DDL is a checkpoint barrier: the catalog is
     /// persisted immediately on durable databases.
     pub fn create_table(&self, name: &str, columns: Vec<Column>) -> Result<TableId> {
-        let _w = self.writer.lock();
+        let _w = self.writer.write();
         self.check_writable()?;
         let id = self.catalog.write().create_table(name, columns)?;
         self.checkpoint_locked()?;
@@ -359,7 +360,7 @@ impl Database {
         columns: &[&str],
         unique: bool,
     ) -> Result<IndexId> {
-        let _w = self.writer.lock();
+        let _w = self.writer.write();
         self.check_writable()?;
         let ordinals: Vec<usize> = {
             let cat = self.catalog.read();
@@ -420,9 +421,9 @@ impl Database {
     // -- transactions ---------------------------------------------------
 
     /// Begin the (single) write transaction. Blocks while another write
-    /// transaction is active.
+    /// transaction or a [`Database::read`] guard is held.
     pub fn begin(&self) -> Txn<'_> {
-        let guard = self.writer.lock();
+        let guard = self.writer.write();
         Txn {
             db: self,
             _guard: guard,
@@ -434,6 +435,12 @@ impl Database {
     }
 
     // -- reads ------------------------------------------------------------
+
+    /// Hold writers out, so reads see committed data only. Not
+    /// re-entrant: never take it on a thread holding it or a [`Txn`].
+    pub fn read(&self) -> RwLockReadGuard<'_, ()> {
+        self.writer.read()
+    }
 
     /// Fetch one row by id.
     pub fn get(&self, table: TableId, rowid: RowId) -> Result<Row> {
@@ -575,7 +582,7 @@ impl Database {
 
     /// Flush dirty pages, persist the catalog, and truncate the WAL.
     pub fn checkpoint(&self) -> Result<()> {
-        let _w = self.writer.lock();
+        let _w = self.writer.write();
         self.checkpoint_locked()
     }
 
@@ -595,7 +602,7 @@ impl Database {
     /// underfull leaves deletes leave behind. Returns the number of
     /// contiguous free bytes gained. Run after bulk deletes.
     pub fn compact_table(&self, table: TableId) -> Result<usize> {
-        let _w = self.writer.lock();
+        let _w = self.writer.write();
         let (pages, index_ids): (Vec<PageId>, Vec<IndexId>) = {
             let cat = self.catalog.read();
             let pages = cat.table(table)?.pages.clone();
@@ -731,7 +738,7 @@ impl Database {
     /// durable (and fsck-checked) immediately. Returns the number of
     /// `(tables, indexes)` analyzed.
     pub fn analyze(&self) -> Result<(usize, usize)> {
-        let _w = self.writer.lock();
+        let _w = self.writer.write();
         self.check_writable()?;
         let table_ids: Vec<TableId> = self
             .catalog
@@ -817,13 +824,12 @@ impl Database {
     }
 
     /// Run the structural verifier over the whole database and return its
-    /// findings; see [`crate::check`] for the invariants covered. Takes
-    /// the writer lock so the view is quiescent (do not call while holding
-    /// a [`Txn`] on the same thread — it would deadlock, like
-    /// [`Database::checkpoint`]). `deep` adds the full index ↔ heap
-    /// bijection check.
+    /// findings; see [`crate::check`] for the invariants covered. Holds
+    /// [`Database::read`]'s guard so the view is quiescent (do not call
+    /// while holding a [`Txn`] or that guard on the same thread). `deep`
+    /// adds the full index ↔ heap bijection check.
     pub fn verify(&self, deep: bool) -> Result<crate::check::FsckReport> {
-        let _w = self.writer.lock();
+        let _r = self.writer.read();
         crate::check::verify_database(self, deep)
     }
 
@@ -1195,7 +1201,7 @@ fn unique_violation(meta: &IndexMeta, row: &[Value]) -> StoreError {
 /// changes roll back.
 pub struct Txn<'db> {
     db: &'db Database,
-    _guard: MutexGuard<'db, ()>,
+    _guard: RwLockWriteGuard<'db, ()>,
     id: u64,
     undo: Vec<UndoOp>,
     /// Index plans of the tables written so far (see [`IndexPlan`]).
@@ -2395,6 +2401,36 @@ mod tests {
             r.join().unwrap();
         }
         assert_eq!(db.row_count(t).unwrap(), 2000);
+    }
+
+    #[test]
+    fn a_read_guard_sees_only_committed_rows() {
+        for commit in [false, true] {
+            let db = &Database::in_memory();
+            let t = setup(db);
+            let mut txn = db.begin();
+            for i in 0..10 {
+                txn.insert(t, row(i, "pending", None)).unwrap();
+            }
+            std::thread::scope(|s| {
+                let (started, wait) = std::sync::mpsc::channel();
+                let reader = s.spawn(move || {
+                    started.send(()).unwrap();
+                    let _committed = db.read();
+                    db.scan_iter(t).unwrap().count()
+                });
+                wait.recv().unwrap();
+                // The answer does not depend on this pause; it gives an
+                // unguarded scan the time to count the open rows.
+                std::thread::sleep(Duration::from_millis(20));
+                if commit {
+                    txn.commit().unwrap();
+                } else {
+                    txn.rollback().unwrap();
+                }
+                assert_eq!(reader.join().unwrap(), if commit { 10 } else { 0 });
+            });
+        }
     }
 
     #[test]

@@ -67,9 +67,9 @@ macro_rules! levels {
 }
 
 levels! {
-    /// `pt serve`'s write gate (`Shared::write_gate`): loads exclusive.
-    WriteGate,
-    /// The database's single writer (`Database::writer`), held per txn.
+    /// The database's read/write gate (`Database::writer`): a txn, DDL
+    /// and maintenance hold the write side, a `Database::read` guard and
+    /// `verify` the read side.
     Writer,
     /// Core's name → id cache (`PTDataStore::cache`).
     NameCache,

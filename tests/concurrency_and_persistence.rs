@@ -26,9 +26,22 @@ fn irs_ptdf_texts(seed: u64, execs: usize) -> Vec<String> {
 
 #[test]
 fn readers_run_during_bulk_load() {
+    let filter = [ResourceFilter::by_name("/IRS").relatives(Relatives::Neither)];
+    let texts = irs_ptdf_texts(31, 3);
+    // The query's answer after each committed prefix of the loads, from
+    // a second store loaded one execution at a time.
+    let committed: Vec<usize> = {
+        let reference = PTDataStore::in_memory().unwrap();
+        texts
+            .iter()
+            .map(|t| {
+                reference.load_ptdf_str(t).unwrap();
+                QueryEngine::new(&reference).run(&filter).unwrap().len()
+            })
+            .collect()
+    };
     let store = Arc::new(PTDataStore::in_memory().unwrap());
     // Seed one execution so readers always have data.
-    let texts = irs_ptdf_texts(31, 3);
     store.load_ptdf_str(&texts[0]).unwrap();
     let baseline = store.result_count().unwrap();
 
@@ -37,18 +50,21 @@ fn readers_run_during_bulk_load() {
         .map(|_| {
             let store = Arc::clone(&store);
             let stop = Arc::clone(&stop);
+            let (filter, committed) = (filter.clone(), committed.clone());
             std::thread::spawn(move || {
                 let mut iterations = 0usize;
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                     let n = store.result_count().unwrap();
                     assert!(n >= baseline, "loaded results never disappear");
-                    let engine = QueryEngine::new(&store);
-                    // Queries stay well-formed mid-load; counts only grow,
-                    // so any answer is at most the *current* total.
-                    let rows = engine
-                        .run(&[ResourceFilter::by_name("/IRS").relatives(Relatives::Neither)])
-                        .unwrap();
-                    assert!(rows.len() <= store.result_count().unwrap() + rows.len());
+                    // A query sees a committed prefix of the loads, each
+                    // result whole with its context.
+                    let rows = QueryEngine::new(&store).run(&filter).unwrap();
+                    assert!(
+                        committed.contains(&rows.len()),
+                        "{} rows; committed prefixes give {committed:?}",
+                        rows.len()
+                    );
+                    assert!(rows.iter().all(|r| !r.context.is_empty()));
                     iterations += 1;
                 }
                 iterations

@@ -93,7 +93,7 @@ fn faulted_store_serves_concurrent_clients_degrades_and_recovers() {
     let addr = handle.local_addr().to_string();
 
     // Phase A — four concurrent clients, mixed load + query + stats.
-    // Loads serialize on the server's write gate; queries overlap.
+    // Loads serialize on the engine's writer lock; queries overlap.
     let threads: Vec<_> = (0..CLIENTS)
         .map(|i| {
             let addr = addr.clone();
